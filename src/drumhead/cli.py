@@ -42,7 +42,7 @@ from .errors import (
 from .modes import com_mode_deviation, diagonalize, mode_histogram, transverse_stiffness
 from .odf import DriveConfig
 from .plotdata import build_plot_rows, write_plot_csv, write_plot_svg
-from .thermometry import ObservedSpectrum, fit_background_gamma, fit_occupation
+from .thermometry import ObservedSpectrum, fit_background_gamma, fit_occupation, off_resonant
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -175,8 +175,7 @@ def _cmd_fit_temperature(args) -> int:
         # no decoherence rate supplied: estimate it from the data's own
         # off-resonant points when enough of them exist
         tau = drive.sequence.tau
-        mu = data.mu_hz * 2.0 * np.pi
-        far = np.min(np.abs(mu[:, None] - spectrum.omega[None, :]), axis=1) * tau / (2 * np.pi) > 4.0
+        far = off_resonant(data.mu_hz, spectrum, tau)
         if np.count_nonzero(far) >= 3:
             off = ObservedSpectrum(
                 mu_hz=data.mu_hz[far], p_up=data.p_up[far], sigma=data.sigma[far],

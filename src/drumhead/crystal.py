@@ -11,6 +11,11 @@ energy M w1^2 l0^2) so the descent tolerances are scale-free: a coarse
 L-BFGS-B stage followed by a damped Newton polish on the analytic Hessian,
 which brings the residual force down to ~1e-13 in scaled units (orders of
 magnitude below any SI tolerance of interest here).
+
+The O(N^2) pair kernel works on the per-component (N, N) arrays of
+`pair_separations`: each gradient component is a row reduction of
+(r_j - r_k)_c / d_jk^3, and the Hessian is built from the same arrays. The
+energy-change convergence test reuses the polish's last eigendecomposition.
 """
 
 from __future__ import annotations
@@ -90,42 +95,62 @@ class LatticeStats:
 # scaled-unit energy / gradient / Hessian
 
 
-def _pair_geometry(pos: np.ndarray):
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = np.einsum("jkc,jkc->jk", diff, diff)
+def pair_separations(points: np.ndarray, out: np.ndarray | None = None):
+    """Per-component (N, N) separations r_j - r_k and squared distances d_jk^2.
+
+    `points` is (N, D) for any D. The diagonal of d^2 is +inf, so 1/d terms
+    vanish there and row minima are nearest-neighbor distances. The results
+    are views into `out`, an optional (D + 1, N, N) buffer.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, dim = pts.shape
+    if out is None:
+        out = np.empty((dim + 1, n, n))
+    diffs = out[:dim]
+    for c, dc in zip(pts.T, diffs):
+        np.subtract(c[:, None], c[None, :], out=dc)
+    d2 = np.einsum("cjk,cjk->jk", diffs, diffs, out=out[dim])
     np.fill_diagonal(d2, np.inf)
-    return diff, d2
+    return diffs, d2
 
 
-def _energy_gradient_scaled(coords: np.ndarray, b: float, dw: float):
+def _energy_gradient_scaled(coords: np.ndarray, b: float, dw: float, work: np.ndarray | None = None):
+    # `work` is an optional (5, N, N) scratch buffer; reusing it spares the page
+    # faults of fresh (N, N) arrays, which at N ~ 300 cost as much as the math.
     pos = coords.reshape(-1, 3)
-    diff, d2 = _pair_geometry(pos)
-    inv_d = 1.0 / np.sqrt(d2)
+    if work is None:
+        work = np.empty((5, len(pos), len(pos)))
+    diffs, d2 = pair_separations(pos, out=work[:4])
+    inv_d = np.sqrt(d2, out=work[4])
+    np.divide(1.0, inv_d, out=inv_d)
     x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
     energy = 0.5 * (
         np.dot(z, z) + b * (np.dot(x, x) + np.dot(y, y)) + dw * (np.dot(x, x) - np.dot(y, y))
     ) + 0.5 * np.sum(inv_d)
+    inv_d3 = np.divide(inv_d, d2, out=d2)
     grad = np.empty_like(pos)
-    grad[:, 0] = (b + dw) * x
-    grad[:, 1] = (b - dw) * y
-    grad[:, 2] = z
-    inv_d3 = inv_d / d2
-    grad -= np.einsum("jk,jkc->jc", inv_d3, diff)
+    for c, (dc, trap) in enumerate(zip(diffs, (b + dw, b - dw, 1.0))):
+        # direct row reduction; rowsum(inv_d3) * r_j - inv_d3 @ r cancels worse
+        grad[:, c] = trap * pos[:, c] - np.multiply(dc, inv_d3, out=dc).sum(axis=1)
     return energy, grad.ravel()
 
 
 def _hessian_scaled(coords: np.ndarray, b: float, dw: float) -> np.ndarray:
     pos = coords.reshape(-1, 3)
     n = len(pos)
-    diff, d2 = _pair_geometry(pos)
+    diffs, d2 = pair_separations(pos)
     inv_d3 = d2**-1.5
     inv_d5 = inv_d3 / d2
-    eye3 = np.eye(3)
-    cross = np.einsum("jk,uv->jukv", inv_d3, eye3)
-    cross -= 3.0 * np.einsum("jk,jku,jkv->jukv", inv_d5, diff, diff)
+    trap = np.diag([b + dw, b - dw, 1.0])
+    hess = np.empty((n, 3, n, 3))
     idx = np.arange(n)
-    cross[idx, :, idx, :] = -cross.sum(axis=2) + np.diag([b + dw, b - dw, 1.0])[None, :, :]
-    return cross.reshape(3 * n, 3 * n)
+    for u in range(3):
+        for v in range(u, 3):
+            # d^2(1/d)/dr_ju dr_kv = delta_uv / d^3 - 3 r_u r_v / d^5 (j != k)
+            block = (u == v) * inv_d3 - 3.0 * inv_d5 * diffs[u] * diffs[v]
+            hess[:, u, :, v] = hess[:, v, :, u] = block
+            hess[idx, u, idx, v] = hess[idx, v, idx, u] = trap[u, v] - block.sum(axis=1)
+    return hess.reshape(3 * n, 3 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +163,8 @@ def total_potential(positions: np.ndarray, params: TrapParams) -> float:
     Raises CoincidentIonsError when any two ions share a position.
     """
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if len(pos) > 1:
-        _, d2 = _pair_geometry(pos)
-        if np.min(d2) == 0.0:
-            raise CoincidentIonsError("two ions coincide; Coulomb energy diverges")
+    if np.min(pair_separations(pos)[1]) == 0.0:
+        raise CoincidentIonsError("two ions coincide; Coulomb energy diverges")
     l0 = length_scale(params)
     e0 = params.mass * params.omega_1**2 * l0**2
     e, _ = _energy_gradient_scaled((pos / l0).ravel(), beta(params), params.delta_wall)
@@ -253,27 +276,14 @@ def solve_equilibrium(
         x0 = _seed_scaled(n_ions, b, rng).ravel()
 
     trace: list[float] = []
-    last_eval: dict = {}
-
-    def objective(coords):
-        e, g = _energy_gradient_scaled(coords, b, dw)
-        last_eval["x"] = coords.copy()
-        last_eval["e"] = e
-        return e, g
-
-    def record(xk):
-        if last_eval and np.array_equal(last_eval["x"], xk):
-            e = last_eval["e"]
-        else:
-            e, _ = _energy_gradient_scaled(xk, b, dw)
-        trace.append(e)
-
+    work = np.empty((5, n_ions, n_ions))
     result = minimize(
-        objective,
+        _energy_gradient_scaled,
         x0,
+        args=(b, dw, work),
         jac=True,
         method="L-BFGS-B",
-        callback=record,
+        callback=lambda intermediate_result: trace.append(float(intermediate_result.fun)),
         options={
             "maxiter": max_minimize_steps,
             "maxfun": 4 * max_minimize_steps,
@@ -283,7 +293,7 @@ def solve_equilibrium(
         },
     )
     x = result.x
-    energy, grad = _energy_gradient_scaled(x, b, dw)
+    energy, grad = _energy_gradient_scaled(x, b, dw, work)
     if not trace or energy < trace[-1]:
         trace.append(energy)
 
@@ -301,14 +311,14 @@ def solve_equilibrium(
     gmax = np.max(np.abs(grad))
     stalled = 0
     slow = 0
+    evals_h = evecs_h = None
     for _ in range(max_polish_steps):
         # Magic-number crystals have quartically flat intershell-libration
         # valleys; once the gradient is below the convergence bar and barely
         # improving, grinding further buys nothing.
         if gmax <= _POLISH_TARGET or (gmax <= _SCALED_GTOL and slow >= 3):
             break
-        hess = _hessian_scaled(x, b, dw)
-        evals_h, evecs_h = np.linalg.eigh(hess)
+        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, b, dw))
         # The floor keeps quasi-flat directions (where the local quadratic
         # model is meaningless) from dominating the step.
         floor = max(1e-6 * float(np.max(np.abs(evals_h))), 1e-12)
@@ -326,7 +336,7 @@ def solve_equilibrium(
         prev_gmax = gmax
         for _ in range(30):
             x_try = x + scale * step
-            e_try, g_try = _energy_gradient_scaled(x_try, b, dw)
+            e_try, g_try = _energy_gradient_scaled(x_try, b, dw, work)
             g_try_max = np.max(np.abs(g_try))
             if e_try <= energy or (math.isclose(e_try, energy, rel_tol=1e-14) and g_try_max < gmax):
                 accepted = e_try < energy or g_try_max < gmax
@@ -344,11 +354,14 @@ def solve_equilibrium(
                 break
 
     residual_si = gmax * f0
-    # Remaining decrease predicted by the local quadratic model: the honest
-    # "relative energy change of one more step".
-    hess = _hessian_scaled(x, b, dw)
-    step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-    rel_de = abs(0.5 * float(grad @ step)) / max(abs(energy), 1e-300)
+    # Remaining decrease 1/2 g.H^+ g predicted by the local quadratic model: the
+    # honest "relative energy change of one more step". H^+ comes from the polish's
+    # last eigendecomposition, cut at eps * 3N * max|eigenvalue| as lstsq would.
+    if evecs_h is None:
+        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, b, dw))
+    keep = np.abs(evals_h) > np.finfo(float).eps * len(evals_h) * np.max(np.abs(evals_h))
+    coeffs = evecs_h[:, keep].T @ grad
+    rel_de = abs(0.5 * float(coeffs @ (coeffs / evals_h[keep]))) / max(abs(energy), 1e-300)
     converged = residual_si <= force_tol and gmax <= _SCALED_GTOL and rel_de <= energy_rtol
 
     positions = x.reshape(-1, 3) * l0
@@ -372,17 +385,9 @@ def solve_equilibrium(
 
 
 def _is_planar(positions: np.ndarray) -> bool:
-    if len(positions) == 1:
-        return True
-    spacing = _mean_nn_spacing(positions[:, :2])
+    _, d2 = pair_separations(positions[:, :2])
+    spacing = float(np.mean(np.sqrt(np.min(d2, axis=1))))
     return bool(np.max(np.abs(positions[:, 2])) < PLANARITY_TOL * spacing)
-
-
-def _mean_nn_spacing(points: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt(np.einsum("jkc,jkc->jk", diff, diff))
-    np.fill_diagonal(d, np.inf)
-    return float(np.mean(np.min(d, axis=1)))
 
 
 def lattice_stats(lattice: CrystalLattice) -> LatticeStats:
@@ -390,11 +395,7 @@ def lattice_stats(lattice: CrystalLattice) -> LatticeStats:
     pos = lattice.positions
     if len(pos) == 1:
         return LatticeStats(mean_spacing=None, diameter=0.0)
-    diff = pos[:, None, :] - pos[None, :, :]
-    d = np.sqrt(np.einsum("jkc,jkc->jk", diff, diff))
-    diameter = float(np.max(d))
-    np.fill_diagonal(d, np.inf)
-    return LatticeStats(
-        mean_spacing=float(np.mean(np.min(d, axis=1))),
-        diameter=diameter,
-    )
+    _, d2 = pair_separations(pos)
+    mean_spacing = float(np.mean(np.sqrt(np.min(d2, axis=1))))
+    np.fill_diagonal(d2, 0.0)
+    return LatticeStats(mean_spacing=mean_spacing, diameter=float(np.sqrt(np.max(d2))))

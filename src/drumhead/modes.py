@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import COULOMB_K, HBAR
-from .crystal import CrystalLattice
-from .errors import NonPlanarLatticeError
+from .crystal import CrystalLattice, pair_separations
+from .errors import EquilibriumNotConverged, NonPlanarLatticeError
 from .trap import TWO_PI, TrapParams
 
 _DEGENERACY_RTOL = 1e-10
@@ -92,22 +92,11 @@ def transverse_stiffness(lattice: CrystalLattice, params: TrapParams | None = No
     """Analytic z-block stiffness at a converged planar equilibrium."""
     if params is None:
         params = lattice.params
+    if not lattice.converged:
+        raise EquilibriumNotConverged("lattice is not converged; stiffness would be unreliable")
     if not lattice.planar:
         raise NonPlanarLatticeError("transverse modes require a single-plane crystal")
-    if not lattice.converged:
-        raise NonPlanarLatticeError("lattice is not converged; stiffness would be unreliable")
-    pos = lattice.positions
-    n = len(pos)
-    if n == 1:
-        return StiffnessMatrix(
-            entries=np.array([[params.omega_1**2]]),
-            omega_1=params.omega_1,
-            mass=params.mass,
-            source_lattice_hash=lattice.content_hash(),
-        )
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = np.einsum("jkc,jkc->jk", diff, diff)
-    np.fill_diagonal(d2, np.inf)
+    _, d2 = pair_separations(lattice.positions)
     coupling = (COULOMB_K * params.charge**2 / params.mass) * d2**-1.5
     entries = coupling.copy()
     np.fill_diagonal(entries, params.omega_1**2 - coupling.sum(axis=1))

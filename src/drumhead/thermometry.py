@@ -72,6 +72,8 @@ class ObservedSpectrum:
         s = np.asarray(self.sigma, dtype=float)
         if not (mu.shape == p.shape == s.shape) or mu.ndim != 1:
             raise ValueError("mu_hz, p_up, sigma must be equal-length 1D arrays")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
+            raise ValueError("mu_hz, p_up, sigma must be finite")
         if np.any((p < 0.0) | (p > 1.0)):
             raise ValueError("p_up must lie in [0, 1]")
         if np.any(s <= 0.0):
@@ -185,9 +187,13 @@ def fit_occupation(
         nbar_hat = 0.0
         chi2_min = _chi2(model, data, 0.0)
 
-    # statistical error from the local quadratic shape of chi^2
+    # statistical error from chi^2's curvature; forward stencil at the nbar = 0 edge
     h = max(1e-4 * nbar_hat, 1e-3)
-    curv = (_chi2(model, data, nbar_hat + h) - 2.0 * chi2_min + _chi2(model, data, max(nbar_hat - h, 0.0))) / h**2
+    if nbar_hat - h >= 0.0:
+        lo, mid, hi = _chi2(model, data, nbar_hat - h), chi2_min, _chi2(model, data, nbar_hat + h)
+    else:
+        lo, mid, hi = chi2_min, _chi2(model, data, nbar_hat + h), _chi2(model, data, nbar_hat + 2 * h)
+    curv = (hi - 2.0 * mid + lo) / h**2
     stat_err = math.sqrt(2.0 / curv) if curv > 0.0 else math.inf
 
     # beam-angle systematic: force scales with the lattice wavevector
@@ -231,24 +237,29 @@ def fit_occupation(
     )
 
 
+def off_resonant(mu_hz: np.ndarray, spectrum: ModeSpectrum, tau: float) -> np.ndarray:
+    """True where mu_hz is >= _OFF_RESONANT_CYCLES widths 2pi/tau from every mode."""
+    mu = np.asarray(mu_hz, dtype=float) * TWO_PI
+    min_det = np.min(np.abs(mu[:, None] - spectrum.omega[None, :]), axis=1)
+    return min_det * tau / TWO_PI >= _OFF_RESONANT_CYCLES
+
+
 def fit_background_gamma(
     data: ObservedSpectrum, spectrum: ModeSpectrum, tau: float
 ) -> float:
     """Decoherence rate from the flat off-resonant background of a spin echo.
 
-    All points must sit at least 4 lineshape widths (4 * 2pi/tau) from every
-    mode; the weighted mean background pbar then inverts
+    Every point must be `off_resonant` (at least 4 lineshape widths, 4 * 2pi/tau,
+    from every mode); the weighted mean background pbar then inverts
     pbar = 1/2 (1 - e^{-2 Gamma tau}).
     """
     if len(data) < 3:
         raise InsufficientDataError("need at least 3 off-resonant points")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    mu = np.asarray(data.mu_hz, dtype=float) * TWO_PI
-    min_det = np.min(np.abs(mu[:, None] - spectrum.omega[None, :]), axis=1)
-    if np.any(min_det * tau / TWO_PI < _OFF_RESONANT_CYCLES):
+    if not np.all(off_resonant(data.mu_hz, spectrum, tau)):
         raise InsufficientDataError(
-            f"points must be detuned by > {_OFF_RESONANT_CYCLES} * 2pi/tau from every mode"
+            f"points must be detuned by >= {_OFF_RESONANT_CYCLES} * 2pi/tau from every mode"
         )
     w = 1.0 / data.sigma**2
     pbar = float(np.sum(w * data.p_up) / np.sum(w))

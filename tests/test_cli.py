@@ -1,17 +1,27 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drumhead import COULOMB_K, background_probability, beta
+import drumhead
+from drumhead import (
+    COULOMB_K,
+    EquilibriumNotConverged,
+    background_probability,
+    beta,
+    solve_equilibrium,
+)
 from drumhead import io_formats as iof
 from drumhead.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
+    EXIT_NOT_CONVERGED,
     EXIT_NOT_PLANAR,
     EXIT_OK,
     main,
@@ -143,6 +153,18 @@ class TestModesCompute:
         assert code == EXIT_NOT_PLANAR
 
 
+    def test_unconverged_lattice_rejected(self, tmp_path):
+        # a best-effort lattice from an exhausted budget is still jittered out
+        # of plane; not converging is the reason to refuse it
+        with pytest.raises(EquilibriumNotConverged) as info:
+            solve_equilibrium(paper_trap(44.7e3), 30, max_minimize_steps=3, max_polish_steps=0)
+        lattice_path = tmp_path / "best.json"
+        iof.save_lattice(info.value.best, lattice_path)
+        assert json.loads(lattice_path.read_text())["converged"] is False
+        code = run("modes", "compute", "--lattice", lattice_path, "--out", tmp_path / "s.json")
+        assert code == EXIT_NOT_CONVERGED
+
+
 class TestSpectrumSimulate:
     def test_trace_shows_modes_and_background(self, workspace):
         tmp, config = workspace
@@ -245,6 +267,19 @@ class TestFitTemperature:
                    "--spectrum", spec_path, "--out", tmp_path / "f.json")
         assert code == EXIT_FIT
 
+    def test_nonfinite_data_cell_is_config_error(self, tmp_path):
+        config = tmp_path / "run.json"
+        write_config(config)
+        spec_path = self.make_pipeline(tmp_path, config)
+        for bad in ("nan", "inf"):
+            data_path = tmp_path / f"data_{bad}.csv"
+            data_path.write_text(
+                f"mu_hz,p_up,sigma\n790000.0,{bad},0.02\n795000.0,0.1,0.02\n800000.0,0.1,{bad}\n"
+            )
+            code = run("fit", "temperature", "--config", config, "--data", data_path,
+                       "--spectrum", spec_path, "--out", tmp_path / "f.json")
+            assert code == EXIT_CONFIG
+
 
 class TestPlot:
     def test_trace_plot_data(self, workspace):
@@ -313,10 +348,14 @@ class TestProcessInvocation:
         config = tmp_path / "run.json"
         write_config(config, n_ions=1)
         out = tmp_path / "lattice.json"
+        # the child process finds drumhead where this process imported it from
+        src = str(Path(drumhead.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "drumhead", "crystal", "solve",
              "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -13,6 +13,7 @@ from drumhead import (
     solve_equilibrium,
     total_potential,
 )
+from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled
 from conftest import paper_trap, solve_cached
 
 
@@ -88,6 +89,33 @@ class TestTotalPotential:
             stepped[j, c] -= 2 * h
             down = total_potential(stepped, params)
             assert grad[j, c] == pytest.approx((up - down) / (2 * h), rel=2e-5)
+
+
+class TestPairKernel:
+    def test_matches_explicit_pair_loop(self):
+        # scaled units: V = 1/2 sum_j (z^2 + (b + dw) x^2 + (b - dw) y^2) + sum_{j<k} 1/d
+        b, dw = 0.03, 0.004
+        rng = np.random.default_rng(11)
+        pos = rng.standard_normal((20, 3)) * np.array([3.0, 3.0, 1.0])
+        trap = np.array([b + dw, b - dw, 1.0])
+        grad = pos * trap
+        hess = np.zeros((20, 3, 20, 3))
+        for j in range(20):
+            hess[j, :, j, :] = np.diag(trap)
+        for j in range(20):
+            for k in range(20):
+                if j == k:
+                    continue
+                r = pos[j] - pos[k]
+                d = np.sqrt(r @ r)
+                grad[j] -= r / d**3
+                block = np.eye(3) / d**3 - 3.0 * np.outer(r, r) / d**5
+                hess[j, :, k, :] = block
+                hess[j, :, j, :] -= block
+        _, g = _energy_gradient_scaled(pos.ravel(), b, dw)
+        h = _hessian_scaled(pos.ravel(), b, dw)
+        assert np.max(np.abs(g - grad.ravel())) <= 1e-12 * np.max(np.abs(grad))
+        assert np.max(np.abs(h - hess.reshape(60, 60))) <= 1e-12 * np.max(np.abs(hess))
 
 
 class TestSolveEquilibrium:

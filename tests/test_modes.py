@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drumhead import (
+    EquilibriumNotConverged,
     BE9_ION_MASS,
     CrystalLattice,
     ModeSpectrum,
@@ -93,7 +94,7 @@ class TestTransverseStiffness:
             planar=True,
             energy=lattice.energy,
         )
-        with pytest.raises(NonPlanarLatticeError):
+        with pytest.raises(EquilibriumNotConverged):
             transverse_stiffness(fake)
 
 

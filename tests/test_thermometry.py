@@ -17,6 +17,7 @@ from drumhead import (
     sweep_spectrum,
     temperature_to_occupation,
 )
+from drumhead.thermometry import _chi2, _model_builder
 from conftest import spectrum_cached
 
 TWO_PI = 2 * np.pi
@@ -130,6 +131,21 @@ class TestFitOccupation:
         assert result.status == "boundary_nbar_zero"
         assert result.nbar == 0.0
 
+    def test_boundary_error_matches_chi2_curvature(self):
+        # at nbar = 0 the error bar must come from chi^2's curvature there, not
+        # from a stencil clamped onto the boundary (which picks up the slope)
+        data, spectrum, drive, bath = synthetic_observation()
+        bg = background_probability(drive.gamma, 2 * TAU)
+        flat = ObservedSpectrum(mu_hz=data.mu_hz, p_up=np.full(len(data), bg),
+                                sigma=data.sigma)
+        result = fit_occupation(flat, spectrum, drive, target_mode=0, background=bath)
+        assert result.status == "boundary_nbar_zero"
+        model = _model_builder(flat, spectrum, drive, 0, bath)
+        grid = np.linspace(0.0, 0.01, 201)
+        chi2 = [_chi2(model, flat, nbar) for nbar in grid]
+        curvature = 2.0 * np.polyfit(grid, chi2, 2)[0]
+        assert result.nbar_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-3)
+
     def test_span_requirement(self):
         data, spectrum, drive, bath = synthetic_observation()
         # keep only points far from resonance
@@ -215,6 +231,15 @@ class TestObservedSpectrumValidation:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             ObservedSpectrum(mu_hz=np.array([1.0]), p_up=np.array([0.5]), sigma=np.array([0.0]))
+
+    @pytest.mark.parametrize("field", ["mu_hz", "p_up", "sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, field, bad):
+        arrays = {"mu_hz": np.array([1.0, 2.0]), "p_up": np.array([0.5, 0.5]),
+                  "sigma": np.array([0.1, 0.1])}
+        arrays[field][1] = bad
+        with pytest.raises(ValueError):
+            ObservedSpectrum(**arrays)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
