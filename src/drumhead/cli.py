@@ -20,6 +20,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -40,7 +41,6 @@ from .errors import (
     UnphysicalBackgroundError,
 )
 from .modes import com_mode_deviation, diagonalize, mode_histogram, transverse_stiffness
-from .odf import DriveConfig
 from .plotdata import build_plot_rows, write_plot_csv, write_plot_svg
 from .thermometry import ObservedSpectrum, fit_background_gamma, fit_occupation, off_resonant
 
@@ -144,11 +144,20 @@ def _cmd_modes_compute(args) -> int:
     return EXIT_OK
 
 
+def _check_provenance(config, spectrum) -> None:
+    """Refuse a config that describes another crystal than the spectrum file."""
+    if config.n_ions != spectrum.n_modes:
+        raise ConfigError("n_ions", f"{config.n_ions} ions, but the spectrum has {spectrum.n_modes} modes")
+    if config.trap.mass != spectrum.mass:
+        raise ConfigError("trap.mass_kg", f"{config.trap.mass!r} kg, but the spectrum has {spectrum.mass!r} kg")
+
+
 def _cmd_spectrum_simulate(args) -> int:
     config = load_config(args.config)
     if config.drive is None or config.sweep is None or config.thermal is None:
         raise ConfigError("$", "spectrum simulate needs drive, thermal, and sweep sections")
     spectrum = iof.load_spectrum(args.spectrum)
+    _check_provenance(config, spectrum)
     thermal = config.thermal.realize(spectrum)
     trace = sweep_spectrum(
         config.drive,
@@ -169,21 +178,20 @@ def _cmd_fit_temperature(args) -> int:
     if config.drive is None:
         raise ConfigError("drive", "fit temperature needs the drive section")
     spectrum = iof.load_spectrum(args.spectrum)
+    _check_provenance(config, spectrum)
     data = iof.load_observed(args.data, args.meta)
     drive = config.drive
     if drive.gamma == 0.0:
         # no decoherence rate supplied: estimate it from the data's own
         # off-resonant points when enough of them exist
-        tau = drive.sequence.tau
-        far = off_resonant(data.mu_hz, spectrum, tau)
+        far = off_resonant(data.mu_hz, spectrum, drive.sequence.tau)
         if np.count_nonzero(far) >= 3:
             off = ObservedSpectrum(
                 mu_hz=data.mu_hz[far], p_up=data.p_up[far], sigma=data.sigma[far],
                 metadata=data.metadata,
             )
-            gamma = fit_background_gamma(off, spectrum, tau)
-            drive = DriveConfig(forces=drive.forces, mu_r=drive.mu_r, gamma=gamma,
-                                sequence=drive.sequence)
+            gamma = fit_background_gamma(off, spectrum, drive.sequence)
+            drive = dataclasses.replace(drive, gamma=gamma)
     background = config.thermal.realize(spectrum) if config.thermal is not None else None
     result = fit_occupation(data, spectrum, drive, target_mode=args.mode, background=background)
     iof.save_fit_result(result, args.out)

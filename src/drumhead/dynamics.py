@@ -192,12 +192,34 @@ def bright_probability(
     total_odf_time: float,
 ) -> BrightProbability:
     """Per-ion and mean probability of ending in the bright state."""
-    weights = 2.0 * thermal.nbar + 1.0
-    if len(weights) != field.alpha.shape[1]:
-        raise ValueError("thermal state and displacement field disagree on mode count")
-    exponent = 2.0 * (np.abs(field.alpha) ** 2 @ weights)
-    per_ion = 0.5 * (1.0 - math.exp(-gamma * total_odf_time) * np.exp(-exponent))
+    exponent = decoherence_exponent(np.abs(field.alpha) ** 2, 1.0, thermal.nbar)[:, 0]
+    per_ion = bright_fraction(exponent, gamma, total_odf_time)
     return BrightProbability(per_ion=per_ion, mean=float(np.mean(per_ion)))
+
+
+def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
+    """The two factors of |alpha_jm(mu)|^2 on a grid of beat frequencies (rad/s).
+
+    Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the gain |G_m(mu)|^2, (M, G).
+    """
+    coupling = _coefficients(drive, spectrum) ** 2
+    om = spectrum.omega[:, None]
+    mu = np.asarray(mu_grid, dtype=float)[None, :]
+    seq = drive.sequence
+    g = _echo_factor(om, mu, seq) if isinstance(seq, SpinEcho) else _arm_factor(om, mu, seq.tau, 0.0)
+    return coupling, np.abs(g) ** 2
+
+
+def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.ndarray:
+    """2 sum_m coupling_jm gain_m (2 nbar_m + 1), shape (N_ion, G) for gain (M, G) or a scalar."""
+    if len(nbar) != coupling.shape[1]:
+        raise ValueError("thermal occupations and coupling disagree on mode count")
+    return 2.0 * (coupling @ (gain * (2.0 * np.asarray(nbar, dtype=float) + 1.0)[:, None]))
+
+
+def bright_fraction(exponent: np.ndarray, gamma: float, total_odf_time: float) -> np.ndarray:
+    """P = 1/2 (1 - e^{-Gamma T} e^{-exponent})."""
+    return 0.5 * (1.0 - math.exp(-gamma * total_odf_time) * np.exp(-exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +233,6 @@ class SpectrumTrace:
     mu_over_2pi: np.ndarray
     p_up_mean: np.ndarray
     p_up_per_ion: np.ndarray | None = None
-
-
-def _sequence_factors(spectrum: ModeSpectrum, drive: DriveConfig, mu_grid: np.ndarray) -> np.ndarray:
-    om = spectrum.omega[:, None]
-    mu = mu_grid[None, :]
-    seq = drive.sequence
-    if isinstance(seq, SpinEcho):
-        return _echo_factor(om, mu, seq)
-    return _arm_factor(om, mu, seq.tau, 0.0)
 
 
 def sweep_spectrum(
@@ -240,23 +253,11 @@ def sweep_spectrum(
         raise ValueError("mu_grid must be a non-empty 1D array")
     if np.any(np.diff(mu_grid) < 0.0):
         raise ValueError("mu_grid must be sorted ascending")
-    if not spectrum.stable:
-        raise DrumheadError("cannot drive an unstable mode spectrum")
-
-    n_ions = spectrum.b.shape[0]
-    forces = drive.force_array(n_ions)
-    z0 = spectrum.ground_state_lengths()
-    weights = 2.0 * thermal.nbar + 1.0
-    if len(weights) != spectrum.n_modes:
-        raise ValueError("thermal state and spectrum disagree on mode count")
-    b_sq = spectrum.b**2
-    gamma_factor = math.exp(-drive.gamma * drive.sequence.total_odf_time)
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
-        g = _sequence_factors(spectrum, drive, chunk)          # (M, G)
-        w = (z0[:, None] * np.abs(g)) ** 2 * weights[:, None]  # (M, G)
-        exponent = 2.0 * (forces[:, None] / HBAR) ** 2 * (b_sq @ w)
-        return 0.5 * (1.0 - gamma_factor * np.exp(-exponent))  # (N, G)
+        coupling, gain = lineshape_terms(drive, spectrum, chunk)
+        exponent = decoherence_exponent(coupling, gain, thermal.nbar)
+        return bright_fraction(exponent, drive.gamma, drive.sequence.total_odf_time)  # (N, G)
 
     if threads and threads > 1 and len(mu_grid) > 1:
         chunks = np.array_split(mu_grid, min(threads, len(mu_grid)))
@@ -347,39 +348,32 @@ def mean_excursion(
 # spin-spin coupling and its validity guardrail
 
 
-def _sinc(u: np.ndarray) -> np.ndarray:
+def _series_or_exact(u, series, exact) -> np.ndarray:
+    """series(u) for |u| below the cutoff, exact(u) elsewhere."""
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
     small = np.abs(u) < _SERIES_CUTOFF
-    us = u[small]
-    out[small] = 1.0 - us**2 / 6.0 + us**4 / 120.0
-    ub = u[~small]
-    out[~small] = np.sin(ub) / ub
+    out[small] = series(u[small])
+    out[~small] = exact(u[~small])
     return out
+
+
+def _sinc(u: np.ndarray) -> np.ndarray:
+    return _series_or_exact(u, lambda s: 1.0 - s**2 / 6.0 + s**4 / 120.0, lambda b: np.sin(b) / b)
 
 
 def _sinc_minus_one_over(u: np.ndarray) -> np.ndarray:
     """(sinc(u) - 1)/u, stable through u = 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = np.abs(u) < _SERIES_CUTOFF
-    us = u[small]
-    out[small] = -us / 6.0 + us**3 / 120.0 - us**5 / 5040.0
-    ub = u[~small]
-    out[~small] = (np.sin(ub) / ub - 1.0) / ub
-    return out
+    return _series_or_exact(
+        u, lambda s: -s / 6.0 + s**3 / 120.0 - s**5 / 5040.0, lambda b: (np.sin(b) / b - 1.0) / b
+    )
 
 
 def _one_minus_cos_over(u: np.ndarray) -> np.ndarray:
     """(1 - cos(u))/u, stable through u = 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = np.abs(u) < _SERIES_CUTOFF
-    us = u[small]
-    out[small] = us / 2.0 - us**3 / 24.0 + us**5 / 720.0
-    ub = u[~small]
-    out[~small] = (1.0 - np.cos(ub)) / ub
-    return out
+    return _series_or_exact(
+        u, lambda s: s / 2.0 - s**3 / 24.0 + s**5 / 720.0, lambda b: (1.0 - np.cos(b)) / b
+    )
 
 
 def spin_spin_coupling(drive: DriveConfig, spectrum: ModeSpectrum, t: float) -> np.ndarray:
@@ -411,10 +405,8 @@ def spin_spin_coupling(drive: DriveConfig, spectrum: ModeSpectrum, t: float) -> 
     ) / (a * bb)
     mode_terms = brace_over_delta / a  # brace / (mu^2 - omega^2)
 
-    forces = drive.force_array(spectrum.b.shape[0])
-    z0 = spectrum.ground_state_lengths()
-    weighted = spectrum.b * (z0**2 * mode_terms)[None, :]
-    return (np.outer(forces, forces) / (2.0 * HBAR**2)) * (weighted @ spectrum.b.T)
+    coef = _coefficients(drive, spectrum)
+    return 0.5 * ((coef * mode_terms[None, :]) @ coef.T)
 
 
 @dataclass(frozen=True)

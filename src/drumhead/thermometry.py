@@ -2,22 +2,24 @@
 
 The lineshape model has exactly one free parameter once the drive is
 calibrated: the target mode's thermal occupation, which enters the
-decoherence exponent linearly. The fit is therefore a bounded 1D
-minimization of the weighted sum of squared residuals, with the statistical
-error read off the local curvature of chi^2 and an optional beam-angle
-systematic propagated by refitting at perturbed force calibrations.
+decoherence exponent linearly: per ion and data point the exponent is
+c0 + c1 nbar. The fit is therefore a bounded 1D minimization of the weighted
+sum of squared residuals, with the statistical error from the analytic
+curvature of chi^2 and an optional beam-angle systematic propagated by
+refitting at perturbed force calibrations. Forces enter the exponent only as
+F^2, so a perturbed calibration just rescales (c0, c1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .constants import HBAR, K_B
-from .dynamics import ThermalState, _sequence_factors
+from .dynamics import ThermalState, bright_fraction, decoherence_exponent, lineshape_terms
 from .errors import (
     FitConvergenceError,
     InsufficientDataError,
@@ -25,7 +27,7 @@ from .errors import (
     UnphysicalBackgroundError,
 )
 from .modes import ModeSpectrum
-from .odf import DriveConfig
+from .odf import DriveConfig, Sequence
 from .trap import TWO_PI
 
 _NBAR_MAX = 1e6
@@ -98,42 +100,55 @@ class FitResult:
     systematic_note: str | None = None
 
 
-def _model_builder(
+@dataclass(frozen=True)
+class _Lineshape:
+    """Mean bright fraction at the data points; per-ion exponent c0 + c1 nbar, (N, G)."""
+
+    c0: np.ndarray
+    c1: np.ndarray
+    drive: DriveConfig
+
+    def per_ion(self, nbar: float) -> np.ndarray:
+        drive = self.drive
+        return bright_fraction(self.c0 + self.c1 * nbar, drive.gamma, drive.sequence.total_odf_time)
+
+    def __call__(self, nbar: float) -> np.ndarray:
+        return self.per_ion(nbar).mean(axis=0)
+
+
+def _lineshape(
     data: ObservedSpectrum,
     spectrum: ModeSpectrum,
     drive: DriveConfig,
     target_mode: int,
     background: ThermalState,
-):
-    """Precompute the nbar-independent pieces of the lineshape model.
-
-    The exponent for ion j at grid point i is c0[j, i] + c1[j, i] * nbar.
-    """
-    mu_grid = np.asarray(data.mu_hz, dtype=float) * TWO_PI
-    n_ions = spectrum.b.shape[0]
-    forces = drive.force_array(n_ions)
-    z0 = spectrum.ground_state_lengths()
-    g = _sequence_factors(spectrum, drive, mu_grid)          # (M, G)
-    amp_sq = (z0[:, None] * np.abs(g)) ** 2                  # (M, G)
-    scale = (forces[:, None] / HBAR) ** 2                    # (N, 1)
-    b_sq = spectrum.b**2                                     # (N, M)
-
-    weights = 2.0 * background.nbar + 1.0
-    weights[target_mode] = 1.0  # nbar-independent part of the target term
-    c0 = 2.0 * scale * (b_sq @ (amp_sq * weights[:, None]))
-    c1 = 4.0 * scale * np.outer(b_sq[:, target_mode], amp_sq[target_mode])
-    gamma_factor = math.exp(-drive.gamma * drive.sequence.total_odf_time)
-
-    def model(nbar: float) -> np.ndarray:
-        per_ion = 0.5 * (1.0 - gamma_factor * np.exp(-(c0 + c1 * nbar)))
-        return per_ion.mean(axis=0)
-
-    return model
+) -> _Lineshape:
+    coupling, gain = lineshape_terms(drive, spectrum, data.mu_hz * TWO_PI)
+    nbar = background.nbar.copy()
+    nbar[target_mode] = 0.0
+    return _Lineshape(
+        c0=decoherence_exponent(coupling, gain, nbar),
+        c1=4.0 * np.outer(coupling[:, target_mode], gain[target_mode]),
+        drive=drive,
+    )
 
 
 def _chi2(model, data: ObservedSpectrum, nbar: float) -> float:
     r = (data.p_up - model(nbar)) / data.sigma
     return float(np.dot(r, r))
+
+
+def _chi2_curvature(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> float:
+    """d^2 chi^2 / d nbar^2 = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
+
+    With E = e^{-Gamma T} e^{-(c0 + c1 nbar)} = 1 - 2 P per ion, the mean
+    model has m' = mean_j c1 E / 2 and m'' = -mean_j c1^2 E / 2.
+    """
+    p = model.per_ion(nbar)
+    e = 1.0 - 2.0 * p
+    slope = 0.5 * np.mean(model.c1 * e, axis=0)
+    bend = -0.5 * np.mean(model.c1**2 * e, axis=0)
+    return 2.0 * float(np.sum((slope**2 - (data.p_up - p.mean(axis=0)) * bend) / data.sigma**2))
 
 
 def _minimize_nbar(model, data: ObservedSpectrum) -> float:
@@ -177,23 +192,14 @@ def fit_occupation(
             "data must include a point with |delta| tau/2pi < 0.5 and one with > 1"
         )
 
-    model = _model_builder(data, spectrum, drive, target_mode, background)
+    model = _lineshape(data, spectrum, drive, target_mode, background)
     nbar_hat = _minimize_nbar(model, data)
-    chi2_min = _chi2(model, data, nbar_hat)
-
     status = "ok"
     if nbar_hat < _BOUNDARY_NBAR:
         status = "boundary_nbar_zero"
         nbar_hat = 0.0
-        chi2_min = _chi2(model, data, 0.0)
-
-    # statistical error from chi^2's curvature; forward stencil at the nbar = 0 edge
-    h = max(1e-4 * nbar_hat, 1e-3)
-    if nbar_hat - h >= 0.0:
-        lo, mid, hi = _chi2(model, data, nbar_hat - h), chi2_min, _chi2(model, data, nbar_hat + h)
-    else:
-        lo, mid, hi = chi2_min, _chi2(model, data, nbar_hat + h), _chi2(model, data, nbar_hat + 2 * h)
-    curv = (hi - 2.0 * mid + lo) / h**2
+    chi2_min = _chi2(model, data, nbar_hat)
+    curv = _chi2_curvature(model, data, nbar_hat)
     stat_err = math.sqrt(2.0 / curv) if curv > 0.0 else math.inf
 
     # beam-angle systematic: force scales with the lattice wavevector
@@ -206,14 +212,8 @@ def fit_occupation(
             factor = math.sin(meta.theta_r * (1.0 + sign * meta.theta_r_rel_err) / 2.0) / math.sin(
                 meta.theta_r / 2.0
             )
-            perturbed = DriveConfig(
-                forces=np.asarray(drive.force_array(spectrum.b.shape[0])) * factor,
-                mu_r=drive.mu_r,
-                gamma=drive.gamma,
-                sequence=drive.sequence,
-            )
-            m = _model_builder(data, spectrum, perturbed, target_mode, background)
-            shifts.append(abs(_minimize_nbar(m, data) - nbar_hat))
+            perturbed = replace(model, c0=factor**2 * model.c0, c1=factor**2 * model.c1)
+            shifts.append(abs(_minimize_nbar(perturbed, data) - nbar_hat))
         sys_err = max(shifts)
         note = (
             f"beam-angle +/-{100 * meta.theta_r_rel_err:g}% refit shifts nbar by "
@@ -245,19 +245,18 @@ def off_resonant(mu_hz: np.ndarray, spectrum: ModeSpectrum, tau: float) -> np.nd
 
 
 def fit_background_gamma(
-    data: ObservedSpectrum, spectrum: ModeSpectrum, tau: float
+    data: ObservedSpectrum, spectrum: ModeSpectrum, sequence: Sequence
 ) -> float:
-    """Decoherence rate from the flat off-resonant background of a spin echo.
+    """Decoherence rate from the flat off-resonant background of a sequence.
 
-    Every point must be `off_resonant` (at least 4 lineshape widths, 4 * 2pi/tau,
-    from every mode); the weighted mean background pbar then inverts
-    pbar = 1/2 (1 - e^{-2 Gamma tau}).
+    Every point must be `off_resonant` (at least 4 lineshape widths,
+    4 * 2pi/tau, from every mode); the weighted mean background pbar then
+    inverts pbar = 1/2 (1 - e^{-Gamma T}) with T the sequence's total drive
+    time (2 tau for a spin echo, tau for Ramsey).
     """
     if len(data) < 3:
         raise InsufficientDataError("need at least 3 off-resonant points")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    if not np.all(off_resonant(data.mu_hz, spectrum, tau)):
+    if not np.all(off_resonant(data.mu_hz, spectrum, sequence.tau)):
         raise InsufficientDataError(
             f"points must be detuned by >= {_OFF_RESONANT_CYCLES} * 2pi/tau from every mode"
         )
@@ -265,4 +264,4 @@ def fit_background_gamma(
     pbar = float(np.sum(w * data.p_up) / np.sum(w))
     if pbar >= 0.5:
         raise UnphysicalBackgroundError(f"mean background {pbar:.3f} >= 0.5")
-    return -math.log1p(-2.0 * pbar) / (2.0 * tau)
+    return -math.log1p(-2.0 * pbar) / sequence.total_odf_time

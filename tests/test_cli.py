@@ -11,6 +11,7 @@ import pytest
 
 import drumhead
 from drumhead import (
+    BE9_ION_MASS,
     COULOMB_K,
     EquilibriumNotConverged,
     background_probability,
@@ -224,6 +225,17 @@ class TestFitTemperature:
         run("modes", "compute", "--lattice", lattice_path, "--out", spec_path)
         return spec_path
 
+    def simulate_data(self, tmp, config, spec_path):
+        """Forward-model trace written as measured data with sigma = 0.02."""
+        trace_path = tmp / "trace.csv"
+        run("spectrum", "simulate", "--config", config, "--spectrum", spec_path, "--out", trace_path)
+        trace = iof.load_trace(trace_path)
+        data_path = tmp / "data.csv"
+        rows = ["mu_hz,p_up,sigma"]
+        rows += [f"{float(mu)!r},{float(p)!r},0.02" for mu, p in zip(trace.mu_over_2pi, trace.p_up_mean)]
+        data_path.write_text("\n".join(rows) + "\n")
+        return data_path
+
     def test_fit_recovers_generating_occupation(self, tmp_path):
         # synthesize data from the forward model at nbar = 25 and fit it back
         config = tmp_path / "run.json"
@@ -233,13 +245,7 @@ class TestFitTemperature:
             sweep={"start_hz": 789e3, "stop_hz": 801e3, "step_hz": 100.0},
         )
         spec_path = self.make_pipeline(tmp_path, config)
-        trace_path = tmp_path / "trace.csv"
-        run("spectrum", "simulate", "--config", config, "--spectrum", spec_path, "--out", trace_path)
-        trace = iof.load_trace(trace_path)
-        data_path = tmp_path / "data.csv"
-        rows = ["mu_hz,p_up,sigma"]
-        rows += [f"{float(mu)!r},{float(p)!r},0.02" for mu, p in zip(trace.mu_over_2pi, trace.p_up_mean)]
-        data_path.write_text("\n".join(rows) + "\n")
+        data_path = self.simulate_data(tmp_path, config, spec_path)
 
         fit_config = tmp_path / "fit.json"
         write_config(
@@ -279,6 +285,52 @@ class TestFitTemperature:
             code = run("fit", "temperature", "--config", config, "--data", data_path,
                        "--spectrum", spec_path, "--out", tmp_path / "f.json")
             assert code == EXIT_CONFIG
+
+    def test_ramsey_background_gamma_estimated_from_data(self, tmp_path):
+        # with gamma_per_s = 0 the rate comes from the far-detuned points; a
+        # Ramsey sequence drives for T = tau, so the estimate is not halved
+        # (the Ramsey lineshape's wings lift those points by ~2 %)
+        ramsey = {"force_n": 8e-24, "gamma_per_s": 223.14,
+                  "sequence": {"type": "ramsey", "tau_s": 2.5e-4}}
+        config = tmp_path / "run.json"
+        write_config(config, drive=ramsey, thermal={"nbar_per_mode": [25.0, 0.5]})
+        spec_path = self.make_pipeline(tmp_path, config)
+        data_path = self.simulate_data(tmp_path, config, spec_path)
+        fit_config = tmp_path / "fit.json"
+        write_config(fit_config, drive={**ramsey, "gamma_per_s": 0.0},
+                     thermal={"nbar_per_mode": [0.0, 0.5]})
+        out = tmp_path / "fit_result.json"
+        assert run("fit", "temperature", "--config", fit_config, "--data", data_path,
+                   "--spectrum", spec_path, "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["gamma_used_per_s"] == pytest.approx(223.14, rel=0.05)
+
+
+class TestProvenance:
+    """spectrum simulate and fit temperature refuse a config for another crystal."""
+
+    def check_both_commands(self, tmp_path, **mismatch):
+        config = tmp_path / "run.json"
+        write_config(config)
+        spec_path = TestFitTemperature().make_pipeline(tmp_path, config)
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(
+            "mu_hz,p_up,sigma\n790000.0,0.1,0.02\n795000.0,0.1,0.02\n800000.0,0.1,0.02\n"
+        )
+        other = tmp_path / "other.json"
+        write_config(other, **mismatch)
+        assert run("spectrum", "simulate", "--config", other, "--spectrum", spec_path,
+                   "--out", tmp_path / "t.csv") == EXIT_CONFIG
+        assert run("fit", "temperature", "--config", other, "--data", data_path,
+                   "--spectrum", spec_path, "--out", tmp_path / "f.json") == EXIT_CONFIG
+        assert not (tmp_path / "t.csv").exists() and not (tmp_path / "f.json").exists()
+
+    def test_ion_count_mismatch(self, tmp_path):
+        self.check_both_commands(tmp_path, n_ions=3)
+
+    def test_mass_mismatch(self, tmp_path):
+        trap = {"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": 44.7e3,
+                "mass_kg": 2 * BE9_ION_MASS}
+        self.check_both_commands(tmp_path, trap=trap)
 
 
 class TestPlot:

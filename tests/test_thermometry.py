@@ -7,6 +7,7 @@ from drumhead import (
     InsufficientDataError,
     InsufficientSpanError,
     ObservedSpectrum,
+    Ramsey,
     SpinEcho,
     ThermalState,
     UnphysicalBackgroundError,
@@ -17,12 +18,13 @@ from drumhead import (
     sweep_spectrum,
     temperature_to_occupation,
 )
-from drumhead.thermometry import _chi2, _model_builder
+from drumhead.thermometry import _chi2, _lineshape
 from conftest import spectrum_cached
 
 TWO_PI = 2 * np.pi
 TAU = 500e-6
 T_PI = 65e-6
+ECHO = SpinEcho(tau=TAU, t_pi=T_PI)
 
 
 def com_lineshape_setup(nbar_com=60.0, force=1.58e-23, gamma=None):
@@ -132,19 +134,35 @@ class TestFitOccupation:
         assert result.nbar == 0.0
 
     def test_boundary_error_matches_chi2_curvature(self):
-        # at nbar = 0 the error bar must come from chi^2's curvature there, not
-        # from a stencil clamped onto the boundary (which picks up the slope)
+        # the error bar must be sqrt(2 / chi^2'') at the fitted nbar, both at
+        # the nbar = 0 boundary (not a stencil clamped onto it, which picks up
+        # the slope) and in the interior
         data, spectrum, drive, bath = synthetic_observation()
         bg = background_probability(drive.gamma, 2 * TAU)
         flat = ObservedSpectrum(mu_hz=data.mu_hz, p_up=np.full(len(data), bg),
                                 sigma=data.sigma)
-        result = fit_occupation(flat, spectrum, drive, target_mode=0, background=bath)
-        assert result.status == "boundary_nbar_zero"
-        model = _model_builder(flat, spectrum, drive, 0, bath)
-        grid = np.linspace(0.0, 0.01, 201)
-        chi2 = [_chi2(model, flat, nbar) for nbar in grid]
-        curvature = 2.0 * np.polyfit(grid, chi2, 2)[0]
-        assert result.nbar_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-3)
+        noisy = synthetic_observation(noise_seed=3)[0]
+        for observed, status, half_width in ((flat, "boundary_nbar_zero", None), (noisy, "ok", 0.1)):
+            result = fit_occupation(observed, spectrum, drive, target_mode=0, background=bath)
+            assert result.status == status
+            model = _lineshape(observed, spectrum, drive, 0, bath)
+            if half_width is None:
+                grid = np.linspace(0.0, 0.01, 201)
+            else:
+                grid = result.nbar + np.linspace(-half_width, half_width, 201)
+            chi2 = [_chi2(model, observed, nbar) for nbar in grid]
+            curvature = 2.0 * np.polyfit(grid, chi2, 2)[0]
+            assert result.nbar_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-3)
+
+    def test_model_matches_sweep(self):
+        # the fit's c0 + c1 nbar model and the forward sweep share one kernel
+        data, spectrum, drive, bath = synthetic_observation()
+        model = _lineshape(data, spectrum, drive, 0, bath)
+        for nbar in (0.0, 60.0, 300.0):
+            nbar_modes = bath.nbar.copy()
+            nbar_modes[0] = nbar
+            trace = sweep_spectrum(drive, spectrum, ThermalState(nbar_modes), data.mu_hz * TWO_PI)
+            np.testing.assert_allclose(model(nbar), trace.p_up_mean, rtol=1e-12, atol=0.0)
 
     def test_span_requirement(self):
         data, spectrum, drive, bath = synthetic_observation()
@@ -171,6 +189,23 @@ class TestFitOccupation:
         assert without.systematic_note is None
         assert with_sys.nbar_err > without.nbar_err
 
+    def test_beam_angle_systematic_equals_force_scaled_refit(self):
+        theta, rel = np.radians(4.8), 0.05
+        data, spectrum, drive, bath = synthetic_observation(
+            noise_seed=2, metadata=FitMetadata(theta_r=theta, theta_r_rel_err=rel))
+        plain = ObservedSpectrum(mu_hz=data.mu_hz, p_up=data.p_up, sigma=data.sigma)
+        base = fit_occupation(plain, spectrum, drive, target_mode=0, background=bath)
+        shifts = []
+        for sign in (+1.0, -1.0):
+            factor = np.sin(theta * (1.0 + sign * rel) / 2.0) / np.sin(theta / 2.0)
+            scaled = DriveConfig(forces=drive.forces * factor, mu_r=None, gamma=drive.gamma,
+                                 sequence=drive.sequence)
+            refit = fit_occupation(plain, spectrum, scaled, target_mode=0, background=bath)
+            shifts.append(abs(refit.nbar - base.nbar))
+        result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
+        sys_err = np.sqrt(result.nbar_err**2 - base.nbar_err**2)
+        assert sys_err == pytest.approx(max(shifts), rel=1e-6)
+
     def test_statistical_error_sane(self):
         data, spectrum, drive, bath = synthetic_observation(noise_seed=3)
         result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
@@ -183,21 +218,29 @@ class TestFitBackgroundGamma:
         spectrum = spectrum_cached(7)
         data = ObservedSpectrum(mu_hz=np.array([900e3, 910e3, 920e3]),
                                 p_up=np.zeros(3), sigma=np.full(3, 0.01))
-        assert fit_background_gamma(data, spectrum, TAU) == 0.0
+        assert fit_background_gamma(data, spectrum, ECHO) == 0.0
 
     def test_typical_background_level(self):
         # pbar = 0.1 at tau = 500 us -> Gamma ~ 223 / s
         spectrum = spectrum_cached(7)
         data = ObservedSpectrum(mu_hz=np.array([900e3, 910e3, 920e3]),
                                 p_up=np.full(3, 0.1), sigma=np.full(3, 0.01))
-        assert fit_background_gamma(data, spectrum, TAU) == pytest.approx(223.14, rel=1e-4)
+        assert fit_background_gamma(data, spectrum, ECHO) == pytest.approx(223.14, rel=1e-4)
+
+    def test_ramsey_background_uses_single_arm_time(self):
+        # a Ramsey sequence drives for T = tau only, not 2 tau
+        spectrum = spectrum_cached(7)
+        bg = background_probability(223.14, TAU)
+        data = ObservedSpectrum(mu_hz=np.array([900e3, 910e3, 920e3]),
+                                p_up=np.full(3, bg), sigma=np.full(3, 0.01))
+        assert fit_background_gamma(data, spectrum, Ramsey(tau=TAU)) == pytest.approx(223.14, rel=1e-12)
 
     def test_saturated_background_rejected(self):
         spectrum = spectrum_cached(7)
         data = ObservedSpectrum(mu_hz=np.array([900e3, 910e3, 920e3]),
                                 p_up=np.full(3, 0.5), sigma=np.full(3, 0.01))
         with pytest.raises(UnphysicalBackgroundError):
-            fit_background_gamma(data, spectrum, TAU)
+            fit_background_gamma(data, spectrum, ECHO)
 
     def test_points_near_modes_rejected(self):
         spectrum = spectrum_cached(7)
@@ -205,14 +248,14 @@ class TestFitBackgroundGamma:
         data = ObservedSpectrum(mu_hz=np.array([near, 900e3, 910e3]),
                                 p_up=np.full(3, 0.1), sigma=np.full(3, 0.01))
         with pytest.raises(InsufficientDataError):
-            fit_background_gamma(data, spectrum, TAU)
+            fit_background_gamma(data, spectrum, ECHO)
 
     def test_too_few_points(self):
         spectrum = spectrum_cached(7)
         data = ObservedSpectrum(mu_hz=np.array([900e3, 910e3]),
                                 p_up=np.full(2, 0.1), sigma=np.full(2, 0.01))
         with pytest.raises(InsufficientDataError):
-            fit_background_gamma(data, spectrum, TAU)
+            fit_background_gamma(data, spectrum, ECHO)
 
     def test_weighted_mean_uses_sigmas(self):
         spectrum = spectrum_cached(7)
@@ -220,7 +263,7 @@ class TestFitBackgroundGamma:
                                 p_up=np.array([0.1, 0.2, 0.1]),
                                 sigma=np.array([1e-4, 1.0, 1e-4]))
         # the noisy middle point barely moves the weighted mean
-        assert fit_background_gamma(data, spectrum, TAU) == pytest.approx(223.14, rel=1e-3)
+        assert fit_background_gamma(data, spectrum, ECHO) == pytest.approx(223.14, rel=1e-3)
 
 
 class TestObservedSpectrumValidation:
