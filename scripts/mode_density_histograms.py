@@ -19,7 +19,7 @@ TAU = 1e-3
 T_PI = 65e-6
 
 
-def run_one(rotation_hz: float, n_ions: int, out: Path, bin_hz: float, threads: int) -> float:
+def run_one(rotation_hz: float, n_ions: int, out: Path, bin_hz: float) -> float:
     params = dh.TrapParams.from_hz(795e3, 7.6e6, rotation_hz)
     tag = f"{rotation_hz / 1e3:.1f}kHz"
     print(f"solving N={n_ions} at rotation {tag} (beta = {dh.beta(params):.5f}) ...")
@@ -34,7 +34,7 @@ def run_one(rotation_hz: float, n_ions: int, out: Path, bin_hz: float, threads: 
                            sequence=dh.SpinEcho(tau=TAU, t_pi=T_PI))
     thermal = dh.ThermalState.from_temperature(spectrum, 0.43e-3)
     grid = 2 * np.pi * np.arange(30e3, 800e3, 500.0)
-    trace = dh.sweep_spectrum(drive, spectrum, thermal, grid, threads=threads)
+    trace = dh.sweep_spectrum(drive, spectrum, thermal, grid)
     iof.save_trace(trace, out / f"trace_{tag}.csv")
 
     span = float(spectrum.omega[0] - spectrum.omega[-1]) / (2 * np.pi)
@@ -51,11 +51,10 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("out/mode_density"))
     parser.add_argument("--n-ions", type=int, default=345)
     parser.add_argument("--bin-hz", type=float, default=10e3)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    spans = {hz: run_one(hz, args.n_ions, args.out, args.bin_hz, args.threads)
+    spans = {hz: run_one(hz, args.n_ions, args.out, args.bin_hz)
              for hz in (43.2e3, 44.7e3)}
     assert spans[43.2e3] < spans[44.7e3], "expected narrowing at slower rotation"
     print(f"narrowing confirmed: {spans[43.2e3] / 1e3:.1f} kHz < {spans[44.7e3] / 1e3:.1f} kHz")

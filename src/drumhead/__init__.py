@@ -16,7 +16,6 @@ from .crystal import (
     lattice_stats,
     length_scale,
     potential_gradient,
-    potential_hessian,
     solve_equilibrium,
     total_potential,
 )
@@ -62,7 +61,6 @@ from .modes import (
     transverse_stiffness,
 )
 from .odf import (
-    BeamGeometry,
     DriveConfig,
     ForcePair,
     Ramsey,

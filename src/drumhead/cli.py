@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--spectrum", required=True, type=Path)
     simulate.add_argument("--out", required=True, type=Path)
     simulate.add_argument("--per-ion", action="store_true")
-    simulate.add_argument("--threads", type=int, default=None)
 
     fit = top.add_parser("fit", help="thermometry fits")
     fit_sub = fit.add_subparsers(dest="command", required=True)
@@ -160,12 +159,7 @@ def _cmd_spectrum_simulate(args) -> int:
     _check_provenance(config, spectrum)
     thermal = config.thermal.realize(spectrum)
     trace = sweep_spectrum(
-        config.drive,
-        spectrum,
-        thermal,
-        config.sweep.points_rad_s(),
-        per_ion=args.per_ion,
-        threads=args.threads,
+        config.drive, spectrum, thermal, config.sweep.points_rad_s(), per_ion=args.per_ion
     )
     iof.save_trace(trace, args.out)
     print(f"trace: {len(trace.mu_over_2pi)} points, min p_up {trace.p_up_mean.min():.4f}, "

@@ -1,7 +1,7 @@
 """Run configuration: one JSON document describing a whole pipeline run.
 
-Boundary units are ordinary frequencies (Hz), angles in degrees, lengths in
-meters; everything is converted to internal SI/angular units when the typed
+Boundary units are ordinary frequencies (Hz) and otherwise SI (kg, C, N, s);
+everything is converted to internal SI/angular units when the typed
 objects are built. The normalized source dict is kept verbatim so that
 load(save(config)) reproduces the same configuration bit for bit.
 """
@@ -19,7 +19,7 @@ from .constants import BE9_ION_MASS, ELEMENTARY_CHARGE
 from .dynamics import ThermalState
 from .errors import ConfigError, DrumheadError
 from .modes import ModeSpectrum
-from .odf import BeamGeometry, DriveConfig, Ramsey, SpinEcho, force_from_intensity
+from .odf import DriveConfig, Ramsey, SpinEcho, force_from_intensity
 from .trap import TWO_PI, TrapParams
 
 
@@ -114,14 +114,12 @@ class ThermalSpec:
 @dataclass(frozen=True)
 class Seeds:
     lattice: int = 0
-    noise: int = 0
 
 
 @dataclass
 class RunConfig:
     trap: TrapParams
     n_ions: int
-    beam: BeamGeometry | None
     drive: DriveConfig | None
     thermal: ThermalSpec | None
     sweep: SweepGrid | None
@@ -153,25 +151,6 @@ def _parse_trap(raw: dict) -> TrapParams:
         raise
     except DrumheadError as exc:
         raise ConfigError("trap", str(exc)) from exc
-
-
-def _parse_beam(raw: dict) -> BeamGeometry:
-    _reject_unknown(
-        raw, "beam",
-        {"wavelength_m", "crossing_angle_deg", "waist_z_m", "waist_x_m", "misalignment_deg"},
-    )
-    try:
-        return BeamGeometry(
-            wavelength=_expect(raw, "beam", "wavelength_m", float),
-            theta_r=math.radians(_expect(raw, "beam", "crossing_angle_deg", float)),
-            waist_z=_expect(raw, "beam", "waist_z_m", float, required=False, default=100e-6),
-            waist_x=_expect(raw, "beam", "waist_x_m", float, required=False, default=1e-3),
-            misalignment_err=math.radians(
-                _expect(raw, "beam", "misalignment_deg", float, required=False, default=0.0)
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError("beam", str(exc)) from exc
 
 
 def _parse_sequence(raw: dict) -> Ramsey | SpinEcho:
@@ -239,15 +218,13 @@ def _parse_thermal(raw: dict) -> ThermalSpec:
 def from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("$", "top level must be an object")
-    _reject_unknown(raw, "$", {"trap", "n_ions", "beam", "drive", "thermal", "sweep", "seeds"})
+    _reject_unknown(raw, "$", {"trap", "n_ions", "drive", "thermal", "sweep", "seeds"})
     trap = _parse_trap(_expect(raw, "$", "trap", dict))
     n_ions = _expect(raw, "$", "n_ions", int)
     if n_ions < 1:
         raise ConfigError("n_ions", "must be >= 1")
 
-    beam = drive = thermal = sweep = None
-    if "beam" in raw:
-        beam = _parse_beam(_expect(raw, "$", "beam", dict))
+    drive = thermal = sweep = None
     if "drive" in raw:
         drive = _parse_drive(_expect(raw, "$", "drive", dict))
         if isinstance(drive.forces, np.ndarray) and len(drive.forces) != n_ions:
@@ -265,13 +242,10 @@ def from_dict(raw: dict) -> RunConfig:
     seeds = Seeds()
     if "seeds" in raw:
         sraw = _expect(raw, "$", "seeds", dict)
-        _reject_unknown(sraw, "seeds", {"lattice", "noise"})
-        seeds = Seeds(
-            lattice=_expect(sraw, "seeds", "lattice", int, required=False, default=0),
-            noise=_expect(sraw, "seeds", "noise", int, required=False, default=0),
-        )
+        _reject_unknown(sraw, "seeds", {"lattice"})
+        seeds = Seeds(lattice=_expect(sraw, "seeds", "lattice", int, required=False, default=0))
     return RunConfig(
-        trap=trap, n_ions=n_ions, beam=beam, drive=drive,
+        trap=trap, n_ions=n_ions, drive=drive,
         thermal=thermal, sweep=sweep, seeds=seeds, raw=raw,
     )
 

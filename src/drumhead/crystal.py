@@ -35,6 +35,10 @@ from .trap import TrapParams, beta
 # the polish usually reaches ~1e-13 (float64 floor for pairwise sums).
 _SCALED_GTOL = 1e-9
 _POLISH_TARGET = 5e-14
+# Further bounds for the `converged` flag: residual force in newtons, and the
+# predicted energy decrease of one more Newton step relative to the energy.
+FORCE_TOL = 1e-14
+ENERGY_RTOL = 1e-12
 
 PLANARITY_TOL = 1e-6  # max |z| below this fraction of the mean spacing => planar
 
@@ -180,17 +184,6 @@ def potential_gradient(positions: np.ndarray, params: TrapParams) -> np.ndarray:
     return g.reshape(-1, 3) * f0
 
 
-def potential_hessian(positions: np.ndarray, params: TrapParams) -> np.ndarray:
-    """Second-derivative matrix of total_potential, shape (3N, 3N), J/m^2.
-
-    Coordinate order is (ion0 x, ion0 y, ion0 z, ion1 x, ...).
-    """
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    l0 = length_scale(params)
-    k0 = params.mass * params.omega_1**2
-    return _hessian_scaled((pos / l0).ravel(), beta(params), params.delta_wall) * k0
-
-
 # ---------------------------------------------------------------------------
 # seeding
 
@@ -231,8 +224,6 @@ def solve_equilibrium(
     n_ions: int,
     seed_config: np.ndarray | None = None,
     seed: int = 0,
-    force_tol: float = 1e-14,
-    energy_rtol: float = 1e-12,
     max_minimize_steps: int = 100_000,
     max_polish_steps: int = 80,
 ) -> CrystalLattice:
@@ -240,7 +231,7 @@ def solve_equilibrium(
 
     seed_config (meters) overrides the built-in jittered hex-disk seed; `seed`
     feeds the jitter RNG so runs are reproducible and callers can restart from
-    a different basin. force_tol is an SI bound (N) on the residual gradient;
+    a different basin. FORCE_TOL is an SI bound (N) on the residual gradient;
     the internal scale-free bound (1e-9 in natural units) is almost always the
     stricter of the two and typically lands near 1e-13.
 
@@ -362,7 +353,7 @@ def solve_equilibrium(
     keep = np.abs(evals_h) > np.finfo(float).eps * len(evals_h) * np.max(np.abs(evals_h))
     coeffs = evecs_h[:, keep].T @ grad
     rel_de = abs(0.5 * float(coeffs @ (coeffs / evals_h[keep]))) / max(abs(energy), 1e-300)
-    converged = residual_si <= force_tol and gmax <= _SCALED_GTOL and rel_de <= energy_rtol
+    converged = residual_si <= FORCE_TOL and gmax <= _SCALED_GTOL and rel_de <= ENERGY_RTOL
 
     positions = x.reshape(-1, 3) * l0
     lattice = CrystalLattice(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -241,12 +240,12 @@ def sweep_spectrum(
     thermal: ThermalState,
     mu_grid: np.ndarray,
     per_ion: bool = False,
-    threads: int | None = None,
 ) -> SpectrumTrace:
     """Evaluate the lineshape on an ascending grid of beat frequencies (rad/s).
 
-    The grid is embarrassingly parallel; `threads` only chunks the work, the
-    output ordering is fixed by the grid.
+    A pure function, so callers may split the grid across threads; the
+    matrix product in `decoherence_exponent` then rounds differently, so only
+    a whole-grid sweep reproduces this one bit for bit.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) == 0:
@@ -254,19 +253,9 @@ def sweep_spectrum(
     if np.any(np.diff(mu_grid) < 0.0):
         raise ValueError("mu_grid must be sorted ascending")
 
-    def evaluate(chunk: np.ndarray) -> np.ndarray:
-        coupling, gain = lineshape_terms(drive, spectrum, chunk)
-        exponent = decoherence_exponent(coupling, gain, thermal.nbar)
-        return bright_fraction(exponent, drive.gamma, drive.sequence.total_odf_time)  # (N, G)
-
-    if threads and threads > 1 and len(mu_grid) > 1:
-        chunks = np.array_split(mu_grid, min(threads, len(mu_grid)))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(evaluate, chunks))
-        per = np.concatenate(parts, axis=1)
-    else:
-        per = evaluate(mu_grid)
-
+    coupling, gain = lineshape_terms(drive, spectrum, mu_grid)
+    exponent = decoherence_exponent(coupling, gain, thermal.nbar)
+    per = bright_fraction(exponent, drive.gamma, drive.sequence.total_odf_time)  # (N, G)
     return SpectrumTrace(
         mu_over_2pi=mu_grid / TWO_PI,
         p_up_mean=per.mean(axis=0),

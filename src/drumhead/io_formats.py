@@ -7,6 +7,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -14,9 +15,9 @@ import numpy as np
 
 from .crystal import CrystalLattice
 from .dynamics import SpectrumTrace, Trajectory
-from .modes import ModeHistogram, ModeSpectrum
+from .modes import ModeHistogram, ModeSpectrum, frequencies_from_eigenvalues
 from .thermometry import FitMetadata, FitResult, ObservedSpectrum
-from .trap import TrapParams
+from .trap import TWO_PI, TrapParams
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -109,14 +110,24 @@ def spectrum_to_json(spectrum: ModeSpectrum) -> str:
 
 
 def spectrum_from_json(text: str) -> ModeSpectrum:
+    """Rebuild a spectrum exactly: omega comes from the stored eigenvalues.
+
+    `frequencies_hz` is derived data; a file whose values disagree with the
+    eigenvalues by more than 1e-12 relative is refused with ValueError.
+    """
     doc = json.loads(text)
     eigenvalues = np.asarray(doc["eigenvalues_rad2_per_s2"], dtype=float)
+    omega, unstable = frequencies_from_eigenvalues(eigenvalues)
+    freqs = np.asarray(doc["frequencies_hz"], dtype=float)
+    hz = omega / TWO_PI
+    if freqs.shape != hz.shape or not np.all(np.abs(freqs - hz) <= 1e-12 * hz):
+        raise ValueError("spectrum file: frequencies_hz disagree with eigenvalues_rad2_per_s2")
     return ModeSpectrum(
-        omega=np.asarray(doc["frequencies_hz"], dtype=float) * 2.0 * np.pi,
+        omega=omega,
         b=np.asarray(doc["eigenvectors_row_major"], dtype=float),
         mass=doc["mass_kg"],
         eigenvalues=eigenvalues,
-        unstable_modes=tuple(doc.get("unstable_modes", ())),
+        unstable_modes=unstable,
         degenerate_clusters=np.asarray(doc.get("degenerate_clusters", []), dtype=int),
         source_lattice_hash=doc.get("source_lattice_hash"),
     )
@@ -225,7 +236,11 @@ def save_observed(data: ObservedSpectrum, path: str | Path) -> None:
 def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> ObservedSpectrum:
     """Read (mu_hz, p_up, sigma) rows; metadata comes from a JSON sidecar.
 
-    The sidecar defaults to <path>.meta.json and is optional.
+    The sidecar defaults to <path>.meta.json and is optional. It is a JSON
+    object whose keys are all optional: `n_ions` (positive integer),
+    `theta_r_deg` (beam crossing angle, in (0, 180)) and `theta_r_rel_err`
+    (relative error of that angle, in [0, 1)). A value of the wrong type or
+    out of range raises ValueError.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",")[:3] != ["mu_hz", "p_up", "sigma"]:
@@ -239,11 +254,28 @@ def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> 
     meta = FitMetadata()
     if metadata_path is not None:
         doc = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
-        theta_deg = doc.get("theta_r_deg")
+        if not isinstance(doc, dict):
+            raise ValueError(f"{metadata_path}: expected a JSON object")
+        n_ions = doc.get("n_ions")
+        if n_ions is not None and (isinstance(n_ions, bool) or not isinstance(n_ions, int) or n_ions < 1):
+            raise ValueError(f"{metadata_path}: n_ions must be a positive integer, got {n_ions!r}")
+        theta_deg = _sidecar_number(
+            doc, "theta_r_deg", metadata_path, lambda v: 0.0 < v < 180.0, "in (0, 180)"
+        )
         meta = FitMetadata(
-            n_ions=doc.get("n_ions"),
-            n_ions_err=doc.get("n_ions_err"),
-            theta_r=None if theta_deg is None else float(np.radians(theta_deg)),
-            theta_r_rel_err=doc.get("theta_r_rel_err"),
+            n_ions=n_ions,
+            theta_r=None if theta_deg is None else math.radians(theta_deg),
+            theta_r_rel_err=_sidecar_number(
+                doc, "theta_r_rel_err", metadata_path, lambda v: 0.0 <= v < 1.0, "in [0, 1)"
+            ),
         )
     return ObservedSpectrum(mu_hz=arr[:, 0], p_up=arr[:, 1], sigma=arr[:, 2], metadata=meta)
+
+
+def _sidecar_number(doc: dict, key: str, path, in_range, span: str) -> float | None:
+    value = doc.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not in_range(value):
+        raise ValueError(f"{path}: {key} must be a finite number {span}, got {value!r}")
+    return float(value)

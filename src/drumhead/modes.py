@@ -108,6 +108,12 @@ def transverse_stiffness(lattice: CrystalLattice, params: TrapParams | None = No
     )
 
 
+def frequencies_from_eigenvalues(eigenvalues: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Angular frequencies sqrt(max(eigenvalue, 0)) and the indices of negative eigenvalues."""
+    evals = np.asarray(eigenvalues, dtype=float)
+    return np.sqrt(np.clip(evals, 0.0, None)), tuple(int(m) for m in np.flatnonzero(evals < 0.0))
+
+
 def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
     """Eigenmodes of a stiffness matrix, sorted by descending frequency.
 
@@ -147,8 +153,7 @@ def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
             order = sorted(range(len(members)), key=keys.__getitem__)
             evecs[:, members] = evecs[:, members][:, order]
 
-    unstable = tuple(int(m) for m in np.flatnonzero(evals < 0.0))
-    omega = np.sqrt(np.clip(evals, 0.0, None))
+    omega, unstable = frequencies_from_eigenvalues(evals)
     return ModeSpectrum(
         omega=omega,
         b=evecs,

@@ -41,36 +41,6 @@ def effective_wavevector(wavelength: float, theta_r: float) -> float:
 
 
 @dataclass(frozen=True)
-class BeamGeometry:
-    """Crossed-beam layout. Angles in radians, lengths in meters.
-
-    misalignment_err is carried for reporting only; the dynamics assume the
-    lattice wavevector is along z.
-    """
-
-    wavelength: float
-    theta_r: float
-    waist_z: float = 100e-6
-    waist_x: float = 1e-3
-    misalignment_err: float = 0.0
-
-    def __post_init__(self):
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
-        if not 0.0 < self.theta_r < math.pi / 2.0:
-            raise ValueError("crossing angle must lie in (0, pi/2)")
-
-    @property
-    def delta_k(self) -> float:
-        return effective_wavevector(self.wavelength, self.theta_r)
-
-    @property
-    def lattice_wavelength(self) -> float:
-        """2 pi / |delta_k|: period of the interference lattice (m)."""
-        return 2.0 * math.pi / self.delta_k
-
-
-@dataclass(frozen=True)
 class StarkCoefficients:
     """Single-beam AC Stark shifts (rad/s) of the two qubit states.
 

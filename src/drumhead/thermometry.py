@@ -54,7 +54,6 @@ class FitMetadata:
     """Experimental context carried with a measured spectrum."""
 
     n_ions: int | None = None
-    n_ions_err: float | None = None
     theta_r: float | None = None       # beam crossing angle, rad
     theta_r_rel_err: float | None = None
 
@@ -176,10 +175,15 @@ def fit_occupation(
     mirroring the usual procedure of fixing bath modes while one mode is
     thermometered. Requires the data to straddle the resonance: at least one
     point within half a lineshape width (|delta| tau / 2pi < 0.5) and one
-    beyond a full width.
+    beyond a full width, and the data's `n_ions`, when given, to match the
+    spectrum's mode count.
     """
     if not 0 <= target_mode < spectrum.n_modes:
         raise ValueError("target_mode out of range")
+    if data.metadata.n_ions is not None and data.metadata.n_ions != spectrum.n_modes:
+        raise ValueError(
+            f"data are from {data.metadata.n_ions} ions, but the spectrum has {spectrum.n_modes} modes"
+        )
     if len(data) < 3:
         raise InsufficientDataError("need at least 3 points to fit an occupation")
     if background is None:

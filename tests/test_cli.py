@@ -41,7 +41,7 @@ def write_config(path, **overrides):
         },
         "thermal": {"nbar_uniform": 15.0},
         "sweep": {"start_hz": 700e3, "stop_hz": 810e3, "step_hz": 250.0},
-        "seeds": {"lattice": 0, "noise": 0},
+        "seeds": {"lattice": 0},
     }
     doc.update(overrides)
     path.write_text(json.dumps(doc, indent=2))
@@ -187,17 +187,6 @@ class TestSpectrumSimulate:
         far = trace.mu_over_2pi < spectrum.frequencies_hz.min() - 10 / tau
         assert np.max(np.abs(trace.p_up_mean[far] - bg)) < 0.01
 
-    def test_threads_flag_identical_output(self, workspace):
-        tmp, config = workspace
-        lattice_path, spec_path = tmp / "l.json", tmp / "s.json"
-        run("crystal", "solve", "--config", config, "--out", lattice_path)
-        run("modes", "compute", "--lattice", lattice_path, "--out", spec_path)
-        one, four = tmp / "one.csv", tmp / "four.csv"
-        run("spectrum", "simulate", "--config", config, "--spectrum", spec_path, "--out", one)
-        run("spectrum", "simulate", "--config", config, "--spectrum", spec_path, "--out", four,
-            "--threads", 4)
-        assert one.read_bytes() == four.read_bytes()
-
     def test_per_ion_columns(self, workspace):
         tmp, config = workspace
         lattice_path, spec_path = tmp / "l.json", tmp / "s.json"
@@ -331,6 +320,50 @@ class TestProvenance:
         trap = {"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": 44.7e3,
                 "mass_kg": 2 * BE9_ION_MASS}
         self.check_both_commands(tmp_path, trap=trap)
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """Config, spectrum and forward-model data (N = 2, true COM nbar 25) for sidecar tests."""
+    tmp = tmp_path_factory.mktemp("fit_inputs")
+    config = tmp / "run.json"
+    write_config(config, thermal={"nbar_per_mode": [25.0, 0.5]},
+                 sweep={"start_hz": 789e3, "stop_hz": 801e3, "step_hz": 100.0})
+    pipeline = TestFitTemperature()
+    spec_path = pipeline.make_pipeline(tmp, config)
+    return config, spec_path, pipeline.simulate_data(tmp, config, spec_path)
+
+
+class TestSidecar:
+    """fit temperature refuses a malformed or mismatched data sidecar with exit 2."""
+
+    def fit_with_sidecar(self, fit_inputs, tmp_path, sidecar):
+        config, spec_path, data_path = fit_inputs
+        meta = tmp_path / "data.meta.json"
+        meta.write_text(json.dumps(sidecar))
+        return run("fit", "temperature", "--config", config, "--data", data_path, "--meta", meta,
+                   "--spectrum", spec_path, "--out", tmp_path / "f.json")
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            {"theta_r_deg": "4.8", "theta_r_rel_err": 0.05},
+            {"theta_r_deg": 0, "theta_r_rel_err": 0.05},
+            {"theta_r_deg": float("nan"), "theta_r_rel_err": 0.05},
+            {"theta_r_deg": 4.8, "theta_r_rel_err": "0.05"},
+            {"theta_r_deg": 4.8, "theta_r_rel_err": -3},
+            [1, 2],
+        ],
+        ids=["theta_string", "theta_zero", "theta_nan", "err_string", "err_negative", "not_object"],
+    )
+    def test_malformed_sidecar_is_config_error(self, fit_inputs, tmp_path, sidecar):
+        assert self.fit_with_sidecar(fit_inputs, tmp_path, sidecar) == EXIT_CONFIG
+        assert not (tmp_path / "f.json").exists()
+
+    def test_ion_count_must_match_spectrum(self, fit_inputs, tmp_path):
+        sidecar = {"n_ions": 2, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}
+        assert self.fit_with_sidecar(fit_inputs, tmp_path, sidecar) == EXIT_OK
+        assert self.fit_with_sidecar(fit_inputs, tmp_path, {**sidecar, "n_ions": 3}) == EXIT_CONFIG
 
 
 class TestPlot:

@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from drumhead import ConfigError, Ramsey, SpinEcho, from_dict, load_config, save_config
+from drumhead import (
+    ConfigError,
+    DriveConfig,
+    Ramsey,
+    SpinEcho,
+    ThermalState,
+    from_dict,
+    load_config,
+    save_config,
+    sweep_spectrum,
+)
 from drumhead import io_formats as iof
 from drumhead.dynamics import SpectrumTrace, Trajectory
 from drumhead.modes import mode_histogram
@@ -16,7 +26,6 @@ def sample_config_dict():
     return {
         "trap": {"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": 44.7e3},
         "n_ions": 2,
-        "beam": {"wavelength_m": 313.133e-9, "crossing_angle_deg": 4.8},
         "drive": {
             "force_n": 1.5e-23,
             "gamma_per_s": 223.14,
@@ -24,7 +33,7 @@ def sample_config_dict():
         },
         "thermal": {"nbar_com": 60.0, "bath_temperature_k": 4.3e-4},
         "sweep": {"start_hz": 780e3, "stop_hz": 800e3, "step_hz": 100.0},
-        "seeds": {"lattice": 0, "noise": 1},
+        "seeds": {"lattice": 1},
     }
 
 
@@ -35,8 +44,7 @@ class TestRunConfig:
         assert cfg.trap.omega_1 == pytest.approx(2 * math.pi * 795e3)
         assert isinstance(cfg.drive.sequence, SpinEcho)
         assert cfg.drive.sequence.t_pi == 65e-6
-        assert cfg.beam.theta_r == pytest.approx(math.radians(4.8))
-        assert cfg.seeds.noise == 1
+        assert cfg.seeds.lattice == 1
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = from_dict(sample_config_dict())
@@ -84,6 +92,8 @@ class TestRunConfig:
             (lambda d: d["sweep"].__setitem__("step_hz", -1.0), "sweep.step_hz"),
             (lambda d: d.__setitem__("unknown_key", 1), "$.unknown_key"),
             (lambda d: d["trap"].__setitem__("axial_com_hz", "fast"), "trap.axial_com_hz"),
+            (lambda d: d.__setitem__("beam", {"crossing_angle_deg": 4.8}), "$.beam"),
+            (lambda d: d["seeds"].__setitem__("noise", 0), "seeds.noise"),
         ],
     )
     def test_validation_errors_carry_paths(self, mutate, where):
@@ -137,16 +147,32 @@ class TestLatticeFiles:
 
 
 class TestSpectrumFiles:
-    def test_round_trip(self, tmp_path):
-        spectrum = spectrum_cached(7)
-        path = tmp_path / "spectrum.json"
-        iof.save_spectrum(spectrum, path)
-        loaded = iof.load_spectrum(path)
-        assert np.allclose(loaded.omega, spectrum.omega, rtol=1e-15)
-        assert np.array_equal(loaded.b, spectrum.b)
-        assert loaded.mass == spectrum.mass
-        assert loaded.unstable_modes == spectrum.unstable_modes
-        assert loaded.source_lattice_hash == spectrum.source_lattice_hash
+    def test_round_trip(self, tmp_path, spectrum_190):
+        # omega must come back bit for bit: at N = 190, 2 pi * frequencies_hz
+        # is one ulp off for 27 modes, and a sweep would show it
+        for spectrum in (spectrum_cached(7), spectrum_190):
+            path = tmp_path / "spectrum.json"
+            iof.save_spectrum(spectrum, path)
+            loaded = iof.load_spectrum(path)
+            assert np.array_equal(loaded.omega, spectrum.omega)
+            assert np.array_equal(loaded.eigenvalues, spectrum.eigenvalues)
+            assert np.array_equal(loaded.b, spectrum.b)
+            assert loaded.mass == spectrum.mass
+            assert loaded.unstable_modes == spectrum.unstable_modes
+            assert loaded.source_lattice_hash == spectrum.source_lattice_hash
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0,
+                            sequence=SpinEcho(tau=5e-4, t_pi=65e-6))
+        thermal = ThermalState.from_temperature(spectrum_190, 0.43e-3)
+        grid = 2 * np.pi * np.arange(30e3, 800e3 + 1.0, 500.0)
+        in_memory = sweep_spectrum(drive, spectrum_190, thermal, grid)
+        from_file = sweep_spectrum(drive, loaded, thermal, grid)  # loaded: the N = 190 file
+        assert np.array_equal(from_file.p_up_mean, in_memory.p_up_mean)
+
+    def test_inconsistent_frequencies_rejected(self, tmp_path):
+        doc = json.loads(iof.spectrum_to_json(spectrum_cached(7)))
+        doc["frequencies_hz"][3] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="frequencies_hz"):
+            iof.spectrum_from_json(json.dumps(doc))
 
     def test_histogram_csv(self, tmp_path):
         hist = mode_histogram(spectrum_cached(7), 10e3)

@@ -140,7 +140,7 @@ class TestSolveEquilibrium:
     def test_residual_force_is_tiny(self):
         lattice = solve_cached(26)
         grad = potential_gradient(lattice.positions, lattice.params)
-        assert np.max(np.abs(grad)) <= 1e-14  # newtons; far below the default force_tol
+        assert np.max(np.abs(grad)) <= 1e-14  # newtons; crystal.FORCE_TOL
         assert np.max(np.abs(grad)) == pytest.approx(lattice.residual_force_max, rel=1e-6, abs=1e-33)
 
     def test_center_of_charge_on_axis(self):

@@ -330,15 +330,6 @@ class TestSweepSpectrum:
             spans[rotation_hz] = active.max() - active.min()
         assert spans[43.2e3] < spans[44.7e3]
 
-    def test_threads_do_not_change_results(self, spectrum_190):
-        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0,
-                            sequence=SpinEcho(tau=5e-4, t_pi=65e-6))
-        thermal = ThermalState.uniform(spectrum_190.n_modes, 12.0)
-        grid = TWO_PI * np.linspace(780e3, 800e3, 101)
-        serial = sweep_spectrum(drive, spectrum_190, thermal, grid)
-        threaded = sweep_spectrum(drive, spectrum_190, thermal, grid, threads=4)
-        assert np.array_equal(serial.p_up_mean, threaded.p_up_mean)
-
     def test_per_ion_output_shape(self, spectrum_190):
         drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0,
                             sequence=SpinEcho(tau=5e-4, t_pi=65e-6))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from drumhead import (
-    BeamGeometry,
     DriveConfig,
     HBAR,
     NoStarkNullError,
@@ -37,17 +36,6 @@ class TestEffectiveWavevector:
         angles = np.linspace(1e-3, math.pi - 1e-3, 50)
         values = [effective_wavevector(313e-9, a) for a in angles]
         assert np.all(np.diff(values) > 0.0)
-
-    def test_geometry_object(self):
-        geom = BeamGeometry(wavelength=313.133e-9, theta_r=math.radians(4.8))
-        assert geom.delta_k == effective_wavevector(geom.wavelength, geom.theta_r)
-        assert geom.lattice_wavelength == pytest.approx(3.74e-6, rel=2e-3)
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            BeamGeometry(wavelength=-1.0, theta_r=0.1)
-        with pytest.raises(ValueError):
-            BeamGeometry(wavelength=313e-9, theta_r=math.pi / 2)
 
 
 class TestStarkNull:
