@@ -1,4 +1,4 @@
-"""Zero-temperature equilibrium configurations of a planar ion crystal.
+"""Zero-temperature equilibrium configurations of a single-plane ion crystal.
 
 The crystal is the minimum of the rotating-frame potential
 
@@ -12,10 +12,21 @@ L-BFGS-B stage followed by a damped Newton polish on the analytic Hessian,
 which brings the residual force down to ~1e-13 in scaled units (orders of
 magnitude below any SI tolerance of interest here).
 
+At z = 0 every z force vanishes and the z block of the Hessian decouples from
+the in-plane problem, so the solve first runs over (x, y) alone. The z block
+at the in-plane minimum, K_jk = 1/d_jk^3 and K_jj = 1 - sum_k 1/d_jk^3 (the
+transverse stiffness `modes` diagonalizes), is the stability check: when K is
+positive definite the crystal is a single plane and z = 0 exactly. Otherwise
+the plane is a saddle (the single-plane -> multi-plane transition), and the
+solve restarts in 3D from the in-plane positions pushed along K's softest
+eigenvector, with a small seeded jitter. The polish runs once, in the space
+actually solved.
+
 The O(N^2) pair kernel works on the per-component (N, N) arrays of
-`pair_separations`: each gradient component is a row reduction of
-(r_j - r_k)_c / d_jk^3, and the Hessian is built from the same arrays. The
-energy-change convergence test reuses the polish's last eigendecomposition.
+`pair_separations` for points of either dimension: each gradient component
+is a row reduction of (r_j - r_k)_c / d_jk^3, and the Hessian is built from
+the same arrays. The energy-change convergence test reuses the polish's last
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -39,8 +50,9 @@ _POLISH_TARGET = 5e-14
 # predicted energy decrease of one more Newton step relative to the energy.
 FORCE_TOL = 1e-14
 ENERGY_RTOL = 1e-12
-
-PLANARITY_TOL = 1e-6  # max |z| below this fraction of the mean spacing => planar
+# Amplitude (scaled units, ~1 % of a spacing) of the push along the softest
+# z mode that leaves an unstable plane; its seeded jitter is a tenth of that.
+_BUCKLE_PUSH = 0.02
 
 
 def length_scale(params: TrapParams) -> float:
@@ -55,7 +67,8 @@ class CrystalLattice:
     positions           (N, 3) array, meters
     converged           residual force and energy-change tolerances were met
     residual_force_max  max |gradient| component at the solution, newtons
-    planar              max |z_j| < PLANARITY_TOL * mean in-plane spacing
+    planar              the z block at the in-plane minimum is positive definite;
+                        the solve then keeps z = 0 exactly
     energy              total potential energy, joules
     energy_trace        energies of accepted minimizer steps (monotone audit trail)
     """
@@ -118,43 +131,61 @@ def pair_separations(points: np.ndarray, out: np.ndarray | None = None):
     return diffs, d2
 
 
-def _energy_gradient_scaled(coords: np.ndarray, b: float, dw: float, work: np.ndarray | None = None):
-    # `work` is an optional (5, N, N) scratch buffer; reusing it spares the page
-    # faults of fresh (N, N) arrays, which at N ~ 300 cost as much as the math.
-    pos = coords.reshape(-1, 3)
+def z_stiffness(points: np.ndarray, coupling: float = 1.0, axial: float = 1.0) -> np.ndarray:
+    """Out-of-plane stiffness of points (N, D) lying in the plane z = 0.
+
+    K_jk = coupling / d_jk^3 and K_jj = axial - sum_k K_jk; in scaled units
+    both constants are 1.
+    """
+    _, d2 = pair_separations(points)
+    stiffness = coupling * d2**-1.5
+    np.fill_diagonal(stiffness, axial - stiffness.sum(axis=1))
+    return stiffness
+
+
+def _trap_stiffness(params: TrapParams) -> np.ndarray:
+    """Scaled trap stiffness along x, y and z: (beta + delta_wall, beta - delta_wall, 1)."""
+    b = beta(params)
+    return np.array([b + params.delta_wall, b - params.delta_wall, 1.0])
+
+
+def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray, work: np.ndarray | None = None):
+    # `trap` holds the per-axis trap stiffness; its length D is the dimension of
+    # the points in `coords`. `work` is an optional (D + 2, N, N) scratch buffer;
+    # reusing it spares the page faults of fresh (N, N) arrays, which at N ~ 300
+    # cost as much as the math.
+    dim = len(trap)
+    pos = coords.reshape(-1, dim)
     if work is None:
-        work = np.empty((5, len(pos), len(pos)))
-    diffs, d2 = pair_separations(pos, out=work[:4])
-    inv_d = np.sqrt(d2, out=work[4])
+        work = np.empty((dim + 2, len(pos), len(pos)))
+    diffs, d2 = pair_separations(pos, out=work[: dim + 1])
+    inv_d = np.sqrt(d2, out=work[dim + 1])
     np.divide(1.0, inv_d, out=inv_d)
-    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
-    energy = 0.5 * (
-        np.dot(z, z) + b * (np.dot(x, x) + np.dot(y, y)) + dw * (np.dot(x, x) - np.dot(y, y))
-    ) + 0.5 * np.sum(inv_d)
+    energy = 0.5 * sum(k * np.dot(c, c) for k, c in zip(trap, pos.T)) + 0.5 * np.sum(inv_d)
     inv_d3 = np.divide(inv_d, d2, out=d2)
     grad = np.empty_like(pos)
-    for c, (dc, trap) in enumerate(zip(diffs, (b + dw, b - dw, 1.0))):
+    for c, (dc, k) in enumerate(zip(diffs, trap)):
         # direct row reduction; rowsum(inv_d3) * r_j - inv_d3 @ r cancels worse
-        grad[:, c] = trap * pos[:, c] - np.multiply(dc, inv_d3, out=dc).sum(axis=1)
+        grad[:, c] = k * pos[:, c] - np.multiply(dc, inv_d3, out=dc).sum(axis=1)
     return energy, grad.ravel()
 
 
-def _hessian_scaled(coords: np.ndarray, b: float, dw: float) -> np.ndarray:
-    pos = coords.reshape(-1, 3)
+def _hessian_scaled(coords: np.ndarray, trap: np.ndarray) -> np.ndarray:
+    dim = len(trap)
+    pos = coords.reshape(-1, dim)
     n = len(pos)
     diffs, d2 = pair_separations(pos)
     inv_d3 = d2**-1.5
     inv_d5 = inv_d3 / d2
-    trap = np.diag([b + dw, b - dw, 1.0])
-    hess = np.empty((n, 3, n, 3))
+    hess = np.empty((n, dim, n, dim))
     idx = np.arange(n)
-    for u in range(3):
-        for v in range(u, 3):
+    for u in range(dim):
+        for v in range(u, dim):
             # d^2(1/d)/dr_ju dr_kv = delta_uv / d^3 - 3 r_u r_v / d^5 (j != k)
             block = (u == v) * inv_d3 - 3.0 * inv_d5 * diffs[u] * diffs[v]
             hess[:, u, :, v] = hess[:, v, :, u] = block
-            hess[idx, u, idx, v] = hess[idx, v, idx, u] = trap[u, v] - block.sum(axis=1)
-    return hess.reshape(3 * n, 3 * n)
+            hess[idx, u, idx, v] = hess[idx, v, idx, u] = (u == v) * trap[u] - block.sum(axis=1)
+    return hess.reshape(dim * n, dim * n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +202,7 @@ def total_potential(positions: np.ndarray, params: TrapParams) -> float:
         raise CoincidentIonsError("two ions coincide; Coulomb energy diverges")
     l0 = length_scale(params)
     e0 = params.mass * params.omega_1**2 * l0**2
-    e, _ = _energy_gradient_scaled((pos / l0).ravel(), beta(params), params.delta_wall)
+    e, _ = _energy_gradient_scaled((pos / l0).ravel(), _trap_stiffness(params))
     return e * e0
 
 
@@ -180,7 +211,7 @@ def potential_gradient(positions: np.ndarray, params: TrapParams) -> np.ndarray:
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)
     l0 = length_scale(params)
     f0 = params.mass * params.omega_1**2 * l0
-    _, g = _energy_gradient_scaled((pos / l0).ravel(), beta(params), params.delta_wall)
+    _, g = _energy_gradient_scaled((pos / l0).ravel(), _trap_stiffness(params))
     return g.reshape(-1, 3) * f0
 
 
@@ -206,17 +237,109 @@ def hex_disk_seed(n_ions: int, spacing: float) -> np.ndarray:
 
 def _seed_scaled(n_ions: int, b: float, rng: np.random.Generator) -> np.ndarray:
     # Continuum radius of a cold disk in a quadratic well, R^3 = 3*pi*N/(2*beta)
-    # in l0 units; hex patch of that radius fixes the seed spacing.
+    # in l0 units; hex patch of that radius fixes the seed spacing. Returns (x, y).
     radius = (3.0 * math.pi * n_ions / (2.0 * b)) ** (1.0 / 3.0)
     spacing = radius * math.sqrt(2.0 * math.pi / (math.sqrt(3.0) * n_ions))
-    pts = hex_disk_seed(n_ions, spacing)
-    # deterministic jitter breaks lattice symmetry and seeds out-of-plane buckling
-    pts += 1e-3 * spacing * rng.standard_normal(pts.shape)
-    return pts
+    xy = hex_disk_seed(n_ions, spacing)[:, :2]
+    # deterministic jitter breaks the lattice symmetry
+    return xy + 1e-3 * spacing * rng.standard_normal(xy.shape)
 
 
 # ---------------------------------------------------------------------------
 # solver
+
+
+def _relax(x0: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_steps: int) -> np.ndarray:
+    """L-BFGS-B descent in the space of `trap`'s dimension; appends accepted energies to `trace`."""
+
+    def record(intermediate_result):
+        # a 3D restart may begin above the plane's energy; the trace resumes below it
+        if not trace or intermediate_result.fun < trace[-1]:
+            trace.append(float(intermediate_result.fun))
+
+    return minimize(
+        _energy_gradient_scaled,
+        x0,
+        args=(trap, work),
+        jac=True,
+        method="L-BFGS-B",
+        callback=record,
+        options={
+            "maxiter": max_steps,
+            "maxfun": 4 * max_steps,
+            "gtol": 1e-12,
+            "ftol": 1e-17,
+            "maxcor": 25,
+        },
+    ).x
+
+
+def _polish(x: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_steps: int):
+    """Modified-Newton polish; returns x, energy, gradient, max |gradient| and
+    the last Hessian eigendecomposition (None, None if no step was taken).
+
+    The Hessian spectrum is inverted with |eigenvalue| floored, so soft modes
+    (shell rearrangements) and the rotational zero mode at delta_wall = 0 give
+    bounded descent steps instead of blowing up a plain solve. The rotation
+    direction is projected out explicitly since moving along it is pure noise.
+    """
+    dim = len(trap)
+    energy, grad = _energy_gradient_scaled(x, trap, work)
+    if not trace or energy < trace[-1]:
+        trace.append(energy)
+
+    def rotation_direction(coords):
+        pos = coords.reshape(-1, dim)
+        vec = np.zeros_like(pos)
+        vec[:, 0], vec[:, 1] = -pos[:, 1], pos[:, 0]
+        norm = np.linalg.norm(vec)
+        return vec.ravel() / norm if norm > 0.0 else None
+
+    gmax = np.max(np.abs(grad))
+    stalled = 0
+    slow = 0
+    evals_h = evecs_h = None
+    for _ in range(max_steps):
+        # Magic-number crystals have quartically flat intershell-libration
+        # valleys; once the gradient is below the convergence bar and barely
+        # improving, grinding further buys nothing.
+        if gmax <= _POLISH_TARGET or (gmax <= _SCALED_GTOL and slow >= 3):
+            break
+        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, trap))
+        # The floor keeps quasi-flat directions (where the local quadratic
+        # model is meaningless) from dominating the step.
+        floor = max(1e-6 * float(np.max(np.abs(evals_h))), 1e-12)
+        inv_spectrum = 1.0 / np.maximum(np.abs(evals_h), floor)
+        step = -evecs_h @ (inv_spectrum * (evecs_h.T @ grad))
+        if trap[0] == trap[1]:
+            rot = rotation_direction(x)
+            if rot is not None:
+                step -= (step @ rot) * rot
+        step_max = np.max(np.abs(step))
+        if step_max > 0.5:
+            step *= 0.5 / step_max
+        scale = 1.0
+        accepted = False
+        prev_gmax = gmax
+        for _ in range(30):
+            x_try = x + scale * step
+            e_try, g_try = _energy_gradient_scaled(x_try, trap, work)
+            g_try_max = np.max(np.abs(g_try))
+            if e_try <= energy or (math.isclose(e_try, energy, rel_tol=1e-14) and g_try_max < gmax):
+                accepted = e_try < energy or g_try_max < gmax
+                if accepted:
+                    x, energy, grad, gmax = x_try, e_try, g_try, g_try_max
+                    trace.append(energy)
+                break
+            scale *= 0.5
+        if accepted:
+            stalled = 0
+            slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
+        else:
+            stalled += 1
+            if stalled >= 3:
+                break
+    return x, energy, grad, gmax, evals_h, evecs_h
 
 
 def solve_equilibrium(
@@ -229,19 +352,24 @@ def solve_equilibrium(
 ) -> CrystalLattice:
     """Relax n_ions to a local minimum of the rotating-frame potential.
 
-    seed_config (meters) overrides the built-in jittered hex-disk seed; `seed`
-    feeds the jitter RNG so runs are reproducible and callers can restart from
-    a different basin. FORCE_TOL is an SI bound (N) on the residual gradient;
-    the internal scale-free bound (1e-9 in natural units) is almost always the
-    stricter of the two and typically lands near 1e-13.
+    The relax runs in the plane z = 0; it continues in 3D only when the z
+    block at the in-plane minimum is not positive definite, and the lattice
+    is then reported with `planar=False`. max_minimize_steps bounds each
+    L-BFGS-B stage.
+
+    seed_config (meters, shape (n_ions, 3)) overrides the built-in jittered
+    hex-disk seed; only its (x, y) enter the in-plane stage. `seed` feeds the
+    jitter RNG so runs are reproducible and callers can restart from a
+    different basin. FORCE_TOL is an SI bound (N) on the residual gradient;
+    the internal scale-free bound (1e-9 in natural units) is almost always
+    the stricter of the two and typically lands near 1e-13.
 
     Raises EquilibriumNotConverged (carrying the best-so-far lattice in
     `.best`) when the iteration budget runs out.
     """
     if n_ions < 1:
         raise ValueError("n_ions must be >= 1")
-    b = beta(params)
-    dw = params.delta_wall
+    trap = _trap_stiffness(params)
     l0 = length_scale(params)
     f0 = params.mass * params.omega_1**2 * l0
     e0 = params.mass * params.omega_1**2 * l0**2
@@ -260,108 +388,51 @@ def solve_equilibrium(
 
     rng = np.random.default_rng(seed)
     if seed_config is not None:
-        x0 = (np.asarray(seed_config, dtype=float).reshape(-1, 3) / l0).ravel()
-        if x0.size != 3 * n_ions:
+        seed_pos = np.asarray(seed_config, dtype=float)
+        if seed_pos.shape != (n_ions, 3):
             raise ValueError("seed_config must have shape (n_ions, 3)")
+        xy = seed_pos[:, :2] / l0
     else:
-        x0 = _seed_scaled(n_ions, b, rng).ravel()
+        xy = _seed_scaled(n_ions, beta(params), rng)
 
     trace: list[float] = []
-    work = np.empty((5, n_ions, n_ions))
-    result = minimize(
-        _energy_gradient_scaled,
-        x0,
-        args=(b, dw, work),
-        jac=True,
-        method="L-BFGS-B",
-        callback=lambda intermediate_result: trace.append(float(intermediate_result.fun)),
-        options={
-            "maxiter": max_minimize_steps,
-            "maxfun": 4 * max_minimize_steps,
-            "gtol": 1e-12,
-            "ftol": 1e-17,
-            "maxcor": 25,
-        },
-    )
-    x = result.x
-    energy, grad = _energy_gradient_scaled(x, b, dw, work)
-    if not trace or energy < trace[-1]:
-        trace.append(energy)
-
-    # Modified-Newton polish: invert the Hessian spectrum with |eigenvalue|
-    # floored, so soft modes (shell rearrangements) and the rotational zero
-    # mode at delta_wall = 0 give bounded descent steps instead of blowing up
-    # a plain solve. The rotation direction is projected out explicitly since
-    # moving along it is pure noise.
-    def rotation_direction(coords):
-        pos = coords.reshape(-1, 3)
-        vec = np.column_stack([-pos[:, 1], pos[:, 0], np.zeros(len(pos))]).ravel()
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0.0 else None
-
-    gmax = np.max(np.abs(grad))
-    stalled = 0
-    slow = 0
-    evals_h = evecs_h = None
-    for _ in range(max_polish_steps):
-        # Magic-number crystals have quartically flat intershell-libration
-        # valleys; once the gradient is below the convergence bar and barely
-        # improving, grinding further buys nothing.
-        if gmax <= _POLISH_TARGET or (gmax <= _SCALED_GTOL and slow >= 3):
-            break
-        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, b, dw))
-        # The floor keeps quasi-flat directions (where the local quadratic
-        # model is meaningless) from dominating the step.
-        floor = max(1e-6 * float(np.max(np.abs(evals_h))), 1e-12)
-        inv_spectrum = 1.0 / np.maximum(np.abs(evals_h), floor)
-        step = -evecs_h @ (inv_spectrum * (evecs_h.T @ grad))
-        if dw == 0.0:
-            rot = rotation_direction(x)
-            if rot is not None:
-                step -= (step @ rot) * rot
-        step_max = np.max(np.abs(step))
-        if step_max > 0.5:
-            step *= 0.5 / step_max
-        scale = 1.0
-        accepted = False
-        prev_gmax = gmax
-        for _ in range(30):
-            x_try = x + scale * step
-            e_try, g_try = _energy_gradient_scaled(x_try, b, dw, work)
-            g_try_max = np.max(np.abs(g_try))
-            if e_try <= energy or (math.isclose(e_try, energy, rel_tol=1e-14) and g_try_max < gmax):
-                accepted = e_try < energy or g_try_max < gmax
-                if accepted:
-                    x, energy, grad, gmax = x_try, e_try, g_try, g_try_max
-                    trace.append(energy)
-                break
-            scale *= 0.5
-        if accepted:
-            stalled = 0
-            slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
-        else:
-            stalled += 1
-            if stalled >= 3:
-                break
+    work = np.empty((4, n_ions, n_ions))
+    x = _relax(xy.ravel(), trap[:2], work, trace, max_minimize_steps)
+    planar = bool(np.linalg.eigvalsh(z_stiffness(x.reshape(-1, 2)))[0] > 0.0)
+    if planar:
+        trap = trap[:2]
+    else:
+        # The plane is a saddle: buckle along the softest z mode, relax in 3D.
+        # The jitter breaks the symmetry the soft mode shares with the plane;
+        # a symmetric push can descend onto a 3D saddle instead of a minimum.
+        soft = np.linalg.eigh(z_stiffness(x.reshape(-1, 2)))[1][:, 0]
+        z = _BUCKLE_PUSH * (soft / np.max(np.abs(soft)) + 0.1 * rng.standard_normal(n_ions))
+        x = np.column_stack([x.reshape(-1, 2), z]).ravel()
+        work = None  # release the in-plane buffer before allocating the 3D one
+        work = np.empty((5, n_ions, n_ions))
+        x = _relax(x, trap, work, trace, max_minimize_steps)
+    x, energy, grad, gmax, evals_h, evecs_h = _polish(x, trap, work, trace, max_polish_steps)
 
     residual_si = gmax * f0
     # Remaining decrease 1/2 g.H^+ g predicted by the local quadratic model: the
     # honest "relative energy change of one more step". H^+ comes from the polish's
-    # last eigendecomposition, cut at eps * 3N * max|eigenvalue| as lstsq would.
+    # last eigendecomposition, cut at eps * DN * max|eigenvalue| as lstsq would.
+    # On the plane the z gradient is zero, so the 2N quantities equal the 3N ones.
     if evecs_h is None:
-        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, b, dw))
+        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, trap))
     keep = np.abs(evals_h) > np.finfo(float).eps * len(evals_h) * np.max(np.abs(evals_h))
     coeffs = evecs_h[:, keep].T @ grad
     rel_de = abs(0.5 * float(coeffs @ (coeffs / evals_h[keep]))) / max(abs(energy), 1e-300)
     converged = residual_si <= FORCE_TOL and gmax <= _SCALED_GTOL and rel_de <= ENERGY_RTOL
 
-    positions = x.reshape(-1, 3) * l0
+    positions = np.zeros((n_ions, 3))
+    positions[:, : len(trap)] = x.reshape(n_ions, -1) * l0
     lattice = CrystalLattice(
         params=params,
         positions=positions,
         converged=converged,
         residual_force_max=residual_si,
-        planar=_is_planar(positions),
+        planar=planar,
         energy=energy * e0,
         seed=seed,
         energy_trace=np.asarray(trace) * e0,
@@ -373,12 +444,6 @@ def solve_equilibrium(
             best=lattice,
         )
     return lattice
-
-
-def _is_planar(positions: np.ndarray) -> bool:
-    _, d2 = pair_separations(positions[:, :2])
-    spacing = float(np.mean(np.sqrt(np.min(d2, axis=1))))
-    return bool(np.max(np.abs(positions[:, 2])) < PLANARITY_TOL * spacing)
 
 
 def lattice_stats(lattice: CrystalLattice) -> LatticeStats:

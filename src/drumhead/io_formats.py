@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .crystal import CrystalLattice
+from .crystal import CrystalLattice, pair_separations
 from .dynamics import SpectrumTrace, Trajectory
+from .errors import CoincidentIonsError
 from .modes import ModeHistogram, ModeSpectrum, frequencies_from_eigenvalues
 from .thermometry import FitMetadata, FitResult, ObservedSpectrum
 from .trap import TWO_PI, TrapParams
@@ -57,25 +58,69 @@ def lattice_to_json(lattice: CrystalLattice) -> str:
     )
 
 
+_LATTICE_KEYS = ("params", "n_ions", "positions_m", "converged", "residual_force_max_N",
+                 "planar", "energy_J", "seed")
+_TRAP_KEYS = ("axial_com_hz", "cyclotron_hz", "rotation_hz", "wall_delta", "mass_kg", "charge_c")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def lattice_from_json(text: str) -> CrystalLattice:
+    """Rebuild a lattice from its file, refusing a malformed or inconsistent one.
+
+    The file must be a JSON object with every key `lattice_to_json` writes,
+    numeric trap parameters, `n_ions` finite (n_ions, 3) positions and JSON
+    booleans for `converged` and `planar`; otherwise ValueError. Two ions at
+    one position raise CoincidentIonsError.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("params"), dict):
+        raise ValueError("lattice file: expected a JSON object with a params object")
     p = doc["params"]
+    missing = [k for k in _LATTICE_KEYS if k not in doc] + [f"params.{k}" for k in _TRAP_KEYS if k not in p]
+    if missing:
+        raise ValueError(f"lattice file: missing {', '.join(missing)}")
+    for key in _TRAP_KEYS:
+        if not _is_number(p[key]):
+            raise ValueError(f"lattice file: params.{key} must be a number, got {p[key]!r}")
+    for key in ("converged", "planar"):
+        if not isinstance(doc[key], bool):
+            raise ValueError(f"lattice file: {key} must be true or false, got {doc[key]!r}")
+    if not _is_number(doc["residual_force_max_N"]) or not _is_number(doc["energy_J"]):
+        raise ValueError("lattice file: residual_force_max_N and energy_J must be numbers")
+    n_ions = doc["n_ions"]
+    if not _is_count(n_ions):
+        raise ValueError(f"lattice file: n_ions must be a positive integer, got {n_ions!r}")
+    try:
+        positions = np.asarray(doc["positions_m"], dtype=float)
+    except (TypeError, ValueError):
+        positions = None
+    if positions is None or positions.shape != (n_ions, 3) or not np.all(np.isfinite(positions)):
+        raise ValueError(f"lattice file: positions_m must be {n_ions} finite (x, y, z) rows")
+    if np.min(pair_separations(positions)[1]) == 0.0:
+        raise CoincidentIonsError("lattice file: two ions share a position")
     params = TrapParams.from_hz(
         axial_hz=p["axial_com_hz"],
         cyclotron_hz=p["cyclotron_hz"],
         rotation_hz=p["rotation_hz"],
-        delta_wall=p.get("wall_delta", 0.0),
+        delta_wall=p["wall_delta"],
         mass=p["mass_kg"],
         charge=p["charge_c"],
     )
     return CrystalLattice(
         params=params,
-        positions=np.asarray(doc["positions_m"], dtype=float),
+        positions=positions,
         converged=doc["converged"],
         residual_force_max=doc["residual_force_max_N"],
         planar=doc["planar"],
-        energy=doc.get("energy_J", float("nan")),
-        seed=doc.get("seed"),
+        energy=doc["energy_J"],
+        seed=doc["seed"],
     )
 
 
@@ -257,7 +302,7 @@ def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> 
         if not isinstance(doc, dict):
             raise ValueError(f"{metadata_path}: expected a JSON object")
         n_ions = doc.get("n_ions")
-        if n_ions is not None and (isinstance(n_ions, bool) or not isinstance(n_ions, int) or n_ions < 1):
+        if n_ions is not None and not _is_count(n_ions):
             raise ValueError(f"{metadata_path}: n_ions must be a positive integer, got {n_ions!r}")
         theta_deg = _sidecar_number(
             doc, "theta_r_deg", metadata_path, lambda v: 0.0 < v < 180.0, "in (0, 180)"
@@ -276,6 +321,6 @@ def _sidecar_number(doc: dict, key: str, path, in_range, span: str) -> float | N
     value = doc.get(key)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not in_range(value):
+    if not _is_number(value) or not in_range(value):
         raise ValueError(f"{path}: {key} must be a finite number {span}, got {value!r}")
     return float(value)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import COULOMB_K, HBAR
-from .crystal import CrystalLattice, pair_separations
+from .crystal import CrystalLattice, z_stiffness
 from .errors import EquilibriumNotConverged, NonPlanarLatticeError
 from .trap import TWO_PI, TrapParams
 
@@ -96,12 +96,9 @@ def transverse_stiffness(lattice: CrystalLattice, params: TrapParams | None = No
         raise EquilibriumNotConverged("lattice is not converged; stiffness would be unreliable")
     if not lattice.planar:
         raise NonPlanarLatticeError("transverse modes require a single-plane crystal")
-    _, d2 = pair_separations(lattice.positions)
-    coupling = (COULOMB_K * params.charge**2 / params.mass) * d2**-1.5
-    entries = coupling.copy()
-    np.fill_diagonal(entries, params.omega_1**2 - coupling.sum(axis=1))
+    coupling = COULOMB_K * params.charge**2 / params.mass
     return StiffnessMatrix(
-        entries=entries,
+        entries=z_stiffness(lattice.positions, coupling, params.omega_1**2),
         omega_1=params.omega_1,
         mass=params.mass,
         source_lattice_hash=lattice.content_hash(),

@@ -155,8 +155,7 @@ class TestModesCompute:
 
 
     def test_unconverged_lattice_rejected(self, tmp_path):
-        # a best-effort lattice from an exhausted budget is still jittered out
-        # of plane; not converging is the reason to refuse it
+        # not converging is the reason to refuse a best-effort lattice
         with pytest.raises(EquilibriumNotConverged) as info:
             solve_equilibrium(paper_trap(44.7e3), 30, max_minimize_steps=3, max_polish_steps=0)
         lattice_path = tmp_path / "best.json"
@@ -164,6 +163,43 @@ class TestModesCompute:
         assert json.loads(lattice_path.read_text())["converged"] is False
         code = run("modes", "compute", "--lattice", lattice_path, "--out", tmp_path / "s.json")
         assert code == EXIT_NOT_CONVERGED
+
+
+class TestLatticeFile:
+    """modes compute refuses a malformed or inconsistent lattice file with exit 2."""
+
+    @pytest.fixture(scope="class")
+    def lattice_doc(self):
+        return json.loads(iof.lattice_to_json(solve_equilibrium(paper_trap(44.7e3), 19)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "planar": "false"}, "planar must be true or false"),
+            (lambda doc: {**doc, "converged": "yes"}, "converged must be true or false"),
+            (lambda doc: {**doc, "n_ions": 20}, "positions_m must be 20 finite"),
+            (lambda doc: {**doc, "positions_m": doc["positions_m"][:1] + doc["positions_m"][:18]},
+             "two ions share a position"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "params object"),
+            (lambda doc: [1, 2], "JSON object"),
+            (lambda doc: {**doc, "positions_m": [[float("nan"), 0.0, 0.0]] + doc["positions_m"][1:]},
+             "positions_m must be 19 finite"),
+        ],
+        ids=["planar_string", "converged_string", "count_mismatch", "coincident", "no_params",
+             "not_object", "nan_position"],
+    )
+    def test_malformed_lattice_is_config_error(self, lattice_doc, tmp_path, capsys, edit, message):
+        lattice_path = tmp_path / "lattice.json"
+        lattice_path.write_text(json.dumps(edit(lattice_doc)))
+        code = run("modes", "compute", "--lattice", lattice_path, "--out", tmp_path / "s.json")
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_unedited_lattice_is_accepted(self, lattice_doc, tmp_path):
+        lattice_path = tmp_path / "lattice.json"
+        lattice_path.write_text(json.dumps(lattice_doc))
+        assert run("modes", "compute", "--lattice", lattice_path, "--out", tmp_path / "s.json") == EXIT_OK
 
 
 class TestSpectrumSimulate:

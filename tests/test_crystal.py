@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from drumhead import (
     COULOMB_K,
     CoincidentIonsError,
     EquilibriumNotConverged,
     beta,
+    diagonalize,
     hex_disk_seed,
     lattice_stats,
+    length_scale,
     potential_gradient,
     solve_equilibrium,
     total_potential,
+    transverse_stiffness,
 )
-from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled
+from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled, z_stiffness
 from conftest import paper_trap, solve_cached
 
 
@@ -93,29 +96,32 @@ class TestTotalPotential:
 
 class TestPairKernel:
     def test_matches_explicit_pair_loop(self):
-        # scaled units: V = 1/2 sum_j (z^2 + (b + dw) x^2 + (b - dw) y^2) + sum_{j<k} 1/d
+        # scaled units: V = 1/2 sum_j (z^2 + (b + dw) x^2 + (b - dw) y^2) + sum_{j<k} 1/d,
+        # in 3D and in the plane (dim = 2, no z term)
         b, dw = 0.03, 0.004
         rng = np.random.default_rng(11)
-        pos = rng.standard_normal((20, 3)) * np.array([3.0, 3.0, 1.0])
-        trap = np.array([b + dw, b - dw, 1.0])
-        grad = pos * trap
-        hess = np.zeros((20, 3, 20, 3))
-        for j in range(20):
-            hess[j, :, j, :] = np.diag(trap)
-        for j in range(20):
-            for k in range(20):
-                if j == k:
-                    continue
-                r = pos[j] - pos[k]
-                d = np.sqrt(r @ r)
-                grad[j] -= r / d**3
-                block = np.eye(3) / d**3 - 3.0 * np.outer(r, r) / d**5
-                hess[j, :, k, :] = block
-                hess[j, :, j, :] -= block
-        _, g = _energy_gradient_scaled(pos.ravel(), b, dw)
-        h = _hessian_scaled(pos.ravel(), b, dw)
-        assert np.max(np.abs(g - grad.ravel())) <= 1e-12 * np.max(np.abs(grad))
-        assert np.max(np.abs(h - hess.reshape(60, 60))) <= 1e-12 * np.max(np.abs(hess))
+        pos3 = rng.standard_normal((20, 3)) * np.array([3.0, 3.0, 1.0])
+        for dim in (3, 2):
+            pos = pos3[:, :dim]
+            trap = np.array([b + dw, b - dw, 1.0])[:dim]
+            grad = pos * trap
+            hess = np.zeros((20, dim, 20, dim))
+            for j in range(20):
+                hess[j, :, j, :] = np.diag(trap)
+            for j in range(20):
+                for k in range(20):
+                    if j == k:
+                        continue
+                    r = pos[j] - pos[k]
+                    d = np.sqrt(r @ r)
+                    grad[j] -= r / d**3
+                    block = np.eye(dim) / d**3 - 3.0 * np.outer(r, r) / d**5
+                    hess[j, :, k, :] = block
+                    hess[j, :, j, :] -= block
+            _, g = _energy_gradient_scaled(pos.ravel(), trap)
+            h = _hessian_scaled(pos.ravel(), trap)
+            assert np.max(np.abs(g - grad.ravel())) <= 1e-12 * np.max(np.abs(grad))
+            assert np.max(np.abs(h - hess.reshape(20 * dim, 20 * dim))) <= 1e-12 * np.max(np.abs(hess))
 
 
 class TestSolveEquilibrium:
@@ -204,6 +210,56 @@ class TestSolveEquilibrium:
 
     def test_plane_destabilizes_just_above_window(self):
         assert not solve_cached(345, 45.2e3).planar
+
+    @pytest.mark.parametrize("n_ions", [190, 345])
+    def test_planar_crystal_has_exactly_zero_z_and_stable_modes(self, n_ions):
+        lattice = solve_cached(n_ions, 44.7e3)
+        assert lattice.converged and lattice.planar
+        assert np.all(lattice.positions[:, 2] == 0.0)
+        assert diagonalize(transverse_stiffness(lattice)).stable
+
+    @pytest.mark.parametrize("n_ions, rotation_hz", [(345, 45.2e3), (50, 300e3)])
+    def test_buckled_crystal_lies_below_the_unstable_plane(self, n_ions, rotation_hz):
+        lattice = solve_cached(n_ions, rotation_hz)
+        assert lattice.converged and not lattice.planar
+        # the energy trace stays monotone across the switch from 2D to 3D
+        trace = lattice.energy_trace
+        assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+        # the in-plane stationary point reached from the crystal's own (x, y)
+        params = lattice.params
+        l0 = length_scale(params)
+        trap = np.array([beta(params), beta(params)])
+        flat = minimize(
+            _energy_gradient_scaled,
+            (lattice.positions[:, :2] / l0).ravel(),
+            args=(trap,),
+            jac=True,
+            method="L-BFGS-B",
+            options={"gtol": 1e-11, "ftol": 1e-16, "maxiter": 100_000},
+        )
+        assert np.linalg.eigvalsh(z_stiffness(flat.x.reshape(-1, 2)))[0] < 0.0
+        assert lattice.energy < flat.fun * params.mass * params.omega_1**2 * l0**2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_buckled_crystal_is_a_minimum_in_3d(self, seed):
+        # a push along the soft mode alone keeps a symmetry of the plane and can
+        # end on a 3D saddle (N = 19 at 60 kHz did for half of these seeds)
+        params = paper_trap(rotation_hz=60e3)
+        lattice = solve_equilibrium(params, 19, seed=seed)
+        assert lattice.converged and not lattice.planar
+        trap = np.array([beta(params), beta(params), 1.0])
+        hess = _hessian_scaled((lattice.positions / length_scale(params)).ravel(), trap)
+        assert np.linalg.eigvalsh(hess)[0] > -1e-9
+
+    def test_seed_config_enters_through_its_plane_projection(self):
+        params = paper_trap()
+        flat = hex_disk_seed(12, 20e-6)
+        tilted = flat + np.outer(np.linspace(-3e-6, 3e-6, 12), [0.0, 0.0, 1.0])
+        a = solve_equilibrium(params, 12, seed_config=flat)
+        b = solve_equilibrium(params, 12, seed_config=tilted)
+        assert a.planar and b.planar
+        assert np.array_equal(a.positions, b.positions)
+        assert np.all(b.positions[:, 2] == 0.0)
 
     def test_invalid_ion_count(self):
         with pytest.raises(ValueError):
