@@ -224,7 +224,7 @@ def main(argv=None) -> int:
             return _cmd_plot(args)
         raise AssertionError(args.group)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonPlanarLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,10 @@ load(save(config)) reproduces the same configuration bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,37 +25,60 @@ from .odf import DriveConfig, Ramsey, SpinEcho, force_from_intensity
 from .trap import TWO_PI, TrapParams
 
 
-def _expect(raw: dict, where: str, key: str, kinds, required: bool = True, default=None):
-    if key not in raw:
+def _expect(raw: dict, where: str, key: str, kind, required: bool = True, default=None):
+    """raw[key] checked against `kind`: the one type check of every input document.
+
+    `kind` is bool, int, float (a finite number), str or dict, or a tuple: the
+    shape of a finite float array, returned as a numpy array (None in the
+    shape allows any length). A missing key gives `default`, as does a null
+    one when `default` is None and the key is optional. A missing required
+    key or a value of another kind raises ConfigError at `where.key`.
+    """
+    if key not in raw or (raw[key] is None and not required and default is None):
         if required:
             raise ConfigError(f"{where}.{key}", "missing required field")
         return default
-    value = raw[key]
-    if kinds is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}", f"expected a boolean, got {value!r}")
-        return value
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}", f"expected a number, got {value!r}")
-        return float(value)
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.{key}", f"expected an integer, got {value!r}")
-        return value
-    if kinds is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}.{key}", f"expected a string, got {value!r}")
-        return value
-    if kinds is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}.{key}", f"expected an object, got {value!r}")
-        return value
-    if kinds is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}.{key}", f"expected a list, got {value!r}")
-        return value
-    raise AssertionError(f"unknown kind {kinds}")
+    value, path = raw[key], f"{where}.{key}"
+    if isinstance(kind, tuple):
+        return _finite_array(value, path, kind)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        ok = number and abs(value) <= sys.float_info.max  # refuses nan, inf and huge ints
+    elif kind is int:
+        ok = number and isinstance(value, int)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(path, f"expected {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               str: "a string", dict: "an object"}
+
+
+def _finite_array(value, path: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.empty(0, dtype=object)
+    fits = arr.ndim == len(shape) and all(n is None or n == m for n, m in zip(shape, arr.shape))
+    entries = value
+    for _ in shape[1:]:
+        entries = itertools.chain.from_iterable(entries)
+    # numpy reads a boolean among numbers as 0 or 1, so look for one first
+    numbers = fits and arr.dtype.kind in "iuf" and bool not in set(map(type, entries))
+    if not (numbers and np.all(np.isfinite(arr))):
+        dims = ", ".join("n" if n is None else str(n) for n in shape)
+        raise ConfigError(path, f"expected finite numbers in shape ({dims})")
+    return np.asarray(arr, dtype=float)
+
+
+def _document(raw, where: str) -> dict:
+    """`raw` itself if it is a JSON object, else ConfigError at `where`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(where, "top level must be a JSON object")
+    return raw
 
 
 def _reject_unknown(raw: dict, where: str, allowed: set[str]) -> None:
@@ -168,7 +193,7 @@ def _parse_sequence(raw: dict) -> Ramsey | SpinEcho:
     raise ConfigError("drive.sequence.type", f"expected 'spin_echo' or 'ramsey', got {kind!r}")
 
 
-def _parse_drive(raw: dict) -> DriveConfig:
+def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
     _reject_unknown(
         raw, "drive",
         {"force_n", "force_n_per_ion", "intensity_w_cm2", "mu_r_hz", "gamma_per_s", "sequence"},
@@ -181,7 +206,7 @@ def _parse_drive(raw: dict) -> DriveConfig:
     elif sources[0] == "intensity_w_cm2":
         forces = force_from_intensity(_expect(raw, "drive", "intensity_w_cm2", float))
     else:
-        forces = np.asarray(_expect(raw, "drive", "force_n_per_ion", list), dtype=float)
+        forces = _expect(raw, "drive", "force_n_per_ion", (n_ions,))
     mu_hz = _expect(raw, "drive", "mu_r_hz", float, required=False)
     try:
         return DriveConfig(
@@ -194,14 +219,14 @@ def _parse_drive(raw: dict) -> DriveConfig:
         raise ConfigError("drive", str(exc)) from exc
 
 
-def _parse_thermal(raw: dict) -> ThermalSpec:
+def _parse_thermal(raw: dict, n_ions: int) -> ThermalSpec:
     _reject_unknown(
         raw, "thermal",
         {"nbar_per_mode", "nbar_uniform", "temperature_k", "nbar_com", "bath_temperature_k"},
     )
     if "nbar_per_mode" in raw:
-        values = _expect(raw, "thermal", "nbar_per_mode", list)
-        return ThermalSpec(kind="per_mode", nbar_per_mode=tuple(float(v) for v in values))
+        values = _expect(raw, "thermal", "nbar_per_mode", (n_ions,))
+        return ThermalSpec(kind="per_mode", nbar_per_mode=tuple(values.tolist()))
     if "nbar_uniform" in raw:
         return ThermalSpec(kind="uniform_nbar", nbar_uniform=_expect(raw, "thermal", "nbar_uniform", float))
     if "temperature_k" in raw:
@@ -216,9 +241,7 @@ def _parse_thermal(raw: dict) -> ThermalSpec:
 
 
 def from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "top level must be an object")
-    _reject_unknown(raw, "$", {"trap", "n_ions", "drive", "thermal", "sweep", "seeds"})
+    _reject_unknown(_document(raw, "$"), "$", {"trap", "n_ions", "drive", "thermal", "sweep", "seeds"})
     trap = _parse_trap(_expect(raw, "$", "trap", dict))
     n_ions = _expect(raw, "$", "n_ions", int)
     if n_ions < 1:
@@ -226,11 +249,9 @@ def from_dict(raw: dict) -> RunConfig:
 
     drive = thermal = sweep = None
     if "drive" in raw:
-        drive = _parse_drive(_expect(raw, "$", "drive", dict))
-        if isinstance(drive.forces, np.ndarray) and len(drive.forces) != n_ions:
-            raise ConfigError("drive.force_n_per_ion", f"length must equal n_ions = {n_ions}")
+        drive = _parse_drive(_expect(raw, "$", "drive", dict), n_ions)
     if "thermal" in raw:
-        thermal = _parse_thermal(_expect(raw, "$", "thermal", dict))
+        thermal = _parse_thermal(_expect(raw, "$", "thermal", dict), n_ions)
     if "sweep" in raw:
         sraw = _expect(raw, "$", "sweep", dict)
         _reject_unknown(sraw, "sweep", {"start_hz", "stop_hz", "step_hz"})

@@ -50,7 +50,10 @@ class FitConvergenceError(DrumheadError):
 
 
 class ConfigError(DrumheadError):
-    """Configuration file is invalid. `where` is the JSON path of the offending field."""
+    """An input document (config, lattice, spectrum or sidecar) is invalid.
+
+    `where` is the JSON path of the offending field.
+    """
 
     def __init__(self, where, message):
         super().__init__(f"{where}: {message}")

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .crystal import CrystalLattice, pair_separations
+from .config import _document, _expect, _reject_unknown
+from .crystal import FORCE_TOL, CrystalLattice, pair_separations
 from .dynamics import SpectrumTrace, Trajectory
 from .errors import CoincidentIonsError
-from .modes import ModeHistogram, ModeSpectrum, frequencies_from_eigenvalues
+from .modes import ModeHistogram, ModeSpectrum
 from .thermometry import FitMetadata, FitResult, ObservedSpectrum
-from .trap import TWO_PI, TrapParams
+from .trap import TrapParams
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -58,70 +59,41 @@ def lattice_to_json(lattice: CrystalLattice) -> str:
     )
 
 
-_LATTICE_KEYS = ("params", "n_ions", "positions_m", "converged", "residual_force_max_N",
-                 "planar", "energy_J", "seed")
+# in the order of TrapParams.from_hz's arguments
 _TRAP_KEYS = ("axial_com_hz", "cyclotron_hz", "rotation_hz", "wall_delta", "mass_kg", "charge_c")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def lattice_from_json(text: str) -> CrystalLattice:
     """Rebuild a lattice from its file, refusing a malformed or inconsistent one.
 
-    The file must be a JSON object with every key `lattice_to_json` writes,
-    numeric trap parameters, `n_ions` finite (n_ions, 3) positions and JSON
-    booleans for `converged` and `planar`; otherwise ValueError. Two ions at
-    one position raise CoincidentIonsError.
+    Every key `lattice_to_json` writes is required and read by the config
+    reader (ConfigError); other keys are ignored. `planar: true` with an ion
+    off z = 0, or `converged: true` with a residual above `FORCE_TOL`, raises
+    ValueError; two ions at one position raise CoincidentIonsError.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("params"), dict):
-        raise ValueError("lattice file: expected a JSON object with a params object")
-    p = doc["params"]
-    missing = [k for k in _LATTICE_KEYS if k not in doc] + [f"params.{k}" for k in _TRAP_KEYS if k not in p]
-    if missing:
-        raise ValueError(f"lattice file: missing {', '.join(missing)}")
-    for key in _TRAP_KEYS:
-        if not _is_number(p[key]):
-            raise ValueError(f"lattice file: params.{key} must be a number, got {p[key]!r}")
-    for key in ("converged", "planar"):
-        if not isinstance(doc[key], bool):
-            raise ValueError(f"lattice file: {key} must be true or false, got {doc[key]!r}")
-    if not _is_number(doc["residual_force_max_N"]) or not _is_number(doc["energy_J"]):
-        raise ValueError("lattice file: residual_force_max_N and energy_J must be numbers")
-    n_ions = doc["n_ions"]
-    if not _is_count(n_ions):
-        raise ValueError(f"lattice file: n_ions must be a positive integer, got {n_ions!r}")
-    try:
-        positions = np.asarray(doc["positions_m"], dtype=float)
-    except (TypeError, ValueError):
-        positions = None
-    if positions is None or positions.shape != (n_ions, 3) or not np.all(np.isfinite(positions)):
-        raise ValueError(f"lattice file: positions_m must be {n_ions} finite (x, y, z) rows")
+    doc = _document(json.loads(text), "lattice")
+    p = _expect(doc, "lattice", "params", dict)
+    n_ions = _expect(doc, "lattice", "n_ions", int)
+    positions = _expect(doc, "lattice", "positions_m", (n_ions, 3))
+    lattice = CrystalLattice(
+        params=TrapParams.from_hz(*(_expect(p, "lattice.params", key, float) for key in _TRAP_KEYS)),
+        positions=positions,
+        converged=_expect(doc, "lattice", "converged", bool),
+        residual_force_max=_expect(doc, "lattice", "residual_force_max_N", float),
+        planar=_expect(doc, "lattice", "planar", bool),
+        energy=_expect(doc, "lattice", "energy_J", float),
+        seed=_expect(doc, "lattice", "seed", int),
+    )
+    if lattice.planar and np.any(positions[:, 2] != 0.0):
+        raise ValueError("lattice file: planar is true, but an ion lies off z = 0")
+    if lattice.converged and lattice.residual_force_max > FORCE_TOL:
+        raise ValueError(
+            f"lattice file: converged is true, but residual_force_max_N "
+            f"{lattice.residual_force_max!r} exceeds {FORCE_TOL!r} N"
+        )
     if np.min(pair_separations(positions)[1]) == 0.0:
         raise CoincidentIonsError("lattice file: two ions share a position")
-    params = TrapParams.from_hz(
-        axial_hz=p["axial_com_hz"],
-        cyclotron_hz=p["cyclotron_hz"],
-        rotation_hz=p["rotation_hz"],
-        delta_wall=p["wall_delta"],
-        mass=p["mass_kg"],
-        charge=p["charge_c"],
-    )
-    return CrystalLattice(
-        params=params,
-        positions=positions,
-        converged=doc["converged"],
-        residual_force_max=doc["residual_force_max_N"],
-        planar=doc["planar"],
-        energy=doc["energy_J"],
-        seed=doc["seed"],
-    )
+    return lattice
 
 
 def save_lattice(lattice: CrystalLattice, path: str | Path) -> None:
@@ -148,7 +120,6 @@ def spectrum_to_json(spectrum: ModeSpectrum) -> str:
             "eigenvectors_row_major": spectrum.b.tolist(),
             "mass_kg": spectrum.mass,
             "unstable_modes": list(spectrum.unstable_modes),
-            "degenerate_clusters": spectrum.degenerate_clusters.tolist(),
             "source_lattice_hash": spectrum.source_lattice_hash,
         }
     )
@@ -157,25 +128,25 @@ def spectrum_to_json(spectrum: ModeSpectrum) -> str:
 def spectrum_from_json(text: str) -> ModeSpectrum:
     """Rebuild a spectrum exactly: omega comes from the stored eigenvalues.
 
-    `frequencies_hz` is derived data; a file whose values disagree with the
-    eigenvalues by more than 1e-12 relative is refused with ValueError.
+    The arrays must be finite with n eigenvalues, n x n eigenvectors and n
+    frequencies (ConfigError); other keys are ignored. `frequencies_hz` is
+    derived data; a file whose values disagree with the eigenvalues by more
+    than 1e-12 relative is refused with ValueError.
     """
-    doc = json.loads(text)
-    eigenvalues = np.asarray(doc["eigenvalues_rad2_per_s2"], dtype=float)
-    omega, unstable = frequencies_from_eigenvalues(eigenvalues)
-    freqs = np.asarray(doc["frequencies_hz"], dtype=float)
-    hz = omega / TWO_PI
-    if freqs.shape != hz.shape or not np.all(np.abs(freqs - hz) <= 1e-12 * hz):
-        raise ValueError("spectrum file: frequencies_hz disagree with eigenvalues_rad2_per_s2")
-    return ModeSpectrum(
-        omega=omega,
-        b=np.asarray(doc["eigenvectors_row_major"], dtype=float),
-        mass=doc["mass_kg"],
+    doc = _document(json.loads(text), "spectrum")
+    eigenvalues = _expect(doc, "spectrum", "eigenvalues_rad2_per_s2", (None,))
+    n = len(eigenvalues)
+    spectrum = ModeSpectrum(
         eigenvalues=eigenvalues,
-        unstable_modes=unstable,
-        degenerate_clusters=np.asarray(doc.get("degenerate_clusters", []), dtype=int),
-        source_lattice_hash=doc.get("source_lattice_hash"),
+        b=_expect(doc, "spectrum", "eigenvectors_row_major", (n, n)),
+        mass=_expect(doc, "spectrum", "mass_kg", float),
+        source_lattice_hash=_expect(doc, "spectrum", "source_lattice_hash", str, required=False),
     )
+    freqs = _expect(doc, "spectrum", "frequencies_hz", (n,))
+    hz = spectrum.frequencies_hz
+    if not np.all(np.abs(freqs - hz) <= 1e-12 * hz):
+        raise ValueError("spectrum file: frequencies_hz disagree with eigenvalues_rad2_per_s2")
+    return spectrum
 
 
 def save_spectrum(spectrum: ModeSpectrum, path: str | Path) -> None:
@@ -284,8 +255,8 @@ def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> 
     The sidecar defaults to <path>.meta.json and is optional. It is a JSON
     object whose keys are all optional: `n_ions` (positive integer),
     `theta_r_deg` (beam crossing angle, in (0, 180)) and `theta_r_rel_err`
-    (relative error of that angle, in [0, 1)). A value of the wrong type or
-    out of range raises ValueError.
+    (relative error of that angle, in [0, 1)). An unknown key or a value of
+    the wrong type raises ConfigError; a value out of range, ValueError.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].split(",")[:3] != ["mu_hz", "p_up", "sigma"]:
@@ -298,29 +269,13 @@ def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> 
         metadata_path = candidate if candidate.exists() else None
     meta = FitMetadata()
     if metadata_path is not None:
-        doc = json.loads(Path(metadata_path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError(f"{metadata_path}: expected a JSON object")
-        n_ions = doc.get("n_ions")
-        if n_ions is not None and not _is_count(n_ions):
-            raise ValueError(f"{metadata_path}: n_ions must be a positive integer, got {n_ions!r}")
-        theta_deg = _sidecar_number(
-            doc, "theta_r_deg", metadata_path, lambda v: 0.0 < v < 180.0, "in (0, 180)"
-        )
+        doc = _document(json.loads(Path(metadata_path).read_text(encoding="utf-8")), "sidecar")
+        _reject_unknown(doc, "sidecar", {"n_ions", "theta_r_deg", "theta_r_rel_err"})
+        theta_deg = _expect(doc, "sidecar", "theta_r_deg", float, required=False)
         meta = FitMetadata(
-            n_ions=n_ions,
+            n_ions=_expect(doc, "sidecar", "n_ions", int, required=False),
             theta_r=None if theta_deg is None else math.radians(theta_deg),
-            theta_r_rel_err=_sidecar_number(
-                doc, "theta_r_rel_err", metadata_path, lambda v: 0.0 <= v < 1.0, "in [0, 1)"
-            ),
+            theta_r_rel_err=_expect(doc, "sidecar", "theta_r_rel_err", float, required=False),
         )
     return ObservedSpectrum(mu_hz=arr[:, 0], p_up=arr[:, 1], sigma=arr[:, 2], metadata=meta)
 
-
-def _sidecar_number(doc: dict, key: str, path, in_range, span: str) -> float | None:
-    value = doc.get(key)
-    if value is None:
-        return None
-    if not _is_number(value) or not in_range(value):
-        raise ValueError(f"{path}: {key} must be a finite number {span}, got {value!r}")
-    return float(value)

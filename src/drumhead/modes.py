@@ -23,9 +23,6 @@ from .crystal import CrystalLattice, z_stiffness
 from .errors import EquilibriumNotConverged, NonPlanarLatticeError
 from .trap import TWO_PI, TrapParams
 
-_DEGENERACY_RTOL = 1e-10
-_SIGNIFICANT = 1e-8
-
 
 @dataclass(frozen=True)
 class StiffnessMatrix:
@@ -52,23 +49,24 @@ class ModeSpectrum:
 
     b[:, m] is the displacement pattern of mode m, normalized so both
     sum_j b_jm^2 = 1 and sum_m b_jm^2 = 1. `eigenvalues` keeps the raw
-    (possibly negative) squared frequencies; `unstable_modes` lists indices
-    with eigenvalue < 0, for which omega is reported as 0.
+    (possibly negative) squared frequencies; `omega` = sqrt(max(eigenvalue, 0))
+    and `unstable_modes`, the indices with eigenvalue < 0, are derived from them.
     """
 
-    omega: np.ndarray
+    eigenvalues: np.ndarray
     b: np.ndarray
     mass: float
-    eigenvalues: np.ndarray
-    unstable_modes: tuple[int, ...] = ()
-    degenerate_clusters: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     source_lattice_hash: str | None = None
+    omega: np.ndarray = field(init=False)
+    unstable_modes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        for name in ("omega", "b", "eigenvalues", "degenerate_clusters"):
-            arr = np.asarray(getattr(self, name))
+        evals = np.asarray(self.eigenvalues, dtype=float)
+        omega = np.sqrt(np.clip(evals, 0.0, None))
+        for name, arr in (("eigenvalues", evals), ("b", np.asarray(self.b)), ("omega", omega)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "unstable_modes", tuple(int(m) for m in np.flatnonzero(evals < 0.0)))
 
     @property
     def n_modes(self) -> int:
@@ -105,19 +103,11 @@ def transverse_stiffness(lattice: CrystalLattice, params: TrapParams | None = No
     )
 
 
-def frequencies_from_eigenvalues(eigenvalues: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Angular frequencies sqrt(max(eigenvalue, 0)) and the indices of negative eigenvalues."""
-    evals = np.asarray(eigenvalues, dtype=float)
-    return np.sqrt(np.clip(evals, 0.0, None)), tuple(int(m) for m in np.flatnonzero(evals < 0.0))
-
-
 def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
     """Eigenmodes of a stiffness matrix, sorted by descending frequency.
 
     Sign convention: the largest-magnitude component of each eigenvector is
-    positive. Numerically degenerate clusters (relative eigenvalue gap below
-    1e-10) share a cluster label and are ordered internally by their rounded
-    component vectors, so outputs are reproducible and diffable.
+    positive.
     """
     k = np.asarray(stiffness.entries, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -136,28 +126,10 @@ def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
         if col[np.argmax(np.abs(col))] < 0.0:
             evecs[:, m] = -col
 
-    # degeneracy clusters and deterministic intra-cluster order
-    n = len(evals)
-    clusters = np.zeros(n, dtype=int)
-    scale = max(np.max(np.abs(evals)), 1e-300)
-    for m in range(1, n):
-        same = abs(evals[m] - evals[m - 1]) <= _DEGENERACY_RTOL * scale
-        clusters[m] = clusters[m - 1] if same else clusters[m - 1] + 1
-    for label in np.unique(clusters):
-        members = np.flatnonzero(clusters == label)
-        if len(members) > 1:
-            keys = [tuple(np.round(evecs[:, m], 10)) for m in members]
-            order = sorted(range(len(members)), key=keys.__getitem__)
-            evecs[:, members] = evecs[:, members][:, order]
-
-    omega, unstable = frequencies_from_eigenvalues(evals)
     return ModeSpectrum(
-        omega=omega,
+        eigenvalues=evals,
         b=evecs,
         mass=stiffness.mass,
-        eigenvalues=evals,
-        unstable_modes=unstable,
-        degenerate_clusters=clusters,
         source_lattice_hash=stiffness.source_lattice_hash,
     )
 

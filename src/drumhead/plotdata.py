@@ -18,7 +18,8 @@ _KINDS = {
 
 
 def detect_kind(path: str | Path) -> str:
-    header = Path(path).read_text(encoding="utf-8").splitlines()[0].split(",")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",") if lines else []
     kind = _KINDS.get(tuple(header[:2]))
     if kind is None:
         raise ValueError(f"{path}: unrecognized table header {header[:2]}")

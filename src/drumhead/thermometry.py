@@ -57,6 +57,14 @@ class FitMetadata:
     theta_r: float | None = None       # beam crossing angle, rad
     theta_r_rel_err: float | None = None
 
+    def __post_init__(self):
+        if self.n_ions is not None and self.n_ions < 1:
+            raise ValueError(f"n_ions must be a positive integer, got {self.n_ions!r}")
+        if self.theta_r is not None and not 0.0 < self.theta_r < math.pi:
+            raise ValueError(f"theta_r must be in (0, 180) degrees, got {math.degrees(self.theta_r)!r}")
+        if self.theta_r_rel_err is not None and not 0.0 <= self.theta_r_rel_err < 1.0:
+            raise ValueError(f"theta_r_rel_err must be in [0, 1), got {self.theta_r_rel_err!r}")
+
 
 @dataclass(frozen=True)
 class ObservedSpectrum:

@@ -24,7 +24,10 @@ def radial_confinement(omega_1: float, omega_c: float, omega_r: float) -> float:
     """
     if omega_1 <= 0.0:
         raise TrapParameterError("axial frequency must be positive")
-    value = omega_r * (omega_c - omega_r) / omega_1**2 - 0.5
+    try:
+        value = omega_r * (omega_c - omega_r) / omega_1**2 - 0.5
+    except OverflowError as exc:  # omega_1**2 beyond the float range
+        raise TrapParameterError(f"axial frequency {omega_1:.6g} rad/s is out of range") from exc
     if value <= 0.0:
         raise NoRadialConfinementError(
             f"beta = {value:.6g} <= 0: rotation at {omega_r / TWO_PI:.6g} Hz "
@@ -53,6 +56,8 @@ class TrapParams:
     charge: float = ELEMENTARY_CHARGE
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise TrapParameterError("trap parameters must be finite")
         if self.omega_1 <= 0.0 or self.omega_c <= 0.0:
             raise TrapParameterError("omega_1 and omega_c must be positive")
         if not 0.0 < self.omega_r < self.omega_c:

@@ -213,7 +213,7 @@ def test_criterion_09_displacement_oracle(check):
         n = int(rng.integers(2, 6))
         omegas = TWO_PI * rng.uniform(3e5, 9e5, size=n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        spectrum = ModeSpectrum(omega=omegas, b=q, mass=9.012 * 1.66054e-27, eigenvalues=omegas**2)
+        spectrum = ModeSpectrum(b=q, mass=9.012 * 1.66054e-27, eigenvalues=omegas**2)
         tau = float(rng.uniform(5e-5, 5e-4))
         t_pi = float(rng.uniform(0.0, 1e-4))
         phi = float(rng.uniform(0.0, TWO_PI))

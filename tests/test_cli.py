@@ -27,7 +27,7 @@ from drumhead.cli import (
     EXIT_OK,
     main,
 )
-from conftest import paper_trap
+from conftest import paper_trap, spectrum_cached
 
 
 def write_config(path, **overrides):
@@ -175,18 +175,27 @@ class TestLatticeFile:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: {**doc, "planar": "false"}, "planar must be true or false"),
-            (lambda doc: {**doc, "converged": "yes"}, "converged must be true or false"),
-            (lambda doc: {**doc, "n_ions": 20}, "positions_m must be 20 finite"),
+            (lambda doc: {**doc, "planar": "false"}, "lattice.planar: expected a boolean"),
+            (lambda doc: {**doc, "converged": "yes"}, "lattice.converged: expected a boolean"),
+            (lambda doc: {**doc, "n_ions": 20},
+             "lattice.positions_m: expected finite numbers in shape (20, 3)"),
             (lambda doc: {**doc, "positions_m": doc["positions_m"][:1] + doc["positions_m"][:18]},
              "two ions share a position"),
-            (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "params object"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "params"},
+             "lattice.params: missing required field"),
             (lambda doc: [1, 2], "JSON object"),
             (lambda doc: {**doc, "positions_m": [[float("nan"), 0.0, 0.0]] + doc["positions_m"][1:]},
-             "positions_m must be 19 finite"),
+             "lattice.positions_m: expected finite numbers in shape (19, 3)"),
+            (lambda doc: {**doc, "positions_m": [doc["positions_m"][0][:2] + [1e-9]] + doc["positions_m"][1:]},
+             "planar is true, but an ion lies off z = 0"),
+            (lambda doc: {**doc, "residual_force_max_N": 1e-6},
+             "converged is true, but residual_force_max_N 1e-06 exceeds 1e-14 N"),
+            (lambda doc: {**doc, "residual_force_max_N": float("nan")},
+             "lattice.residual_force_max_N: expected a finite number"),
         ],
         ids=["planar_string", "converged_string", "count_mismatch", "coincident", "no_params",
-             "not_object", "nan_position"],
+             "not_object", "nan_position", "planar_off_plane", "converged_large_residual",
+             "nan_residual"],
     )
     def test_malformed_lattice_is_config_error(self, lattice_doc, tmp_path, capsys, edit, message):
         lattice_path = tmp_path / "lattice.json"
@@ -234,6 +243,22 @@ class TestSpectrumSimulate:
         header = trace_path.read_text().split("\n")[0]
         assert header == "mu_over_2pi_hz,p_up_mean,p_up_ion_0,p_up_ion_1"
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("trap", "axial_com_hz", float("nan")), ("drive", "force_n", float("nan")),
+         ("thermal", "nbar_uniform", float("inf"))],
+    )
+    def test_nonfinite_config_number_is_config_error(self, fit_inputs, tmp_path, capsys,
+                                                     section, key, value):
+        config = tmp_path / "run.json"
+        doc = write_config(config)
+        doc[section][key] = value
+        config.write_text(json.dumps(doc))
+        assert run("spectrum", "simulate", "--config", config, "--spectrum", fit_inputs[1],
+                   "--out", tmp_path / "t.csv") == EXIT_CONFIG
+        assert f"{section}.{key}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_sections_rejected(self, tmp_path):
         config = tmp_path / "nodrive.json"
         doc = write_config(config)
@@ -241,6 +266,49 @@ class TestSpectrumSimulate:
         config.write_text(json.dumps(doc))
         assert run("spectrum", "simulate", "--config", config, "--spectrum", tmp_path / "s.json",
                    "--out", tmp_path / "t.csv") == EXIT_CONFIG
+
+
+class TestSpectrumFile:
+    """spectrum simulate refuses a malformed spectrum file with exit 2."""
+
+    @pytest.fixture(scope="class")
+    def spectrum_doc(self):
+        return json.loads(iof.spectrum_to_json(spectrum_cached(7, 44.7e3)))
+
+    def simulate(self, tmp_path, doc):
+        config, spec_path = tmp_path / "run.json", tmp_path / "s.json"
+        write_config(config, n_ions=7)
+        spec_path.write_text(json.dumps(doc))
+        return run("spectrum", "simulate", "--config", config, "--spectrum", spec_path,
+                   "--out", tmp_path / "t.csv")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "mass_kg"},
+             "spectrum.mass_kg: missing required field"),
+            (lambda doc: [1, 2], "JSON object"),
+            (lambda doc: {**doc, "eigenvectors_row_major":
+                          [[float("nan")] + doc["eigenvectors_row_major"][0][1:]]
+                          + doc["eigenvectors_row_major"][1:]},
+             "spectrum.eigenvectors_row_major: expected finite numbers in shape (7, 7)"),
+            (lambda doc: {**doc, "eigenvectors_row_major": doc["eigenvectors_row_major"][:3]},
+             "spectrum.eigenvectors_row_major: expected finite numbers in shape (7, 7)"),
+            (lambda doc: {**doc, "eigenvectors_row_major":
+                          [[True] + doc["eigenvectors_row_major"][0][1:]]
+                          + doc["eigenvectors_row_major"][1:]},
+             "spectrum.eigenvectors_row_major: expected finite numbers in shape (7, 7)"),
+        ],
+        ids=["no_mass", "not_object", "nan_eigenvector", "three_rows", "boolean_eigenvector"],
+    )
+    def test_malformed_spectrum_is_config_error(self, spectrum_doc, tmp_path, capsys, edit, message):
+        assert self.simulate(tmp_path, edit(spectrum_doc)) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_extra_keys_are_ignored(self, spectrum_doc, tmp_path):
+        # a file written before degenerate_clusters was dropped still loads
+        assert self.simulate(tmp_path, {**spectrum_doc, "degenerate_clusters": list(range(7))}) == EXIT_OK
 
 
 class TestFitTemperature:
@@ -389,8 +457,10 @@ class TestSidecar:
             {"theta_r_deg": 4.8, "theta_r_rel_err": "0.05"},
             {"theta_r_deg": 4.8, "theta_r_rel_err": -3},
             [1, 2],
+            {"theta_r_degs": 4.8, "theta_r_rel_err": 0.05},
         ],
-        ids=["theta_string", "theta_zero", "theta_nan", "err_string", "err_negative", "not_object"],
+        ids=["theta_string", "theta_zero", "theta_nan", "err_string", "err_negative", "not_object",
+             "unknown_key"],
     )
     def test_malformed_sidecar_is_config_error(self, fit_inputs, tmp_path, sidecar):
         assert self.fit_with_sidecar(fit_inputs, tmp_path, sidecar) == EXIT_CONFIG
@@ -457,6 +527,11 @@ class TestPlot:
         assert run("plot", "--in", trace, "--out", tmp_path / "p.csv", "--svg", svg) == EXIT_OK
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_empty_file_rejected(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run("plot", "--in", empty, "--out", tmp_path / "out.csv") == EXIT_CONFIG
 
     def test_unknown_table_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

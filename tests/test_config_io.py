@@ -1,12 +1,17 @@
+import copy
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drumhead import (
     ConfigError,
     DriveConfig,
+    DrumheadError,
     Ramsey,
     SpinEcho,
     ThermalState,
@@ -168,6 +173,12 @@ class TestSpectrumFiles:
         from_file = sweep_spectrum(drive, loaded, thermal, grid)  # loaded: the N = 190 file
         assert np.array_equal(from_file.p_up_mean, in_memory.p_up_mean)
 
+    def test_null_lattice_hash_round_trips(self):
+        # a spectrum diagonalized without a lattice carries no hash; the file says null
+        spectrum = dataclasses.replace(spectrum_cached(7), source_lattice_hash=None)
+        assert '"source_lattice_hash": null' in iof.spectrum_to_json(spectrum)
+        assert iof.spectrum_from_json(iof.spectrum_to_json(spectrum)).source_lattice_hash is None
+
     def test_inconsistent_frequencies_rejected(self, tmp_path):
         doc = json.loads(iof.spectrum_to_json(spectrum_cached(7)))
         doc["frequencies_hz"][3] *= 1.0 + 1e-9
@@ -269,3 +280,103 @@ class TestAtomicWrites:
         iof.atomic_write_text(path, "one\n")
         iof.atomic_write_text(path, "two\n")
         assert path.read_text() == "two\n"
+
+
+# ---------------------------------------------------------------------------
+# damaged documents: every reader either reads a document or refuses it with
+# an error the command line maps to exit 2 (ConfigError, ValueError or another
+# DrumheadError), never with KeyError, TypeError or IndexError (exit 1)
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _slots(node, path=()):
+    """(path, value) of every value in a JSON document, the root included."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _slots(child, path + (key,))
+
+
+@st.composite
+def damaged(draw, valid):
+    """`valid` with one to three values deleted, swapped for junk, or (lists) truncated."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        path, value = draw(st.sampled_from(list(_slots(doc))))
+        action = draw(st.sampled_from(["delete", "swap", "truncate"]))
+        if not path:
+            doc = draw(JSON_JUNK) if action == "swap" else doc
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "swap":
+            parent[path[-1]] = draw(JSON_JUNK)
+        elif isinstance(value, list):
+            parent[path[-1]] = value[: draw(st.integers(0, max(len(value) - 1, 0)))]
+    return doc
+
+
+def config_7():
+    doc = sample_config_dict()
+    del doc["drive"]["force_n"]
+    doc.update(n_ions=7, thermal={"nbar_per_mode": [60.0] + [5.0] * 6})
+    doc["drive"]["force_n_per_ion"] = [1.5e-23] * 7
+    return doc
+
+
+def read_or_refuse(read, doc):
+    try:
+        read(doc)
+    except (ValueError, DrumheadError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def observed_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sidecar") / "data.csv"
+    iof.save_observed(ObservedSpectrum(mu_hz=np.array([1e5, 2e5]), p_up=np.array([0.1, 0.2]),
+                                       sigma=np.array([0.01, 0.01])), path)
+    return path
+
+
+class TestDamagedDocuments:
+    def test_valid_documents_read(self, observed_path):
+        assert from_dict(config_7()).n_ions == 7
+        assert iof.lattice_from_json(iof.lattice_to_json(solve_cached(7))).n_ions == 7
+        assert iof.spectrum_from_json(iof.spectrum_to_json(spectrum_cached(7))).n_modes == 7
+        meta = observed_path.with_name("data.csv.meta.json")
+        meta.write_text(json.dumps({"n_ions": 7, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}))
+        assert iof.load_observed(observed_path).metadata.n_ions == 7
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None)
+    def test_config(self, data):
+        read_or_refuse(from_dict, data.draw(damaged(config_7())))
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None)
+    def test_lattice(self, data):
+        valid = json.loads(iof.lattice_to_json(solve_cached(7)))
+        read_or_refuse(lambda doc: iof.lattice_from_json(json.dumps(doc)), data.draw(damaged(valid)))
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None)
+    def test_spectrum(self, data):
+        valid = json.loads(iof.spectrum_to_json(spectrum_cached(7)))
+        read_or_refuse(lambda doc: iof.spectrum_from_json(json.dumps(doc)), data.draw(damaged(valid)))
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None)
+    def test_sidecar(self, observed_path, data):
+        meta = observed_path.with_name("data.csv.meta.json")
+        valid = {"n_ions": 7, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}
+        meta.write_text(json.dumps(data.draw(damaged(valid))))
+        read_or_refuse(lambda _: iof.load_observed(observed_path), None)

@@ -31,12 +31,11 @@ def synthetic_spectrum(omegas, b=None, mass=BE9_ION_MASS) -> ModeSpectrum:
     n = len(omegas)
     if b is None:
         b = np.eye(n)
-    return ModeSpectrum(omega=omegas, b=np.asarray(b, float), mass=mass, eigenvalues=omegas**2)
+    return ModeSpectrum(b=np.asarray(b, float), mass=mass, eigenvalues=omegas**2)
 
 
 def com_only_spectrum(n_ions, omega=TWO_PI * 795e3) -> ModeSpectrum:
     return ModeSpectrum(
-        omega=np.array([omega]),
         b=np.full((n_ions, 1), 1.0 / np.sqrt(n_ions)),
         mass=BE9_ION_MASS,
         eigenvalues=np.array([omega**2]),

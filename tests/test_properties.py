@@ -177,7 +177,7 @@ def test_alpha_linear_in_force(scale, detune_cycles, tau):
 def _two_mode_spectrum():
     omegas = TWO_PI * np.array([795e3, 760e3])
     b = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    return ModeSpectrum(omega=omegas, b=b, mass=BE9_ION_MASS, eigenvalues=omegas**2)
+    return ModeSpectrum(b=b, mass=BE9_ION_MASS, eigenvalues=omegas**2)
 
 
 @given(
@@ -226,7 +226,7 @@ def test_echo_null_at_integer_loops(loops, tau, t_pi):
 def test_histogram_counts_sum(freqs, width):
     omegas = TWO_PI * np.sort(np.array(freqs))[::-1]
     n = len(omegas)
-    spectrum = ModeSpectrum(omega=omegas, b=np.eye(n), mass=BE9_ION_MASS, eigenvalues=omegas**2)
+    spectrum = ModeSpectrum(b=np.eye(n), mass=BE9_ION_MASS, eigenvalues=omegas**2)
     hist = mode_histogram(spectrum, width)
     assert hist.counts.sum() == n
     assert np.all(hist.counts >= 0)
