@@ -1,11 +1,13 @@
 """File persistence: JSON documents and CSV tables, written atomically.
 
-Floats are serialized with shortest-round-trip repr so files are exact and
-byte-identical across runs.
+Floats are serialized with shortest-round-trip repr, and the spectrum's
+eigenvector matrix as the base64 of its little-endian float64 bytes, so
+files are exact and byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -16,7 +18,7 @@ import numpy as np
 from .config import _document, _expect, _reject_unknown
 from .crystal import FORCE_TOL, CrystalLattice, pair_separations
 from .dynamics import SpectrumTrace, Trajectory
-from .errors import CoincidentIonsError
+from .errors import CoincidentIonsError, ConfigError
 from .modes import ModeHistogram, ModeSpectrum
 from .thermometry import FitMetadata, FitResult, ObservedSpectrum
 from .trap import TrapParams
@@ -112,12 +114,17 @@ def lattice_to_csv(lattice: CrystalLattice) -> str:
 # mode spectrum and histogram
 
 
+# the largest |B^T B - I| entry a spectrum file may carry
+ORTHONORMALITY_TOL = 1e-10
+
+
 def spectrum_to_json(spectrum: ModeSpectrum) -> str:
+    block = np.ascontiguousarray(spectrum.b, dtype="<f8").tobytes()
     return _dump_json(
         {
             "frequencies_hz": spectrum.frequencies_hz.tolist(),
             "eigenvalues_rad2_per_s2": spectrum.eigenvalues.tolist(),
-            "eigenvectors_row_major": spectrum.b.tolist(),
+            "eigenvectors_f64le_b64": base64.b64encode(block).decode("ascii"),
             "mass_kg": spectrum.mass,
             "unstable_modes": list(spectrum.unstable_modes),
             "source_lattice_hash": spectrum.source_lattice_hash,
@@ -125,20 +132,43 @@ def spectrum_to_json(spectrum: ModeSpectrum) -> str:
     )
 
 
+def _eigenvector_block(doc: dict, n: int) -> np.ndarray:
+    """The (n, n) matrix in `eigenvectors_f64le_b64`: finite, with orthonormal columns."""
+    path, text = "spectrum.eigenvectors_f64le_b64", _expect(doc, "spectrum", "eigenvectors_f64le_b64", str)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ConfigError(path, f"not base64 ({exc})") from exc
+    if len(raw) != 8 * n * n:
+        raise ConfigError(path, f"expected {8 * n * n} bytes ({n} x {n} float64), got {len(raw)}")
+    b = np.frombuffer(raw, dtype="<f8").reshape(n, n)
+    if not np.all(np.isfinite(b)):
+        raise ConfigError(path, "expected finite numbers")
+    residual = np.abs(b.T @ b - np.eye(n)).max(initial=0.0)
+    if residual > ORTHONORMALITY_TOL:
+        raise ConfigError(path, f"columns are not orthonormal (max |B^T B - I| = {residual:.3g})")
+    return b
+
+
 def spectrum_from_json(text: str) -> ModeSpectrum:
     """Rebuild a spectrum exactly: omega comes from the stored eigenvalues.
 
-    The arrays must be finite with n eigenvalues, n x n eigenvectors and n
-    frequencies (ConfigError); other keys are ignored. `frequencies_hz` is
-    derived data; a file whose values disagree with the eigenvalues by more
-    than 1e-12 relative is refused with ValueError.
+    The file needs n finite, non-increasing eigenvalues (index 0 = COM), the
+    n x n eigenvector block with orthonormal columns (within
+    `ORTHONORMALITY_TOL`), n finite frequencies and the mass; a violation
+    raises ConfigError. Other keys are ignored, so a file from before the
+    block, with the eigenvectors as a nested list, is refused as missing it.
+    `frequencies_hz` is derived data; a file whose values disagree with the
+    eigenvalues by more than 1e-12 relative is refused with ValueError.
     """
     doc = _document(json.loads(text), "spectrum")
     eigenvalues = _expect(doc, "spectrum", "eigenvalues_rad2_per_s2", (None,))
+    if np.any(np.diff(eigenvalues) > 0.0):
+        raise ConfigError("spectrum.eigenvalues_rad2_per_s2", "expected non-increasing values")
     n = len(eigenvalues)
     spectrum = ModeSpectrum(
         eigenvalues=eigenvalues,
-        b=_expect(doc, "spectrum", "eigenvectors_row_major", (n, n)),
+        b=_eigenvector_block(doc, n),
         mass=_expect(doc, "spectrum", "mass_kg", float),
         source_lattice_hash=_expect(doc, "spectrum", "source_lattice_hash", str, required=False),
     )
@@ -188,24 +218,34 @@ def save_trace(trace: SpectrumTrace, path: str | Path) -> None:
     atomic_write_text(path, trace_to_csv(trace))
 
 
-def load_trace(path: str | Path) -> SpectrumTrace:
-    mu, p_up, per_ion = [], [], []
+def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[list[str], np.ndarray]:
+    """Header and float cells of a CSV table whose header starts with `columns`.
+
+    Blank lines are skipped. A missing or other header raises
+    ValueError("<path>: <complaint>"), and so does a data row whose cell count
+    differs from the header's, naming its line.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    if header[:2] != ["mu_over_2pi_hz", "p_up_mean"]:
-        raise ValueError(f"{path}: not a spectrum trace file")
-    for line in lines[1:]:
+    header = lines[0].split(",") if lines else []
+    if header[: len(columns)] != columns:
+        raise ValueError(f"{path}: {complaint}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        cells = [float(c) for c in line.split(",")]
-        mu.append(cells[0])
-        p_up.append(cells[1])
-        if len(cells) > 2:
-            per_ion.append(cells[2:])
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {number}: expected {len(header)} cells, got {len(cells)}")
+        rows.append([float(c) for c in cells])
+    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def load_trace(path: str | Path) -> SpectrumTrace:
+    header, table = _read_table(path, ["mu_over_2pi_hz", "p_up_mean"], "not a spectrum trace file")
     return SpectrumTrace(
-        mu_over_2pi=np.asarray(mu),
-        p_up_mean=np.asarray(p_up),
-        p_up_per_ion=np.asarray(per_ion).T if per_ion else None,
+        mu_over_2pi=table[:, 0],
+        p_up_mean=table[:, 1],
+        p_up_per_ion=table[:, 2:].T if len(header) > 2 else None,
     )
 
 
@@ -252,17 +292,16 @@ def save_observed(data: ObservedSpectrum, path: str | Path) -> None:
 def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> ObservedSpectrum:
     """Read (mu_hz, p_up, sigma) rows; metadata comes from a JSON sidecar.
 
+    Every data row needs one cell per header column; a row of another length
+    raises ValueError naming its line.
+
     The sidecar defaults to <path>.meta.json and is optional. It is a JSON
     object whose keys are all optional: `n_ions` (positive integer),
     `theta_r_deg` (beam crossing angle, in (0, 180)) and `theta_r_rel_err`
     (relative error of that angle, in [0, 1)). An unknown key or a value of
     the wrong type raises ConfigError; a value out of range, ValueError.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split(",")[:3] != ["mu_hz", "p_up", "sigma"]:
-        raise ValueError(f"{path}: expected header mu_hz,p_up,sigma")
-    table = [[float(c) for c in line.split(",")] for line in lines[1:] if line.strip()]
-    arr = np.asarray(table, dtype=float).reshape(-1, 3)
+    _, arr = _read_table(path, ["mu_hz", "p_up", "sigma"], "expected header mu_hz,p_up,sigma")
 
     if metadata_path is None:
         candidate = Path(str(path) + ".meta.json")

@@ -20,7 +20,8 @@ def radial_confinement(omega_1: float, omega_c: float, omega_r: float) -> float:
 
     All arguments are angular frequencies (rad/s). Raises
     NoRadialConfinementError when the result is <= 0, in which case no
-    planar crystal exists at this rotation frequency.
+    planar crystal exists at this rotation frequency, and TrapParameterError
+    when it is not a finite number.
     """
     if omega_1 <= 0.0:
         raise TrapParameterError("axial frequency must be positive")
@@ -28,6 +29,10 @@ def radial_confinement(omega_1: float, omega_c: float, omega_r: float) -> float:
         value = omega_r * (omega_c - omega_r) / omega_1**2 - 0.5
     except OverflowError as exc:  # omega_1**2 beyond the float range
         raise TrapParameterError(f"axial frequency {omega_1:.6g} rad/s is out of range") from exc
+    if not math.isfinite(value):  # omega_r (omega_c - omega_r) beyond the float range
+        raise TrapParameterError(
+            f"beta = {value} is not finite: rotation or cyclotron frequency out of range"
+        )
     if value <= 0.0:
         raise NoRadialConfinementError(
             f"beta = {value:.6g} <= 0: rotation at {omega_r / TWO_PI:.6g} Hz "

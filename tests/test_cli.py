@@ -1,5 +1,6 @@
 """End-to-end pipeline through the command-line interface."""
 
+import base64
 import json
 import os
 import subprocess
@@ -97,6 +98,14 @@ class TestCrystalSolve:
         config = tmp_path / "bad.json"
         write_config(config, trap={"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": 5e3})
         assert run("crystal", "solve", "--config", config, "--out", tmp_path / "x.json") == EXIT_CONFIG
+
+    def test_infinite_beta_is_trap_error(self, tmp_path, capsys):
+        # omega_r (Omega_c - omega_r) overflows, so beta is inf
+        config = tmp_path / "huge.json"
+        write_config(config, trap={"axial_com_hz": 795e3, "cyclotron_hz": 1e300, "rotation_hz": 1e150})
+        assert run("crystal", "solve", "--config", config, "--out", tmp_path / "x.json") == EXIT_CONFIG
+        assert "trap: beta = inf is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_csv_side_output(self, workspace):
         tmp, config = workspace
@@ -268,6 +277,30 @@ class TestSpectrumSimulate:
                    "--out", tmp_path / "t.csv") == EXIT_CONFIG
 
 
+def eigenvector_block(b):
+    """The file form of an eigenvector matrix: base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(b, dtype="<f8").tobytes()).decode("ascii")
+
+
+def with_eigenvectors(doc, edit):
+    """`doc` with its eigenvector block decoded, passed through `edit` and encoded again."""
+    n = len(doc["eigenvalues_rad2_per_s2"])
+    b = np.frombuffer(base64.b64decode(doc["eigenvectors_f64le_b64"]), dtype="<f8").reshape(n, n)
+    return {**doc, "eigenvectors_f64le_b64": eigenvector_block(edit(b.copy()))}
+
+
+def scale_column(b, m, factor):
+    b[:, m] *= factor
+    return b
+
+
+def reorder_modes(doc, order):
+    """`doc` with its modes listed in `order`: eigenvalues, frequencies and columns alike."""
+    doc = with_eigenvectors(doc, lambda b: b[:, order])
+    return {**doc, **{key: [doc[key][m] for m in order]
+                      for key in ("eigenvalues_rad2_per_s2", "frequencies_hz")}}
+
+
 class TestSpectrumFile:
     """spectrum simulate refuses a malformed spectrum file with exit 2."""
 
@@ -288,18 +321,24 @@ class TestSpectrumFile:
             (lambda doc: {k: v for k, v in doc.items() if k != "mass_kg"},
              "spectrum.mass_kg: missing required field"),
             (lambda doc: [1, 2], "JSON object"),
-            (lambda doc: {**doc, "eigenvectors_row_major":
-                          [[float("nan")] + doc["eigenvectors_row_major"][0][1:]]
-                          + doc["eigenvectors_row_major"][1:]},
-             "spectrum.eigenvectors_row_major: expected finite numbers in shape (7, 7)"),
-            (lambda doc: {**doc, "eigenvectors_row_major": doc["eigenvectors_row_major"][:3]},
-             "spectrum.eigenvectors_row_major: expected finite numbers in shape (7, 7)"),
-            (lambda doc: {**doc, "eigenvectors_row_major":
-                          [[True] + doc["eigenvectors_row_major"][0][1:]]
-                          + doc["eigenvectors_row_major"][1:]},
-             "spectrum.eigenvectors_row_major: expected finite numbers in shape (7, 7)"),
+            (lambda doc: with_eigenvectors(doc, lambda b: scale_column(b, 0, np.nan)),
+             "spectrum.eigenvectors_f64le_b64: expected finite numbers"),
+            (lambda doc: with_eigenvectors(doc, lambda b: b[:3]),
+             "spectrum.eigenvectors_f64le_b64: expected 392 bytes (7 x 7 float64), got 168"),
+            (lambda doc: {**doc, "eigenvectors_f64le_b64": True},
+             "spectrum.eigenvectors_f64le_b64: expected a string"),
+            (lambda doc: {**doc, "eigenvectors_f64le_b64": "not base64!"},
+             "spectrum.eigenvectors_f64le_b64: not base64"),
+            (lambda doc: {**{k: v for k, v in doc.items() if k != "eigenvectors_f64le_b64"},
+                          "eigenvectors_row_major": np.eye(7).tolist()},
+             "spectrum.eigenvectors_f64le_b64: missing required field"),
+            (lambda doc: with_eigenvectors(doc, lambda b: scale_column(b, 2, 1.001)),
+             "spectrum.eigenvectors_f64le_b64: columns are not orthonormal"),
+            (lambda doc: reorder_modes(doc, [1, 0, 2, 3, 4, 5, 6]),
+             "spectrum.eigenvalues_rad2_per_s2: expected non-increasing values"),
         ],
-        ids=["no_mass", "not_object", "nan_eigenvector", "three_rows", "boolean_eigenvector"],
+        ids=["no_mass", "not_object", "nan_eigenvector", "three_rows", "boolean_eigenvector",
+             "not_base64", "old_nested_list", "not_orthonormal", "swapped_eigenvalues"],
     )
     def test_malformed_spectrum_is_config_error(self, spectrum_doc, tmp_path, capsys, edit, message):
         assert self.simulate(tmp_path, edit(spectrum_doc)) == EXIT_CONFIG
@@ -309,6 +348,11 @@ class TestSpectrumFile:
     def test_extra_keys_are_ignored(self, spectrum_doc, tmp_path):
         # a file written before degenerate_clusters was dropped still loads
         assert self.simulate(tmp_path, {**spectrum_doc, "degenerate_clusters": list(range(7))}) == EXIT_OK
+
+    def test_reencoded_block_is_accepted(self, spectrum_doc, tmp_path):
+        # the test helpers alone change nothing the loader checks
+        assert self.simulate(tmp_path, with_eigenvectors(spectrum_doc, lambda b: b)) == EXIT_OK
+        assert self.simulate(tmp_path, reorder_modes(spectrum_doc, list(range(7)))) == EXIT_OK
 
 
 class TestFitTemperature:
@@ -378,6 +422,19 @@ class TestFitTemperature:
             code = run("fit", "temperature", "--config", config, "--data", data_path,
                        "--spectrum", spec_path, "--out", tmp_path / "f.json")
             assert code == EXIT_CONFIG
+
+    def test_ragged_data_row_is_config_error(self, tmp_path, capsys):
+        # the cells of three short rows must not be regrouped into two points
+        config = tmp_path / "run.json"
+        write_config(config)
+        spec_path = self.make_pipeline(tmp_path, config)
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("mu_hz,p_up,sigma\n790000.0,0.1\n0.02,795000.0\n0.1,0.02\n")
+        code = run("fit", "temperature", "--config", config, "--data", data_path,
+                   "--spectrum", spec_path, "--out", tmp_path / "f.json")
+        assert code == EXIT_CONFIG
+        assert "line 2: expected 3 cells, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
 
     def test_ramsey_background_gamma_estimated_from_data(self, tmp_path):
         # with gamma_per_s = 0 the rate comes from the far-detuned points; a
@@ -539,20 +596,49 @@ class TestPlot:
         assert run("plot", "--in", bad, "--out", tmp_path / "out.csv") == EXIT_CONFIG
 
 
+def run_module(*argv, blas_threads=None):
+    """`python -m drumhead argv` in a child process; returns its stdout."""
+    # the child process finds drumhead where this process imported it from
+    src = str(Path(drumhead.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    proc = subprocess.run([sys.executable, "-m", "drumhead", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestProcessInvocation:
     def test_module_entry_point(self, tmp_path):
         config = tmp_path / "run.json"
         write_config(config, n_ions=1)
         out = tmp_path / "lattice.json"
-        # the child process finds drumhead where this process imported it from
-        src = str(Path(drumhead.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "drumhead", "crystal", "solve",
-             "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert "solved N=1" in run_module("crystal", "solve", "--config", config, "--out", out)
         assert out.exists()
-        assert "solved N=1" in proc.stdout
+
+    def test_output_bytes_under_blas_thread_counts(self, tmp_path):
+        # the README's byte-identity claim at N = 190: one thread count gives the
+        # same bytes through solve, modes and sweep; the lattice is the same
+        # under any thread count (the eigh behind the spectrum is not)
+        config = tmp_path / "run.json"
+        write_config(config, n_ions=190, sweep={"start_hz": 780e3, "stop_hz": 800e3, "step_hz": 100.0})
+
+        def chain(name, threads):
+            out = tmp_path / name
+            out.mkdir()
+            run_module("crystal", "solve", "--config", config, "--out", out / "lattice.json",
+                       blas_threads=threads)
+            run_module("modes", "compute", "--lattice", out / "lattice.json",
+                       "--out", out / "spectrum.json", blas_threads=threads)
+            run_module("spectrum", "simulate", "--config", config, "--spectrum", out / "spectrum.json",
+                       "--out", out / "trace.csv", "--per-ion", blas_threads=threads)
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        first, again = chain("first", 2), chain("again", 2)
+        assert sorted(first) == ["lattice.json", "spectrum.json", "spectrum_histogram.csv", "trace.csv"]
+        assert first == again
+        run_module("crystal", "solve", "--config", config, "--out", tmp_path / "lattice_1.json",
+                   blas_threads=1)
+        assert (tmp_path / "lattice_1.json").read_bytes() == first["lattice.json"]

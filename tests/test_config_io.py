@@ -173,6 +173,13 @@ class TestSpectrumFiles:
         from_file = sweep_spectrum(drive, loaded, thermal, grid)  # loaded: the N = 190 file
         assert np.array_equal(from_file.p_up_mean, in_memory.p_up_mean)
 
+    def test_save_is_deterministic(self, tmp_path, spectrum_190):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        iof.save_spectrum(spectrum_190, first)
+        iof.save_spectrum(spectrum_190, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert "eigenvectors_f64le_b64" in json.loads(first.read_text())
+
     def test_null_lattice_hash_round_trips(self):
         # a spectrum diagonalized without a lattice carries no hash; the file says null
         spectrum = dataclasses.replace(spectrum_cached(7), source_lattice_hash=None)
@@ -223,6 +230,20 @@ class TestTraceFiles:
         iof.save_trace(trace, path)
         assert iof.load_trace(path).mu_over_2pi[0] == np.float64(value)
 
+    @pytest.mark.parametrize("text", ["", "\n", "mu_hz,p_up,sigma\n1.0,0.1,0.02\n"],
+                             ids=["empty", "blank_line", "other_header"])
+    def test_not_a_trace_file(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a spectrum trace file"):
+            iof.load_trace(path)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("mu_over_2pi_hz,p_up_mean,p_up_ion_0\n1.0,0.1,0.1\n2.0,0.2\n")
+        with pytest.raises(ValueError, match="line 3: expected 3 cells, got 2"):
+            iof.load_trace(path)
+
     def test_trajectory_csv(self, tmp_path):
         traj = Trajectory(times=np.array([0.0, 1.0]), alpha=np.array([0.1 + 0.2j, 0.3 - 0.4j]),
                           arm_boundary=1)
@@ -256,6 +277,15 @@ class TestObservedAndFitFiles:
         iof.save_observed(data, path)
         loaded = iof.load_observed(path)
         assert loaded.metadata.theta_r is None
+
+    @pytest.mark.parametrize("rows, line", [("790000.0,0.1\n0.02,795000.0\n0.1,0.02\n", 2),
+                                            ("790000.0,0.1,0.02\n795000.0,0.1,0.02,0.5\n", 3)],
+                             ids=["short_rows", "long_row"])
+    def test_observed_row_length_checked(self, tmp_path, rows, line):
+        path = tmp_path / "data.csv"
+        path.write_text("mu_hz,p_up,sigma\n" + rows)
+        with pytest.raises(ValueError, match=f"line {line}: expected 3 cells"):
+            iof.load_observed(path)
 
     def test_fit_result_json(self, tmp_path):
         result = FitResult(nbar=60.0, nbar_err=7.0, temperature=2.29e-3, temperature_err=2.7e-4,
@@ -347,6 +377,36 @@ def observed_path(tmp_path_factory):
     return path
 
 
+# cells that are numbers, not numbers, or several cells at once
+CSV_JUNK = st.floats().map(repr) | st.text(alphabet="0123456789.e-+naif ,x", max_size=6)
+
+
+@st.composite
+def damaged_csv(draw, valid):
+    """`valid` CSV text with one to three lines or cells deleted, added or swapped, maybe cut short."""
+    rows = [line.split(",") for line in valid.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not rows:
+            break
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        action = draw(st.sampled_from(["delete_line", "delete_cell", "add_cell", "swap_cell"]))
+        if action == "delete_line" or not row:
+            rows.remove(row)
+        elif action == "add_cell":
+            row.insert(draw(st.integers(0, len(row))), draw(CSV_JUNK))
+        elif action == "delete_cell":
+            del row[draw(st.integers(0, len(row) - 1))]
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(CSV_JUNK)
+    text = "".join(",".join(row) + "\n" for row in rows)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")  # holds no sidecar
+
+
 class TestDamagedDocuments:
     def test_valid_documents_read(self, observed_path):
         assert from_dict(config_7()).n_ions == 7
@@ -380,3 +440,18 @@ class TestDamagedDocuments:
         valid = {"n_ions": 7, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}
         meta.write_text(json.dumps(data.draw(damaged(valid))))
         read_or_refuse(lambda _: iof.load_observed(observed_path), None)
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None)
+    def test_observed_rows(self, csv_dir, data):
+        path = csv_dir / "data.csv"
+        path.write_text(data.draw(damaged_csv("mu_hz,p_up,sigma\n790000.0,0.1,0.02\n795000.0,0.2,0.02\n")))
+        read_or_refuse(iof.load_observed, path)
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None)
+    def test_trace(self, csv_dir, data):
+        path = csv_dir / "trace.csv"
+        valid = "mu_over_2pi_hz,p_up_mean,p_up_ion_0,p_up_ion_1\n1.0,0.15,0.1,0.2\n2.0,0.25,0.2,0.3\n"
+        path.write_text(data.draw(damaged_csv(valid)))
+        read_or_refuse(iof.load_trace, path)

@@ -60,8 +60,9 @@ class TestTrapParamsValidation:
         with pytest.raises(TrapParameterError):
             TrapParams.from_hz(795e3, 7.6e6, 43.2e3, delta_wall=-0.001)
 
-    @pytest.mark.parametrize("hz", [(1e200, 7.6e6, 43.2e3), (795e3, 1e308, 43.2e3)],
-                             ids=["axial_squared_overflows", "cyclotron_overflows"])
+    @pytest.mark.parametrize("hz", [(1e200, 7.6e6, 43.2e3), (795e3, 1e308, 43.2e3),
+                                    (795e3, 1e300, 1e150)],
+                             ids=["axial_squared_overflows", "cyclotron_overflows", "beta_overflows"])
     def test_out_of_range_frequencies_rejected(self, hz):
         with pytest.raises(TrapParameterError):
             TrapParams.from_hz(*hz)
