@@ -7,7 +7,7 @@ lineshapes (`thermometry`). All value types are immutable and safe to share
 across threads.
 """
 
-from .config import RunConfig, Seeds, SweepGrid, ThermalSpec, from_dict, load_config, save_config
+from .config import RunConfig, SweepGrid, ThermalSpec, from_dict, load_config
 from .constants import BE9_ION_MASS, COULOMB_K, HBAR, K_B
 from .crystal import (
     CrystalLattice,

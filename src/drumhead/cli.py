@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_crystal_solve(args) -> int:
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.seeds.lattice
+    seed = args.seed if args.seed is not None else config.lattice_seed
     try:
         lattice = solve_equilibrium(config.trap, config.n_ions, seed=seed)
     except EquilibriumNotConverged as exc:
@@ -129,11 +129,12 @@ def _cmd_modes_compute(args) -> int:
     lattice = iof.load_lattice(args.lattice)
     stiffness = transverse_stiffness(lattice)
     spectrum = diagonalize(stiffness)
+    histogram = mode_histogram(spectrum, args.bin_hz)
     iof.save_spectrum(spectrum, args.out)
     hist_path = args.histogram_out
     if hist_path is None:
         hist_path = args.out.with_name(args.out.stem + "_histogram.csv")
-    iof.save_histogram(mode_histogram(spectrum, args.bin_hz), hist_path)
+    iof.save_histogram(histogram, hist_path)
     com_dev = com_mode_deviation(stiffness)
     omega_err = abs(spectrum.omega[0] / lattice.params.omega_1 - 1.0)
     print(

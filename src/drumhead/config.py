@@ -2,8 +2,7 @@
 
 Boundary units are ordinary frequencies (Hz) and otherwise SI (kg, C, N, s);
 everything is converted to internal SI/angular units when the typed
-objects are built. The normalized source dict is kept verbatim so that
-load(save(config)) reproduces the same configuration bit for bit.
+objects are built, and nothing else of the document is kept.
 """
 
 from __future__ import annotations
@@ -98,6 +97,8 @@ class SweepGrid:
             raise ConfigError("sweep.step_hz", "step must be positive")
         if self.stop_hz <= self.start_hz:
             raise ConfigError("sweep.stop_hz", "stop must exceed start")
+        if not math.isfinite((self.stop_hz - self.start_hz) / self.step_hz):
+            raise ConfigError("sweep.step_hz", "the number of sweep points overflows")
 
     def points_hz(self) -> np.ndarray:
         n = int(math.floor((self.stop_hz - self.start_hz) / self.step_hz + 1e-9)) + 1
@@ -137,25 +138,13 @@ class ThermalSpec:
 
 
 @dataclass(frozen=True)
-class Seeds:
-    lattice: int = 0
-
-
-@dataclass
 class RunConfig:
     trap: TrapParams
     n_ions: int
     drive: DriveConfig | None
     thermal: ThermalSpec | None
     sweep: SweepGrid | None
-    seeds: Seeds
-    raw: dict
-
-    def to_dict(self) -> dict:
-        return self.raw
-
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.raw == other.raw
+    lattice_seed: int = 0  # seeds.lattice
 
 
 def _parse_trap(raw: dict) -> TrapParams:
@@ -260,14 +249,11 @@ def from_dict(raw: dict) -> RunConfig:
             stop_hz=_expect(sraw, "sweep", "stop_hz", float),
             step_hz=_expect(sraw, "sweep", "step_hz", float),
         )
-    seeds = Seeds()
-    if "seeds" in raw:
-        sraw = _expect(raw, "$", "seeds", dict)
-        _reject_unknown(sraw, "seeds", {"lattice"})
-        seeds = Seeds(lattice=_expect(sraw, "seeds", "lattice", int, required=False, default=0))
+    seeds = _expect(raw, "$", "seeds", dict, required=False, default={})
+    _reject_unknown(seeds, "seeds", {"lattice"})
     return RunConfig(
-        trap=trap, n_ions=n_ions, drive=drive,
-        thermal=thermal, sweep=sweep, seeds=seeds, raw=raw,
+        trap=trap, n_ions=n_ions, drive=drive, thermal=thermal, sweep=sweep,
+        lattice_seed=_expect(seeds, "seeds", "lattice", int, required=False, default=0),
     )
 
 
@@ -278,9 +264,3 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"$ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
     return from_dict(raw)
-
-
-def save_config(config: RunConfig, path: str | Path) -> None:
-    from .io_formats import atomic_write_text
-
-    atomic_write_text(path, json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -31,7 +31,6 @@ eigendecomposition.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -94,12 +93,6 @@ class CrystalLattice:
     @property
     def n_ions(self) -> int:
         return len(self.positions)
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.positions).tobytes())
-        h.update(repr(sorted(self.params.to_hz_dict().items())).encode())
-        return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,6 @@ class DisplacementField:
     """alpha[j, m]: spin-conditioned displacement of mode m tied to ion j."""
 
     alpha: np.ndarray
-    mu_r: float
-    kind: str  # "single_arm" or "spin_echo"
 
     def __post_init__(self):
         arr = np.asarray(self.alpha, dtype=complex)
@@ -157,7 +155,7 @@ def alpha_single_arm(
         raise ValueError("tau must be positive")
     mu = _require_mu(drive)
     g = _arm_factor(spectrum.omega, mu, tau, phi)
-    return DisplacementField(alpha=_coefficients(drive, spectrum) * g[None, :], mu_r=mu, kind="single_arm")
+    return DisplacementField(alpha=_coefficients(drive, spectrum) * g[None, :])
 
 
 def alpha_spin_echo(drive: DriveConfig, spectrum: ModeSpectrum) -> DisplacementField:
@@ -166,7 +164,7 @@ def alpha_spin_echo(drive: DriveConfig, spectrum: ModeSpectrum) -> DisplacementF
         raise ValueError("alpha_spin_echo requires a SpinEcho sequence")
     mu = _require_mu(drive)
     g = _echo_factor(spectrum.omega, mu, drive.sequence)
-    return DisplacementField(alpha=_coefficients(drive, spectrum) * g[None, :], mu_r=mu, kind="spin_echo")
+    return DisplacementField(alpha=_coefficients(drive, spectrum) * g[None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,6 @@ def spectrum_to_json(spectrum: ModeSpectrum) -> str:
             "eigenvectors_f64le_b64": base64.b64encode(block).decode("ascii"),
             "mass_kg": spectrum.mass,
             "unstable_modes": list(spectrum.unstable_modes),
-            "source_lattice_hash": spectrum.source_lattice_hash,
         }
     )
 
@@ -170,7 +169,6 @@ def spectrum_from_json(text: str) -> ModeSpectrum:
         eigenvalues=eigenvalues,
         b=_eigenvector_block(doc, n),
         mass=_expect(doc, "spectrum", "mass_kg", float),
-        source_lattice_hash=_expect(doc, "spectrum", "source_lattice_hash", str, required=False),
     )
     freqs = _expect(doc, "spectrum", "frequencies_hz", (n,))
     hz = spectrum.frequencies_hz
@@ -237,7 +235,7 @@ def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[l
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {number}: expected {len(header)} cells, got {len(cells)}")
         rows.append([float(c) for c in cells])
-    return header, np.array(rows, dtype=float).reshape(-1, len(header))
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def load_trace(path: str | Path) -> SpectrumTrace:

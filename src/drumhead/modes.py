@@ -14,6 +14,7 @@ mechanically unstable at these parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ class StiffnessMatrix:
     entries: np.ndarray
     omega_1: float
     mass: float
-    source_lattice_hash: str | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -56,7 +56,6 @@ class ModeSpectrum:
     eigenvalues: np.ndarray
     b: np.ndarray
     mass: float
-    source_lattice_hash: str | None = None
     omega: np.ndarray = field(init=False)
     unstable_modes: tuple[int, ...] = field(init=False)
 
@@ -99,7 +98,6 @@ def transverse_stiffness(lattice: CrystalLattice, params: TrapParams | None = No
         entries=z_stiffness(lattice.positions, coupling, params.omega_1**2),
         omega_1=params.omega_1,
         mass=params.mass,
-        source_lattice_hash=lattice.content_hash(),
     )
 
 
@@ -126,12 +124,7 @@ def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
         if col[np.argmax(np.abs(col))] < 0.0:
             evecs[:, m] = -col
 
-    return ModeSpectrum(
-        eigenvalues=evals,
-        b=evecs,
-        mass=stiffness.mass,
-        source_lattice_hash=stiffness.source_lattice_hash,
-    )
+    return ModeSpectrum(eigenvalues=evals, b=evecs, mass=stiffness.mass)
 
 
 @dataclass(frozen=True)
@@ -148,8 +141,8 @@ class ModeHistogram:
 
 def mode_histogram(spectrum: ModeSpectrum, bin_width_hz: float) -> ModeHistogram:
     """Bin the mode density on a fixed grid anchored at 0 Hz."""
-    if bin_width_hz <= 0.0:
-        raise ValueError("bin width must be positive")
+    if not (math.isfinite(bin_width_hz) and bin_width_hz > 0.0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width_hz!r}")
     freqs = spectrum.frequencies_hz
     idx = np.floor(freqs / bin_width_hz).astype(int)
     lo, hi = int(idx.min()), int(idx.max())

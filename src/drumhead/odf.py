@@ -24,7 +24,6 @@ from .errors import NoStarkNullError
 FORCE_PER_INTENSITY = 1.5e-23
 
 _ANTISYMMETRY_RTOL = 1e-6
-_FORCE_SPREAD_FLAG = 0.20
 
 
 def effective_wavevector(wavelength: float, theta_r: float) -> float:
@@ -187,17 +186,6 @@ class DriveConfig:
         if len(arr) != n_ions:
             raise ValueError(f"per-ion force list has length {len(arr)}, expected {n_ions}")
         return arr
-
-    @property
-    def force_spread_flagged(self) -> bool:
-        """True when the per-ion force spread exceeds 20% of the mean."""
-        if np.ndim(self.forces) == 0:
-            return False
-        arr = np.asarray(self.forces, dtype=float)
-        mean = float(np.mean(arr))
-        if mean == 0.0:
-            return False
-        return bool((arr.max() - arr.min()) / mean > _FORCE_SPREAD_FLAG)
 
     def with_mu(self, mu_r: float) -> "DriveConfig":
         return DriveConfig(forces=self.forces, mu_r=mu_r, gamma=self.gamma, sequence=self.sequence)

@@ -8,46 +8,37 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .io_formats import atomic_write_text
-
-_KINDS = {
-    ("mu_over_2pi_hz", "p_up_mean"): "trace",
-    ("t_s", "re_alpha"): "trajectory",
-    ("bin_center_hz", "count"): "histogram",
-}
+from .io_formats import _read_table, atomic_write_text
 
 
-def detect_kind(path: str | Path) -> str:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",") if lines else []
-    kind = _KINDS.get(tuple(header[:2]))
-    if kind is None:
-        raise ValueError(f"{path}: unrecognized table header {header[:2]}")
-    return kind
+def _read_plot_table(path: str | Path) -> tuple[str, list[list[float]]]:
+    """Series name and (x, y) rows of a table, matched on the full header its writer writes.
 
-
-def _read_rows(path: str | Path) -> list[list[float]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [[float(c) for c in line.split(",")] for line in lines[1:] if line.strip()]
+    A trace may carry per-ion columns after its two; a trajectory plots its
+    phase-space path, x = Re alpha and y = Im alpha.
+    """
+    header, table = _read_table(path, [], "")  # any header; matched below
+    per_ion = [f"p_up_ion_{j}" for j in range(len(header) - 2)]
+    if header == ["mu_over_2pi_hz", "p_up_mean", *per_ion]:
+        return "p_up", table[:, :2].tolist()
+    if header == ["bin_center_hz", "count"]:
+        return "mode_density", table.tolist()
+    if header == ["t_s", "re_alpha", "im_alpha"]:
+        return "alpha", table[:, 1:].tolist()
+    raise ValueError(f"{path}: unrecognized table header {header}")
 
 
 def build_plot_rows(path: str | Path, overlay_histogram: str | Path | None = None):
     """Normalize a trace/trajectory/histogram table to (x, y, series) rows."""
-    kind = detect_kind(path)
-    rows = _read_rows(path)
-    out: list[tuple[float, float, str]] = []
-    if kind == "trace":
-        out.extend((r[0], r[1], "p_up") for r in rows)
-    elif kind == "histogram":
-        out.extend((r[0], r[1], "mode_density") for r in rows)
-    else:  # trajectory: phase-space path, x = Re alpha, y = Im alpha
-        out.extend((r[1], r[2], "alpha") for r in rows)
+    series, xy = _read_plot_table(path)
+    out = [(x, y, series) for x, y in xy]
     if overlay_histogram is not None:
-        if kind != "trace":
+        if series != "p_up":
             raise ValueError("histogram overlay only applies to a spectrum trace")
-        if detect_kind(overlay_histogram) != "histogram":
+        overlay_series, overlay_xy = _read_plot_table(overlay_histogram)
+        if overlay_series != "mode_density":
             raise ValueError(f"{overlay_histogram}: not a histogram table")
-        out.extend((r[0], r[1], "mode_density") for r in _read_rows(overlay_histogram))
+        out.extend((x, y, overlay_series) for x, y in overlay_xy)
     return out
 
 

@@ -150,6 +150,16 @@ class TestModesCompute:
         assert run("modes", "compute", "--lattice", lattice_path, "--out", spec_path) == EXIT_OK
         assert (tmp / "spectrum_histogram.csv").exists()
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+    def test_bad_bin_width_is_config_error(self, workspace, capsys, width):
+        tmp, config = workspace
+        lattice_path, spec_path = tmp / "lattice.json", tmp / "spectrum.json"
+        run("crystal", "solve", "--config", config, "--out", lattice_path)
+        assert run("modes", "compute", "--lattice", lattice_path, "--out", spec_path,
+                   "--bin-hz", width) == EXIT_CONFIG
+        assert "bin width must be finite and positive" in capsys.readouterr().err
+        assert not spec_path.exists() and not (tmp / "spectrum_histogram.csv").exists()
+
     def test_nonplanar_lattice_rejected(self, tmp_path):
         config = tmp_path / "squeezed.json"
         write_config(
@@ -276,6 +286,13 @@ class TestSpectrumSimulate:
         assert run("spectrum", "simulate", "--config", config, "--spectrum", tmp_path / "s.json",
                    "--out", tmp_path / "t.csv") == EXIT_CONFIG
 
+    def test_overflowing_point_count_is_config_error(self, fit_inputs, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        write_config(config, sweep={"start_hz": 0.0, "stop_hz": 1e308, "step_hz": 1e-10})
+        assert run("spectrum", "simulate", "--config", config, "--spectrum", fit_inputs[1],
+                   "--out", tmp_path / "t.csv") == EXIT_CONFIG
+        assert "sweep.step_hz: the number of sweep points overflows" in capsys.readouterr().err
+
 
 def eigenvector_block(b):
     """The file form of an eigenvector matrix: base64 of its little-endian float64 bytes."""
@@ -346,8 +363,10 @@ class TestSpectrumFile:
         assert not (tmp_path / "t.csv").exists()
 
     def test_extra_keys_are_ignored(self, spectrum_doc, tmp_path):
-        # a file written before degenerate_clusters was dropped still loads
-        assert self.simulate(tmp_path, {**spectrum_doc, "degenerate_clusters": list(range(7))}) == EXIT_OK
+        # a file written before degenerate_clusters or source_lattice_hash was dropped still loads
+        old = {**spectrum_doc, "degenerate_clusters": list(range(7)),
+               "source_lattice_hash": "0123456789abcdef"}
+        assert self.simulate(tmp_path, old) == EXIT_OK
 
     def test_reencoded_block_is_accepted(self, spectrum_doc, tmp_path):
         # the test helpers alone change nothing the loader checks
@@ -594,6 +613,20 @@ class TestPlot:
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
         assert run("plot", "--in", bad, "--out", tmp_path / "out.csv") == EXIT_CONFIG
+
+    def test_ragged_row_is_config_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("mu_over_2pi_hz,p_up_mean\n1.0,0.1\n2.0\n")
+        assert run("plot", "--in", trace, "--out", tmp_path / "out.csv") == EXIT_CONFIG
+        assert "line 3: expected 2 cells, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_partial_trajectory_header_rejected(self, tmp_path, capsys):
+        # the trajectory writer's header has three columns; the first two are not enough
+        bad = tmp_path / "traj.csv"
+        bad.write_text("t_s,re_alpha\n0.0,0.1\n")
+        assert run("plot", "--in", bad, "--out", tmp_path / "out.csv") == EXIT_CONFIG
+        assert "unrecognized table header" in capsys.readouterr().err
 
 
 def run_module(*argv, blas_threads=None):

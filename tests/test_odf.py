@@ -113,22 +113,11 @@ class TestSequencesAndDrive:
     def test_uniform_force_array(self):
         drive = DriveConfig(forces=2e-23, mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3))
         assert np.all(drive.force_array(5) == 2e-23)
-        assert not drive.force_spread_flagged
 
     def test_per_ion_force_length_checked(self):
         drive = DriveConfig(forces=np.full(4, 1e-23), mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3))
         with pytest.raises(ValueError):
             drive.force_array(5)
-
-    def test_force_spread_flag(self):
-        spread = DriveConfig(
-            forces=np.array([1.0e-23, 1.3e-23]), mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3)
-        )
-        tight = DriveConfig(
-            forces=np.array([1.0e-23, 1.1e-23]), mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3)
-        )
-        assert spread.force_spread_flagged
-        assert not tight.force_spread_flagged
 
     def test_negative_force_rejected(self):
         with pytest.raises(ValueError):
