@@ -185,7 +185,7 @@ def _parse_sequence(raw: dict) -> Ramsey | SpinEcho:
 def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
     _reject_unknown(
         raw, "drive",
-        {"force_n", "force_n_per_ion", "intensity_w_cm2", "mu_r_hz", "gamma_per_s", "sequence"},
+        {"force_n", "force_n_per_ion", "intensity_w_cm2", "gamma_per_s", "sequence"},
     )
     sources = [k for k in ("force_n", "force_n_per_ion", "intensity_w_cm2") if k in raw]
     if len(sources) != 1:
@@ -196,11 +196,10 @@ def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
         forces = force_from_intensity(_expect(raw, "drive", "intensity_w_cm2", float))
     else:
         forces = _expect(raw, "drive", "force_n_per_ion", (n_ions,))
-    mu_hz = _expect(raw, "drive", "mu_r_hz", float, required=False)
     try:
         return DriveConfig(
             forces=forces,
-            mu_r=None if mu_hz is None else mu_hz * TWO_PI,
+            mu_r=None,
             gamma=_expect(raw, "drive", "gamma_per_s", float),
             sequence=_parse_sequence(_expect(raw, "drive", "sequence", dict)),
         )

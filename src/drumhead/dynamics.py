@@ -5,22 +5,27 @@ mode m into a spin-conditioned coherent displacement
 
     alpha_jm(t, phi) = (F_j b_jm z_0m / hbar) * G_m(t, phi),
     G_m(t, phi) = (i/2) [ e^{i phi} E(omega_m + mu, t) + e^{-i phi} E(omega_m - mu, t) ],
-    E(x, t) = integral_0^t e^{i x t'} dt' = t (e^{i x t} - 1)/(i x t),
+    E(x, t) = integral_0^t e^{i x t'} dt' = t e^{i x t/2} sinc(x t/2),
 
-with z_0m = sqrt(hbar / 2 M omega_m). E is entire in x, so exact resonance
-mu = omega_m needs no special casing beyond a short Taylor series of
-(e^{iu}-1)/(iu) for small |u|; the usual textbook form with the
-1/(mu^2 - omega_m^2) pole is algebraically identical away from resonance.
+with z_0m = sqrt(hbar / 2 M omega_m) and sinc(u) = sin(u)/u. E is entire in
+x, and this closed form is exact at resonance mu = omega_m too; the usual
+textbook form with the 1/(mu^2 - omega_m^2) pole is algebraically identical
+away from resonance.
 
 A spin echo applies the drive in two arms of length tau separated by a pi
 pulse of length t_pi; the second arm enters with an accumulated drive-vs-mode
 phase phi_m = (tau + t_pi)(mu - omega_m) and opposite spin sign, giving
-alpha^SE = alpha(tau, 0) - alpha(tau, phi_m).
+alpha^SE = alpha(tau, 0) - alpha(tau, phi_m), i.e.
+
+    G^SE_m = sin(phi_m/2) [ e^{i phi_m/2} E(omega_m + mu, tau) - e^{-i phi_m/2} E(omega_m - mu, tau) ],
+
+which has no cancellation as phi_m -> 0.
 
 Tracing out the motion of a thermal crystal turns the residual entanglement
 into a bright-state probability
 
-    P_up^(j) = 1/2 [1 - e^{-Gamma T} exp(-2 sum_m |alpha_jm|^2 (2 nbar_m + 1))],
+    P_up^(j) = 1/2 [1 - e^{-Gamma T} exp(-2 sum_m |alpha_jm|^2 (2 nbar_m + 1))]
+             = -1/2 expm1(-(Gamma T + 2 sum_m |alpha_jm|^2 (2 nbar_m + 1))),
 
 with T the total drive-on time (2 tau for the echo, tau for Ramsey).
 """
@@ -38,30 +43,11 @@ from .modes import ModeSpectrum
 from .odf import DriveConfig, Ramsey, SpinEcho
 from .trap import TWO_PI
 
-_SERIES_CUTOFF = 1e-2
-
-
-def _cisr(u: np.ndarray) -> np.ndarray:
-    """(e^{iu} - 1)/(iu), entire in u; Taylor-summed for small |u|."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape, dtype=complex)
-    small = np.abs(u) < _SERIES_CUTOFF
-    iu = 1j * u[small]
-    term = np.ones_like(iu)
-    acc = np.ones_like(iu)
-    for k in range(1, 8):
-        term = term * iu / (k + 1.0)
-        acc += term
-    out[small] = acc
-    ub = u[~small]
-    out[~small] = (np.exp(1j * ub) - 1.0) / (1j * ub)
-    return out
-
 
 def _phasor_integral(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """E(x, t) = integral_0^t e^{i x t'} dt'."""
-    x, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-    return t * _cisr(x * t)
+    """E(x, t) = integral_0^t e^{i x t'} dt' = t e^{i x t/2} sinc(x t/2)."""
+    half = 0.5 * np.asarray(x, dtype=float) * np.asarray(t, dtype=float)
+    return t * np.exp(1j * half) * np.sinc(half / np.pi)
 
 
 def _arm_factor(omega, mu, t, phi):
@@ -72,8 +58,12 @@ def _arm_factor(omega, mu, t, phi):
 
 
 def _echo_factor(omega, mu, sequence: SpinEcho):
-    phi = (sequence.tau + sequence.t_pi) * (mu - omega)
-    return _arm_factor(omega, mu, sequence.tau, 0.0) - _arm_factor(omega, mu, sequence.tau, phi)
+    """_arm_factor(tau, 0) - _arm_factor(tau, phi), from one (E+, E-) pair."""
+    half_phi = 0.5 * (sequence.tau + sequence.t_pi) * (mu - omega)
+    turn = np.exp(1j * half_phi)
+    ep = _phasor_integral(omega + mu, sequence.tau)
+    em = _phasor_integral(omega - mu, sequence.tau)
+    return np.sin(half_phi) * (turn * ep - np.conj(turn) * em)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +168,8 @@ class BrightProbability:
 
 
 def background_probability(gamma: float, total_odf_time: float) -> float:
-    """Flat spontaneous-emission background 1/2 (1 - e^{-Gamma T})."""
-    return 0.5 * -math.expm1(-gamma * total_odf_time)
+    """Flat spontaneous-emission background, `bright_fraction` with no displacement."""
+    return float(bright_fraction(0.0, gamma, total_odf_time))
 
 
 def bright_probability(
@@ -215,8 +205,8 @@ def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.nda
 
 
 def bright_fraction(exponent: np.ndarray, gamma: float, total_odf_time: float) -> np.ndarray:
-    """P = 1/2 (1 - e^{-Gamma T} e^{-exponent})."""
-    return 0.5 * (1.0 - math.exp(-gamma * total_odf_time) * np.exp(-exponent))
+    """P = 1/2 (1 - e^{-Gamma T} e^{-exponent}), through expm1 so small P keeps its digits."""
+    return -0.5 * np.expm1(-(gamma * total_odf_time + exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +269,13 @@ def phase_space_trajectory(
     spectrum: ModeSpectrum,
     mode_index: int,
     n_samples: int = 256,
-    ion_index: int | None = None,
 ) -> Trajectory:
-    """Sample alpha_jm(t) through the pulse sequence, for plotting."""
+    """Sample alpha_jm(t) through the pulse sequence, for plotting, on the ion that moves most."""
     if not 0 <= mode_index < spectrum.n_modes:
         raise ValueError("mode_index out of range")
     mu = _require_mu(drive)
     omega = float(spectrum.omega[mode_index])
-    if ion_index is None:
-        ion_index = int(np.argmax(np.abs(spectrum.b[:, mode_index])))
+    ion_index = int(np.argmax(np.abs(spectrum.b[:, mode_index])))
     coef = _coefficients(drive, spectrum)[ion_index, mode_index]
     seq = drive.sequence
     t = np.linspace(0.0, seq.tau, n_samples)
@@ -335,32 +323,15 @@ def mean_excursion(
 # spin-spin coupling and its validity guardrail
 
 
-def _series_or_exact(u, series, exact) -> np.ndarray:
-    """series(u) for |u| below the cutoff, exact(u) elsewhere."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    small = np.abs(u) < _SERIES_CUTOFF
-    out[small] = series(u[small])
-    out[~small] = exact(u[~small])
-    return out
-
-
-def _sinc(u: np.ndarray) -> np.ndarray:
-    return _series_or_exact(u, lambda s: 1.0 - s**2 / 6.0 + s**4 / 120.0, lambda b: np.sin(b) / b)
+_SERIES_CUTOFF = 1e-2
 
 
 def _sinc_minus_one_over(u: np.ndarray) -> np.ndarray:
-    """(sinc(u) - 1)/u, stable through u = 0."""
-    return _series_or_exact(
-        u, lambda s: -s / 6.0 + s**3 / 120.0 - s**5 / 5040.0, lambda b: (np.sin(b) / b - 1.0) / b
-    )
-
-
-def _one_minus_cos_over(u: np.ndarray) -> np.ndarray:
-    """(1 - cos(u))/u, stable through u = 0."""
-    return _series_or_exact(
-        u, lambda s: s / 2.0 - s**3 / 24.0 + s**5 / 720.0, lambda b: (1.0 - np.cos(b)) / b
-    )
+    """(sinc(u) - 1)/u, Taylor-summed below the cutoff, where the difference cancels."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < _SERIES_CUTOFF
+    v = np.where(small, 1.0, u)  # keeps the exact branch off 0/0
+    return np.where(small, -u / 6.0 + u**3 / 120.0 - u**5 / 5040.0, (np.sin(v) / v - 1.0) / v)
 
 
 def spin_spin_coupling(drive: DriveConfig, spectrum: ModeSpectrum, t: float) -> np.ndarray:
@@ -386,9 +357,12 @@ def spin_spin_coupling(drive: DriveConfig, spectrum: ModeSpectrum, t: float) -> 
     bb = 2.0 * mu
     u = delta * t
     at = a * t
-    # brace/delta, written to stay finite as delta -> 0 (see module tests)
+    # brace/delta, finite as delta -> 0 (see module tests): with np.sinc(x) = sin(pi x)/(pi x),
+    # (1 - cos u)/u = sin(u/2) np.sinc(u/2pi) and sin(u)/u = np.sinc(u/pi)
     brace_over_delta = omega * t**2 * _sinc_minus_one_over(u) + omega * (
-        a * t * np.sin(at) * _one_minus_cos_over(u) + np.sin(at) - a * t * np.cos(at) * _sinc(u)
+        a * t * np.sin(at) * np.sin(u / 2.0) * np.sinc(u / TWO_PI)
+        + np.sin(at)
+        - a * t * np.cos(at) * np.sinc(u / np.pi)
     ) / (a * bb)
     mode_terms = brace_over_delta / a  # brace / (mu^2 - omega^2)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .constants import COULOMB_K, HBAR
 from .crystal import CrystalLattice, z_stiffness
 from .errors import EquilibriumNotConverged, NonPlanarLatticeError
-from .trap import TWO_PI, TrapParams
+from .trap import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,13 @@ class ModeSpectrum:
             return np.where(self.omega > 0.0, np.sqrt(HBAR / (2.0 * self.mass * self.omega)), np.inf)
 
 
-def transverse_stiffness(lattice: CrystalLattice, params: TrapParams | None = None) -> StiffnessMatrix:
+def transverse_stiffness(lattice: CrystalLattice) -> StiffnessMatrix:
     """Analytic z-block stiffness at a converged planar equilibrium."""
-    if params is None:
-        params = lattice.params
     if not lattice.converged:
         raise EquilibriumNotConverged("lattice is not converged; stiffness would be unreliable")
     if not lattice.planar:
         raise NonPlanarLatticeError("transverse modes require a single-plane crystal")
+    params = lattice.params
     coupling = COULOMB_K * params.charge**2 / params.mass
     return StiffnessMatrix(
         entries=z_stiffness(lattice.positions, coupling, params.omega_1**2),
@@ -127,6 +126,9 @@ def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
     return ModeSpectrum(eigenvalues=evals, b=evecs, mass=stiffness.mass)
 
 
+MAX_HISTOGRAM_BINS = 10**6
+
+
 @dataclass(frozen=True)
 class ModeHistogram:
     """Counts of mode frequencies in [i*w, (i+1)*w) bins anchored at 0 Hz."""
@@ -140,13 +142,24 @@ class ModeHistogram:
 
 
 def mode_histogram(spectrum: ModeSpectrum, bin_width_hz: float) -> ModeHistogram:
-    """Bin the mode density on a fixed grid anchored at 0 Hz."""
-    if not (math.isfinite(bin_width_hz) and bin_width_hz > 0.0):
-        raise ValueError(f"bin width must be finite and positive, got {bin_width_hz!r}")
-    freqs = spectrum.frequencies_hz
-    idx = np.floor(freqs / bin_width_hz).astype(int)
-    lo, hi = int(idx.min()), int(idx.max())
-    counts = np.bincount(idx - lo, minlength=hi - lo + 1)
+    """Bin the mode density on a fixed grid anchored at 0 Hz.
+
+    The width must give at most MAX_HISTOGRAM_BINS bins from the lowest mode's
+    to the highest mode's, with bin indices below 2**53 so they count exactly.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        idx = np.floor(spectrum.frequencies_hz / bin_width_hz)
+    lo, hi = idx.min(), idx.max()
+    if not (
+        math.isfinite(bin_width_hz) and bin_width_hz > 0.0
+        and hi < 2.0**53 and hi - lo < MAX_HISTOGRAM_BINS
+    ):
+        raise ValueError(
+            f"bin width must be finite and positive and give at most {MAX_HISTOGRAM_BINS} bins, "
+            f"got {bin_width_hz!r}"
+        )
+    lo, hi = int(lo), int(hi)
+    counts = np.bincount(idx.astype(int) - lo, minlength=hi - lo + 1)
     edges = (np.arange(lo, hi + 2)) * bin_width_hz
     return ModeHistogram(bin_edges_hz=edges, counts=counts)
 

@@ -10,6 +10,9 @@ from pathlib import Path
 
 from .io_formats import _read_table, atomic_write_text
 
+SVG_WIDTH = 640
+SVG_HEIGHT = 420
+
 
 def _read_plot_table(path: str | Path) -> tuple[str, list[list[float]]]:
     """Series name and (x, y) rows of a table, matched on the full header its writer writes.
@@ -48,8 +51,9 @@ def write_plot_csv(rows, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_plot_svg(rows, path: str | Path, width: int = 640, height: int = 420) -> None:
+def write_plot_svg(rows, path: str | Path) -> None:
     """Minimal deterministic SVG: one polyline per series, linearly scaled."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pad = 40.0
     series_names = []
     for _, _, s in rows:

@@ -150,7 +150,7 @@ class TestModesCompute:
         assert run("modes", "compute", "--lattice", lattice_path, "--out", spec_path) == EXIT_OK
         assert (tmp / "spectrum_histogram.csv").exists()
 
-    @pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("width", ["nan", "inf", "-1", "1e-300"])
     def test_bad_bin_width_is_config_error(self, workspace, capsys, width):
         tmp, config = workspace
         lattice_path, spec_path = tmp / "lattice.json", tmp / "spectrum.json"

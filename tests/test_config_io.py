@@ -89,6 +89,7 @@ class TestRunConfig:
             (lambda d: d["trap"].__setitem__("axial_com_hz", "fast"), "trap.axial_com_hz"),
             (lambda d: d.__setitem__("beam", {"crossing_angle_deg": 4.8}), "$.beam"),
             (lambda d: d["seeds"].__setitem__("noise", 0), "seeds.noise"),
+            (lambda d: d["drive"].__setitem__("mu_r_hz", 795e3), "drive.mu_r_hz"),
         ],
     )
     def test_validation_errors_carry_paths(self, mutate, where):

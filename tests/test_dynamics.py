@@ -21,6 +21,7 @@ from drumhead import (
     sweep_spectrum,
     validity_ratio,
 )
+from drumhead.dynamics import bright_fraction
 from conftest import paper_trap, spectrum_cached
 
 TWO_PI = 2 * np.pi
@@ -235,6 +236,10 @@ class TestBrightProbability:
         result = bright_probability(field, ThermalState.uniform(1, 10.0), gamma, 2 * tau)
         assert result.mean == pytest.approx(0.1, rel=1e-12)
         assert background_probability(gamma, 2 * tau) == pytest.approx(0.1, rel=1e-12)
+
+    def test_small_exponent_keeps_its_digits(self):
+        # 1/2 (1 - e^{-x}) = x/2 - x^2/4 + ...; 1 - e^{-x} in floats keeps only ~4 digits at 1e-12
+        assert bright_fraction(1e-12, 0.0, 1e-3) == pytest.approx(5e-13 - 2.5e-25, rel=1e-15, abs=0.0)
 
     def test_bounds_and_monotonicity_in_nbar_and_gamma(self, spectrum_190):
         tau = 5e-4

@@ -16,6 +16,7 @@ from drumhead import (
     total_potential,
     transverse_stiffness,
 )
+from drumhead.modes import MAX_HISTOGRAM_BINS
 from conftest import paper_trap, solve_cached, spectrum_cached
 
 
@@ -228,9 +229,23 @@ class TestModeHistogram:
         assert np.allclose(hist.bin_edges_hz % 10e3, 0.0, atol=1e-6)
 
     def test_bad_width_rejected(self):
-        for width in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
-                mode_histogram(spectrum_cached(2), width)
+        # 1e-300 Hz: the pair needs over 10^6 bins; the single ion one bin, at an index
+        # (8e305) that neither a float nor an int64 counts exactly
+        for n_ions in (1, 2):
+            for width in (0.0, -1.0, np.nan, np.inf, 1e-300):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    mode_histogram(spectrum_cached(n_ions), width)
+
+    def test_bin_count_limit(self):
+        # lowest mode at 0 Hz in bin 0, highest in bin MAX - 1 (accepted) or bin MAX (refused)
+        def spread(top_hz):
+            eigenvalues = np.array([(2 * np.pi * top_hz) ** 2, 0.0])
+            return ModeSpectrum(eigenvalues=eigenvalues, b=np.eye(2), mass=BE9_ION_MASS)
+
+        hist = mode_histogram(spread(MAX_HISTOGRAM_BINS - 0.5), 1.0)
+        assert len(hist.counts) == MAX_HISTOGRAM_BINS and hist.counts.sum() == 2
+        with pytest.raises(ValueError, match=f"at most {MAX_HISTOGRAM_BINS} bins"):
+            mode_histogram(spread(MAX_HISTOGRAM_BINS + 0.5), 1.0)
 
 
 class TestSpectrumProvenance:

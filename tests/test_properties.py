@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drumhead import (
@@ -30,7 +30,7 @@ from drumhead import (
     temperature_to_occupation,
     total_potential,
 )
-from drumhead.dynamics import _cisr
+from drumhead.dynamics import _arm_factor, _echo_factor, _phasor_integral
 from drumhead.modes import ModeSpectrum
 from conftest import paper_trap
 
@@ -105,22 +105,37 @@ def test_stiffness_row_sums_at_arbitrary_planar_positions(seed, n):
 
 
 def _cisr_oracle(u):
-    # cancellation-free: e^{iu} - 1 = -2 sin^2(u/2) + i sin(u)
+    # (e^{iu} - 1)/(iu) = E(u, 1), cancellation-free: e^{iu} - 1 = -2 sin^2(u/2) + i sin(u)
     return (-2.0 * np.sin(u / 2.0) ** 2 + 1j * np.sin(u)) / (1j * u)
 
 
 @given(u=st.floats(-50.0, 50.0))
+@example(u=0.99e-2)
+@example(u=1.01e-2)
+@example(u=-0.99e-2)
+@example(u=-1.01e-2)
 @settings(max_examples=200, deadline=None)
 def test_cisr_matches_direct_formula(u):
     assume(abs(u) > 1e-13)
-    ours = complex(_cisr(np.array([u]))[0])
+    ours = complex(_phasor_integral(u, 1.0))
     assert abs(ours - _cisr_oracle(u)) <= 1e-14 * max(1.0, abs(_cisr_oracle(u)))
 
 
-def test_cisr_series_boundary_continuous():
-    # the series/direct switch at |u| = 1e-2 must be seamless
-    for u in (0.99e-2, 1.01e-2, -0.99e-2, -1.01e-2):
-        assert abs(complex(_cisr(np.array([u]))[0]) - _cisr_oracle(u)) < 1e-14
+@given(
+    omega_hz=st.floats(1e5, 1e6),
+    tau=st.floats(2e-5, 1e-3),
+    t_pi=st.floats(0.0, 1e-4),
+    span_cycles=st.floats(0.5, 20.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_echo_factor_matches_two_arms(omega_hz, tau, t_pi, span_cycles):
+    omega = TWO_PI * omega_hz
+    mu = omega + np.append(np.linspace(-span_cycles, span_cycles, 401) * TWO_PI / tau, 0.0)
+    sequence = SpinEcho(tau=tau, t_pi=t_pi)
+    phi = (tau + t_pi) * (mu - omega)
+    reference = _arm_factor(omega, mu, tau, 0.0) - _arm_factor(omega, mu, tau, phi)
+    ours = _echo_factor(omega, mu, sequence)
+    assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 @given(
