@@ -10,7 +10,8 @@ Minimization runs in dimensionless units (length l0 = (k_e q^2 / M w1^2)^(1/3),
 energy M w1^2 l0^2) so the descent tolerances are scale-free: a coarse
 L-BFGS-B stage followed by a damped Newton polish on the analytic Hessian,
 which brings the residual force down to ~1e-13 in scaled units (orders of
-magnitude below any SI tolerance of interest here).
+magnitude below any SI tolerance of interest here). The polish stops at the
+first Newton step its line search rejects.
 
 At z = 0 every z force vanishes and the z block of the Hessian decouples from
 the in-plane problem, so the solve first runs over (x, y) alone. The z block
@@ -22,11 +23,11 @@ solve restarts in 3D from the in-plane positions pushed along K's softest
 eigenvector, with a small seeded jitter. The polish runs once, in the space
 actually solved.
 
-The O(N^2) pair kernel works on the per-component (N, N) arrays of
-`pair_separations` for points of either dimension: each gradient component
-is a row reduction of (r_j - r_k)_c / d_jk^3, and the Hessian is built from
-the same arrays. The energy-change convergence test reuses the polish's last
-eigendecomposition.
+The O(N^2) pair kernel works on the per-component (N, N) arrays that
+`pair_separations` allocates on each call, for points of either dimension:
+each gradient component is a row reduction of (r_j - r_k)_c / d_jk^3, and the
+Hessian is built from the same arrays. The energy-change convergence test
+reuses the polish's last eigendecomposition.
 """
 
 from __future__ import annotations
@@ -105,17 +106,16 @@ class LatticeStats:
 # scaled-unit energy / gradient / Hessian
 
 
-def pair_separations(points: np.ndarray, out: np.ndarray | None = None):
+def pair_separations(points: np.ndarray):
     """Per-component (N, N) separations r_j - r_k and squared distances d_jk^2.
 
     `points` is (N, D) for any D. The diagonal of d^2 is +inf, so 1/d terms
     vanish there and row minima are nearest-neighbor distances. The results
-    are views into `out`, an optional (D + 1, N, N) buffer.
+    are views into one (D + 1, N, N) array.
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
-    if out is None:
-        out = np.empty((dim + 1, n, n))
+    out = np.empty((dim + 1, n, n))
     diffs = out[:dim]
     for c, dc in zip(pts.T, diffs):
         np.subtract(c[:, None], c[None, :], out=dc)
@@ -142,17 +142,13 @@ def _trap_stiffness(params: TrapParams) -> np.ndarray:
     return np.array([b + params.delta_wall, b - params.delta_wall, 1.0])
 
 
-def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray, work: np.ndarray | None = None):
+def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
     # `trap` holds the per-axis trap stiffness; its length D is the dimension of
-    # the points in `coords`. `work` is an optional (D + 2, N, N) scratch buffer;
-    # reusing it spares the page faults of fresh (N, N) arrays, which at N ~ 300
-    # cost as much as the math.
+    # the points in `coords`.
     dim = len(trap)
     pos = coords.reshape(-1, dim)
-    if work is None:
-        work = np.empty((dim + 2, len(pos), len(pos)))
-    diffs, d2 = pair_separations(pos, out=work[: dim + 1])
-    inv_d = np.sqrt(d2, out=work[dim + 1])
+    diffs, d2 = pair_separations(pos)
+    inv_d = np.sqrt(d2)
     np.divide(1.0, inv_d, out=inv_d)
     energy = 0.5 * sum(k * np.dot(c, c) for k, c in zip(trap, pos.T)) + 0.5 * np.sum(inv_d)
     inv_d3 = np.divide(inv_d, d2, out=d2)
@@ -214,8 +210,6 @@ def potential_gradient(positions: np.ndarray, params: TrapParams) -> np.ndarray:
 
 def hex_disk_seed(n_ions: int, spacing: float) -> np.ndarray:
     """Triangular-lattice disk patch of n_ions sites (z = 0), deterministic."""
-    if n_ions == 1:
-        return np.zeros((1, 3))
     m = int(math.ceil(math.sqrt(n_ions))) + 2
     i, j = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
     x = spacing * (i + 0.5 * j).ravel()
@@ -242,7 +236,7 @@ def _seed_scaled(n_ions: int, b: float, rng: np.random.Generator) -> np.ndarray:
 # solver
 
 
-def _relax(x0: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_steps: int) -> np.ndarray:
+def _relax(x0: np.ndarray, trap: np.ndarray, trace: list, max_steps: int) -> np.ndarray:
     """L-BFGS-B descent in the space of `trap`'s dimension; appends accepted energies to `trace`."""
 
     def record(intermediate_result):
@@ -253,7 +247,7 @@ def _relax(x0: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_
     return minimize(
         _energy_gradient_scaled,
         x0,
-        args=(trap, work),
+        args=(trap,),
         jac=True,
         method="L-BFGS-B",
         callback=record,
@@ -267,7 +261,7 @@ def _relax(x0: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_
     ).x
 
 
-def _polish(x: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_steps: int):
+def _polish(x: np.ndarray, trap: np.ndarray, trace: list, max_steps: int):
     """Modified-Newton polish; returns x, energy, gradient, max |gradient| and
     the last Hessian eigendecomposition (None, None if no step was taken).
 
@@ -275,9 +269,13 @@ def _polish(x: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_
     (shell rearrangements) and the rotational zero mode at delta_wall = 0 give
     bounded descent steps instead of blowing up a plain solve. The rotation
     direction is projected out explicitly since moving along it is pure noise.
+
+    The polish stops at the first step its line search does not keep: x, the
+    gradient and the Hessian are then unchanged, so another pass would only
+    rebuild the same step and reject it again.
     """
     dim = len(trap)
-    energy, grad = _energy_gradient_scaled(x, trap, work)
+    energy, grad = _energy_gradient_scaled(x, trap)
     if not trace or energy < trace[-1]:
         trace.append(energy)
 
@@ -289,7 +287,6 @@ def _polish(x: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_
         return vec.ravel() / norm if norm > 0.0 else None
 
     gmax = np.max(np.abs(grad))
-    stalled = 0
     slow = 0
     evals_h = evecs_h = None
     for _ in range(max_steps):
@@ -316,7 +313,7 @@ def _polish(x: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_
         prev_gmax = gmax
         for _ in range(30):
             x_try = x + scale * step
-            e_try, g_try = _energy_gradient_scaled(x_try, trap, work)
+            e_try, g_try = _energy_gradient_scaled(x_try, trap)
             g_try_max = np.max(np.abs(g_try))
             if e_try <= energy or (math.isclose(e_try, energy, rel_tol=1e-14) and g_try_max < gmax):
                 accepted = e_try < energy or g_try_max < gmax
@@ -325,13 +322,9 @@ def _polish(x: np.ndarray, trap: np.ndarray, work: np.ndarray, trace: list, max_
                     trace.append(energy)
                 break
             scale *= 0.5
-        if accepted:
-            stalled = 0
-            slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
-        else:
-            stalled += 1
-            if stalled >= 3:
-                break
+        if not accepted:
+            break
+        slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
     return x, energy, grad, gmax, evals_h, evecs_h
 
 
@@ -389,8 +382,7 @@ def solve_equilibrium(
         xy = _seed_scaled(n_ions, beta(params), rng)
 
     trace: list[float] = []
-    work = np.empty((4, n_ions, n_ions))
-    x = _relax(xy.ravel(), trap[:2], work, trace, max_minimize_steps)
+    x = _relax(xy.ravel(), trap[:2], trace, max_minimize_steps)
     planar = bool(np.linalg.eigvalsh(z_stiffness(x.reshape(-1, 2)))[0] > 0.0)
     if planar:
         trap = trap[:2]
@@ -401,10 +393,8 @@ def solve_equilibrium(
         soft = np.linalg.eigh(z_stiffness(x.reshape(-1, 2)))[1][:, 0]
         z = _BUCKLE_PUSH * (soft / np.max(np.abs(soft)) + 0.1 * rng.standard_normal(n_ions))
         x = np.column_stack([x.reshape(-1, 2), z]).ravel()
-        work = None  # release the in-plane buffer before allocating the 3D one
-        work = np.empty((5, n_ions, n_ions))
-        x = _relax(x, trap, work, trace, max_minimize_steps)
-    x, energy, grad, gmax, evals_h, evecs_h = _polish(x, trap, work, trace, max_polish_steps)
+        x = _relax(x, trap, trace, max_minimize_steps)
+    x, energy, grad, gmax, evals_h, evecs_h = _polish(x, trap, trace, max_polish_steps)
 
     residual_si = gmax * f0
     # Remaining decrease 1/2 g.H^+ g predicted by the local quadratic model: the

@@ -71,7 +71,7 @@ class TestCrystalSolve:
             2 * COULOMB_K * params.charge**2 / (params.mass * params.omega_1**2 * beta(params))
         ) ** (1 / 3)
         d = np.linalg.norm(lattice.positions[0] - lattice.positions[1])
-        assert d == pytest.approx(d_exact, rel=1e-8)
+        assert d == pytest.approx(d_exact, rel=1e-8, abs=0.0)
 
     def test_single_ion(self, tmp_path):
         config = tmp_path / "one.json"

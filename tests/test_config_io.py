@@ -74,7 +74,7 @@ class TestRunConfig:
         del d["drive"]["force_n"]
         d["drive"]["intensity_w_cm2"] = 2.0
         cfg = from_dict(d)
-        assert cfg.drive.forces == pytest.approx(3.0e-23)
+        assert cfg.drive.forces == pytest.approx(3.0e-23, abs=0.0)
 
     @pytest.mark.parametrize(
         "mutate, where",
@@ -139,7 +139,7 @@ class TestLatticeFiles:
         assert lines[0] == "x_m,y_m,z_m"
         assert len(lines) == 4
         parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-        assert np.allclose(parsed, lattice.positions, rtol=1e-15)
+        assert np.allclose(parsed, lattice.positions, rtol=1e-15, atol=0.0)
 
 
 class TestSpectrumFiles:

@@ -162,7 +162,7 @@ class TestAlphaSingleArm:
         two = DriveConfig(forces=2e-23, mu_r=mu, gamma=0.0, sequence=Ramsey(tau=5e-4))
         a1 = alpha_single_arm(one, spectrum_190, 5e-4).alpha
         a2 = alpha_single_arm(two, spectrum_190, 5e-4).alpha
-        assert np.allclose(a2, 2.0 * a1, rtol=1e-12)
+        assert np.allclose(a2, 2.0 * a1, rtol=1e-12, atol=0.0)
 
 
 class TestAlphaSpinEcho:
@@ -403,7 +403,7 @@ class TestMeanExcursion:
         two = DriveConfig(forces=2e-23, mu_r=mu, gamma=0.0, sequence=Ramsey(tau=5e-4))
         e1 = mean_excursion(alpha_single_arm(one, spectrum, 5e-4), spectrum, 0).meters
         e2 = mean_excursion(alpha_single_arm(two, spectrum, 5e-4), spectrum, 0).meters
-        assert e2 == pytest.approx(2 * e1, rel=1e-12)
+        assert e2 == pytest.approx(2 * e1, rel=1e-12, abs=0.0)
 
     def test_convention_recorded(self):
         spectrum = com_only_spectrum(4)
@@ -485,7 +485,7 @@ class TestValidityRatio:
     def test_occupation_scaling(self):
         base = validity_ratio(1e-23, 30e-9, 10.0, 1e-3).ratio
         quartered = validity_ratio(1e-23, 30e-9, 41.5, 1e-3).ratio  # 2n+1: 21 -> 84
-        assert quartered == pytest.approx(base / 4.0, rel=1e-12)
+        assert quartered == pytest.approx(base / 4.0, rel=1e-12, abs=0.0)
 
     def test_warning_status(self):
         assert not validity_ratio(4e-23, 30e-9, 10.0, 1e-3).spin_motion_dominant

@@ -255,4 +255,4 @@ class TestSpectrumProvenance:
         from drumhead import HBAR
 
         expected = np.sqrt(HBAR / (2 * BE9_ION_MASS * spectrum.omega))
-        assert np.allclose(z0, expected, rtol=1e-12)
+        assert np.allclose(z0, expected, rtol=1e-12, atol=0.0)

@@ -68,15 +68,15 @@ class TestStateDependentForces:
         coeffs = StarkCoefficients(a_up=2e5, a_dn=-1e5, b_up=3e5, b_dn=4e5)
         dk = 1.68e6
         pair = state_dependent_forces(coeffs, 0.0, dk)
-        assert pair.f_up == pytest.approx(2 * dk * HBAR * coeffs.a_up, rel=1e-12)
-        assert pair.f_dn == pytest.approx(2 * dk * HBAR * coeffs.a_dn, rel=1e-12)
+        assert pair.f_up == pytest.approx(2 * dk * HBAR * coeffs.a_up, rel=1e-12, abs=0.0)
+        assert pair.f_dn == pytest.approx(2 * dk * HBAR * coeffs.a_dn, rel=1e-12, abs=0.0)
 
     def test_engineered_antisymmetric_pair(self):
         coeffs = StarkCoefficients(a_up=2e5, a_dn=-1e5, b_up=-1e5, b_dn=2e5)
         phi = acss_null_angle(coeffs)
         pair = state_dependent_forces(coeffs, phi, 1.68e6)
         assert pair.antisymmetric
-        assert pair.f_up == pytest.approx(-pair.f_dn, rel=1e-9)
+        assert pair.f_up == pytest.approx(-pair.f_dn, rel=1e-9, abs=0.0)
 
     def test_generic_pair_not_antisymmetric(self):
         coeffs = StarkCoefficients(a_up=1e5, a_dn=-0.5e5, b_up=-2e5, b_dn=-0.5e5)
@@ -92,7 +92,7 @@ class TestForceFromIntensity:
         assert force_from_intensity(0.0) == 0.0
 
     def test_linear(self):
-        assert force_from_intensity(2.0) == pytest.approx(3.0e-23, rel=1e-15)
+        assert force_from_intensity(2.0) == pytest.approx(3.0e-23, rel=1e-15, abs=0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
