@@ -115,6 +115,9 @@ def pair_separations(points: np.ndarray):
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
+    # One block, filled per component: broadcasting pts.T is 3-4x slower and
+    # reorders einsum's sum in 3D; separate diffs and d2 arrays page-faulted
+    # on every call under glibc malloc, doubling the 2D kernel time at N = 345.
     out = np.empty((dim + 1, n, n))
     diffs = out[:dim]
     for c, dc in zip(pts.T, diffs):
