@@ -33,7 +33,6 @@ from .dynamics import (
     bright_probability,
     mean_excursion,
     phase_space_trajectory,
-    spin_spin_coupling,
     sweep_spectrum,
     validity_ratio,
 )
@@ -47,7 +46,6 @@ from .errors import (
     InsufficientSpanError,
     NonPlanarLatticeError,
     NoRadialConfinementError,
-    NoStarkNullError,
     TrapParameterError,
     UnphysicalBackgroundError,
 )
@@ -62,15 +60,10 @@ from .modes import (
 )
 from .odf import (
     DriveConfig,
-    ForcePair,
     Ramsey,
     SpinEcho,
-    StarkCoefficients,
-    acss_null_angle,
     effective_wavevector,
     force_from_intensity,
-    qubit_stark_shift,
-    state_dependent_forces,
 )
 from .thermometry import (
     FitMetadata,

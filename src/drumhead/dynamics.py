@@ -99,9 +99,7 @@ class ThermalState:
         cls, spectrum: ModeSpectrum, nbar_com: float, bath_temperature: float
     ) -> "ThermalState":
         """COM occupation set directly; every other mode thermal at one temperature."""
-        if not spectrum.stable:
-            raise DrumheadError("cannot assign a temperature to an unstable spectrum")
-        nbar = K_B * bath_temperature / (HBAR * spectrum.omega)
+        nbar = cls.from_temperature(spectrum, bath_temperature).nbar.copy()
         nbar[0] = nbar_com
         return cls(nbar)
 
@@ -320,54 +318,7 @@ def mean_excursion(
 
 
 # ---------------------------------------------------------------------------
-# spin-spin coupling and its validity guardrail
-
-
-_SERIES_CUTOFF = 1e-2
-
-
-def _sinc_minus_one_over(u: np.ndarray) -> np.ndarray:
-    """(sinc(u) - 1)/u, Taylor-summed below the cutoff, where the difference cancels."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SERIES_CUTOFF
-    v = np.where(small, 1.0, u)  # keeps the exact branch off 0/0
-    return np.where(small, -u / 6.0 + u**3 / 120.0 - u**5 / 5040.0, (np.sin(v) / v - 1.0) / v)
-
-
-def spin_spin_coupling(drive: DriveConfig, spectrum: ModeSpectrum, t: float) -> np.ndarray:
-    """Pairwise coupling J_jk(t) (rad/s) accumulated by the drive up to time t.
-
-    Per mode the contribution is
-
-        [ omega sin(delta t)/delta + omega sin(a t)/a
-          - omega sin(2 mu t)/(2 mu) - omega t ] / (mu^2 - omega^2)
-
-    with delta = mu - omega and a = mu + omega. Both the delta -> 0 pole and
-    its cancellation against the secular term are handled analytically, so
-    exact resonance is finite.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    mu = _require_mu(drive)
-    if mu <= 0.0:
-        raise ValueError("spin_spin_coupling needs a positive beat frequency")
-    omega = spectrum.omega
-    delta = mu - omega
-    a = mu + omega
-    bb = 2.0 * mu
-    u = delta * t
-    at = a * t
-    # brace/delta, finite as delta -> 0 (see module tests): with np.sinc(x) = sin(pi x)/(pi x),
-    # (1 - cos u)/u = sin(u/2) np.sinc(u/2pi) and sin(u)/u = np.sinc(u/pi)
-    brace_over_delta = omega * t**2 * _sinc_minus_one_over(u) + omega * (
-        a * t * np.sin(at) * np.sin(u / 2.0) * np.sinc(u / TWO_PI)
-        + np.sin(at)
-        - a * t * np.cos(at) * np.sinc(u / np.pi)
-    ) / (a * bb)
-    mode_terms = brace_over_delta / a  # brace / (mu^2 - omega^2)
-
-    coef = _coefficients(drive, spectrum)
-    return 0.5 * ((coef * mode_terms[None, :]) @ coef.T)
+# validity guardrail
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class NonPlanarLatticeError(DrumheadError):
     """Operation requires a single-plane crystal but the lattice is not planar."""
 
 
-class NoStarkNullError(DrumheadError):
-    """No polarization angle nulls the differential Stark shift for these coefficients."""
-
-
 class UnphysicalBackgroundError(DrumheadError):
     """Off-resonant bright fraction >= 1/2 cannot come from exponential decoherence."""
 

@@ -220,8 +220,9 @@ def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[l
     """Header and float cells of a CSV table whose header starts with `columns`.
 
     Blank lines are skipped. A missing or other header raises
-    ValueError("<path>: <complaint>"), and so does a data row whose cell count
-    differs from the header's, naming its line.
+    ValueError("<path>: <complaint>"). A data row whose cell count differs
+    from the header's, or that holds a nan or infinite cell, raises
+    ValueError naming its line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
@@ -234,7 +235,10 @@ def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[l
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {number}: expected {len(header)} cells, got {len(cells)}")
-        rows.append([float(c) for c in cells])
+        row = [float(c) for c in cells]
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {number}: non-finite cell in {line!r}")
+        rows.append(row)
     return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
@@ -290,7 +294,7 @@ def save_observed(data: ObservedSpectrum, path: str | Path) -> None:
 def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> ObservedSpectrum:
     """Read (mu_hz, p_up, sigma) rows; metadata comes from a JSON sidecar.
 
-    Every data row needs one cell per header column; a row of another length
+    Every data row needs one finite cell per header column; any other row
     raises ValueError naming its line.
 
     The sidecar defaults to <path>.meta.json and is optional. It is a JSON

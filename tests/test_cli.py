@@ -621,6 +621,20 @@ class TestPlot:
         assert "line 3: expected 2 cells, got 1" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("table", [
+        "mu_over_2pi_hz,p_up_mean\n1.0,0.1\n2.0,0.2\n3.0,{bad}\n",
+        "bin_center_hz,count\n5000.0,3.0\n15000.0,4.0\n{bad},1.0\n",
+        "t_s,re_alpha,im_alpha\n0.0,0.0,0.0\n0.0001,0.5,-0.5\n0.0002,{bad},0.1\n",
+    ], ids=["trace", "histogram", "trajectory"])
+    def test_nonfinite_cell_is_config_error(self, tmp_path, capsys, table, bad):
+        path = tmp_path / "table.csv"
+        path.write_text(table.format(bad=bad))
+        out = tmp_path / "out.csv"
+        assert run("plot", "--in", path, "--out", out, "--svg", tmp_path / "p.svg") == EXIT_CONFIG
+        assert "line 4: non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_trajectory_header_rejected(self, tmp_path, capsys):
         # the trajectory writer's header has three columns; the first two are not enough
         bad = tmp_path / "traj.csv"

@@ -17,7 +17,6 @@ from drumhead import (
     bright_probability,
     mean_excursion,
     phase_space_trajectory,
-    spin_spin_coupling,
     sweep_spectrum,
     validity_ratio,
 )
@@ -411,64 +410,6 @@ class TestMeanExcursion:
                             sequence=Ramsey(tau=1e-4))
         field = alpha_single_arm(drive, spectrum, 1e-4)
         assert "rms" in mean_excursion(field, spectrum, 0).convention
-
-
-class TestSpinSpinCoupling:
-    def test_zero_force(self):
-        spectrum = com_only_spectrum(5)
-        drive = DriveConfig(forces=0.0, mu_r=float(spectrum.omega[0]) + 1e4, gamma=0.0,
-                            sequence=SpinEcho(tau=1e-3))
-        assert np.all(spin_spin_coupling(drive, spectrum, 1e-3) == 0.0)
-
-    def test_com_coupling_uniform_and_symmetric(self):
-        spectrum = com_only_spectrum(7)
-        tau = 1e-3
-        mu = float(spectrum.omega[0]) + 1.7 * TWO_PI / tau
-        drive = DriveConfig(forces=1e-23, mu_r=mu, gamma=0.0, sequence=SpinEcho(tau=tau))
-        coupling = spin_spin_coupling(drive, spectrum, tau)
-        assert np.max(np.abs(coupling - coupling.T)) <= 1e-16 * np.max(np.abs(coupling))
-        assert np.ptp(coupling) <= 1e-10 * np.max(np.abs(coupling))
-
-    def test_near_com_bound(self):
-        # |J(t)| <~ (F^2/2hbar^2) z0^2 omega t / (N |mu^2 - omega^2|)
-        n = 7
-        spectrum = com_only_spectrum(n)
-        omega = float(spectrum.omega[0])
-        z0 = float(spectrum.ground_state_lengths()[0])
-        tau = 1e-3
-        f = 1e-23
-        for cycles in (0.5, 1.7, 3.3):
-            mu = omega + cycles * TWO_PI / tau
-            drive = DriveConfig(forces=f, mu_r=mu, gamma=0.0, sequence=SpinEcho(tau=tau))
-            coupling = spin_spin_coupling(drive, spectrum, tau)
-            bound = (f**2 / (2 * HBAR**2)) * z0**2 * omega * tau / (n * abs(mu**2 - omega**2))
-            assert np.max(np.abs(coupling)) <= 1.25 * bound
-
-    def test_finite_at_exact_resonance(self):
-        spectrum = com_only_spectrum(4)
-        drive = DriveConfig(forces=1e-23, mu_r=float(spectrum.omega[0]), gamma=0.0,
-                            sequence=SpinEcho(tau=1e-3))
-        coupling = spin_spin_coupling(drive, spectrum, 1e-3)
-        assert np.all(np.isfinite(coupling))
-
-    def test_resonance_limit_continuous(self):
-        # values just off resonance approach the on-resonance value linearly
-        # (the secular term has slope ~ omega t^3, so "just off" must be very
-        # close before the remnant resonant value dominates)
-        spectrum = com_only_spectrum(3)
-        omega = float(spectrum.omega[0])
-        t = 7e-4
-
-        def coupling_at(mu):
-            drive = DriveConfig(forces=1e-23, mu_r=mu, gamma=0.0, sequence=SpinEcho(tau=t))
-            return spin_spin_coupling(drive, spectrum, t)[0, 0]
-
-        at_res = coupling_at(omega)
-        step = omega * 1e-12
-        near = coupling_at(omega + step)
-        far = coupling_at(omega + 2 * step)
-        assert near == pytest.approx(at_res, rel=1e-4)
-        assert far - at_res == pytest.approx(2.0 * (near - at_res), rel=0.1)
 
 
 class TestValidityRatio:

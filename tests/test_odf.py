@@ -5,16 +5,10 @@ import pytest
 
 from drumhead import (
     DriveConfig,
-    HBAR,
-    NoStarkNullError,
     Ramsey,
     SpinEcho,
-    StarkCoefficients,
-    acss_null_angle,
     effective_wavevector,
     force_from_intensity,
-    qubit_stark_shift,
-    state_dependent_forces,
 )
 
 
@@ -36,52 +30,6 @@ class TestEffectiveWavevector:
         angles = np.linspace(1e-3, math.pi - 1e-3, 50)
         values = [effective_wavevector(313e-9, a) for a in angles]
         assert np.all(np.diff(values) > 0.0)
-
-
-class TestStarkNull:
-    def test_balanced_differences_give_45_degrees(self):
-        coeffs = StarkCoefficients(a_up=2e5, a_dn=1e5, b_up=1e5, b_dn=2e5)
-        assert acss_null_angle(coeffs) == pytest.approx(math.radians(45.0), rel=1e-12)
-
-    def test_engineered_65_degrees(self):
-        ratio = math.tan(math.radians(65.0)) ** 2
-        coeffs = StarkCoefficients(a_up=ratio * 1e5, a_dn=0.0, b_up=0.0, b_dn=1e5)
-        assert acss_null_angle(coeffs) == pytest.approx(math.radians(65.0), rel=1e-12)
-
-    def test_shift_vanishes_at_null(self):
-        coeffs = StarkCoefficients(a_up=3.7e5, a_dn=1.2e5, b_up=-2e5, b_dn=1e5)
-        phi = acss_null_angle(coeffs)
-        scale = max(abs(coeffs.a_up - coeffs.a_dn), abs(coeffs.b_up - coeffs.b_dn))
-        assert abs(qubit_stark_shift(coeffs, phi)) <= 1e-12 * scale
-
-    def test_same_sign_differences_have_no_null(self):
-        with pytest.raises(NoStarkNullError):
-            acss_null_angle(StarkCoefficients(a_up=2e5, a_dn=1e5, b_up=2e5, b_dn=1e5))
-
-    def test_equal_sigma_shifts_have_no_null(self):
-        with pytest.raises(NoStarkNullError):
-            acss_null_angle(StarkCoefficients(a_up=2e5, a_dn=1e5, b_up=1e5, b_dn=1e5))
-
-
-class TestStateDependentForces:
-    def test_pure_pi_polarization(self):
-        coeffs = StarkCoefficients(a_up=2e5, a_dn=-1e5, b_up=3e5, b_dn=4e5)
-        dk = 1.68e6
-        pair = state_dependent_forces(coeffs, 0.0, dk)
-        assert pair.f_up == pytest.approx(2 * dk * HBAR * coeffs.a_up, rel=1e-12, abs=0.0)
-        assert pair.f_dn == pytest.approx(2 * dk * HBAR * coeffs.a_dn, rel=1e-12, abs=0.0)
-
-    def test_engineered_antisymmetric_pair(self):
-        coeffs = StarkCoefficients(a_up=2e5, a_dn=-1e5, b_up=-1e5, b_dn=2e5)
-        phi = acss_null_angle(coeffs)
-        pair = state_dependent_forces(coeffs, phi, 1.68e6)
-        assert pair.antisymmetric
-        assert pair.f_up == pytest.approx(-pair.f_dn, rel=1e-9, abs=0.0)
-
-    def test_generic_pair_not_antisymmetric(self):
-        coeffs = StarkCoefficients(a_up=1e5, a_dn=-0.5e5, b_up=-2e5, b_dn=-0.5e5)
-        pair = state_dependent_forces(coeffs, acss_null_angle(coeffs), 1.68e6)
-        assert not pair.antisymmetric
 
 
 class TestForceFromIntensity:

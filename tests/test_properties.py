@@ -14,10 +14,8 @@ from drumhead import (
     NoRadialConfinementError,
     Ramsey,
     SpinEcho,
-    StarkCoefficients,
     StiffnessMatrix,
     ThermalState,
-    acss_null_angle,
     alpha_single_arm,
     alpha_spin_echo,
     bright_probability,
@@ -25,7 +23,6 @@ from drumhead import (
     effective_wavevector,
     mode_histogram,
     occupation_to_temperature,
-    qubit_stark_shift,
     radial_confinement,
     temperature_to_occupation,
     total_potential,
@@ -136,19 +133,6 @@ def test_echo_factor_matches_two_arms(omega_hz, tau, t_pi, span_cycles):
     reference = _arm_factor(omega, mu, tau, 0.0) - _arm_factor(omega, mu, tau, phi)
     ours = _echo_factor(omega, mu, sequence)
     assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
-
-
-@given(
-    da=st.floats(1e3, 1e7),
-    db=st.floats(1e3, 1e7),
-    base=st.floats(-1e6, 1e6),
-)
-@settings(max_examples=60, deadline=None)
-def test_null_angle_zeroes_shift(da, db, base):
-    coeffs = StarkCoefficients(a_up=base + da, a_dn=base, b_up=base - db, b_dn=base)
-    phi = acss_null_angle(coeffs)
-    assert 0.0 < phi < math.pi / 2
-    assert abs(qubit_stark_shift(coeffs, phi)) <= 1e-12 * max(da, db)
 
 
 @given(
