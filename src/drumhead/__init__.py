@@ -58,13 +58,7 @@ from .modes import (
     mode_histogram,
     transverse_stiffness,
 )
-from .odf import (
-    DriveConfig,
-    Ramsey,
-    SpinEcho,
-    effective_wavevector,
-    force_from_intensity,
-)
+from .odf import DriveConfig, Ramsey, SpinEcho, effective_wavevector
 from .thermometry import (
     FitMetadata,
     FitResult,

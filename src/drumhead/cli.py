@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = crystal_sub.add_parser("solve", help="relax n_ions to equilibrium")
     solve.add_argument("--config", required=True, type=Path)
     solve.add_argument("--out", required=True, type=Path)
-    solve.add_argument("--seed", type=int, default=None, help="override seeds.lattice")
+    solve.add_argument("--seed", type=int, default=0, help="lattice seed (default 0)")
     solve.add_argument("--csv", type=Path, default=None, help="also write positions as CSV")
 
     modes = top.add_parser("modes", help="transverse normal modes")
@@ -102,9 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_crystal_solve(args) -> int:
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.lattice_seed
     try:
-        lattice = solve_equilibrium(config.trap, config.n_ions, seed=seed)
+        lattice = solve_equilibrium(config.trap, config.n_ions, seed=args.seed)
     except EquilibriumNotConverged as exc:
         if exc.best is not None:
             iof.save_lattice(exc.best, args.out)

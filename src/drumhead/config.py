@@ -20,7 +20,7 @@ from .constants import BE9_ION_MASS, ELEMENTARY_CHARGE
 from .dynamics import ThermalState
 from .errors import ConfigError, DrumheadError
 from .modes import ModeSpectrum
-from .odf import DriveConfig, Ramsey, SpinEcho, force_from_intensity
+from .odf import DriveConfig, Ramsey, SpinEcho
 from .trap import TWO_PI, TrapParams
 
 
@@ -144,7 +144,6 @@ class RunConfig:
     drive: DriveConfig | None
     thermal: ThermalSpec | None
     sweep: SweepGrid | None
-    lattice_seed: int = 0  # seeds.lattice
 
 
 def _parse_trap(raw: dict) -> TrapParams:
@@ -185,15 +184,12 @@ def _parse_sequence(raw: dict) -> Ramsey | SpinEcho:
 def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
     _reject_unknown(
         raw, "drive",
-        {"force_n", "force_n_per_ion", "intensity_w_cm2", "gamma_per_s", "sequence"},
+        {"force_n", "force_n_per_ion", "gamma_per_s", "sequence"},
     )
-    sources = [k for k in ("force_n", "force_n_per_ion", "intensity_w_cm2") if k in raw]
-    if len(sources) != 1:
-        raise ConfigError("drive", "give exactly one of force_n, force_n_per_ion, intensity_w_cm2")
-    if sources[0] == "force_n":
+    if ("force_n" in raw) == ("force_n_per_ion" in raw):
+        raise ConfigError("drive", "give exactly one of force_n, force_n_per_ion")
+    if "force_n" in raw:
         forces = _expect(raw, "drive", "force_n", float)
-    elif sources[0] == "intensity_w_cm2":
-        forces = force_from_intensity(_expect(raw, "drive", "intensity_w_cm2", float))
     else:
         forces = _expect(raw, "drive", "force_n_per_ion", (n_ions,))
     try:
@@ -229,7 +225,7 @@ def _parse_thermal(raw: dict, n_ions: int) -> ThermalSpec:
 
 
 def from_dict(raw: dict) -> RunConfig:
-    _reject_unknown(_document(raw, "$"), "$", {"trap", "n_ions", "drive", "thermal", "sweep", "seeds"})
+    _reject_unknown(_document(raw, "$"), "$", {"trap", "n_ions", "drive", "thermal", "sweep"})
     trap = _parse_trap(_expect(raw, "$", "trap", dict))
     n_ions = _expect(raw, "$", "n_ions", int)
     if n_ions < 1:
@@ -248,12 +244,7 @@ def from_dict(raw: dict) -> RunConfig:
             stop_hz=_expect(sraw, "sweep", "stop_hz", float),
             step_hz=_expect(sraw, "sweep", "step_hz", float),
         )
-    seeds = _expect(raw, "$", "seeds", dict, required=False, default={})
-    _reject_unknown(seeds, "seeds", {"lattice"})
-    return RunConfig(
-        trap=trap, n_ions=n_ions, drive=drive, thermal=thermal, sweep=sweep,
-        lattice_seed=_expect(seeds, "seeds", "lattice", int, required=False, default=0),
-    )
+    return RunConfig(trap=trap, n_ions=n_ions, drive=drive, thermal=thermal, sweep=sweep)
 
 
 def load_config(path: str | Path) -> RunConfig:

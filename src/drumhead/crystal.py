@@ -21,7 +21,8 @@ positive definite the crystal is a single plane and z = 0 exactly. Otherwise
 the plane is a saddle (the single-plane -> multi-plane transition), and the
 solve restarts in 3D from the in-plane positions pushed along K's softest
 eigenvector, with a small seeded jitter. The polish runs once, in the space
-actually solved.
+actually solved. The in-plane stage starts from a hex-disk patch jittered by
+an RNG built from the integer seed, so (params, N, seed) fixes the result.
 
 The O(N^2) pair kernel works on the per-component (N, N) arrays that
 `pair_separations` allocates on each call, for points of either dimension:
@@ -53,6 +54,9 @@ ENERGY_RTOL = 1e-12
 # Amplitude (scaled units, ~1 % of a spacing) of the push along the softest
 # z mode that leaves an unstable plane; its seeded jitter is a tenth of that.
 _BUCKLE_PUSH = 0.02
+# Iteration budgets: L-BFGS-B iterations per relax stage, Newton polish steps.
+_MAX_RELAX_STEPS = 100_000
+_MAX_POLISH_STEPS = 80
 
 
 def length_scale(params: TrapParams) -> float:
@@ -79,7 +83,7 @@ class CrystalLattice:
     residual_force_max: float
     planar: bool
     energy: float
-    seed: int | None = None
+    seed: int
     energy_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
@@ -239,7 +243,7 @@ def _seed_scaled(n_ions: int, b: float, rng: np.random.Generator) -> np.ndarray:
 # solver
 
 
-def _relax(x0: np.ndarray, trap: np.ndarray, trace: list, max_steps: int) -> np.ndarray:
+def _relax(x0: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
     """L-BFGS-B descent in the space of `trap`'s dimension; appends accepted energies to `trace`."""
 
     def record(intermediate_result):
@@ -255,8 +259,8 @@ def _relax(x0: np.ndarray, trap: np.ndarray, trace: list, max_steps: int) -> np.
         method="L-BFGS-B",
         callback=record,
         options={
-            "maxiter": max_steps,
-            "maxfun": 4 * max_steps,
+            "maxiter": _MAX_RELAX_STEPS,
+            "maxfun": 4 * _MAX_RELAX_STEPS,
             "gtol": 1e-12,
             "ftol": 1e-17,
             "maxcor": 25,
@@ -264,7 +268,7 @@ def _relax(x0: np.ndarray, trap: np.ndarray, trace: list, max_steps: int) -> np.
     ).x
 
 
-def _polish(x: np.ndarray, trap: np.ndarray, trace: list, max_steps: int):
+def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
     """Modified-Newton polish; returns x, energy, gradient, max |gradient| and
     the last Hessian eigendecomposition (None, None if no step was taken).
 
@@ -292,7 +296,7 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list, max_steps: int):
     gmax = np.max(np.abs(grad))
     slow = 0
     evals_h = evecs_h = None
-    for _ in range(max_steps):
+    for _ in range(_MAX_POLISH_STEPS):
         # Magic-number crystals have quartically flat intershell-libration
         # valleys; once the gradient is below the convergence bar and barely
         # improving, grinding further buys nothing.
@@ -331,30 +335,21 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list, max_steps: int):
     return x, energy, grad, gmax, evals_h, evecs_h
 
 
-def solve_equilibrium(
-    params: TrapParams,
-    n_ions: int,
-    seed_config: np.ndarray | None = None,
-    seed: int = 0,
-    max_minimize_steps: int = 100_000,
-    max_polish_steps: int = 80,
-) -> CrystalLattice:
+def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> CrystalLattice:
     """Relax n_ions to a local minimum of the rotating-frame potential.
 
-    The relax runs in the plane z = 0; it continues in 3D only when the z
-    block at the in-plane minimum is not positive definite, and the lattice
-    is then reported with `planar=False`. max_minimize_steps bounds each
-    L-BFGS-B stage.
+    The relax runs in the plane z = 0 from a jittered hex-disk patch; it
+    continues in 3D only when the z block at the in-plane minimum is not
+    positive definite, and the lattice is then reported with `planar=False`.
 
-    seed_config (meters, shape (n_ions, 3)) overrides the built-in jittered
-    hex-disk seed; only its (x, y) enter the in-plane stage. `seed` feeds the
-    jitter RNG so runs are reproducible and callers can restart from a
-    different basin. FORCE_TOL is an SI bound (N) on the residual gradient;
-    the internal scale-free bound (1e-9 in natural units) is almost always
-    the stricter of the two and typically lands near 1e-13.
+    `seed` feeds the jitter RNG, so runs are reproducible and callers can
+    restart from a different basin. FORCE_TOL is an SI bound (N) on the
+    residual gradient; the internal scale-free bound (1e-9 in natural units)
+    is almost always the stricter of the two and typically lands near 1e-13.
 
     Raises EquilibriumNotConverged (carrying the best-so-far lattice in
-    `.best`) when the iteration budget runs out.
+    `.best`) when the iteration budget (`_MAX_RELAX_STEPS` L-BFGS-B
+    iterations per stage, `_MAX_POLISH_STEPS` Newton steps) runs out.
     """
     if n_ions < 1:
         raise ValueError("n_ions must be >= 1")
@@ -376,28 +371,22 @@ def solve_equilibrium(
         )
 
     rng = np.random.default_rng(seed)
-    if seed_config is not None:
-        seed_pos = np.asarray(seed_config, dtype=float)
-        if seed_pos.shape != (n_ions, 3):
-            raise ValueError("seed_config must have shape (n_ions, 3)")
-        xy = seed_pos[:, :2] / l0
-    else:
-        xy = _seed_scaled(n_ions, beta(params), rng)
-
     trace: list[float] = []
-    x = _relax(xy.ravel(), trap[:2], trace, max_minimize_steps)
-    planar = bool(np.linalg.eigvalsh(z_stiffness(x.reshape(-1, 2)))[0] > 0.0)
+    x = _relax(_seed_scaled(n_ions, beta(params), rng).ravel(), trap[:2], trace)
+    stiffness = z_stiffness(x.reshape(-1, 2))
+    planar = bool(np.linalg.eigvalsh(stiffness)[0] > 0.0)
     if planar:
         trap = trap[:2]
     else:
         # The plane is a saddle: buckle along the softest z mode, relax in 3D.
         # The jitter breaks the symmetry the soft mode shares with the plane;
         # a symmetric push can descend onto a 3D saddle instead of a minimum.
-        soft = np.linalg.eigh(z_stiffness(x.reshape(-1, 2)))[1][:, 0]
+        soft = np.linalg.eigh(stiffness)[1][:, 0]
         z = _BUCKLE_PUSH * (soft / np.max(np.abs(soft)) + 0.1 * rng.standard_normal(n_ions))
         x = np.column_stack([x.reshape(-1, 2), z]).ravel()
-        x = _relax(x, trap, trace, max_minimize_steps)
-    x, energy, grad, gmax, evals_h, evecs_h = _polish(x, trap, trace, max_polish_steps)
+        x = _relax(x, trap, trace)
+    del stiffness  # not held through the polish
+    x, energy, grad, gmax, evals_h, evecs_h = _polish(x, trap, trace)
 
     residual_si = gmax * f0
     # Remaining decrease 1/2 g.H^+ g predicted by the local quadratic model: the

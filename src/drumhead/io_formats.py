@@ -221,8 +221,8 @@ def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[l
 
     Blank lines are skipped. A missing or other header raises
     ValueError("<path>: <complaint>"). A data row whose cell count differs
-    from the header's, or that holds a nan or infinite cell, raises
-    ValueError naming its line.
+    from the header's, or that holds an empty, non-numeric, nan or infinite
+    cell, raises ValueError naming its line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
@@ -235,7 +235,10 @@ def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[l
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {number}: expected {len(header)} cells, got {len(cells)}")
-        row = [float(c) for c in cells]
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:  # float() names the cell but not the file or line
+            raise ValueError(f"{path}: line {number}: non-numeric cell in {line!r}") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}: line {number}: non-finite cell in {line!r}")
         rows.append(row)

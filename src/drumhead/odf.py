@@ -5,8 +5,7 @@ traveling lattice along z with beat frequency mu_r and effective wavevector
 delta_k = 2 k sin(theta_r / 2). The experiment sets the polarization at the
 angle where the differential AC Stark shift vanishes, so the lattice pushes
 the two qubit states with equal and opposite forces. The package takes that
-resulting force as input, either directly or through the force-per-intensity
-calibration anchor.
+resulting force as input, in newtons.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Calibration anchor: lattice force per unit single-beam intensity at the
-# operating detuning/geometry, newtons per (W/cm^2).
-FORCE_PER_INTENSITY = 1.5e-23
 
 
 def effective_wavevector(wavelength: float, theta_r: float) -> float:
@@ -32,13 +27,6 @@ def effective_wavevector(wavelength: float, theta_r: float) -> float:
     if not 0.0 <= theta_r <= math.pi:
         raise ValueError("crossing angle must lie in [0, pi]")
     return 2.0 * (2.0 * math.pi / wavelength) * math.sin(theta_r / 2.0)
-
-
-def force_from_intensity(intensity_w_cm2: float) -> float:
-    """Lattice force (N) at the calibrated operating point, linear in intensity."""
-    if intensity_w_cm2 < 0.0:
-        raise ValueError("intensity must be >= 0")
-    return FORCE_PER_INTENSITY * intensity_w_cm2
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from drumhead import (
     beta,
     solve_equilibrium,
 )
+from drumhead import crystal
 from drumhead import io_formats as iof
 from drumhead.cli import (
     EXIT_CONFIG,
@@ -42,7 +43,6 @@ def write_config(path, **overrides):
         },
         "thermal": {"nbar_uniform": 15.0},
         "sweep": {"start_hz": 700e3, "stop_hz": 810e3, "step_hz": 250.0},
-        "seeds": {"lattice": 0},
     }
     doc.update(overrides)
     path.write_text(json.dumps(doc, indent=2))
@@ -173,10 +173,12 @@ class TestModesCompute:
         assert code == EXIT_NOT_PLANAR
 
 
-    def test_unconverged_lattice_rejected(self, tmp_path):
+    def test_unconverged_lattice_rejected(self, tmp_path, monkeypatch):
         # not converging is the reason to refuse a best-effort lattice
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        monkeypatch.setattr(crystal, "_MAX_POLISH_STEPS", 0)
         with pytest.raises(EquilibriumNotConverged) as info:
-            solve_equilibrium(paper_trap(44.7e3), 30, max_minimize_steps=3, max_polish_steps=0)
+            solve_equilibrium(paper_trap(44.7e3), 30)
         lattice_path = tmp_path / "best.json"
         iof.save_lattice(info.value.best, lattice_path)
         assert json.loads(lattice_path.read_text())["converged"] is False
@@ -429,18 +431,20 @@ class TestFitTemperature:
                    "--spectrum", spec_path, "--out", tmp_path / "f.json")
         assert code == EXIT_FIT
 
-    def test_nonfinite_data_cell_is_config_error(self, tmp_path):
+    def test_nonfinite_data_cell_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         write_config(config)
         spec_path = self.make_pipeline(tmp_path, config)
-        for bad in ("nan", "inf"):
-            data_path = tmp_path / f"data_{bad}.csv"
+        data_path = tmp_path / "data.csv"
+        for bad in ("nan", "inf", "abc", ""):
             data_path.write_text(
                 f"mu_hz,p_up,sigma\n790000.0,{bad},0.02\n795000.0,0.1,0.02\n800000.0,0.1,{bad}\n"
             )
+            capsys.readouterr()
             code = run("fit", "temperature", "--config", config, "--data", data_path,
                        "--spectrum", spec_path, "--out", tmp_path / "f.json")
             assert code == EXIT_CONFIG
+            assert f"{data_path}: line 2: " in capsys.readouterr().err
 
     def test_ragged_data_row_is_config_error(self, tmp_path, capsys):
         # the cells of three short rows must not be regrouped into two points
@@ -621,18 +625,21 @@ class TestPlot:
         assert "line 3: expected 2 cells, got 1" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad, complaint", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+        ("abc", "non-numeric"), ("", "non-numeric"),
+    ], ids=["nan", "inf", "-inf", "abc", "empty"])
     @pytest.mark.parametrize("table", [
         "mu_over_2pi_hz,p_up_mean\n1.0,0.1\n2.0,0.2\n3.0,{bad}\n",
         "bin_center_hz,count\n5000.0,3.0\n15000.0,4.0\n{bad},1.0\n",
         "t_s,re_alpha,im_alpha\n0.0,0.0,0.0\n0.0001,0.5,-0.5\n0.0002,{bad},0.1\n",
     ], ids=["trace", "histogram", "trajectory"])
-    def test_nonfinite_cell_is_config_error(self, tmp_path, capsys, table, bad):
+    def test_nonfinite_cell_is_config_error(self, tmp_path, capsys, table, bad, complaint):
         path = tmp_path / "table.csv"
         path.write_text(table.format(bad=bad))
         out = tmp_path / "out.csv"
         assert run("plot", "--in", path, "--out", out, "--svg", tmp_path / "p.svg") == EXIT_CONFIG
-        assert "line 4: non-finite cell" in capsys.readouterr().err
+        assert f"line 4: {complaint} cell" in capsys.readouterr().err
         assert not out.exists()
 
     def test_partial_trajectory_header_rejected(self, tmp_path, capsys):

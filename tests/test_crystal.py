@@ -177,27 +177,22 @@ class TestSolveEquilibrium:
         b = solve_equilibrium(paper_trap(), 10, seed=3)
         assert np.array_equal(a.positions, b.positions)
 
-    def test_explicit_seed_config(self):
-        params = paper_trap()
-        d = analytic_pair_separation(params)
-        seed_config = np.array([[0.6 * d, 0.0, 0.0], [-0.6 * d, 0.0, 0.0]])
-        lattice = solve_equilibrium(params, 2, seed_config=seed_config)
-        sep = np.linalg.norm(lattice.positions[0] - lattice.positions[1])
-        assert sep == pytest.approx(d, rel=1e-8, abs=0.0)
-
-    def test_budget_exhaustion_carries_best_state(self):
+    def test_budget_exhaustion_carries_best_state(self, monkeypatch):
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        monkeypatch.setattr(crystal, "_MAX_POLISH_STEPS", 0)
         with pytest.raises(EquilibriumNotConverged) as info:
-            solve_equilibrium(paper_trap(), 30, max_minimize_steps=3, max_polish_steps=0)
+            solve_equilibrium(paper_trap(), 30)
         best = info.value.best
         assert best is not None and not best.converged
         assert best.n_ions == 30
         assert best.residual_force_max > 0.0
 
     @pytest.mark.parametrize("n_ions", [30, 100])
-    def test_polish_finishes_a_short_descent(self, n_ions):
+    def test_polish_finishes_a_short_descent(self, monkeypatch, n_ions):
         # three L-BFGS-B steps leave the polish far from the minimum; only its
         # step cap and backtracking carry it there
-        lattice = solve_equilibrium(paper_trap(), n_ions, max_minimize_steps=3)
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        lattice = solve_equilibrium(paper_trap(), n_ions)
         assert lattice.converged
 
     def test_no_hessian_is_built_twice_at_one_point(self, monkeypatch):
@@ -271,16 +266,6 @@ class TestSolveEquilibrium:
         trap = np.array([beta(params), beta(params), 1.0])
         hess = _hessian_scaled((lattice.positions / length_scale(params)).ravel(), trap)
         assert np.linalg.eigvalsh(hess)[0] > -1e-9
-
-    def test_seed_config_enters_through_its_plane_projection(self):
-        params = paper_trap()
-        flat = hex_disk_seed(12, 20e-6)
-        tilted = flat + np.outer(np.linspace(-3e-6, 3e-6, 12), [0.0, 0.0, 1.0])
-        a = solve_equilibrium(params, 12, seed_config=flat)
-        b = solve_equilibrium(params, 12, seed_config=tilted)
-        assert a.planar and b.planar
-        assert np.array_equal(a.positions, b.positions)
-        assert np.all(b.positions[:, 2] == 0.0)
 
     def test_invalid_ion_count(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,7 @@ class TestTransverseStiffness:
             residual_force_max=1.0,
             planar=True,
             energy=lattice.energy,
+            seed=0,
         )
         with pytest.raises(EquilibriumNotConverged):
             transverse_stiffness(fake)

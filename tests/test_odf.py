@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drumhead import (
-    DriveConfig,
-    Ramsey,
-    SpinEcho,
-    effective_wavevector,
-    force_from_intensity,
-)
+from drumhead import DriveConfig, Ramsey, SpinEcho, effective_wavevector
 
 
 class TestEffectiveWavevector:
@@ -30,21 +24,6 @@ class TestEffectiveWavevector:
         angles = np.linspace(1e-3, math.pi - 1e-3, 50)
         values = [effective_wavevector(313e-9, a) for a in angles]
         assert np.all(np.diff(values) > 0.0)
-
-
-class TestForceFromIntensity:
-    def test_calibration_anchor(self):
-        assert force_from_intensity(1.0) == 1.5e-23
-
-    def test_zero(self):
-        assert force_from_intensity(0.0) == 0.0
-
-    def test_linear(self):
-        assert force_from_intensity(2.0) == pytest.approx(3.0e-23, rel=1e-15, abs=0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            force_from_intensity(-0.1)
 
 
 class TestSequencesAndDrive:
