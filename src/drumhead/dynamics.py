@@ -4,22 +4,25 @@ A sigma_z-dependent lattice force F_j cos(mu t + phi) drives each transverse
 mode m into a spin-conditioned coherent displacement
 
     alpha_jm(t, phi) = (F_j b_jm z_0m / hbar) * G_m(t, phi),
-    G_m(t, phi) = (i/2) [ e^{i phi} E(omega_m + mu, t) + e^{-i phi} E(omega_m - mu, t) ],
-    E(x, t) = integral_0^t e^{i x t'} dt' = t e^{i x t/2} sinc(x t/2),
+    G_m(t, phi) = (i/2) [ e^{i phi} E(omega_m + mu, t) + e^{-i phi} E(omega_m - mu, t) ]
+                = (i t/2) e^{i(b - phi)} [ e^{i(mu t + 2 phi)} sinc a + sinc b ],
 
-with z_0m = sqrt(hbar / 2 M omega_m) and sinc(u) = sin(u)/u. E is entire in
-x, and this closed form is exact at resonance mu = omega_m too; the usual
-textbook form with the 1/(mu^2 - omega_m^2) pole is algebraically identical
-away from resonance.
+with E(x, t) = integral_0^t e^{i x t'} dt' = t e^{i x t/2} sinc(x t/2),
+z_0m = sqrt(hbar / 2 M omega_m), sinc(u) = sin(u)/u, a = (omega_m + mu) t/2
+and b = (omega_m - mu) t/2, exact at resonance mu = omega_m too.
 
 A spin echo applies the drive in two arms of length tau separated by a pi
 pulse of length t_pi; the second arm enters with an accumulated drive-vs-mode
 phase phi_m = (tau + t_pi)(mu - omega_m) and opposite spin sign, giving
-alpha^SE = alpha(tau, 0) - alpha(tau, phi_m), i.e.
+alpha^SE = alpha(tau, 0) - alpha(tau, phi_m), i.e. (t = tau)
 
-    G^SE_m = sin(phi_m/2) [ e^{i phi_m/2} E(omega_m + mu, tau) - e^{-i phi_m/2} E(omega_m - mu, tau) ],
+    G^SE_m = tau sin(phi_m/2) e^{i(b - phi_m/2)} [ e^{i theta} sinc a - sinc b ],
+    theta = (2 tau + t_pi) mu - (tau + t_pi) omega_m,
 
-which has no cancellation as phi_m -> 0.
+which has no cancellation as phi_m -> 0. |G|^2 is real arithmetic. On an
+(M modes, G points) grid, sin a and e^{i theta} (e^{i mu tau} for Ramsey) come
+from M + G calls joined by angle addition; b and phi_m/2 vanish at resonance
+and are evaluated directly, to full relative precision (the echo null is 0).
 
 Tracing out the motion of a thermal crystal turns the residual entanglement
 into a bright-state probability
@@ -44,26 +47,38 @@ from .odf import DriveConfig, Ramsey, SpinEcho
 from .trap import TWO_PI
 
 
-def _phasor_integral(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """E(x, t) = integral_0^t e^{i x t'} dt' = t e^{i x t/2} sinc(x t/2)."""
-    half = 0.5 * np.asarray(x, dtype=float) * np.asarray(t, dtype=float)
-    return t * np.exp(1j * half) * np.sinc(half / np.pi)
+def _sinc(sin_x, x):
+    """sin(x)/x from sin(x), with the limit 1 at x = 0."""
+    return np.divide(sin_x, x, out=np.ones(np.shape(x)), where=x != 0.0)
+
+
+def _sidebands(omega, mu, t, theta, sign):
+    """Re and Im of e^{i theta} sinc a + sign sinc b, with theta a (per-mode, per-point) pair."""
+    a_mode, a_point = 0.5 * t * omega, 0.5 * t * mu
+    sinc_a = _sinc(np.sin(a_mode) * np.cos(a_point) + np.cos(a_mode) * np.sin(a_point), a_mode + a_point)
+    (cos_m, sin_m), (cos_p, sin_p) = [(np.cos(x), np.sin(x)) for x in theta]
+    b = 0.5 * t * (omega - mu)
+    re = sinc_a * (cos_m * cos_p - sin_m * sin_p) + sign * _sinc(np.sin(b), b)
+    return re, sinc_a * (sin_m * cos_p + cos_m * sin_p)
+
+
+def _echo_parts(omega, mu, sequence: SpinEcho):
+    """(tau sin(phi/2), re, im) with G^SE = tau sin(phi/2) e^{i(b - phi/2)} (re + i im)."""
+    tau, t_pi = sequence.tau, sequence.t_pi
+    theta = (-(tau + t_pi) * omega, (2.0 * tau + t_pi) * mu)
+    return (tau * np.sin(0.5 * (tau + t_pi) * (mu - omega)), *_sidebands(omega, mu, tau, theta, -1.0))
 
 
 def _arm_factor(omega, mu, t, phi):
     """G(t, phi) such that alpha = (F b z0 / hbar) G for drive cos(mu t' + phi)."""
-    ep = _phasor_integral(omega + mu, t)
-    em = _phasor_integral(omega - mu, t)
-    return 0.5j * (np.exp(1j * np.asarray(phi)) * ep + np.exp(-1j * np.asarray(phi)) * em)
+    re, im = _sidebands(omega, mu, t, (2.0 * phi, mu * t), 1.0)
+    return 0.5j * t * np.exp(1j * (0.5 * t * (omega - mu) - phi)) * (re + 1j * im)
 
 
 def _echo_factor(omega, mu, sequence: SpinEcho):
-    """_arm_factor(tau, 0) - _arm_factor(tau, phi), from one (E+, E-) pair."""
-    half_phi = 0.5 * (sequence.tau + sequence.t_pi) * (mu - omega)
-    turn = np.exp(1j * half_phi)
-    ep = _phasor_integral(omega + mu, sequence.tau)
-    em = _phasor_integral(omega - mu, sequence.tau)
-    return np.sin(half_phi) * (turn * ep - np.conj(turn) * em)
+    """_arm_factor(tau, 0) - _arm_factor(tau, phi), without the cancellation at resonance."""
+    scale, re, im = _echo_parts(omega, mu, sequence)
+    return scale * np.exp(0.5j * (2.0 * sequence.tau + sequence.t_pi) * (omega - mu)) * (re + 1j * im)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +93,8 @@ class ThermalState:
 
     def __post_init__(self):
         arr = np.asarray(self.nbar, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("occupations must be >= 0")
+        if not np.all((0.0 <= arr) & (arr < np.inf)):
+            raise ValueError("occupations must be finite and >= 0")
         arr.setflags(write=False)
         object.__setattr__(self, "nbar", arr)
 
@@ -191,8 +206,11 @@ def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndar
     om = spectrum.omega[:, None]
     mu = np.asarray(mu_grid, dtype=float)[None, :]
     seq = drive.sequence
-    g = _echo_factor(om, mu, seq) if isinstance(seq, SpinEcho) else _arm_factor(om, mu, seq.tau, 0.0)
-    return coupling, np.abs(g) ** 2
+    if isinstance(seq, SpinEcho):
+        scale, re, im = _echo_parts(om, mu, seq)
+    else:  # _arm_factor at phi = 0
+        scale, (re, im) = 0.5 * seq.tau, _sidebands(om, mu, seq.tau, (0.0, mu * seq.tau), 1.0)
+    return coupling, scale**2 * (re**2 + im**2)
 
 
 def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.ndarray:

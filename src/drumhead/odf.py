@@ -40,8 +40,8 @@ class Ramsey:
     tau: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
 
     @property
     def total_odf_time(self) -> float:
@@ -56,10 +56,10 @@ class SpinEcho:
     t_pi: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.t_pi < 0.0:
-            raise ValueError("t_pi must be >= 0")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0.0 <= self.t_pi < math.inf:
+            raise ValueError("t_pi must be finite and >= 0")
 
     @property
     def total_odf_time(self) -> float:
@@ -85,19 +85,15 @@ class DriveConfig:
     sequence: Sequence
 
     def __post_init__(self):
-        f = self.forces
-        if np.ndim(f) == 0:
-            if float(f) < 0.0:
-                raise ValueError("force must be >= 0")
-            object.__setattr__(self, "forces", float(f))
-        else:
-            arr = np.asarray(f, dtype=float)
-            if np.any(arr < 0.0):
-                raise ValueError("forces must be >= 0")
-            arr.setflags(write=False)
-            object.__setattr__(self, "forces", arr)
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        arr = np.asarray(self.forces, dtype=float)
+        if not np.all((0.0 <= arr) & (arr < np.inf)):
+            raise ValueError("forces must be finite and >= 0")
+        arr.setflags(write=False)
+        object.__setattr__(self, "forces", float(arr) if arr.ndim == 0 else arr)
+        if self.mu_r is not None and not math.isfinite(self.mu_r):
+            raise ValueError("mu_r must be finite")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
 
     def force_array(self, n_ions: int) -> np.ndarray:
         if np.ndim(self.forces) == 0:

@@ -450,3 +450,8 @@ class TestThermalState:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             ThermalState(np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_occupation_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalState(np.array([bad, 1.0]))

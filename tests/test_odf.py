@@ -50,6 +50,20 @@ class TestSequencesAndDrive:
         with pytest.raises(ValueError):
             DriveConfig(forces=-1e-23, mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3))
 
+    @pytest.mark.parametrize("build", [
+        lambda: Ramsey(tau=math.inf),
+        lambda: SpinEcho(tau=math.nan, t_pi=0.0),
+        lambda: SpinEcho(tau=1e-3, t_pi=math.inf),
+        lambda: DriveConfig(forces=math.nan, mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3)),
+        lambda: DriveConfig(forces=np.array([1e-23, math.inf]), mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-3)),
+        lambda: DriveConfig(forces=1e-23, mu_r=math.nan, gamma=0.0, sequence=Ramsey(tau=1e-3)),
+        lambda: DriveConfig(forces=1e-23, mu_r=None, gamma=math.inf, sequence=Ramsey(tau=1e-3)),
+    ], ids=["ramsey_tau", "echo_tau", "echo_t_pi", "force", "per_ion_forces", "mu_r", "gamma"])
+    def test_nonfinite_value_rejected(self, build):
+        # a NaN passes every `< 0` test, and a sweep would then return NaN without an error
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_with_mu(self):
         drive = DriveConfig(forces=1e-23, mu_r=None, gamma=10.0, sequence=Ramsey(tau=1e-3))
         assert drive.with_mu(5e6).mu_r == 5e6

@@ -27,7 +27,7 @@ from drumhead import (
     temperature_to_occupation,
     total_potential,
 )
-from drumhead.dynamics import _arm_factor, _echo_factor, _phasor_integral
+from drumhead.dynamics import _arm_factor, _echo_factor, _sidebands, lineshape_terms
 from drumhead.modes import ModeSpectrum
 from conftest import paper_trap
 
@@ -114,7 +114,10 @@ def _cisr_oracle(u):
 @settings(max_examples=200, deadline=None)
 def test_cisr_matches_direct_formula(u):
     assume(abs(u) > 1e-13)
-    ours = complex(_phasor_integral(u, 1.0))
+    # with the sinc b term switched off the bracket is e^{i u/2} sinc(u/2) = E(u, 1),
+    # a = u/2 split into equal per-mode and per-point halves
+    re, im = _sidebands(0.5 * u, 0.5 * u, 1.0, (0.25 * u, 0.25 * u), 0.0)
+    ours = complex(re, im)
     assert abs(ours - _cisr_oracle(u)) <= 1e-14 * max(1.0, abs(_cisr_oracle(u)))
 
 
@@ -133,6 +136,42 @@ def test_echo_factor_matches_two_arms(omega_hz, tau, t_pi, span_cycles):
     reference = _arm_factor(omega, mu, tau, 0.0) - _arm_factor(omega, mu, tau, phi)
     ours = _echo_factor(omega, mu, sequence)
     assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def _two_arm_gain(omega, mu, sequence):
+    """|G|^2 from complex arms built on _cisr_oracle: E(x, t) = t E(x t, 1), E(0, t) = t."""
+
+    def arm(phi):
+        def phasor(x):
+            u = x * sequence.tau
+            return sequence.tau * np.where(u == 0.0, 1.0, _cisr_oracle(np.where(u == 0.0, 1.0, u)))
+
+        return 0.5j * (np.exp(1j * phi) * phasor(omega + mu) + np.exp(-1j * phi) * phasor(omega - mu))
+
+    if isinstance(sequence, Ramsey):
+        return np.abs(arm(0.0)) ** 2
+    return np.abs(arm(0.0) - arm((sequence.tau + sequence.t_pi) * (mu - omega))) ** 2
+
+
+@given(
+    omega_hz=st.floats(1e5, 1e6),
+    tau=st.floats(2e-5, 1e-3),
+    t_pi=st.floats(0.0, 1e-4),
+    span_cycles=st.floats(0.5, 20.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_lineshape_gain_matches_two_arm_oracle(omega_hz, tau, t_pi, span_cycles):
+    spectrum = ModeSpectrum(b=np.eye(1), mass=BE9_ION_MASS, eigenvalues=np.array([(TWO_PI * omega_hz) ** 2]))
+    omega = float(spectrum.omega[0])
+    mu = np.sort(np.append(omega + np.linspace(-span_cycles, span_cycles, 401) * TWO_PI / tau, omega))
+    on_resonance = np.searchsorted(mu, omega)
+    for sequence in (SpinEcho(tau=tau, t_pi=t_pi), Ramsey(tau=tau)):
+        drive = DriveConfig(forces=1e-23, mu_r=None, gamma=0.0, sequence=sequence)
+        gain = lineshape_terms(drive, spectrum, mu)[1][0]
+        reference = _two_arm_gain(omega, mu, sequence)
+        assert np.max(np.abs(gain - reference)) <= 1e-13 * np.max(reference)
+        if isinstance(sequence, SpinEcho):
+            assert gain[on_resonance] == 0.0
 
 
 @given(

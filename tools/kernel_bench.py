@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""In-process times of the lineshape kernel, the sweep and the fit, two source trees side by side.
+
+    python3 tools/kernel_bench.py --parent OLD/src --change src --workdir /tmp/kb \
+        --out BENCH_<short-sha>.json [--repeats 7]
+
+For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it solves the crystal
+(seed 1) and computes the spectrum once with the `--parent` tree's CLI. Then,
+for each N, a fresh process per tree times `lineshape_terms`, `sweep_spectrum`
+and `fit_occupation` for spin echo and Ramsey on the full 30-800 kHz band
+(1541 points, 500 Hz steps). The fit reads the noiseless trace plus seeded
+Gaussian noise (sigma = 0.02). The two trees alternate which runs first. Each
+time is reported as median, q1 and q3 over `--repeats` calls after one warm-up
+call, with the minor page faults per call, the BLAS thread variables,
+numpy/scipy versions and the commit of each tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SIZES = ((19, 44.7e3), (190, 44.7e3), (345, 44.7e3), (1000, 42.5e3))
+SEQUENCES = {"spin_echo": {"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6},
+             "ramsey": {"type": "ramsey", "tau_s": 5e-4}}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _config(n_ions: int, rotation_hz: float, sequence: dict) -> dict:
+    return {
+        "trap": {"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": rotation_hz},
+        "n_ions": n_ions,
+        "drive": {"force_n": 1.5e-23, "gamma_per_s": 223.14, "sequence": sequence},
+        "thermal": {"nbar_com": 60.0, "bath_temperature_k": 4.3e-4},
+        "sweep": {"start_hz": 30e3, "stop_hz": 800e3, "step_hz": 500.0},
+    }
+
+
+def _commit(src: Path) -> str:
+    root = src.resolve().parent
+    try:
+        sha = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "-C", root, "status", "--porcelain", "--", "src"],
+                               capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unavailable (not a git checkout)"
+    return sha + (" with uncommitted changes under src/" if dirty else "")
+
+
+def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
+    """Time the three calls in this process; drumhead comes from PYTHONPATH."""
+    import resource
+    import time
+
+    import numpy as np
+
+    from drumhead import config, dynamics, io_formats, thermometry
+
+    def quartiles(call):
+        call()
+        times = []
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(repeats):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeats
+        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples": repeats, "minor_faults_per_call": faults}
+
+    spectrum = io_formats.load_spectrum(workdir / f"spectrum_{n_ions}.json")
+    result = {}
+    for name in SEQUENCES:
+        run = config.load_config(workdir / f"run_{n_ions}_{name}.json")
+        drive, grid = run.drive, run.sweep.points_rad_s()
+        thermal = run.thermal.realize(spectrum)
+        clean = dynamics.sweep_spectrum(drive, spectrum, thermal, grid).p_up_mean
+        noisy = np.clip(clean + np.random.default_rng(1).normal(0.0, 0.02, len(grid)), 1e-4, 1 - 1e-4)
+        data = thermometry.ObservedSpectrum(mu_hz=grid / (2 * np.pi), p_up=noisy,
+                                            sigma=np.full(len(grid), 0.02))
+        background = dynamics.ThermalState.com_plus_bath(spectrum, 0.0, run.thermal.bath_temperature_k)
+        fit = thermometry.fit_occupation(data, spectrum, drive, background=background)
+        result[name] = {
+            "lineshape_terms": quartiles(lambda: dynamics.lineshape_terms(drive, spectrum, grid)),
+            "sweep_spectrum": quartiles(lambda: dynamics.sweep_spectrum(drive, spectrum, thermal, grid)),
+            "fit_occupation": quartiles(lambda: thermometry.fit_occupation(
+                data, spectrum, drive, background=background)),
+            "fit_status": fit.status,
+            "fit_nbar": fit.nbar,
+        }
+    return result
+
+
+def _run_worker(src: Path, workdir: Path, n_ions: int, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    out = subprocess.run([sys.executable, __file__, "--worker", str(n_ions), "--workdir", str(workdir),
+                          "--repeats", str(repeats)], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def _environment() -> dict:
+    code = "import numpy, scipy, platform; print(numpy.__version__, scipy.__version__, platform.python_version())"
+    versions = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    numpy_v, scipy_v, python_v = versions.stdout.split()
+    return {"threads": {var: os.environ.get(var) for var in THREAD_VARS}, "cpu_count": os.cpu_count(),
+            "numpy": numpy_v, "scipy": scipy_v, "python": python_v}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="src/ directory of the parent tree")
+    parser.add_argument("--change", type=Path, help="src/ directory of the changed tree")
+    parser.add_argument("--workdir", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        print(json.dumps(_worker(args.workdir, args.worker, args.repeats)))
+        return 0
+    if None in (args.parent, args.change, args.out):
+        parser.error("--parent, --change and --out are required")
+
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(args.parent.resolve()))
+    record = {"sides": {"parent": _commit(args.parent), "change": _commit(args.change)},
+              "environment": _environment(), "repeats": args.repeats, "sizes": {}}
+    for index, (n_ions, rotation_hz) in enumerate(SIZES):
+        for name, sequence in SEQUENCES.items():
+            path = args.workdir / f"run_{n_ions}_{name}.json"
+            path.write_text(json.dumps(_config(n_ions, rotation_hz, sequence)), encoding="utf-8")
+        lattice, spectrum = args.workdir / f"lattice_{n_ions}.json", args.workdir / f"spectrum_{n_ions}.json"
+        cli = [sys.executable, "-m", "drumhead"]
+        subprocess.run([*cli, "crystal", "solve", "--config", args.workdir / f"run_{n_ions}_spin_echo.json",
+                        "--out", lattice, "--seed", "1"], env=env, check=True, capture_output=True)
+        subprocess.run([*cli, "modes", "compute", "--lattice", lattice, "--out", spectrum],
+                       env=env, check=True, capture_output=True)
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        times = {side: _run_worker(getattr(args, side), args.workdir, n_ions, args.repeats) for side in order}
+        record["sizes"][str(n_ions)] = {"rotation_hz": rotation_hz, "first": order[0], **times}
+        for name in SEQUENCES:
+            for call in ("lineshape_terms", "sweep_spectrum", "fit_occupation"):
+                old, new = (times[side][name][call]["median_s"] for side in ("parent", "change"))
+                print(f"N={n_ions:5d} {name:9s} {call:16s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms")
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
