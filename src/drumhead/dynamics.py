@@ -46,6 +46,8 @@ from .modes import ModeSpectrum
 from .odf import DriveConfig, Ramsey, SpinEcho
 from .trap import TWO_PI
 
+_GAIN_BLOCK_CELLS = 50_000  # (mode, point) cells per block of the lineshape gain
+
 
 def _sinc(sin_x, x):
     """sin(x)/x from sin(x), with the limit 1 at x = 0."""
@@ -201,28 +203,46 @@ def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndar
     """The two factors of |alpha_jm(mu)|^2 on a grid of beat frequencies (rad/s).
 
     Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the gain |G_m(mu)|^2, (M, G).
+    The gain is filled in column blocks of about _GAIN_BLOCK_CELLS cells, so
+    the temporaries of each block stay cache-sized; every cell is elementwise
+    in (omega_m, mu), so the blocks do not change its bits.
     """
     coupling = _coefficients(drive, spectrum) ** 2
     om = spectrum.omega[:, None]
-    mu = np.asarray(mu_grid, dtype=float)[None, :]
+    mu = np.asarray(mu_grid, dtype=float)
     seq = drive.sequence
-    if isinstance(seq, SpinEcho):
-        scale, re, im = _echo_parts(om, mu, seq)
-    else:  # _arm_factor at phi = 0
-        scale, (re, im) = 0.5 * seq.tau, _sidebands(om, mu, seq.tau, (0.0, mu * seq.tau), 1.0)
-    return coupling, scale**2 * (re**2 + im**2)
+    gain = np.empty((len(om), len(mu)))
+    block = max(1, _GAIN_BLOCK_CELLS // len(om))
+    for start in range(0, len(mu), block):
+        mu_block = mu[None, start:start + block]
+        if isinstance(seq, SpinEcho):
+            scale, re, im = _echo_parts(om, mu_block, seq)
+        else:  # _arm_factor at phi = 0
+            scale, (re, im) = 0.5 * seq.tau, _sidebands(om, mu_block, seq.tau, (0.0, mu_block * seq.tau), 1.0)
+        np.multiply(scale**2, re**2 + im**2, out=gain[:, start:start + block])
+    return coupling, gain
 
 
 def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.ndarray:
     """2 sum_m coupling_jm gain_m (2 nbar_m + 1), shape (N_ion, G) for gain (M, G) or a scalar."""
     if len(nbar) != coupling.shape[1]:
         raise ValueError("thermal occupations and coupling disagree on mode count")
-    return 2.0 * (coupling @ (gain * (2.0 * np.asarray(nbar, dtype=float) + 1.0)[:, None]))
+    out = coupling @ (gain * (2.0 * np.asarray(nbar, dtype=float) + 1.0)[:, None])
+    out *= 2.0
+    return out
 
 
-def bright_fraction(exponent: np.ndarray, gamma: float, total_odf_time: float) -> np.ndarray:
-    """P = 1/2 (1 - e^{-Gamma T} e^{-exponent}), through expm1 so small P keeps its digits."""
-    return -0.5 * np.expm1(-(gamma * total_odf_time + exponent))
+def bright_fraction(exponent, gamma: float, total_odf_time: float) -> np.ndarray:
+    """P = 1/2 (1 - e^{-Gamma T} e^{-exponent}), through expm1 so small P keeps its digits.
+
+    One array is allocated and every later step runs in place in it; a
+    scalar exponent gives a 0-d array.
+    """
+    p = np.asarray(gamma * total_odf_time + exponent, dtype=float)
+    np.negative(p, out=p)
+    np.expm1(p, out=p)
+    p *= -0.5
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +267,11 @@ def sweep_spectrum(
 ) -> SpectrumTrace:
     """Evaluate the lineshape on an ascending grid of beat frequencies (rad/s).
 
-    A pure function, so callers may split the grid across threads; the
-    matrix product in `decoherence_exponent` then rounds differently, so only
-    a whole-grid sweep reproduces this one bit for bit.
+    The gain is built in column blocks, which leaves its bits unchanged; the
+    exponent is one matrix product over the whole grid. A pure function, so
+    callers may split the grid across threads, but a split grid changes that
+    product's rounding, so only a whole-grid sweep reproduces this one bit
+    for bit.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) == 0:

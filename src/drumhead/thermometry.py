@@ -3,11 +3,13 @@
 The lineshape model has exactly one free parameter once the drive is
 calibrated: the target mode's thermal occupation, which enters the
 decoherence exponent linearly: per ion and data point the exponent is
-c0 + c1 nbar. The fit is therefore a bounded 1D minimization of the weighted
-sum of squared residuals, with the statistical error from the analytic
-curvature of chi^2 and an optional beam-angle systematic propagated by
-refitting at perturbed force calibrations. Forces enter the exponent only as
-F^2, so a perturbed calibration just rescales (c0, c1).
+c0 + c1 nbar. So chi^2, the weighted sum of squared residuals, has analytic
+first and second derivatives in nbar, and the fit is a bracketed Newton search
+for the root of chi^2' on [0, _NBAR_MAX] (Numerical Recipes' rtsafe). The
+statistical error comes from the analytic curvature of chi^2, and an optional
+beam-angle systematic is propagated by refitting at perturbed force
+calibrations. Forces enter the exponent only as F^2, so a perturbed
+calibration just rescales (c0, c1).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import HBAR, K_B
 from .dynamics import ThermalState, bright_fraction, decoherence_exponent, lineshape_terms
@@ -32,6 +33,8 @@ from .trap import TWO_PI
 
 _NBAR_MAX = 1e6
 _BOUNDARY_NBAR = 1e-3
+_NEWTON_XTOL = 1e-10  # stop when a step is at most this times max(1, nbar)
+_MAX_NEWTON_STEPS = 100
 _OFF_RESONANT_CYCLES = 4.0  # "far detuned" = this many lineshape widths 2pi/tau
 
 
@@ -103,7 +106,7 @@ class FitResult:
     temperature_err: float
     gamma_used: float
     chi2_reduced: float
-    status: str  # "ok" or "boundary_nbar_zero"
+    status: str  # "ok", "boundary_nbar_zero" or "boundary_nbar_max"
     systematic_note: str | None = None
 
 
@@ -145,29 +148,60 @@ def _chi2(model, data: ObservedSpectrum, nbar: float) -> float:
     return float(np.dot(r, r))
 
 
-def _chi2_curvature(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> float:
-    """d^2 chi^2 / d nbar^2 = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
+def _chi2_derivatives(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float, float]:
+    """d chi^2 / d nbar and d^2 chi^2 / d nbar^2 from one per_ion evaluation.
 
-    With E = e^{-Gamma T} e^{-(c0 + c1 nbar)} = 1 - 2 P per ion, the mean
-    model has m' = mean_j c1 E / 2 and m'' = -mean_j c1^2 E / 2.
+    chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2 and
+    chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2. With
+    E = e^{-Gamma T} e^{-(c0 + c1 nbar)} = 1 - 2 P per ion, the mean model has
+    m' = mean_j c1 E / 2 and m'' = -mean_j c1^2 E / 2.
     """
-    p = model.per_ion(nbar)
-    e = 1.0 - 2.0 * p
-    slope = 0.5 * np.mean(model.c1 * e, axis=0)
-    bend = -0.5 * np.mean(model.c1**2 * e, axis=0)
-    return 2.0 * float(np.sum((slope**2 - (data.p_up - p.mean(axis=0)) * bend) / data.sigma**2))
+    e = model.per_ion(nbar)
+    resid = data.p_up - e.mean(axis=0)
+    # in place: P -> E = 1 - 2P -> c1 E -> c1^2 E
+    e *= -2.0
+    e += 1.0
+    e *= model.c1
+    slope = 0.5 * np.mean(e, axis=0)
+    e *= model.c1
+    bend = -0.5 * np.mean(e, axis=0)
+    var = data.sigma**2
+    return -2.0 * float(np.sum(resid * slope / var)), 2.0 * float(np.sum((slope**2 - resid * bend) / var))
 
 
-def _minimize_nbar(model, data: ObservedSpectrum) -> float:
-    result = minimize_scalar(
-        lambda nb: _chi2(model, data, nb),
-        bounds=(0.0, _NBAR_MAX),
-        method="bounded",
-        options={"xatol": 1e-8, "maxiter": 2000},
+def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 1.0) -> float:
+    """The minimum of chi^2 on [0, _NBAR_MAX], as the root of chi^2' (rtsafe).
+
+    Returns 0 when chi^2 rises from nbar = 0 and _NBAR_MAX when it still
+    falls there. Otherwise a Newton step is taken when chi^2'' > 0 and the
+    step stays in the bracket [lo, hi] (chi^2' < 0 at lo, >= 0 at hi); else
+    nbar doubles while no hi is known, and the bracket is bisected after.
+    """
+    if _chi2_derivatives(model, data, 0.0)[0] >= 0.0:
+        return 0.0
+    lo, hi = 0.0, math.inf
+    nbar = start
+    for _ in range(_MAX_NEWTON_STEPS):
+        slope, curvature = _chi2_derivatives(model, data, nbar)
+        if slope >= 0.0:
+            hi = nbar
+        elif nbar == _NBAR_MAX:
+            return _NBAR_MAX
+        else:
+            lo = nbar
+        newton = nbar - slope / curvature if curvature > 0.0 else math.nan
+        if lo <= newton <= min(hi, _NBAR_MAX):
+            step = newton - nbar
+        elif hi == math.inf:
+            step = min(max(2.0 * nbar, 1.0), _NBAR_MAX) - nbar
+        else:
+            step = 0.5 * (lo + hi) - nbar
+        nbar += step
+        if abs(step) <= _NEWTON_XTOL * max(1.0, nbar):
+            return nbar
+    raise FitConvergenceError(
+        f"occupation fit did not converge in {_MAX_NEWTON_STEPS} steps (bracket [{lo:.6g}, {hi:.6g}])"
     )
-    if not result.success:
-        raise FitConvergenceError(f"occupation fit did not converge: {result.message}")
-    return float(result.x)
 
 
 def fit_occupation(
@@ -210,8 +244,10 @@ def fit_occupation(
     if nbar_hat < _BOUNDARY_NBAR:
         status = "boundary_nbar_zero"
         nbar_hat = 0.0
+    elif nbar_hat == _NBAR_MAX:
+        status = "boundary_nbar_max"
     chi2_min = _chi2(model, data, nbar_hat)
-    curv = _chi2_curvature(model, data, nbar_hat)
+    curv = _chi2_derivatives(model, data, nbar_hat)[1]
     stat_err = math.sqrt(2.0 / curv) if curv > 0.0 else math.inf
 
     # beam-angle systematic: force scales with the lattice wavevector
@@ -225,7 +261,7 @@ def fit_occupation(
                 meta.theta_r / 2.0
             )
             perturbed = replace(model, c0=factor**2 * model.c0, c1=factor**2 * model.c1)
-            shifts.append(abs(_minimize_nbar(perturbed, data) - nbar_hat))
+            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat) - nbar_hat))
         sys_err = max(shifts)
         note = (
             f"beam-angle +/-{100 * meta.theta_r_rel_err:g}% refit shifts nbar by "

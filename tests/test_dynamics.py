@@ -20,10 +20,11 @@ from drumhead import (
     sweep_spectrum,
     validity_ratio,
 )
-from drumhead.dynamics import bright_fraction
+from drumhead.dynamics import _GAIN_BLOCK_CELLS, bright_fraction, decoherence_exponent, lineshape_terms
 from conftest import paper_trap, spectrum_cached
 
 TWO_PI = 2 * np.pi
+BLOCK_190 = _GAIN_BLOCK_CELLS // 190  # gain columns per block for a 190-mode spectrum
 
 
 def synthetic_spectrum(omegas, b=None, mass=BE9_ION_MASS) -> ModeSpectrum:
@@ -347,6 +348,26 @@ class TestSweepSpectrum:
         with pytest.raises(ValueError):
             sweep_spectrum(drive, spectrum_190, ThermalState.uniform(190, 1.0),
                            np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("sequence", [SpinEcho(tau=5e-4, t_pi=65e-6), Ramsey(tau=5e-4)])
+    @pytest.mark.parametrize("n_points", [1, BLOCK_190 - 1, BLOCK_190, BLOCK_190 + 1, 1541])
+    def test_gain_blocks_match_column_by_column(self, spectrum_190, sequence, n_points):
+        # the gain is filled in column blocks; every cell is elementwise in
+        # (omega_m, mu), so a grid of any length matches one column at a time
+        grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=sequence)
+        gain = lineshape_terms(drive, spectrum_190, grid)[1]
+        columns = [lineshape_terms(drive, spectrum_190, grid[i:i + 1])[1] for i in range(n_points)]
+        assert gain.shape == (spectrum_190.n_modes, n_points)
+        assert np.array_equal(gain, np.hstack(columns))
+
+    def test_exponent_leaves_the_gain_unscaled(self, spectrum_190):
+        # the fit reuses gain[target] after computing its exponent
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=Ramsey(tau=5e-4))
+        coupling, gain = lineshape_terms(drive, spectrum_190, TWO_PI * np.linspace(790e3, 800e3, 7))
+        before = gain.copy()
+        decoherence_exponent(coupling, gain, ThermalState.uniform(190, 3.0).nbar)
+        assert np.array_equal(gain, before)
 
 
 class TestPhaseSpaceTrajectory:

@@ -18,7 +18,8 @@ from drumhead import (
     sweep_spectrum,
     temperature_to_occupation,
 )
-from drumhead.thermometry import _chi2, _lineshape
+from drumhead import thermometry
+from drumhead.thermometry import _NBAR_MAX, _chi2, _lineshape
 from conftest import spectrum_cached
 
 TWO_PI = 2 * np.pi
@@ -133,6 +134,17 @@ class TestFitOccupation:
         assert result.status == "boundary_nbar_zero"
         assert result.nbar == 0.0
 
+    def test_falling_chi2_hits_upper_boundary(self):
+        # fully decohered data: chi^2 falls all the way to _NBAR_MAX
+        data, spectrum, drive, bath = synthetic_observation()
+        half = ObservedSpectrum(mu_hz=data.mu_hz, p_up=np.full(len(data), 0.5), sigma=data.sigma)
+        model = _lineshape(half, spectrum, drive, 0, bath)
+        chi2 = [_chi2(model, half, nbar) for nbar in np.geomspace(1.0, _NBAR_MAX, 25)]
+        assert np.all(np.diff(chi2) < 0.0)
+        result = fit_occupation(half, spectrum, drive, target_mode=0, background=bath)
+        assert result.status == "boundary_nbar_max"
+        assert result.nbar == _NBAR_MAX
+
     def test_boundary_error_matches_chi2_curvature(self):
         # the error bar must be sqrt(2 / chi^2'') at the fitted nbar, both at
         # the nbar = 0 boundary (not a stencil clamped onto it, which picks up
@@ -204,13 +216,53 @@ class TestFitOccupation:
             shifts.append(abs(refit.nbar - base.nbar))
         result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
         sys_err = np.sqrt(result.nbar_err**2 - base.nbar_err**2)
-        assert sys_err == pytest.approx(max(shifts), rel=1e-6)
+        # each search stops after a Newton step of at most 1e-10 max(1, nbar),
+        # so the refits and the full fits agree far below that
+        assert sys_err == pytest.approx(max(shifts), rel=1e-12)
 
     def test_statistical_error_sane(self):
         data, spectrum, drive, bath = synthetic_observation(noise_seed=3)
         result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
         # error should be a few occupation quanta at sigma_p = 0.02
         assert 0.5 < result.nbar_err < 20.0
+
+
+@pytest.mark.parametrize("noise_seed", [1, 2, 3])
+@pytest.mark.parametrize("nbar_true", [0.5, 10.0, 60.0, 300.0])
+def test_fit_is_the_chi2_minimum(nbar_true, noise_seed, monkeypatch):
+    theta, rel = np.radians(4.8), 0.05
+    data, spectrum, drive, bath = synthetic_observation(
+        nbar_com=nbar_true, noise_seed=noise_seed, metadata=FitMetadata(theta_r=theta, theta_r_rel_err=rel))
+    evaluations = []
+    derivatives = thermometry._chi2_derivatives
+
+    def counted(model, observed, nbar):
+        evaluations.append(nbar)
+        return derivatives(model, observed, nbar)
+
+    monkeypatch.setattr(thermometry, "_chi2_derivatives", counted)
+    result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
+    monkeypatch.undo()
+    # the main fit and both beam-angle refits together
+    assert len(evaluations) <= 30
+
+    model = _lineshape(data, spectrum, drive, 0, bath)
+    grid = np.linspace(max(result.nbar - 1.0, 0.0), result.nbar + 1.0, 2001)
+    assert _chi2(model, data, result.nbar) <= min(_chi2(model, data, nbar) for nbar in grid)
+
+    # the refits on f^2 (c0, c1) agree with full fits at the scaled forces
+    plain = ObservedSpectrum(mu_hz=data.mu_hz, p_up=data.p_up, sigma=data.sigma)
+    base = fit_occupation(plain, spectrum, drive, target_mode=0, background=bath)
+    assert base.nbar == result.nbar
+    shifts = []
+    for sign in (+1.0, -1.0):
+        factor = np.sin(theta * (1.0 + sign * rel) / 2.0) / np.sin(theta / 2.0)
+        scaled = DriveConfig(forces=drive.forces * factor, mu_r=None, gamma=drive.gamma,
+                             sequence=drive.sequence)
+        shifts.append(abs(fit_occupation(plain, spectrum, scaled, target_mode=0, background=bath).nbar
+                          - base.nbar))
+    sys_err = np.sqrt(result.nbar_err**2 - base.nbar_err**2)
+    assert sys_err == pytest.approx(max(shifts), rel=1e-12, abs=1e-12 * max(1.0, result.nbar))
 
 
 class TestFitBackgroundGamma:
