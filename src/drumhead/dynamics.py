@@ -232,7 +232,7 @@ def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.nda
     return out
 
 
-def bright_fraction(exponent, gamma: float, total_odf_time: float) -> np.ndarray:
+def bright_fraction(exponent: np.ndarray, gamma: float, total_odf_time: float) -> np.ndarray:
     """P = 1/2 (1 - e^{-Gamma T} e^{-exponent}), through expm1 so small P keeps its digits.
 
     One array is allocated and every later step runs in place in it; a

@@ -54,6 +54,25 @@ def synthetic_observation(nbar_com=60.0, sigma=0.02, noise_seed=None, metadata=F
     return data, spectrum, drive, bath
 
 
+def assert_systematic_is_force_scaled_refit(result, data, spectrum, drive, bath):
+    """The beam-angle refits on f^2 (c0, c1) shift nbar as far as full fits at the scaled forces."""
+    theta, rel = data.metadata.theta_r, data.metadata.theta_r_rel_err
+    plain = ObservedSpectrum(mu_hz=data.mu_hz, p_up=data.p_up, sigma=data.sigma)
+    base = fit_occupation(plain, spectrum, drive, target_mode=0, background=bath)
+    assert base.nbar == result.nbar
+    shifts = []
+    for sign in (+1.0, -1.0):
+        factor = np.sin(theta * (1.0 + sign * rel) / 2.0) / np.sin(theta / 2.0)
+        scaled = DriveConfig(forces=drive.forces * factor, mu_r=None, gamma=drive.gamma,
+                             sequence=drive.sequence)
+        refit = fit_occupation(plain, spectrum, scaled, target_mode=0, background=bath)
+        shifts.append(abs(refit.nbar - base.nbar))
+    sys_err = np.sqrt(result.nbar_err**2 - base.nbar_err**2)
+    # each search ends on a Newton step of at most 1e-10 max(1, nbar), and
+    # Newton converges quadratically, so the two agree far below that
+    assert sys_err == pytest.approx(max(shifts), rel=1e-12)
+
+
 class TestConversions:
     def test_paper_com_occupation(self):
         # nbar = 60 at 795 kHz -> 2.29 mK, consistent with the reported 2.3 mK
@@ -202,23 +221,10 @@ class TestFitOccupation:
         assert with_sys.nbar_err > without.nbar_err
 
     def test_beam_angle_systematic_equals_force_scaled_refit(self):
-        theta, rel = np.radians(4.8), 0.05
         data, spectrum, drive, bath = synthetic_observation(
-            noise_seed=2, metadata=FitMetadata(theta_r=theta, theta_r_rel_err=rel))
-        plain = ObservedSpectrum(mu_hz=data.mu_hz, p_up=data.p_up, sigma=data.sigma)
-        base = fit_occupation(plain, spectrum, drive, target_mode=0, background=bath)
-        shifts = []
-        for sign in (+1.0, -1.0):
-            factor = np.sin(theta * (1.0 + sign * rel) / 2.0) / np.sin(theta / 2.0)
-            scaled = DriveConfig(forces=drive.forces * factor, mu_r=None, gamma=drive.gamma,
-                                 sequence=drive.sequence)
-            refit = fit_occupation(plain, spectrum, scaled, target_mode=0, background=bath)
-            shifts.append(abs(refit.nbar - base.nbar))
+            noise_seed=2, metadata=FitMetadata(theta_r=np.radians(4.8), theta_r_rel_err=0.05))
         result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
-        sys_err = np.sqrt(result.nbar_err**2 - base.nbar_err**2)
-        # each search stops after a Newton step of at most 1e-10 max(1, nbar),
-        # so the refits and the full fits agree far below that
-        assert sys_err == pytest.approx(max(shifts), rel=1e-12)
+        assert_systematic_is_force_scaled_refit(result, data, spectrum, drive, bath)
 
     def test_statistical_error_sane(self):
         data, spectrum, drive, bath = synthetic_observation(noise_seed=3)
@@ -230,9 +236,9 @@ class TestFitOccupation:
 @pytest.mark.parametrize("noise_seed", [1, 2, 3])
 @pytest.mark.parametrize("nbar_true", [0.5, 10.0, 60.0, 300.0])
 def test_fit_is_the_chi2_minimum(nbar_true, noise_seed, monkeypatch):
-    theta, rel = np.radians(4.8), 0.05
     data, spectrum, drive, bath = synthetic_observation(
-        nbar_com=nbar_true, noise_seed=noise_seed, metadata=FitMetadata(theta_r=theta, theta_r_rel_err=rel))
+        nbar_com=nbar_true, noise_seed=noise_seed,
+        metadata=FitMetadata(theta_r=np.radians(4.8), theta_r_rel_err=0.05))
     evaluations = []
     derivatives = thermometry._chi2_derivatives
 
@@ -250,19 +256,7 @@ def test_fit_is_the_chi2_minimum(nbar_true, noise_seed, monkeypatch):
     grid = np.linspace(max(result.nbar - 1.0, 0.0), result.nbar + 1.0, 2001)
     assert _chi2(model, data, result.nbar) <= min(_chi2(model, data, nbar) for nbar in grid)
 
-    # the refits on f^2 (c0, c1) agree with full fits at the scaled forces
-    plain = ObservedSpectrum(mu_hz=data.mu_hz, p_up=data.p_up, sigma=data.sigma)
-    base = fit_occupation(plain, spectrum, drive, target_mode=0, background=bath)
-    assert base.nbar == result.nbar
-    shifts = []
-    for sign in (+1.0, -1.0):
-        factor = np.sin(theta * (1.0 + sign * rel) / 2.0) / np.sin(theta / 2.0)
-        scaled = DriveConfig(forces=drive.forces * factor, mu_r=None, gamma=drive.gamma,
-                             sequence=drive.sequence)
-        shifts.append(abs(fit_occupation(plain, spectrum, scaled, target_mode=0, background=bath).nbar
-                          - base.nbar))
-    sys_err = np.sqrt(result.nbar_err**2 - base.nbar_err**2)
-    assert sys_err == pytest.approx(max(shifts), rel=1e-12, abs=1e-12 * max(1.0, result.nbar))
+    assert_systematic_is_force_scaled_refit(result, data, spectrum, drive, bath)
 
 
 class TestFitBackgroundGamma:
