@@ -19,10 +19,14 @@ alpha^SE = alpha(tau, 0) - alpha(tau, phi_m), i.e. (t = tau)
     G^SE_m = tau sin(phi_m/2) e^{i(b - phi_m/2)} [ e^{i theta} sinc a - sinc b ],
     theta = (2 tau + t_pi) mu - (tau + t_pi) omega_m,
 
-which has no cancellation as phi_m -> 0. |G|^2 is real arithmetic. On an
-(M modes, G points) grid, sin a and e^{i theta} (e^{i mu tau} for Ramsey) come
-from M + G calls joined by angle addition; b and phi_m/2 vanish at resonance
-and are evaluated directly, to full relative precision (the echo null is 0).
+which has no cancellation as phi_m -> 0. In real arithmetic the gain is
+|G|^2 = S^2 (A^2 + B^2 + A B C), A = sinc a, B = sinc b, with S = tau sin(phi_m/2),
+C = -2 cos theta (echo) or S = t/2, C = 2 cos(mu t) (Ramsey). On an (M modes,
+G points) grid, a = x + y and b = x - y split into per-mode and per-point
+phases, and every per-cell sine or cosine comes from M + G calls joined by
+angle addition, except on cells with min(|a|, |b|) = ||x| - |y|| below
+_NEAR_PHASE: there sin a, sin b and sin(phi_m/2) are taken directly, keeping
+their relative precision where they vanish (the echo null is exactly 0).
 
 Tracing out the motion of a thermal crystal turns the residual entanglement
 into a bright-state probability
@@ -47,6 +51,7 @@ from .odf import DriveConfig, Ramsey, SpinEcho
 from .trap import TWO_PI
 
 _GAIN_BLOCK_CELLS = 50_000  # (mode, point) cells per block of the lineshape gain
+_NEAR_PHASE = 16.0  # rad; below it a cell's sines are taken directly, not by angle addition
 
 
 def _sinc(sin_x, x):
@@ -64,13 +69,6 @@ def _sidebands(omega, mu, t, theta, sign):
     return re, sinc_a * (sin_m * cos_p + cos_m * sin_p)
 
 
-def _echo_parts(omega, mu, sequence: SpinEcho):
-    """(tau sin(phi/2), re, im) with G^SE = tau sin(phi/2) e^{i(b - phi/2)} (re + i im)."""
-    tau, t_pi = sequence.tau, sequence.t_pi
-    theta = (-(tau + t_pi) * omega, (2.0 * tau + t_pi) * mu)
-    return (tau * np.sin(0.5 * (tau + t_pi) * (mu - omega)), *_sidebands(omega, mu, tau, theta, -1.0))
-
-
 def _arm_factor(omega, mu, t, phi):
     """G(t, phi) such that alpha = (F b z0 / hbar) G for drive cos(mu t' + phi)."""
     re, im = _sidebands(omega, mu, t, (2.0 * phi, mu * t), 1.0)
@@ -79,8 +77,10 @@ def _arm_factor(omega, mu, t, phi):
 
 def _echo_factor(omega, mu, sequence: SpinEcho):
     """_arm_factor(tau, 0) - _arm_factor(tau, phi), without the cancellation at resonance."""
-    scale, re, im = _echo_parts(omega, mu, sequence)
-    return scale * np.exp(0.5j * (2.0 * sequence.tau + sequence.t_pi) * (omega - mu)) * (re + 1j * im)
+    tau, t_pi = sequence.tau, sequence.t_pi
+    re, im = _sidebands(omega, mu, tau, (-(tau + t_pi) * omega, (2.0 * tau + t_pi) * mu), -1.0)
+    scale = tau * np.sin(0.5 * (tau + t_pi) * (mu - omega))
+    return scale * np.exp(0.5j * (2.0 * tau + t_pi) * (omega - mu)) * (re + 1j * im)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +199,60 @@ def bright_probability(
     return BrightProbability(per_ion=per_ion, mean=float(np.mean(per_ion)))
 
 
+def _add_products(mode, point, cols, out, tmp):
+    """mode[0] point[0] + mode[1] point[1] into out, for per-mode and per-point pairs."""
+    np.multiply(mode[0], point[0][cols], out=out)
+    out += np.multiply(mode[1], point[1][cols], out=tmp)
+    return out
+
+
 def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
     """The two factors of |alpha_jm(mu)|^2 on a grid of beat frequencies (rad/s).
 
-    Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the gain |G_m(mu)|^2, (M, G).
-    The gain is filled in column blocks of about _GAIN_BLOCK_CELLS cells, so
-    the temporaries of each block stay cache-sized; every cell is elementwise
-    in (omega_m, mu), so the blocks do not change its bits.
+    Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the gain
+    |G_m(mu)|^2, (M, G), filled in column blocks of about _GAIN_BLOCK_CELLS
+    cells through four reused buffers. Every cell is elementwise in
+    (omega_m, mu), so the blocks do not change its bits.
     """
     coupling = _coefficients(drive, spectrum) ** 2
-    om = spectrum.omega[:, None]
-    mu = np.asarray(mu_grid, dtype=float)
     seq = drive.sequence
+    om, mu = spectrum.omega[:, None], np.asarray(mu_grid, dtype=float)
+    half = 0.5 * seq.tau
+    x, y = half * om, half * mu
+    sin_x, cos_x, sin_y, cos_y = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+    # C = weight cos theta, theta = (tau + lag) mu - lag omega; S = tau sin(lag (mu - omega) / 2)
+    lag, weight = (seq.tau + seq.t_pi, -2.0) if isinstance(seq, SpinEcho) else (0.0, 2.0)
+    theta_m, theta_p, phi_m, phi_p = lag * om, (seq.tau + lag) * mu, 0.5 * lag * om, 0.5 * lag * mu
+    cos_theta = ((weight * np.cos(theta_m), weight * np.sin(theta_m)), (np.cos(theta_p), np.sin(theta_p)))
+    sin_phi = ((np.cos(phi_m), -np.sin(phi_m)), (seq.tau * np.sin(phi_p), seq.tau * np.cos(phi_p)))
     gain = np.empty((len(om), len(mu)))
     block = max(1, _GAIN_BLOCK_CELLS // len(om))
+    buffers = np.empty((4, len(om) * min(block, len(mu))))
     for start in range(0, len(mu), block):
-        mu_block = mu[None, start:start + block]
+        cols = slice(start, start + block)
+        shape = (len(om), len(mu[cols]))
+        sinc_a, sinc_b, tmp, cross = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
+        np.multiply(sin_x, cos_y[cols], out=sinc_a)
+        np.multiply(cos_x, sin_y[cols], out=tmp)
+        np.subtract(sinc_a, tmp, out=sinc_b)
+        sinc_a += tmp
+        with np.errstate(divide="ignore", invalid="ignore"):  # at a = 0 or b = 0; those cells are near
+            sinc_a /= np.add(x, y[cols], out=tmp)
+            sinc_b /= np.subtract(x, y[cols], out=tmp)
+        near = np.flatnonzero(np.abs(np.subtract(np.abs(x), np.abs(y[cols]), out=tmp), out=tmp) < _NEAR_PHASE)
+        om_near, mu_near = om[near // shape[1], 0], mu[start + near % shape[1]]
+        for sinc, phase in ((sinc_a, half * om_near + half * mu_near), (sinc_b, half * (om_near - mu_near))):
+            np.put(sinc, near, _sinc(np.sin(phase), phase))
+        np.multiply(sinc_b, _add_products(*cos_theta, cols, cross, tmp), out=cross)
+        cross += sinc_a
+        cross *= sinc_a
+        cross += np.square(sinc_b, out=sinc_b)
+        scale = half**2
         if isinstance(seq, SpinEcho):
-            scale, re, im = _echo_parts(om, mu_block, seq)
-        else:  # _arm_factor at phi = 0
-            scale, (re, im) = 0.5 * seq.tau, _sidebands(om, mu_block, seq.tau, (0.0, mu_block * seq.tau), 1.0)
-        np.multiply(scale**2, re**2 + im**2, out=gain[:, start:start + block])
+            scale = _add_products(*sin_phi, cols, sinc_a, tmp)
+            np.put(scale, near, seq.tau * np.sin(0.5 * lag * (mu_near - om_near)))
+            scale *= scale
+        np.multiply(cross, scale, out=gain[:, cols])
     return coupling, gain
 
 

@@ -2,14 +2,14 @@
 
 The lineshape model has exactly one free parameter once the drive is
 calibrated: the target mode's thermal occupation, which enters the
-decoherence exponent linearly: per ion and data point the exponent is
-c0 + c1 nbar. So chi^2, the weighted sum of squared residuals, has analytic
-first and second derivatives in nbar, and the fit is a bracketed Newton search
-for the root of chi^2' on [0, _NBAR_MAX] (Numerical Recipes' rtsafe). The
-statistical error comes from the analytic curvature of chi^2, and an optional
-beam-angle systematic is propagated by refitting at perturbed force
-calibrations. Forces enter the exponent only as F^2, so a perturbed
-calibration just rescales (c0, c1).
+decoherence exponent linearly: per ion j and data point i the exponent is
+c0 + nbar u_j v_i, a rank-one term. So one exponential per cell and three
+column sums give chi^2 with its first two nbar-derivatives, and the fit is a
+bracketed Newton search for the root of chi^2' on [0, _NBAR_MAX] (Numerical
+Recipes' rtsafe). The statistical error comes from the analytic curvature of
+chi^2, and an optional beam-angle systematic is propagated by refitting at
+perturbed force calibrations. Forces enter the exponent only as F^2, so a
+perturbed calibration just rescales (c0, u).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR, K_B
-from .dynamics import ThermalState, bright_fraction, decoherence_exponent, lineshape_terms
+from .dynamics import ThermalState, decoherence_exponent, lineshape_terms
 from .errors import (
     FitConvergenceError,
     InsufficientDataError,
@@ -112,18 +112,26 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Lineshape:
-    """Mean bright fraction at the data points; per-ion exponent c0 + c1 nbar, (N, G)."""
+    """Mean bright fraction at the data points; per ion j and point i the exponent is
+    Gamma T + c0[j, i] + nbar u[j] v[i], with u = 4 coupling[:, target], v = gain[target]."""
 
     c0: np.ndarray
-    c1: np.ndarray
-    drive: DriveConfig
+    u: np.ndarray
+    v: np.ndarray
+    decay: float  # Gamma T
 
-    def per_ion(self, nbar: float) -> np.ndarray:
-        drive = self.drive
-        return bright_fraction(self.c0 + self.c1 * nbar, drive.gamma, drive.sequence.total_odf_time)
+    def moments(self, nbar: float) -> np.ndarray:
+        """The mean bright fraction m and its nbar-derivatives m', m'', shape (3, G).
 
-    def __call__(self, nbar: float) -> np.ndarray:
-        return self.per_ion(nbar).mean(axis=0)
+        With E = e^{-(c0 + nbar u v)} = e^{Gamma T} (1 - 2P) per ion, m = (1 - e^{-Gamma T} mean_j E) / 2,
+        m' = e^{-Gamma T} v mean_j u E / 2 and m'' = -e^{-Gamma T} v^2 mean_j u^2 E / 2: one exponential
+        per cell and three weighted column sums, which einsum adds without BLAS.
+        """
+        e = np.multiply.outer(-nbar * self.u, self.v)
+        e -= self.c0
+        weights = np.vander(self.u, 3, increasing=True).T * (0.5 * math.exp(-self.decay) / len(self.u))
+        sums = np.einsum("kj,jg->kg", weights, np.exp(e, out=e))
+        return np.array([0.5 - sums[0], self.v * sums[1], -(self.v**2) * sums[2]])
 
 
 def _lineshape(
@@ -138,55 +146,44 @@ def _lineshape(
     nbar[target_mode] = 0.0
     return _Lineshape(
         c0=decoherence_exponent(coupling, gain, nbar),
-        c1=4.0 * np.outer(coupling[:, target_mode], gain[target_mode]),
-        drive=drive,
+        u=4.0 * coupling[:, target_mode],
+        v=gain[target_mode],
+        decay=drive.gamma * drive.sequence.total_odf_time,
     )
 
 
-def _chi2(model, data: ObservedSpectrum, nbar: float) -> float:
-    r = (data.p_up - model(nbar)) / data.sigma
-    return float(np.dot(r, r))
-
-
-def _chi2_derivatives(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float, float]:
-    """d chi^2 / d nbar and d^2 chi^2 / d nbar^2 from one per_ion evaluation.
+def _chi2(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float, float, float]:
+    """chi^2 and its first two nbar-derivatives from one model evaluation.
 
     chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2 and
-    chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2. With
-    E = e^{-Gamma T} e^{-(c0 + c1 nbar)} = 1 - 2 P per ion, the mean model has
-    m' = mean_j c1 E / 2 and m'' = -mean_j c1^2 E / 2.
+    chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
     """
-    e = model.per_ion(nbar)
-    resid = data.p_up - e.mean(axis=0)
-    # in place: P -> E = 1 - 2P -> c1 E -> c1^2 E
-    e *= -2.0
-    e += 1.0
-    e *= model.c1
-    slope = 0.5 * np.mean(e, axis=0)
-    e *= model.c1
-    bend = -0.5 * np.mean(e, axis=0)
-    var = data.sigma**2
-    return -2.0 * float(np.sum(resid * slope / var)), 2.0 * float(np.sum((slope**2 - resid * bend) / var))
+    m, slope, bend = model.moments(nbar) / data.sigma
+    resid = data.p_up / data.sigma - m
+    return (float(np.sum(resid**2)), -2.0 * float(np.sum(resid * slope)),
+            2.0 * float(np.sum(slope**2 - resid * bend)))
 
 
-def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 1.0) -> float:
+def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0) -> tuple[float, tuple]:
     """The minimum of chi^2 on [0, _NBAR_MAX], as the root of chi^2' (rtsafe).
 
-    Returns 0 when chi^2 rises from nbar = 0 and _NBAR_MAX when it still
-    falls there. Otherwise a Newton step is taken when chi^2'' > 0 and the
-    step stays in the bracket [lo, hi] (chi^2' < 0 at lo, >= 0 at hi); else
-    nbar doubles while no hi is known, and the bracket is bisected after.
+    Returns it with the `_chi2` terms at nbar = 0, the default start: 0 when
+    chi^2 rises from there, _NBAR_MAX when it still falls at _NBAR_MAX. Else
+    a Newton step is taken when chi^2'' > 0 and the step stays in the bracket
+    [lo, hi] (chi^2' < 0 at lo, >= 0 at hi); else nbar doubles while no hi is
+    known, and the bracket is bisected after.
     """
-    if _chi2_derivatives(model, data, 0.0)[0] >= 0.0:
-        return 0.0
+    at_zero = _chi2(model, data, 0.0)
+    if at_zero[1] >= 0.0:
+        return 0.0, at_zero
     lo, hi = 0.0, math.inf
     nbar = start
     for _ in range(_MAX_NEWTON_STEPS):
-        slope, curvature = _chi2_derivatives(model, data, nbar)
+        _, slope, curvature = at_zero if nbar == 0.0 else _chi2(model, data, nbar)
         if slope >= 0.0:
             hi = nbar
         elif nbar == _NBAR_MAX:
-            return _NBAR_MAX
+            return _NBAR_MAX, at_zero
         else:
             lo = nbar
         newton = nbar - slope / curvature if curvature > 0.0 else math.nan
@@ -198,7 +195,7 @@ def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 1.0
             step = 0.5 * (lo + hi) - nbar
         nbar += step
         if abs(step) <= _NEWTON_XTOL * max(1.0, nbar):
-            return nbar
+            return nbar, at_zero
     raise FitConvergenceError(
         f"occupation fit did not converge in {_MAX_NEWTON_STEPS} steps (bracket [{lo:.6g}, {hi:.6g}])"
     )
@@ -239,15 +236,14 @@ def fit_occupation(
         )
 
     model = _lineshape(data, spectrum, drive, target_mode, background)
-    nbar_hat = _minimize_nbar(model, data)
+    nbar_hat, at_zero = _minimize_nbar(model, data)
     status = "ok"
     if nbar_hat < _BOUNDARY_NBAR:
         status = "boundary_nbar_zero"
         nbar_hat = 0.0
     elif nbar_hat == _NBAR_MAX:
         status = "boundary_nbar_max"
-    chi2_min = _chi2(model, data, nbar_hat)
-    curv = _chi2_derivatives(model, data, nbar_hat)[1]
+    chi2_min, _, curv = at_zero if nbar_hat == 0.0 else _chi2(model, data, nbar_hat)
     stat_err = math.sqrt(2.0 / curv) if curv > 0.0 else math.inf
 
     # beam-angle systematic: force scales with the lattice wavevector
@@ -260,8 +256,8 @@ def fit_occupation(
             factor = math.sin(meta.theta_r * (1.0 + sign * meta.theta_r_rel_err) / 2.0) / math.sin(
                 meta.theta_r / 2.0
             )
-            perturbed = replace(model, c0=factor**2 * model.c0, c1=factor**2 * model.c1)
-            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat) - nbar_hat))
+            perturbed = replace(model, c0=factor**2 * model.c0, u=factor**2 * model.u)
+            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat)[0] - nbar_hat))
         sys_err = max(shifts)
         note = (
             f"beam-angle +/-{100 * meta.theta_r_rel_err:g}% refit shifts nbar by "

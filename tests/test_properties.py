@@ -27,7 +27,7 @@ from drumhead import (
     temperature_to_occupation,
     total_potential,
 )
-from drumhead.dynamics import _arm_factor, _echo_factor, _sidebands, lineshape_terms
+from drumhead.dynamics import _NEAR_PHASE, _arm_factor, _echo_factor, _sidebands, lineshape_terms
 from drumhead.modes import ModeSpectrum
 from conftest import paper_trap
 
@@ -159,6 +159,8 @@ def _two_arm_gain(omega, mu, sequence):
     t_pi=st.floats(0.0, 1e-4),
     span_cycles=st.floats(0.5, 20.0),
 )
+# the grid crosses mu = -omega, where a = (omega + mu) tau/2 passes through 0
+@example(omega_hz=1e5, tau=6.103515625e-05, t_pi=0.0, span_cycles=17.95144987428854)
 @settings(max_examples=60, deadline=None)
 def test_lineshape_gain_matches_two_arm_oracle(omega_hz, tau, t_pi, span_cycles):
     spectrum = ModeSpectrum(b=np.eye(1), mass=BE9_ION_MASS, eigenvalues=np.array([(TWO_PI * omega_hz) ** 2]))
@@ -172,6 +174,27 @@ def test_lineshape_gain_matches_two_arm_oracle(omega_hz, tau, t_pi, span_cycles)
         assert np.max(np.abs(gain - reference)) <= 1e-13 * np.max(reference)
         if isinstance(sequence, SpinEcho):
             assert gain[on_resonance] == 0.0
+
+
+@pytest.mark.parametrize("sequence", [SpinEcho(tau=5e-4, t_pi=65e-6), Ramsey(tau=5e-4)])
+def test_multi_mode_gain_matches_two_arm_oracle(sequence):
+    # modes across 100 kHz - 1 MHz; the grid holds every mu = omega_m and
+    # points just inside and outside |b| = _NEAR_PHASE, where the kernel
+    # switches between direct sines and angle addition
+    omega_hz = np.geomspace(1e5, 1e6, 9)
+    spectrum = ModeSpectrum(b=np.eye(9), mass=BE9_ION_MASS, eigenvalues=(TWO_PI * omega_hz) ** 2)
+    omega = spectrum.omega
+    edge = 2.0 * _NEAR_PHASE / sequence.tau
+    offsets = np.concatenate([np.outer([-1.0, 1.0], edge * (1.0 + np.array([-1e-9, 1e-9]))).ravel(),
+                              np.linspace(-3.0, 3.0, 61) * edge])
+    mu = np.sort(np.concatenate([omega, (omega[:, None] + offsets).ravel()]))
+    drive = DriveConfig(forces=1e-23, mu_r=None, gamma=0.0, sequence=sequence)
+    gain = lineshape_terms(drive, spectrum, mu)[1]
+    for m in range(len(omega)):
+        reference = _two_arm_gain(omega[m], mu, sequence)
+        assert np.max(np.abs(gain[m] - reference)) <= 1e-13 * np.max(reference)
+        if isinstance(sequence, SpinEcho):
+            assert gain[m, np.searchsorted(mu, omega[m])] == 0.0
 
 
 @given(
