@@ -220,7 +220,7 @@ def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndar
     half = 0.5 * seq.tau
     x, y = half * om, half * mu
     sin_x, cos_x, sin_y, cos_y = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
-    # C = weight cos theta, theta = (tau + lag) mu - lag omega; S = tau sin(lag (mu - omega) / 2)
+    # echo: C = -2 cos theta, S = tau sin(lag (mu - omega) / 2); Ramsey: lag = 0, C = 2 cos(mu tau), S = tau/2
     lag, weight = (seq.tau + seq.t_pi, -2.0) if isinstance(seq, SpinEcho) else (0.0, 2.0)
     theta_m, theta_p, phi_m, phi_p = lag * om, (seq.tau + lag) * mu, 0.5 * lag * om, 0.5 * lag * mu
     cos_theta = ((weight * np.cos(theta_m), weight * np.sin(theta_m)), (np.cos(theta_p), np.sin(theta_p)))

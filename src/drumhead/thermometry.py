@@ -158,7 +158,7 @@ def _chi2(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float
     chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2 and
     chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
     """
-    m, slope, bend = model.moments(nbar) / data.sigma
+    m, slope, bend = model.moments(nbar) / data.sigma  # each weighted by 1/sigma
     resid = data.p_up / data.sigma - m
     return (float(np.sum(resid**2)), -2.0 * float(np.sum(resid * slope)),
             2.0 * float(np.sum(slope**2 - resid * bend)))
