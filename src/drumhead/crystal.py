@@ -7,37 +7,35 @@ The crystal is the minimum of the rotating-frame potential
       + sum_{j<k} k_e q^2 / d_jk
 
 Minimization runs in dimensionless units (length l0 = (k_e q^2 / M w1^2)^(1/3),
-energy M w1^2 l0^2) so the descent tolerances are scale-free: a coarse
-L-BFGS-B stage followed by a damped Newton polish on the analytic Hessian,
-which brings the residual force down to ~1e-13 in scaled units (orders of
-magnitude below any SI tolerance of interest here). The polish stops at the
-first Newton step its line search rejects.
+energy M w1^2 l0^2) so the tolerances are scale-free: an L-BFGS descent, then
+a regularized Newton-CG polish on the analytic Hessian that takes the residual
+force to ~1e-13 in scaled units. Both use numpy ufuncs and einsum, never BLAS,
+so a planar lattice has the same bytes under any BLAS thread count.
 
 At z = 0 every z force vanishes and the z block of the Hessian decouples from
 the in-plane problem, so the solve first runs over (x, y) alone. The z block
 at the in-plane minimum, K_jk = 1/d_jk^3 and K_jj = 1 - sum_k 1/d_jk^3 (the
 transverse stiffness `modes` diagonalizes), is the stability check: when K is
-positive definite the crystal is a single plane and z = 0 exactly. Otherwise
-the plane is a saddle (the single-plane -> multi-plane transition), and the
-solve restarts in 3D from the in-plane positions pushed along K's softest
-eigenvector, with a small seeded jitter. The polish runs once, in the space
-actually solved. The in-plane stage starts from a hex-disk patch jittered by
-an RNG built from the integer seed, so (params, N, seed) fixes the result.
+positive definite (a sign, from `eigvalsh`) the crystal is a single plane and
+z = 0 exactly. Otherwise the plane is a saddle, and the solve restarts in 3D
+from the in-plane positions pushed along K's softest `eigh` eigenvector (whose
+last bits can follow the thread count), with a small seeded jitter. The polish
+runs once, in the space actually solved. The in-plane stage starts from a
+hex-disk patch jittered by an RNG built from the integer seed, so (params, N,
+seed) fixes the result.
 
 The O(N^2) pair kernel works on the per-component (N, N) arrays that
 `pair_separations` allocates on each call, for points of either dimension:
 each gradient component is a row reduction of (r_j - r_k)_c / d_jk^3, and the
-Hessian is built from the same arrays. The energy-change convergence test
-reuses the polish's last eigendecomposition.
+Hessian is built from the same arrays.
 """
-
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import COULOMB_K
 from .errors import CoincidentIonsError, EquilibriumNotConverged
@@ -54,7 +52,7 @@ ENERGY_RTOL = 1e-12
 # Amplitude (scaled units, ~1 % of a spacing) of the push along the softest
 # z mode that leaves an unstable plane; its seeded jitter is a tenth of that.
 _BUCKLE_PUSH = 0.02
-# Iteration budgets: L-BFGS-B iterations per relax stage, Newton polish steps.
+# Iteration budgets: L-BFGS steps per relax stage, Newton polish steps.
 _MAX_RELAX_STEPS = 100_000
 _MAX_POLISH_STEPS = 80
 
@@ -149,6 +147,10 @@ def _trap_stiffness(params: TrapParams) -> np.ndarray:
     return np.array([b + params.delta_wall, b - params.delta_wall, 1.0])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i", a, b))  # np.dot would hand the sum to BLAS
+
+
 def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
     # `trap` holds the per-axis trap stiffness; its length D is the dimension of
     # the points in `coords`.
@@ -157,7 +159,7 @@ def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
     diffs, d2 = pair_separations(pos)
     inv_d = np.sqrt(d2)
     np.divide(1.0, inv_d, out=inv_d)
-    energy = 0.5 * sum(k * np.dot(c, c) for k, c in zip(trap, pos.T)) + 0.5 * np.sum(inv_d)
+    energy = 0.5 * sum(k * _dot(c, c) for k, c in zip(trap, pos.T)) + 0.5 * np.sum(inv_d)
     inv_d3 = np.divide(inv_d, d2, out=d2)
     grad = np.empty_like(pos)
     for c, (dc, k) in enumerate(zip(diffs, trap)):
@@ -243,81 +245,111 @@ def _seed_scaled(n_ions: int, b: float, rng: np.random.Generator) -> np.ndarray:
 # solver
 
 
-def _relax(x0: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
-    """L-BFGS-B descent in the space of `trap`'s dimension; appends accepted energies to `trace`."""
+def _relax(x: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
+    """L-BFGS descent (Liu & Nocedal, Math. Prog. 45, 503 (1989)) in the space of
+    `trap`'s dimension, with Armijo backtracking; appends accepted energies to `trace`.
 
-    def record(intermediate_result):
+    Pairs with s.y <= 0 are skipped; a non-descent direction restarts from steepest
+    descent. Stops at max |g| <= 1e-12 or at a step lowering the energy by at most
+    1e-17 relative (below rounding a step can pass Armijo), which is not taken.
+    """
+    energy, grad = _energy_gradient_scaled(x, trap)
+    pairs: deque = deque(maxlen=25)  # the last 25 (s, y, 1 / s.y)
+    # initial inverse Hessian gamma * I: a unit first step, then s.y / y.y of the last pair
+    gamma = 1.0 / max(math.sqrt(_dot(grad, grad)), 1e-300)
+    for _ in range(_MAX_RELAX_STEPS):
+        if np.max(np.abs(grad)) <= 1e-12:
+            break
+        step, alphas = -grad, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * _dot(s, step))
+            step -= alphas[-1] * y
+        step *= gamma
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            step += (alpha - rho * _dot(y, step)) * s
+        slope = _dot(grad, step)
+        if not slope < 0.0:
+            pairs.clear()
+            step, slope = -gamma * grad, -gamma * _dot(grad, grad)
+        for _ in range(60):
+            x_try = x + step
+            e_try, g_try = _energy_gradient_scaled(x_try, trap)
+            if e_try <= energy + 1e-4 * slope:
+                break
+            step, slope = 0.5 * step, 0.5 * slope
+        if energy - e_try <= 1e-17 * max(abs(energy), abs(e_try), 1.0):
+            break
+        s, y = x_try - x, g_try - grad
+        if (sy := _dot(s, y)) > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / _dot(y, y)
+        x, energy, grad = x_try, e_try, g_try
         # a 3D restart may begin above the plane's energy; the trace resumes below it
-        if not trace or intermediate_result.fun < trace[-1]:
-            trace.append(float(intermediate_result.fun))
+        if not trace or energy < trace[-1]:
+            trace.append(energy)
+    return x
 
-    return minimize(
-        _energy_gradient_scaled,
-        x0,
-        args=(trap,),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={
-            "maxiter": _MAX_RELAX_STEPS,
-            "maxfun": 4 * _MAX_RELAX_STEPS,
-            "gtol": 1e-12,
-            "ftol": 1e-17,
-            "maxcor": 25,
-        },
-    ).x
+
+def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
+    """Step s solving (H + |g| I + r r^T) s = -g at x, and its predicted decrease 1/2 |g.s|.
+
+    g and s are orthogonal to r, the unit rotation about z (zero with a wall).
+    Truncated CG (Steihaug; Nocedal & Wright, section 7.1) stops at a residual of
+    min(0.1, sqrt|g|) |g|, or on non-positive curvature (keeping the step so far, or -g).
+    """
+    hess = _hessian_scaled(x, trap)
+    pos = x.reshape(-1, len(trap))
+    rot = np.zeros_like(pos)
+    if trap[0] == trap[1]:
+        rot[:, 0], rot[:, 1] = -pos[:, 1], pos[:, 0]
+    rot = rot.ravel() / math.sqrt(max(_dot(rot.ravel(), rot.ravel()), 1e-300))
+    rhs = _dot(grad, rot) * rot - grad
+    rr = _dot(rhs, rhs)
+    gnorm = math.sqrt(rr)
+    hess[np.diag_indices_from(hess)] += gnorm
+    step, resid, direction = np.zeros_like(rhs), rhs, rhs
+    tol = min(0.1, math.sqrt(gnorm)) * gnorm
+    for _ in range(len(rhs)):
+        if math.sqrt(rr) <= tol:
+            break
+        h_dir = np.einsum("ij,j->i", hess, direction) + _dot(rot, direction) * rot
+        curvature = _dot(direction, h_dir)
+        if not curvature > 0.0:
+            step = step if step.any() else direction.copy()
+            break
+        alpha = rr / curvature
+        step += alpha * direction
+        resid = resid - alpha * h_dir
+        rr, rr_prev = _dot(resid, resid), rr
+        direction = resid + (rr / rr_prev) * direction
+    step -= _dot(step, rot) * rot
+    return step, 0.5 * abs(_dot(rhs, step))
 
 
 def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
-    """Modified-Newton polish; returns x, energy, gradient, max |gradient| and
-    the last Hessian eigendecomposition (None, None if no step was taken).
+    """Newton-CG polish (`_newton_step`); returns x, energy, max |gradient| and
+    the energy decrease 1/2 |g.s| one more step s predicts there.
 
-    The Hessian spectrum is inverted with |eigenvalue| floored, so soft modes
-    (shell rearrangements) and the rotational zero mode at delta_wall = 0 give
-    bounded descent steps instead of blowing up a plain solve. The rotation
-    direction is projected out explicitly since moving along it is pure noise.
-
-    The polish stops at the first step its line search does not keep: x, the
-    gradient and the Hessian are then unchanged, so another pass would only
-    rebuild the same step and reject it again.
+    The |g| shift keeps quasi-flat directions (shell rearrangements) from dominating
+    a step far from the minimum and fades as g vanishes; r r^T lifts the rotational
+    zero mode. Steps are capped at 0.5 scaled units and halved up to 30 times. The
+    polish stops at the first step its line search rejects, whose solve gives the decrease.
     """
-    dim = len(trap)
     energy, grad = _energy_gradient_scaled(x, trap)
     if not trace or energy < trace[-1]:
         trace.append(energy)
-
-    def rotation_direction(coords):
-        pos = coords.reshape(-1, dim)
-        vec = np.zeros_like(pos)
-        vec[:, 0], vec[:, 1] = -pos[:, 1], pos[:, 0]
-        norm = np.linalg.norm(vec)
-        return vec.ravel() / norm if norm > 0.0 else None
-
     gmax = np.max(np.abs(grad))
     slow = 0
-    evals_h = evecs_h = None
+    decrease = None
     for _ in range(_MAX_POLISH_STEPS):
         # Magic-number crystals have quartically flat intershell-libration
         # valleys; once the gradient is below the convergence bar and barely
         # improving, grinding further buys nothing.
         if gmax <= _POLISH_TARGET or (gmax <= _SCALED_GTOL and slow >= 3):
             break
-        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, trap))
-        # The floor keeps quasi-flat directions (where the local quadratic
-        # model is meaningless) from dominating the step.
-        floor = max(1e-6 * float(np.max(np.abs(evals_h))), 1e-12)
-        inv_spectrum = 1.0 / np.maximum(np.abs(evals_h), floor)
-        step = -evecs_h @ (inv_spectrum * (evecs_h.T @ grad))
-        if trap[0] == trap[1]:
-            rot = rotation_direction(x)
-            if rot is not None:
-                step -= (step @ rot) * rot
-        step_max = np.max(np.abs(step))
-        if step_max > 0.5:
-            step *= 0.5 / step_max
-        scale = 1.0
-        accepted = False
-        prev_gmax = gmax
+        step, decrease = _newton_step(x, trap, grad)
+        step *= min(1.0, 0.5 / max(np.max(np.abs(step)), 1e-300))
+        scale, accepted, prev_gmax = 1.0, False, gmax
         for _ in range(30):
             x_try = x + scale * step
             e_try, g_try = _energy_gradient_scaled(x_try, trap)
@@ -331,8 +363,11 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
             scale *= 0.5
         if not accepted:
             break
+        decrease = None
         slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
-    return x, energy, grad, gmax, evals_h, evecs_h
+    if decrease is None:
+        decrease = _newton_step(x, trap, grad)[1]
+    return x, energy, gmax, decrease
 
 
 def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> CrystalLattice:
@@ -348,8 +383,8 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
     is almost always the stricter of the two and typically lands near 1e-13.
 
     Raises EquilibriumNotConverged (carrying the best-so-far lattice in
-    `.best`) when the iteration budget (`_MAX_RELAX_STEPS` L-BFGS-B
-    iterations per stage, `_MAX_POLISH_STEPS` Newton steps) runs out.
+    `.best`) when the iteration budget (`_MAX_RELAX_STEPS` L-BFGS steps per
+    stage, `_MAX_POLISH_STEPS` Newton steps) runs out.
     """
     if n_ions < 1:
         raise ValueError("n_ions must be >= 1")
@@ -386,18 +421,11 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
         x = np.column_stack([x.reshape(-1, 2), z]).ravel()
         x = _relax(x, trap, trace)
     del stiffness  # not held through the polish
-    x, energy, grad, gmax, evals_h, evecs_h = _polish(x, trap, trace)
-
+    # The decrease one more Newton step predicts is the honest "relative energy
+    # change of one more step"; with no z gradient on the plane, 2N = 3N here.
+    x, energy, gmax, decrease = _polish(x, trap, trace)
     residual_si = gmax * f0
-    # Remaining decrease 1/2 g.H^+ g predicted by the local quadratic model: the
-    # honest "relative energy change of one more step". H^+ comes from the polish's
-    # last eigendecomposition, cut at eps * DN * max|eigenvalue| as lstsq would.
-    # On the plane the z gradient is zero, so the 2N quantities equal the 3N ones.
-    if evecs_h is None:
-        evals_h, evecs_h = np.linalg.eigh(_hessian_scaled(x, trap))
-    keep = np.abs(evals_h) > np.finfo(float).eps * len(evals_h) * np.max(np.abs(evals_h))
-    coeffs = evecs_h[:, keep].T @ grad
-    rel_de = abs(0.5 * float(coeffs @ (coeffs / evals_h[keep]))) / max(abs(energy), 1e-300)
+    rel_de = decrease / max(abs(energy), 1e-300)
     converged = residual_si <= FORCE_TOL and gmax <= _SCALED_GTOL and rel_de <= ENERGY_RTOL
 
     positions = np.zeros((n_ions, 3))

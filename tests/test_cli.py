@@ -650,21 +650,30 @@ class TestPlot:
         assert "unrecognized table header" in capsys.readouterr().err
 
 
-def run_module(*argv, blas_threads=None):
-    """`python -m drumhead argv` in a child process; returns its stdout."""
+def run_python(*argv, blas_threads=None):
+    """`python argv` in a child process; returns its stdout."""
     # the child process finds drumhead where this process imported it from
     src = str(Path(drumhead.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    proc = subprocess.run([sys.executable, "-m", "drumhead", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
+def run_module(*argv, blas_threads=None):
+    """`python -m drumhead argv` in a child process; returns its stdout."""
+    return run_python("-m", "drumhead", *argv, blas_threads=blas_threads)
+
+
 class TestProcessInvocation:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test dependency only: the commands run on numpy alone
+        code = "import sys, drumhead.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        assert run_python("-c", code).strip() == "[]"
+
     def test_module_entry_point(self, tmp_path):
         config = tmp_path / "run.json"
         write_config(config, n_ions=1)
@@ -674,9 +683,9 @@ class TestProcessInvocation:
 
     def test_output_bytes_under_blas_thread_counts(self, tmp_path):
         # the README's byte-identity claim at N = 190: one thread count gives the
-        # same bytes through solve, modes and sweep. Lattice bytes can depend on
-        # the thread count (N = 190 with seed 1 and N = 345 with seed 0 differ
-        # between 1 and 2 threads); seed 0 here is a case where they match
+        # same bytes through solve, modes and sweep, and lattice bytes do not
+        # depend on the thread count (N = 190 with seed 1 and N = 345 with seed 0
+        # differed between 1 and 2 threads while the polish diagonalized with BLAS)
         config = tmp_path / "run.json"
         write_config(config, n_ions=190, sweep={"start_hz": 780e3, "stop_hz": 800e3, "step_hz": 100.0})
 
@@ -697,3 +706,12 @@ class TestProcessInvocation:
         run_module("crystal", "solve", "--config", config, "--out", tmp_path / "lattice_1.json",
                    blas_threads=1)
         assert (tmp_path / "lattice_1.json").read_bytes() == first["lattice.json"]
+        for n_ions, seed in ((190, 1), (345, 0)):
+            write_config(config, n_ions=n_ions)
+            lattices = []
+            for threads in (1, 2):
+                out = tmp_path / f"lattice_{n_ions}_{seed}_{threads}.json"
+                run_module("crystal", "solve", "--config", config, "--out", out, "--seed", seed,
+                           blas_threads=threads)
+                lattices.append(out.read_bytes())
+            assert lattices[0] == lattices[1], (n_ions, seed)

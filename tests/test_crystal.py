@@ -195,6 +195,13 @@ class TestSolveEquilibrium:
         lattice = solve_equilibrium(paper_trap(), n_ions)
         assert lattice.converged
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_ions", [13, 20])
+    def test_small_crystals_converge_for_every_seed(self, n_ions, seed):
+        # N = 13 has a quasi-flat intershell mode that a polish with a floored
+        # eigenvalue spectrum could not finish within its budget (seeds 1 and 2)
+        assert solve_equilibrium(paper_trap(), n_ions, seed=seed).converged
+
     def test_no_hessian_is_built_twice_at_one_point(self, monkeypatch):
         # a rejected Newton step leaves x unchanged, so a retry could only
         # rebuild the same Hessian and reject the same step again

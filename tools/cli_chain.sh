@@ -1,0 +1,35 @@
+#!/bin/sh
+# The command-line chain at N = 19: crystal solve -> modes compute -> spectrum
+# simulate (spin echo and Ramsey) -> fit temperature, through the `drumhead`
+# console script. The noiseless spin-echo trace, read back as measured data
+# with sigma = 0.02, must fit to the generating nbar = 60.
+#
+#     sh tools/cli_chain.sh OUTDIR
+set -eu
+out="$1"
+mkdir -p "$out"
+cat > "$out/run.json" <<'JSON'
+{
+  "trap": {"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": 44.7e3},
+  "n_ions": 19,
+  "drive": {"force_n": 1.5e-23, "gamma_per_s": 223.14,
+            "sequence": {"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6}},
+  "thermal": {"nbar_com": 60.0, "bath_temperature_k": 4.3e-4},
+  "sweep": {"start_hz": 780e3, "stop_hz": 805e3, "step_hz": 100.0}
+}
+JSON
+drumhead crystal solve --config "$out/run.json" --out "$out/lattice.json" --seed 1
+drumhead modes compute --lattice "$out/lattice.json" --out "$out/spectrum.json"
+drumhead spectrum simulate --config "$out/run.json" --spectrum "$out/spectrum.json" \
+  --out "$out/trace.csv"
+sed 's/"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6/"type": "ramsey", "tau_s": 5e-4/' \
+  "$out/run.json" > "$out/ramsey.json"
+grep -q '"ramsey"' "$out/ramsey.json"
+drumhead spectrum simulate --config "$out/ramsey.json" --spectrum "$out/spectrum.json" \
+  --out "$out/trace_ramsey.csv"
+awk -F, 'NR == 1 {print "mu_hz,p_up,sigma"; next} {print $1 "," $2 ",0.02"}' \
+  "$out/trace.csv" > "$out/data.csv"
+drumhead fit temperature --config "$out/run.json" --data "$out/data.csv" \
+  --spectrum "$out/spectrum.json" --out "$out/fit.json"
+python3 -c 'import json, sys; fit = json.load(open(sys.argv[1])); assert fit["status"] == "ok" and abs(fit["nbar"] - 60.0) < 1e-6, fit' \
+  "$out/fit.json"

@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""In-process times of the lineshape kernel, the sweep and the fit, two source trees side by side.
+"""Times of the start-up, the crystal solve, the lineshape kernel, the sweep and the fit, two source trees side by side.
 
     python3 tools/kernel_bench.py --parent OLD/src --change src --workdir /tmp/kb \
         --out BENCH_<short-sha>.json [--repeats 7]
 
-For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it solves the crystal
-(seed 1) and computes the spectrum once with the `--parent` tree's CLI. Then,
-for each N, a fresh process per tree times `lineshape_terms`, `sweep_spectrum`
-and `fit_occupation` for spin echo and Ramsey on the full 30-800 kHz band
-(1541 points, 500 Hz steps). The fit reads the noiseless trace plus seeded
-Gaussian noise (sigma = 0.02). The two trees alternate which runs first. Each
-time is reported as median, q1 and q3 over `--repeats` calls after one warm-up
-call, with the minor page faults per call, the BLAS thread variables,
-numpy/scipy versions and the commit of each tree.
+Start-up: the wall time of a fresh `python -c "import drumhead.cli"` process
+and the import's own time inside it, `--repeats` times per tree, the trees
+alternating. Solve: `solve_equilibrium` at N = 190 and 345 (44.7 kHz, seeds
+1-3) and N = 1000 (42.5 kHz, seed 1), each timed once per round in a fresh
+process per tree after one N = 50 warm-up solve, over `SOLVE_ROUNDS` rounds
+that alternate which tree runs first; the energy, the convergence flag and
+the accepted-step count come with each time.
+
+For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
+crystal (seed 1) and computes the spectrum once with the `--parent` tree's
+CLI. Then, for each N, a fresh process per tree times `lineshape_terms`,
+`sweep_spectrum` and `fit_occupation` for spin echo and Ramsey on the full
+30-800 kHz band (1541 points, 500 Hz steps). The fit reads the noiseless
+trace plus seeded Gaussian noise (sigma = 0.02). The two trees alternate
+which runs first. Each time is reported as median, q1 and q3 over
+`--repeats` calls after one warm-up call, with the minor page faults per
+call, the BLAS thread variables, numpy/scipy versions and the commit of each
+tree.
 """
 
 from __future__ import annotations
@@ -28,6 +37,11 @@ SIZES = ((19, 44.7e3), (190, 44.7e3), (345, 44.7e3), (1000, 42.5e3))
 SEQUENCES = {"spin_echo": {"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6},
              "ramsey": {"type": "ramsey", "tau_s": 5e-4}}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SOLVES = ((190, 44.7e3, 1), (190, 44.7e3, 2), (190, 44.7e3, 3), (345, 44.7e3, 1), (345, 44.7e3, 2),
+          (345, 44.7e3, 3), (1000, 42.5e3, 1))
+SOLVE_ROUNDS = 3
+IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
+               "print(time.perf_counter() - start)")
 
 
 def _config(n_ions: int, rotation_hz: float, sequence: dict) -> dict:
@@ -96,6 +110,62 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     return result
 
 
+def _quartiles(values) -> dict:
+    import numpy as np
+
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples": len(values)}
+
+
+def _solve_worker() -> list:
+    """Time each of SOLVES once in this process; drumhead comes from PYTHONPATH."""
+    import time
+
+    from drumhead import EquilibriumNotConverged, TrapParams, solve_equilibrium
+
+    solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, 44.7e3), 50)  # a first solve runs slower
+    result = []
+    for n_ions, rotation_hz, seed in SOLVES:
+        start = time.perf_counter()
+        try:
+            lattice = solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, rotation_hz), n_ions, seed=seed)
+        except EquilibriumNotConverged as exc:
+            lattice = exc.best
+        result.append({"seconds": time.perf_counter() - start, "energy_j": lattice.energy,
+                       "converged": lattice.converged, "accepted_steps": len(lattice.energy_trace)})
+    return result
+
+
+def _startup_and_solves(trees: dict, workdir: Path, repeats: int) -> dict:
+    """Import and solve times of both trees, alternating which runs first."""
+    import time
+
+    envs = {side: dict(os.environ, PYTHONPATH=str(src.resolve())) for side, src in trees.items()}
+    wall, inside = {side: [] for side in trees}, {side: [] for side in trees}
+    for index in range(repeats):
+        for side in (("parent", "change") if index % 2 == 0 else ("change", "parent")):
+            start = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", IMPORT_CODE], env=envs[side], capture_output=True,
+                                 text=True, check=True)
+            wall[side].append(time.perf_counter() - start)
+            inside[side].append(float(out.stdout))
+    rounds = {side: [] for side in trees}
+    for index in range(SOLVE_ROUNDS):
+        for side in (("parent", "change") if index % 2 == 0 else ("change", "parent")):
+            out = subprocess.run([sys.executable, __file__, "--solve-worker", "--workdir", str(workdir)], env=envs[side],
+                                 capture_output=True, text=True, check=True)
+            rounds[side].append(json.loads(out.stdout))
+    record = {side: {"import_process_s": _quartiles(wall[side]), "import_in_process_s": _quartiles(inside[side]),
+                     "solves": {}} for side in trees}
+    for i, (n_ions, rotation_hz, seed) in enumerate(SOLVES):
+        for side in trees:
+            runs = [r[i] for r in rounds[side]]
+            record[side]["solves"][f"{n_ions}_seed{seed}"] = {
+                "rotation_hz": rotation_hz, **_quartiles([r["seconds"] for r in runs]),
+                **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps")}}
+    return record
+
+
 def _run_worker(src: Path, workdir: Path, n_ions: int, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     out = subprocess.run([sys.executable, __file__, "--worker", str(n_ions), "--workdir", str(workdir),
@@ -104,7 +174,10 @@ def _run_worker(src: Path, workdir: Path, n_ions: int, repeats: int) -> dict:
 
 
 def _environment() -> dict:
-    code = "import numpy, scipy, platform; print(numpy.__version__, scipy.__version__, platform.python_version())"
+    # scipy is optional: the package runs without it
+    code = ("import importlib.metadata as meta, numpy, platform\n"
+            "try:\n    scipy = meta.version('scipy')\nexcept meta.PackageNotFoundError:\n    scipy = 'absent'\n"
+            "print(numpy.__version__, scipy, platform.python_version())")
     versions = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     numpy_v, scipy_v, python_v = versions.stdout.split()
     return {"threads": {var: os.environ.get(var) for var in THREAD_VARS}, "cpu_count": os.cpu_count(),
@@ -119,9 +192,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--solve-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
         print(json.dumps(_worker(args.workdir, args.worker, args.repeats)))
+        return 0
+    if args.solve_worker:
+        print(json.dumps(_solve_worker()))
         return 0
     if None in (args.parent, args.change, args.out):
         parser.error("--parent, --change and --out are required")
@@ -129,7 +206,16 @@ def main(argv=None) -> int:
     args.workdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(args.parent.resolve()))
     record = {"sides": {"parent": _commit(args.parent), "change": _commit(args.change)},
-              "environment": _environment(), "repeats": args.repeats, "sizes": {}}
+              "environment": _environment(), "repeats": args.repeats, "solve_rounds": SOLVE_ROUNDS}
+    record["startup_and_solves"] = startup = _startup_and_solves(
+        {"parent": args.parent, "change": args.change}, args.workdir, args.repeats)
+    for key in ("import_process_s", "import_in_process_s"):
+        old, new = (startup[side][key]["median_s"] for side in ("parent", "change"))
+        print(f"{key:22s} {old:9.3f} -> {new:9.3f} s")
+    for key in startup["parent"]["solves"]:
+        old, new = (startup[side]["solves"][key]["median_s"] for side in ("parent", "change"))
+        print(f"solve {key:16s} {old:9.3f} -> {new:9.3f} s")
+    record["sizes"] = {}
     for index, (n_ions, rotation_hz) in enumerate(SIZES):
         for name, sequence in SEQUENCES.items():
             path = args.workdir / f"run_{n_ions}_{name}.json"
