@@ -25,10 +25,10 @@ hex-disk patch jittered by an RNG built from the integer seed, so (params, N,
 seed) fixes the result.
 
 The O(N^2) pair kernel works on the per-component (N, N) arrays that
-`pair_separations` allocates on each call, for points of either dimension:
-each gradient component is a row reduction of (r_j - r_k)_c / d_jk^3, and the
-Hessian is built from the same arrays.
+`pair_separations` allocates on each call, in either dimension: a gradient
+component is a row reduction of (r_j - r_k)_c / d_jk^3; the Hessian uses them too.
 """
+
 from __future__ import annotations
 
 import math
