@@ -66,6 +66,13 @@ def _commit(src: Path) -> str:
     return sha + (" with uncommitted changes under src/" if dirty else "")
 
 
+def _quartiles(values) -> dict:
+    import numpy as np
+
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples": len(values)}
+
+
 def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     """Time the three calls in this process; drumhead comes from PYTHONPATH."""
     import resource
@@ -84,8 +91,7 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
             call()
             times.append(time.perf_counter() - start)
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeats
-        q1, median, q3 = np.percentile(times, [25, 50, 75])
-        return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples": repeats, "minor_faults_per_call": faults}
+        return {**_quartiles(times), "minor_faults_per_call": faults}
 
     spectrum = io_formats.load_spectrum(workdir / f"spectrum_{n_ions}.json")
     result = {}
@@ -110,13 +116,6 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     return result
 
 
-def _quartiles(values) -> dict:
-    import numpy as np
-
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples": len(values)}
-
-
 def _solve_worker() -> list:
     """Time each of SOLVES once in this process; drumhead comes from PYTHONPATH."""
     import time
@@ -136,7 +135,7 @@ def _solve_worker() -> list:
     return result
 
 
-def _startup_and_solves(trees: dict, workdir: Path, repeats: int) -> dict:
+def _startup_and_solves(trees: dict, repeats: int) -> dict:
     """Import and solve times of both trees, alternating which runs first."""
     import time
 
@@ -152,7 +151,7 @@ def _startup_and_solves(trees: dict, workdir: Path, repeats: int) -> dict:
     rounds = {side: [] for side in trees}
     for index in range(SOLVE_ROUNDS):
         for side in (("parent", "change") if index % 2 == 0 else ("change", "parent")):
-            out = subprocess.run([sys.executable, __file__, "--solve-worker", "--workdir", str(workdir)], env=envs[side],
+            out = subprocess.run([sys.executable, __file__, "--solve-worker"], env=envs[side],
                                  capture_output=True, text=True, check=True)
             rounds[side].append(json.loads(out.stdout))
     record = {side: {"import_process_s": _quartiles(wall[side]), "import_in_process_s": _quartiles(inside[side]),
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="src/ directory of the parent tree")
     parser.add_argument("--change", type=Path, help="src/ directory of the changed tree")
-    parser.add_argument("--workdir", type=Path, required=True)
+    parser.add_argument("--workdir", type=Path)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
@@ -200,15 +199,15 @@ def main(argv=None) -> int:
     if args.solve_worker:
         print(json.dumps(_solve_worker()))
         return 0
-    if None in (args.parent, args.change, args.out):
-        parser.error("--parent, --change and --out are required")
+    if None in (args.parent, args.change, args.out, args.workdir):
+        parser.error("--parent, --change, --workdir and --out are required")
 
     args.workdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(args.parent.resolve()))
     record = {"sides": {"parent": _commit(args.parent), "change": _commit(args.change)},
               "environment": _environment(), "repeats": args.repeats, "solve_rounds": SOLVE_ROUNDS}
     record["startup_and_solves"] = startup = _startup_and_solves(
-        {"parent": args.parent, "change": args.change}, args.workdir, args.repeats)
+        {"parent": args.parent, "change": args.change}, args.repeats)
     for key in ("import_process_s", "import_in_process_s"):
         old, new = (startup[side][key]["median_s"] for side in ("parent", "change"))
         print(f"{key:22s} {old:9.3f} -> {new:9.3f} s")
