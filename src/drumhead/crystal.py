@@ -24,9 +24,10 @@ runs once, in the space actually solved. The in-plane stage starts from a
 hex-disk patch jittered by an RNG built from the integer seed, so (params, N,
 seed) fixes the result.
 
-The O(N^2) pair kernel works on the per-component (N, N) arrays that
-`pair_separations` allocates on each call, in either dimension: a gradient
-component is a row reduction of (r_j - r_k)_c / d_jk^3; the Hessian uses them too.
+The O(N^2) energy-gradient kernel visits each pair once: rows [a, a + 64) against
+columns [a, N), whose leading square holds its pairs twice (row sums only) and the
+rectangle after it once (row sums, and column sums for the later rows), in (D + 2) 64 N
+doubles of scratch. The Hessian uses the per-component (N, N) `pair_separations`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _BUCKLE_PUSH = 0.02
 # Iteration budgets: L-BFGS steps per relax stage, Newton polish steps.
 _MAX_RELAX_STEPS = 100_000
 _MAX_POLISH_STEPS = 80
+# Rows per block of the pair kernel, which visits each pair once.
+_ROW_BLOCK = 64
 
 
 def length_scale(params: TrapParams) -> float:
@@ -117,9 +120,8 @@ def pair_separations(points: np.ndarray):
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
-    # One block, filled per component: broadcasting pts.T is 3-4x slower and
-    # reorders einsum's sum in 3D; separate diffs and d2 arrays page-faulted
-    # on every call under glibc malloc, doubling the 2D kernel time at N = 345.
+    # One block, filled per component: broadcasting pts.T is 3-4x slower and reorders
+    # einsum's sum in 3D; separate diffs and d2 arrays page-faulted on every call.
     out = np.empty((dim + 1, n, n))
     diffs = out[:dim]
     for c, dc in zip(pts.T, diffs):
@@ -156,16 +158,25 @@ def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
     # the points in `coords`.
     dim = len(trap)
     pos = coords.reshape(-1, dim)
-    diffs, d2 = pair_separations(pos)
-    inv_d = np.sqrt(d2)
-    np.divide(1.0, inv_d, out=inv_d)
-    energy = 0.5 * sum(k * _dot(c, c) for k, c in zip(trap, pos.T)) + 0.5 * np.sum(inv_d)
-    inv_d3 = np.divide(inv_d, d2, out=d2)
-    grad = np.empty_like(pos)
-    for c, (dc, k) in enumerate(zip(diffs, trap)):
-        # direct row reduction; rowsum(inv_d3) * r_j - inv_d3 @ r cancels worse
-        grad[:, c] = k * pos[:, c] - np.multiply(dc, inv_d3, out=dc).sum(axis=1)
-    return energy, grad.ravel()
+    n = len(pos)
+    force, coulomb = np.zeros((dim, n)), 0.0  # force: sum_k (r_j - r_k) / d_jk^3
+    scratch = np.empty((dim + 2) * min(n, _ROW_BLOCK) * n)
+    for a in range(0, n, _ROW_BLOCK):
+        m = min(_ROW_BLOCK, n - a)
+        block = scratch[: (dim + 2) * m * (n - a)].reshape(dim + 2, m, n - a)
+        diffs, d2, inv_d = block[:dim], block[dim], block[dim + 1]
+        for c, dc in zip(pos.T, diffs):
+            np.subtract(c[a : a + m, None], c[None, a:], out=dc)
+        np.einsum("cjk,cjk->jk", diffs, diffs, out=d2)
+        d2.reshape(-1)[:: n - a + 1] = np.inf  # the square's diagonal
+        np.divide(1.0, np.sqrt(d2, out=inv_d), out=inv_d)
+        coulomb += 0.5 * np.sum(inv_d[..., :m]) + np.sum(inv_d[..., m:])
+        # direct reductions; rowsum(1/d^3) * r_j - (1/d^3) @ r cancels worse
+        np.multiply(diffs, np.divide(inv_d, d2, out=d2), out=diffs)
+        force[:, a : a + m] += diffs.sum(axis=2)
+        force[:, a + m :] -= diffs[..., m:].sum(axis=1)
+    energy = 0.5 * sum(k * _dot(c, c) for k, c in zip(trap, pos.T)) + coulomb
+    return energy, (pos * trap - force.T).ravel()
 
 
 def _hessian_scaled(coords: np.ndarray, trap: np.ndarray) -> np.ndarray:
@@ -290,6 +301,16 @@ def _relax(x: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
     return x
 
 
+def _rotation_and_rhs(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
+    """Unit rotation r about z at x (zero with a wall) and -g_perp = (g.r) r - g."""
+    pos = x.reshape(-1, len(trap))
+    rot = np.zeros_like(pos)
+    if trap[0] == trap[1]:
+        rot[:, 0], rot[:, 1] = -pos[:, 1], pos[:, 0]
+    rot = rot.ravel() / math.sqrt(max(_dot(rot.ravel(), rot.ravel()), 1e-300))
+    return rot, _dot(grad, rot) * rot - grad
+
+
 def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
     """Step s solving (H + |g| I + r r^T) s = -g at x, and its predicted decrease 1/2 |g.s|.
 
@@ -298,12 +319,7 @@ def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
     min(0.1, sqrt|g|) |g|, or on non-positive curvature (keeping the step so far, or -g).
     """
     hess = _hessian_scaled(x, trap)
-    pos = x.reshape(-1, len(trap))
-    rot = np.zeros_like(pos)
-    if trap[0] == trap[1]:
-        rot[:, 0], rot[:, 1] = -pos[:, 1], pos[:, 0]
-    rot = rot.ravel() / math.sqrt(max(_dot(rot.ravel(), rot.ravel()), 1e-300))
-    rhs = _dot(grad, rot) * rot - grad
+    rot, rhs = _rotation_and_rhs(x, trap, grad)
     rr = _dot(rhs, rhs)
     gnorm = math.sqrt(rr)
     hess[np.diag_indices_from(hess)] += gnorm
@@ -328,12 +344,14 @@ def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
 
 def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
     """Newton-CG polish (`_newton_step`); returns x, energy, max |gradient| and
-    the energy decrease 1/2 |g.s| one more step s predicts there.
+    the energy decrease 1/2 |g.s| one more step s predicts there, or a bound on it.
 
     The |g| shift keeps quasi-flat directions (shell rearrangements) from dominating
     a step far from the minimum and fades as g vanishes; r r^T lifts the rotational
     zero mode. Steps are capped at 0.5 scaled units and halved up to 30 times. The
-    polish stops at the first step its line search rejects, whose solve gives the decrease.
+    polish stops at the first step its line search rejects, whose solve gives the decrease,
+    or at a small gradient, where H >= 0 (a minimum) bounds every CG iterate's 1/2 |g.s| by
+    1/2 |g_perp|: that bound is the decrease if below ENERGY_RTOL |E|, else one more solve runs.
     """
     energy, grad = _energy_gradient_scaled(x, trap)
     if not trace or energy < trace[-1]:
@@ -366,7 +384,9 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
         decrease = None
         slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
     if decrease is None:
-        decrease = _newton_step(x, trap, grad)[1]
+        rhs = _rotation_and_rhs(x, trap, grad)[1]
+        half_gnorm = 0.5 * math.sqrt(_dot(rhs, rhs))
+        decrease = half_gnorm if half_gnorm <= ENERGY_RTOL * abs(energy) else _newton_step(x, trap, grad)[1]
     return x, energy, gmax, decrease
 
 

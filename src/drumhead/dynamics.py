@@ -61,8 +61,8 @@ def _sinc(sin_x, x):
 
 def _sidebands(omega, mu, t, theta, sign):
     """Re and Im of e^{i theta} sinc a + sign sinc b, with theta a (per-mode, per-point) pair."""
-    a_mode, a_point = 0.5 * t * omega, 0.5 * t * mu
-    sinc_a = _sinc(np.sin(a_mode) * np.cos(a_point) + np.cos(a_mode) * np.sin(a_point), a_mode + a_point)
+    a = 0.5 * t * omega + 0.5 * t * mu
+    sinc_a = _sinc(np.sin(a), a)  # the sine of the a it divides by keeps its precision as a -> 0
     (cos_m, sin_m), (cos_p, sin_p) = [(np.cos(x), np.sin(x)) for x in theta]
     b = 0.5 * t * (omega - mu)
     re = sinc_a * (cos_m * cos_p - sin_m * sin_p) + sign * _sinc(np.sin(b), b)

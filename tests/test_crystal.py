@@ -124,6 +124,26 @@ class TestPairKernel:
             assert np.max(np.abs(g - grad.ravel())) <= 1e-12 * np.max(np.abs(grad))
             assert np.max(np.abs(h - hess.reshape(20 * dim, 20 * dim))) <= 1e-12 * np.max(np.abs(hess))
 
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_row_blocks_match_explicit_pair_sum(self, dim):
+        # 150 points span three row blocks of the kernel, the last one partial
+        n = 150
+        assert 2 * crystal._ROW_BLOCK < n < 3 * crystal._ROW_BLOCK
+        rng = np.random.default_rng(12)
+        pos = rng.standard_normal((n, dim)) * np.array([6.0, 6.0, 2.0])[:dim]
+        trap = np.array([0.034, 0.026, 1.0])[:dim]
+        energy, grad = 0.5 * np.sum(trap * pos**2), pos * trap
+        for j in range(n - 1):
+            r = pos[j] - pos[j + 1 :]  # each pair (j, k > j) once
+            d = np.sqrt(np.sum(r**2, axis=1))
+            energy += np.sum(1.0 / d)
+            pull = r / d[:, None] ** 3
+            grad[j] -= pull.sum(axis=0)
+            grad[j + 1 :] += pull
+        e, g = _energy_gradient_scaled(pos.ravel(), trap)
+        assert e == pytest.approx(energy, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(g - grad.ravel())) <= 1e-12 * np.max(np.abs(grad))
+
 
 class TestSolveEquilibrium:
     def test_single_ion_sits_at_origin(self):
@@ -214,6 +234,44 @@ class TestSolveEquilibrium:
         monkeypatch.setattr(crystal, "_hessian_scaled", recording_hessian)
         solve_equilibrium(paper_trap(), 20)
         assert points and len(set(points)) == len(points)
+
+    @pytest.mark.parametrize("n_ions", [190, 345])
+    def test_gradient_norm_bounds_newton_decrease(self, n_ions):
+        # _polish certifies a finished solve with 1/2 |g_perp| in place of a CG
+        # solve; at a minimum no CG step of the |g|-shifted system predicts more
+        lattice = solve_cached(n_ions)
+        trap = crystal._trap_stiffness(lattice.params)[:2]
+        x = (lattice.positions[:, :2] / length_scale(lattice.params)).ravel()
+        _, grad = _energy_gradient_scaled(x, trap)
+        rot = np.column_stack([-x[1::2], x[::2]]).ravel()  # rotation about z
+        rot /= np.linalg.norm(rot)
+        g_perp = grad - (grad @ rot) * rot
+        _, decrease = crystal._newton_step(x, trap, grad)
+        assert 0.0 < decrease <= 0.5 * np.linalg.norm(g_perp)
+
+    def test_zero_energy_tolerance_still_solves_at_the_final_point(self, monkeypatch):
+        # the gradient-norm certificate skips the last Newton solve; with nothing
+        # it could certify, the polish still runs that solve where it stopped
+        newton_step = crystal._newton_step
+
+        def newton_points_and_converged():
+            points = []
+
+            def recording_step(x, trap, grad):
+                points.append(x.tobytes())
+                return newton_step(x, trap, grad)
+
+            monkeypatch.setattr(crystal, "_newton_step", recording_step)
+            try:
+                return points, solve_equilibrium(paper_trap(), 30).converged
+            except EquilibriumNotConverged:
+                return points, False
+
+        certified, converged = newton_points_and_converged()
+        monkeypatch.setattr(crystal, "ENERGY_RTOL", 0.0)
+        solved, converged_at_zero = newton_points_and_converged()
+        assert converged and not converged_at_zero
+        assert solved[:-1] == certified
 
     def test_strong_compression_buckles_out_of_plane(self):
         # beta ~ 3: a 50-ion crystal cannot stay in a single plane

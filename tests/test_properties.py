@@ -127,30 +127,39 @@ def test_cisr_matches_direct_formula(u):
     t_pi=st.floats(0.0, 1e-4),
     span_cycles=st.floats(0.5, 20.0),
 )
+# the grid crosses mu = -omega, where a = (omega + mu) tau/2 passes through 0
+@example(omega_hz=1e5, tau=6.103515625e-05, t_pi=0.0, span_cycles=17.95144987428854)
 @settings(max_examples=60, deadline=None)
 def test_echo_factor_matches_two_arms(omega_hz, tau, t_pi, span_cycles):
     omega = TWO_PI * omega_hz
     mu = omega + np.append(np.linspace(-span_cycles, span_cycles, 401) * TWO_PI / tau, 0.0)
     sequence = SpinEcho(tau=tau, t_pi=t_pi)
     phi = (tau + t_pi) * (mu - omega)
-    reference = _arm_factor(omega, mu, tau, 0.0) - _arm_factor(omega, mu, tau, phi)
+    arms = [_arm_factor(omega, mu, tau, p) for p in (0.0, phi)]
+    for arm, p in zip(arms, (0.0, phi)):
+        oracle = _oracle_arm(omega, mu, tau, p)
+        assert np.max(np.abs(arm - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    reference = arms[0] - arms[1]
     ours = _echo_factor(omega, mu, sequence)
-    assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(ours - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def _oracle_arm(omega, mu, t, phi):
+    """G(t, phi) built on _cisr_oracle: E(x, t) = t E(x t, 1), E(0, t) = t."""
+
+    def phasor(x):
+        u = x * t
+        return t * np.where(u == 0.0, 1.0, _cisr_oracle(np.where(u == 0.0, 1.0, u)))
+
+    return 0.5j * (np.exp(1j * phi) * phasor(omega + mu) + np.exp(-1j * phi) * phasor(omega - mu))
 
 
 def _two_arm_gain(omega, mu, sequence):
-    """|G|^2 from complex arms built on _cisr_oracle: E(x, t) = t E(x t, 1), E(0, t) = t."""
-
-    def arm(phi):
-        def phasor(x):
-            u = x * sequence.tau
-            return sequence.tau * np.where(u == 0.0, 1.0, _cisr_oracle(np.where(u == 0.0, 1.0, u)))
-
-        return 0.5j * (np.exp(1j * phi) * phasor(omega + mu) + np.exp(-1j * phi) * phasor(omega - mu))
-
+    """|G|^2 from the complex oracle arms."""
+    arm = _oracle_arm(omega, mu, sequence.tau, 0.0)
     if isinstance(sequence, Ramsey):
-        return np.abs(arm(0.0)) ** 2
-    return np.abs(arm(0.0) - arm((sequence.tau + sequence.t_pi) * (mu - omega))) ** 2
+        return np.abs(arm) ** 2
+    return np.abs(arm - _oracle_arm(omega, mu, sequence.tau, (sequence.tau + sequence.t_pi) * (mu - omega))) ** 2
 
 
 @given(

@@ -1,17 +1,18 @@
 #!/bin/sh
-# The command-line chain at N = 19: crystal solve -> modes compute -> spectrum
-# simulate (spin echo and Ramsey) -> fit temperature, through the `drumhead`
-# console script. The noiseless spin-echo trace, read back as measured data
-# with sigma = 0.02, must fit to the generating nbar = 60.
+# The command-line chain at N ions (default 19): crystal solve -> modes compute
+# -> spectrum simulate (spin echo and Ramsey) -> fit temperature, through the
+# `drumhead` console script. The noiseless spin-echo trace, read back as
+# measured data with sigma = 0.02, must fit to the generating nbar = 60.
 #
-#     sh tools/cli_chain.sh OUTDIR
+#     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
 out="$1"
+n_ions="${2:-19}"
 mkdir -p "$out"
-cat > "$out/run.json" <<'JSON'
+cat > "$out/run.json" <<JSON
 {
   "trap": {"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": 44.7e3},
-  "n_ions": 19,
+  "n_ions": $n_ions,
   "drive": {"force_n": 1.5e-23, "gamma_per_s": 223.14,
             "sequence": {"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6}},
   "thermal": {"nbar_com": 60.0, "bath_temperature_k": 4.3e-4},

@@ -10,7 +10,8 @@ alternating. Solve: `solve_equilibrium` at N = 190 and 345 (44.7 kHz, seeds
 1-3) and N = 1000 (42.5 kHz, seed 1), each timed once per round in a fresh
 process per tree after one N = 50 warm-up solve, over `SOLVE_ROUNDS` rounds
 that alternate which tree runs first; the energy, the convergence flag and
-the accepted-step count come with each time.
+the accepted-step count come with each time, and each solve process reports
+its peak RSS (`ru_maxrss`), which its largest solve, N = 1000, sets.
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
@@ -116,8 +117,9 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     return result
 
 
-def _solve_worker() -> list:
+def _solve_worker() -> dict:
     """Time each of SOLVES once in this process; drumhead comes from PYTHONPATH."""
+    import resource
     import time
 
     from drumhead import EquilibriumNotConverged, TrapParams, solve_equilibrium
@@ -132,7 +134,8 @@ def _solve_worker() -> list:
             lattice = exc.best
         result.append({"seconds": time.perf_counter() - start, "energy_j": lattice.energy,
                        "converged": lattice.converged, "accepted_steps": len(lattice.energy_trace)})
-    return result
+    # ru_maxrss is in KiB on Linux
+    return {"solves": result, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def _startup_and_solves(trees: dict, repeats: int) -> dict:
@@ -155,10 +158,11 @@ def _startup_and_solves(trees: dict, repeats: int) -> dict:
                                  capture_output=True, text=True, check=True)
             rounds[side].append(json.loads(out.stdout))
     record = {side: {"import_process_s": _quartiles(wall[side]), "import_in_process_s": _quartiles(inside[side]),
+                     "solve_process_peak_rss_mb": [r["peak_rss_mb"] for r in rounds[side]],
                      "solves": {}} for side in trees}
     for i, (n_ions, rotation_hz, seed) in enumerate(SOLVES):
         for side in trees:
-            runs = [r[i] for r in rounds[side]]
+            runs = [r["solves"][i] for r in rounds[side]]
             record[side]["solves"][f"{n_ions}_seed{seed}"] = {
                 "rotation_hz": rotation_hz, **_quartiles([r["seconds"] for r in runs]),
                 **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps")}}
@@ -214,6 +218,8 @@ def main(argv=None) -> int:
     for key in startup["parent"]["solves"]:
         old, new = (startup[side]["solves"][key]["median_s"] for side in ("parent", "change"))
         print(f"solve {key:16s} {old:9.3f} -> {new:9.3f} s")
+    old, new = (max(startup[side]["solve_process_peak_rss_mb"]) for side in ("parent", "change"))
+    print(f"solve process peak RSS {old:9.1f} -> {new:9.1f} MB (largest of {SOLVE_ROUNDS})")
     record["sizes"] = {}
     for index, (n_ions, rotation_hz) in enumerate(SIZES):
         for name, sequence in SEQUENCES.items():
