@@ -64,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", required=True, type=Path)
     solve.add_argument("--seed", type=int, default=0, help="lattice seed (default 0)")
     solve.add_argument("--csv", type=Path, default=None, help="also write positions as CSV")
+    solve.set_defaults(run=_cmd_crystal_solve)
 
     modes = top.add_parser("modes", help="transverse normal modes")
     modes_sub = modes.add_subparsers(dest="command", required=True)
@@ -73,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--bin-hz", type=float, default=10e3)
     compute.add_argument("--histogram-out", type=Path, default=None,
                          help="histogram CSV path (default: <out stem>_histogram.csv)")
+    compute.set_defaults(run=_cmd_modes_compute)
 
     spectrum = top.add_parser("spectrum", help="decoherence lineshapes")
     spectrum_sub = spectrum.add_subparsers(dest="command", required=True)
@@ -81,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--spectrum", required=True, type=Path)
     simulate.add_argument("--out", required=True, type=Path)
     simulate.add_argument("--per-ion", action="store_true")
+    simulate.set_defaults(run=_cmd_spectrum_simulate)
 
     fit = top.add_parser("fit", help="thermometry fits")
     fit_sub = fit.add_subparsers(dest="command", required=True)
@@ -91,12 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     temperature.add_argument("--spectrum", required=True, type=Path)
     temperature.add_argument("--out", required=True, type=Path)
     temperature.add_argument("--mode", type=int, default=0)
+    temperature.set_defaults(run=_cmd_fit_temperature)
 
     plot = top.add_parser("plot", help="plot-ready data from result tables")
     plot.add_argument("--in", dest="infile", required=True, type=Path)
     plot.add_argument("--out", required=True, type=Path)
     plot.add_argument("--overlay-histogram", type=Path, default=None)
     plot.add_argument("--svg", type=Path, default=None)
+    plot.set_defaults(run=_cmd_plot)
     return parser
 
 
@@ -212,17 +217,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.group == "crystal":
-            return _cmd_crystal_solve(args)
-        if args.group == "modes":
-            return _cmd_modes_compute(args)
-        if args.group == "spectrum":
-            return _cmd_spectrum_simulate(args)
-        if args.group == "fit":
-            return _cmd_fit_temperature(args)
-        if args.group == "plot":
-            return _cmd_plot(args)
-        raise AssertionError(args.group)
+        return args.run(args)
     except ConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

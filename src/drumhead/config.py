@@ -86,6 +86,10 @@ def _reject_unknown(raw: dict, where: str, allowed: set[str]) -> None:
         raise ConfigError(f"{where}.{sorted(unknown)[0]}", "unknown field")
 
 
+# Most n_ions x points of a sweep: its three live (N, points) float64 arrays are 0.8 GB each here.
+MAX_SWEEP_CELLS = 10**8
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     start_hz: float
@@ -100,9 +104,12 @@ class SweepGrid:
         if not math.isfinite((self.stop_hz - self.start_hz) / self.step_hz):
             raise ConfigError("sweep.step_hz", "the number of sweep points overflows")
 
+    @property
+    def n_points(self) -> int:
+        return int(math.floor((self.stop_hz - self.start_hz) / self.step_hz + 1e-9)) + 1
+
     def points_hz(self) -> np.ndarray:
-        n = int(math.floor((self.stop_hz - self.start_hz) / self.step_hz + 1e-9)) + 1
-        return self.start_hz + self.step_hz * np.arange(n)
+        return self.start_hz + self.step_hz * np.arange(self.n_points)
 
     def points_rad_s(self) -> np.ndarray:
         return self.points_hz() * TWO_PI
@@ -244,6 +251,9 @@ def from_dict(raw: dict) -> RunConfig:
             stop_hz=_expect(sraw, "sweep", "stop_hz", float),
             step_hz=_expect(sraw, "sweep", "step_hz", float),
         )
+        if n_ions * sweep.n_points > MAX_SWEEP_CELLS:
+            raise ConfigError("sweep.step_hz",
+                              f"{n_ions} ions x {sweep.n_points} points exceed {MAX_SWEEP_CELLS} cells")
     return RunConfig(trap=trap, n_ions=n_ions, drive=drive, thermal=thermal, sweep=sweep)
 
 

@@ -295,6 +295,18 @@ class TestSpectrumSimulate:
                    "--out", tmp_path / "t.csv") == EXIT_CONFIG
         assert "sweep.step_hz: the number of sweep points overflows" in capsys.readouterr().err
 
+    def test_oversized_sweep_is_config_error(self, tmp_path, capsys):
+        # 19 ions x (1e12 + 1) points would need terabytes: refused by the config
+        # reader with exit 2, before any array is allocated or file written
+        spectrum = tmp_path / "spectrum.json"
+        iof.save_spectrum(spectrum_cached(19, 44.7e3), spectrum)
+        config = tmp_path / "run.json"
+        write_config(config, n_ions=19, sweep={"start_hz": 0.0, "stop_hz": 1e6, "step_hz": 1e-6})
+        assert run("spectrum", "simulate", "--config", config, "--spectrum", spectrum,
+                   "--out", tmp_path / "t.csv") == EXIT_CONFIG
+        assert "sweep.step_hz: 19 ions x 1000000000001 points exceed" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
 
 def eigenvector_block(b):
     """The file form of an eigenvector matrix: base64 of its little-endian float64 bytes."""
@@ -650,8 +662,8 @@ class TestPlot:
         assert "unrecognized table header" in capsys.readouterr().err
 
 
-def run_python(*argv, blas_threads=None):
-    """`python argv` in a child process; returns its stdout."""
+def run_python(*argv, blas_threads=None, exit_code=0):
+    """`python argv` in a child process that must exit with `exit_code`; returns its stdout."""
     # the child process finds drumhead where this process imported it from
     src = str(Path(drumhead.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -659,13 +671,13 @@ def run_python(*argv, blas_threads=None):
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     proc = subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return proc.stdout
 
 
-def run_module(*argv, blas_threads=None):
+def run_module(*argv, blas_threads=None, exit_code=0):
     """`python -m drumhead argv` in a child process; returns its stdout."""
-    return run_python("-m", "drumhead", *argv, blas_threads=blas_threads)
+    return run_python("-m", "drumhead", *argv, blas_threads=blas_threads, exit_code=exit_code)
 
 
 class TestProcessInvocation:
@@ -684,8 +696,10 @@ class TestProcessInvocation:
     def test_output_bytes_under_blas_thread_counts(self, tmp_path):
         # the README's byte-identity claim at N = 190: one thread count gives the
         # same bytes through solve, modes and sweep, and lattice bytes do not
-        # depend on the thread count (N = 190 with seed 1 and N = 345 with seed 0
-        # differed between 1 and 2 threads while the polish diagonalized with BLAS)
+        # depend on the thread count, planar or buckled (N = 190 with seed 1 and
+        # N = 345 with seed 0 differed between 1 and 2 threads while the polish
+        # diagonalized with BLAS, and N = 345 at 45.2 kHz, seeds 0 and 1, while
+        # the buckle pushed along an `eigh` eigenvector)
         config = tmp_path / "run.json"
         write_config(config, n_ions=190, sweep={"start_hz": 780e3, "stop_hz": 800e3, "step_hz": 100.0})
 
@@ -706,12 +720,15 @@ class TestProcessInvocation:
         run_module("crystal", "solve", "--config", config, "--out", tmp_path / "lattice_1.json",
                    blas_threads=1)
         assert (tmp_path / "lattice_1.json").read_bytes() == first["lattice.json"]
-        for n_ions, seed in ((190, 1), (345, 0)):
-            write_config(config, n_ions=n_ions)
+        cases = [(190, 44.7e3, 1, EXIT_OK), (345, 44.7e3, 0, EXIT_OK),
+                 (345, 45.2e3, 0, EXIT_NOT_PLANAR), (345, 45.2e3, 1, EXIT_NOT_PLANAR)]
+        for n_ions, rotation_hz, seed, exit_code in cases:
+            write_config(config, n_ions=n_ions,
+                         trap={"axial_com_hz": 795e3, "cyclotron_hz": 7.6e6, "rotation_hz": rotation_hz})
             lattices = []
             for threads in (1, 2):
-                out = tmp_path / f"lattice_{n_ions}_{seed}_{threads}.json"
+                out = tmp_path / f"lattice_{n_ions}_{rotation_hz:.0f}_{seed}_{threads}.json"
                 run_module("crystal", "solve", "--config", config, "--out", out, "--seed", seed,
-                           blas_threads=threads)
+                           blas_threads=threads, exit_code=exit_code)
                 lattices.append(out.read_bytes())
-            assert lattices[0] == lattices[1], (n_ions, seed)
+            assert lattices[0] == lattices[1], (n_ions, rotation_hz, seed)

@@ -20,6 +20,7 @@ from drumhead import (
     sweep_spectrum,
 )
 from drumhead import io_formats as iof
+from drumhead.config import MAX_SWEEP_CELLS
 from drumhead.dynamics import SpectrumTrace, Trajectory
 from drumhead.modes import mode_histogram
 from drumhead.plotdata import build_plot_rows
@@ -62,6 +63,17 @@ class TestRunConfig:
         pts = cfg.sweep.points_hz()
         assert pts[0] == 780e3 and pts[-1] == 800e3
         assert np.allclose(np.diff(pts), 100.0)
+
+    def test_sweep_cells_are_bounded(self):
+        # at N = 1000, 100,000 points (MAX_SWEEP_CELLS = 1e8 cells) load and 100,001 do not
+        d = sample_config_dict()
+        d["n_ions"] = 1000
+        d["sweep"] = {"start_hz": 0.0, "stop_hz": 99_999.0, "step_hz": 1.0}
+        assert from_dict(d).sweep.n_points == 100_000
+        d["sweep"]["stop_hz"] = 100_000.0
+        refused = f"sweep.step_hz: 1000 ions x 100001 points exceed {MAX_SWEEP_CELLS} cells"
+        with pytest.raises(ConfigError, match=refused):
+            from_dict(d)
 
     def test_thermal_realization(self):
         cfg = from_dict(sample_config_dict())

@@ -321,10 +321,21 @@ class TestSolveEquilibrium:
         assert np.linalg.eigvalsh(z_stiffness(flat.x.reshape(-1, 2)))[0] < 0.0
         assert lattice.energy < flat.fun * params.mass * params.omega_1**2 * l0**2
 
+    def test_buckle_needs_no_eigenvectors(self, monkeypatch):
+        # the buckle direction is a seeded random push, so a buckled lattice's
+        # bytes cannot follow the sign or last bits of a LAPACK eigenvector
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        lattice = solve_equilibrium(paper_trap(rotation_hz=60e3), 19, seed=0)
+        assert lattice.converged and not lattice.planar
+
     @pytest.mark.parametrize("seed", range(8))
     def test_buckled_crystal_is_a_minimum_in_3d(self, seed):
-        # a push along the soft mode alone keeps a symmetry of the plane and can
-        # end on a 3D saddle (N = 19 at 60 kHz did for half of these seeds)
+        # the random push must leave no symmetry of the plane that could hold the
+        # 3D relax on a saddle (a push along the softest mode alone ended on one
+        # for half of these seeds at N = 19 and 60 kHz)
         params = paper_trap(rotation_hz=60e3)
         lattice = solve_equilibrium(params, 19, seed=seed)
         assert lattice.converged and not lattice.planar

@@ -7,11 +7,12 @@
 Start-up: the wall time of a fresh `python -c "import drumhead.cli"` process
 and the import's own time inside it, `--repeats` times per tree, the trees
 alternating. Solve: `solve_equilibrium` at N = 190 and 345 (44.7 kHz, seeds
-1-3) and N = 1000 (42.5 kHz, seed 1), each timed once per round in a fresh
-process per tree after one N = 50 warm-up solve, over `SOLVE_ROUNDS` rounds
-that alternate which tree runs first; the energy, the convergence flag and
-the accepted-step count come with each time, and each solve process reports
-its peak RSS (`ru_maxrss`), which its largest solve, N = 1000, sets.
+1-3), the buckled N = 345 (45.2 kHz, seeds 0 and 1) and N = 1000 (42.5 kHz,
+seed 1), each timed once per round in a fresh process per tree after one
+N = 50 warm-up solve, over `SOLVE_ROUNDS` rounds that alternate which tree
+runs first; the energy, the convergence flag and the accepted-step count come
+with each time, and each solve process reports its peak RSS (`ru_maxrss`),
+which its largest solve, N = 1000, sets.
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
@@ -39,7 +40,7 @@ SEQUENCES = {"spin_echo": {"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6},
              "ramsey": {"type": "ramsey", "tau_s": 5e-4}}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SOLVES = ((190, 44.7e3, 1), (190, 44.7e3, 2), (190, 44.7e3, 3), (345, 44.7e3, 1), (345, 44.7e3, 2),
-          (345, 44.7e3, 3), (1000, 42.5e3, 1))
+          (345, 44.7e3, 3), (345, 45.2e3, 0), (345, 45.2e3, 1), (1000, 42.5e3, 1))
 SOLVE_ROUNDS = 3
 IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
                "print(time.perf_counter() - start)")
@@ -163,7 +164,7 @@ def _startup_and_solves(trees: dict, repeats: int) -> dict:
     for i, (n_ions, rotation_hz, seed) in enumerate(SOLVES):
         for side in trees:
             runs = [r["solves"][i] for r in rounds[side]]
-            record[side]["solves"][f"{n_ions}_seed{seed}"] = {
+            record[side]["solves"][f"{n_ions}_{rotation_hz / 1e3:g}kHz_seed{seed}"] = {
                 "rotation_hz": rotation_hz, **_quartiles([r["seconds"] for r in runs]),
                 **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps")}}
     return record
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
         print(f"{key:22s} {old:9.3f} -> {new:9.3f} s")
     for key in startup["parent"]["solves"]:
         old, new = (startup[side]["solves"][key]["median_s"] for side in ("parent", "change"))
-        print(f"solve {key:16s} {old:9.3f} -> {new:9.3f} s")
+        print(f"solve {key:22s} {old:9.3f} -> {new:9.3f} s")
     old, new = (max(startup[side]["solve_process_peak_rss_mb"]) for side in ("parent", "change"))
     print(f"solve process peak RSS {old:9.1f} -> {new:9.1f} MB (largest of {SOLVE_ROUNDS})")
     record["sizes"] = {}
