@@ -80,6 +80,36 @@ def _document(raw, where: str) -> dict:
     return raw
 
 
+def _read_document(text: str, where: str) -> dict:
+    """The JSON object in `text`, else ConfigError at `where`: the reader of every input document.
+
+    A syntax error names its line and column; a repeated key is refused.
+    """
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ConfigError(where, f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return doc
+
+    try:
+        raw = json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where} (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
+    return _document(raw, where)
+
+
+def _one_of(raw: dict, where: str, kinds: dict) -> tuple[str, object]:
+    """The one key of `kinds` that `raw` holds, and its value checked as `kinds[key]`.
+
+    No such key, or several, raises ConfigError at `where`.
+    """
+    given = [key for key in kinds if key in raw]
+    if len(given) != 1:
+        raise ConfigError(where, f"give exactly one of {', '.join(kinds)}")
+    return given[0], _expect(raw, where, given[0], kinds[given[0]])
+
+
 def _reject_unknown(raw: dict, where: str, allowed: set[str]) -> None:
     unknown = set(raw) - allowed
     if unknown:
@@ -88,6 +118,9 @@ def _reject_unknown(raw: dict, where: str, allowed: set[str]) -> None:
 
 # Most n_ions x points of a sweep: its three live (N, points) float64 arrays are 0.8 GB each here.
 MAX_SWEEP_CELLS = 10**8
+# Most ions in a crystal. At N = 5000 the polish Hessian alone is (2N)^2 doubles,
+# 0.8 GB, and the whole planar polish about 90 N^2 bytes, 2.3 GB: within an 8 GB machine.
+MAX_IONS = 5000
 
 
 @dataclass(frozen=True)
@@ -117,31 +150,31 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class ThermalSpec:
-    """Declarative occupation assignment, realized once a spectrum exists."""
+    """Declarative occupation assignment, realized once a spectrum exists.
+
+    `kind` is the config key that set it and `value` that key's value:
+    `nbar_per_mode` (a tuple), `nbar_uniform`, `temperature_k` (every mode),
+    or `nbar_com` with every other mode at `bath_temperature_k`, which only
+    this kind carries.
+    """
 
     kind: str
-    nbar_per_mode: tuple | None = None
-    nbar_uniform: float | None = None
-    temperature_k: float | None = None
-    nbar_com: float | None = None
+    value: float | tuple
     bath_temperature_k: float | None = None
 
     def realize(self, spectrum: ModeSpectrum) -> ThermalState:
-        if self.kind == "per_mode":
-            values = np.asarray(self.nbar_per_mode, dtype=float)
-            if len(values) != spectrum.n_modes:
+        if self.kind == "nbar_per_mode":
+            if len(self.value) != spectrum.n_modes:
                 raise DrumheadError(
-                    f"thermal.nbar_per_mode has {len(values)} entries, spectrum has "
+                    f"thermal.nbar_per_mode has {len(self.value)} entries, spectrum has "
                     f"{spectrum.n_modes} modes"
                 )
-            return ThermalState(values)
-        if self.kind == "uniform_nbar":
-            return ThermalState.uniform(spectrum.n_modes, self.nbar_uniform)
-        if self.kind == "temperature":
-            return ThermalState.from_temperature(spectrum, self.temperature_k)
-        if self.kind == "com_plus_bath":
-            return ThermalState.com_plus_bath(spectrum, self.nbar_com, self.bath_temperature_k)
-        raise AssertionError(self.kind)
+            return ThermalState(self.value)
+        if self.kind == "nbar_uniform":
+            return ThermalState.uniform(spectrum.n_modes, self.value)
+        if self.kind == "temperature_k":
+            return ThermalState.from_temperature(spectrum, self.value)
+        return ThermalState.com_plus_bath(spectrum, self.value, self.bath_temperature_k)
 
 
 @dataclass(frozen=True)
@@ -176,16 +209,18 @@ def _parse_trap(raw: dict) -> TrapParams:
 def _parse_sequence(raw: dict) -> Ramsey | SpinEcho:
     _reject_unknown(raw, "drive.sequence", {"type", "tau_s", "t_pi_s"})
     kind = _expect(raw, "drive.sequence", "type", str)
+    if kind not in ("spin_echo", "ramsey"):
+        raise ConfigError("drive.sequence.type", f"expected 'spin_echo' or 'ramsey', got {kind!r}")
+    if kind == "ramsey" and "t_pi_s" in raw:
+        raise ConfigError("drive.sequence.t_pi_s", "only a spin_echo sequence has a pi pulse")
     tau = _expect(raw, "drive.sequence", "tau_s", float)
     try:
         if kind == "spin_echo":
             t_pi = _expect(raw, "drive.sequence", "t_pi_s", float, required=False, default=0.0)
             return SpinEcho(tau=tau, t_pi=t_pi)
-        if kind == "ramsey":
-            return Ramsey(tau=tau)
+        return Ramsey(tau=tau)
     except ValueError as exc:
         raise ConfigError("drive.sequence", str(exc)) from exc
-    raise ConfigError("drive.sequence.type", f"expected 'spin_echo' or 'ramsey', got {kind!r}")
 
 
 def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
@@ -193,12 +228,7 @@ def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
         raw, "drive",
         {"force_n", "force_n_per_ion", "gamma_per_s", "sequence"},
     )
-    if ("force_n" in raw) == ("force_n_per_ion" in raw):
-        raise ConfigError("drive", "give exactly one of force_n, force_n_per_ion")
-    if "force_n" in raw:
-        forces = _expect(raw, "drive", "force_n", float)
-    else:
-        forces = _expect(raw, "drive", "force_n_per_ion", (n_ions,))
+    _, forces = _one_of(raw, "drive", {"force_n": float, "force_n_per_ion": (n_ions,)})
     try:
         return DriveConfig(
             forces=forces,
@@ -211,32 +241,24 @@ def _parse_drive(raw: dict, n_ions: int) -> DriveConfig:
 
 
 def _parse_thermal(raw: dict, n_ions: int) -> ThermalSpec:
-    _reject_unknown(
-        raw, "thermal",
-        {"nbar_per_mode", "nbar_uniform", "temperature_k", "nbar_com", "bath_temperature_k"},
-    )
-    if "nbar_per_mode" in raw:
-        values = _expect(raw, "thermal", "nbar_per_mode", (n_ions,))
-        return ThermalSpec(kind="per_mode", nbar_per_mode=tuple(values.tolist()))
-    if "nbar_uniform" in raw:
-        return ThermalSpec(kind="uniform_nbar", nbar_uniform=_expect(raw, "thermal", "nbar_uniform", float))
-    if "temperature_k" in raw:
-        return ThermalSpec(kind="temperature", temperature_k=_expect(raw, "thermal", "temperature_k", float))
-    if "nbar_com" in raw:
-        return ThermalSpec(
-            kind="com_plus_bath",
-            nbar_com=_expect(raw, "thermal", "nbar_com", float),
-            bath_temperature_k=_expect(raw, "thermal", "bath_temperature_k", float),
-        )
-    raise ConfigError("thermal", "no occupation specification recognized")
+    """Exactly one occupation kind; `bath_temperature_k` goes with `nbar_com` and only with it."""
+    kinds = {"nbar_per_mode": (n_ions,), "nbar_uniform": float, "temperature_k": float, "nbar_com": float}
+    _reject_unknown(raw, "thermal", {*kinds, "bath_temperature_k"})
+    kind, value = _one_of(raw, "thermal", kinds)
+    bath = None
+    if kind == "nbar_com":
+        bath = _expect(raw, "thermal", "bath_temperature_k", float)
+    elif "bath_temperature_k" in raw:
+        raise ConfigError("thermal.bath_temperature_k", "goes only with nbar_com")
+    return ThermalSpec(kind, tuple(value.tolist()) if kind == "nbar_per_mode" else value, bath)
 
 
 def from_dict(raw: dict) -> RunConfig:
     _reject_unknown(_document(raw, "$"), "$", {"trap", "n_ions", "drive", "thermal", "sweep"})
     trap = _parse_trap(_expect(raw, "$", "trap", dict))
     n_ions = _expect(raw, "$", "n_ions", int)
-    if n_ions < 1:
-        raise ConfigError("n_ions", "must be >= 1")
+    if not 1 <= n_ions <= MAX_IONS:
+        raise ConfigError("n_ions", f"must be between 1 and {MAX_IONS}, got {n_ions}")
 
     drive = thermal = sweep = None
     if "drive" in raw:
@@ -258,9 +280,4 @@ def from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"$ (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
-    return from_dict(raw)
+    return from_dict(_read_document(Path(path).read_text(encoding="utf-8"), "$"))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _document, _expect, _reject_unknown
+from .config import _expect, _read_document, _reject_unknown
 from .crystal import FORCE_TOL, CrystalLattice, pair_separations
 from .dynamics import SpectrumTrace, Trajectory
 from .errors import CoincidentIonsError, ConfigError
@@ -73,7 +73,7 @@ def lattice_from_json(text: str) -> CrystalLattice:
     off z = 0, or `converged: true` with a residual above `FORCE_TOL`, raises
     ValueError; two ions at one position raise CoincidentIonsError.
     """
-    doc = _document(json.loads(text), "lattice")
+    doc = _read_document(text, "lattice")
     p = _expect(doc, "lattice", "params", dict)
     n_ions = _expect(doc, "lattice", "n_ions", int)
     positions = _expect(doc, "lattice", "positions_m", (n_ions, 3))
@@ -160,7 +160,7 @@ def spectrum_from_json(text: str) -> ModeSpectrum:
     `frequencies_hz` is derived data; a file whose values disagree with the
     eigenvalues by more than 1e-12 relative is refused with ValueError.
     """
-    doc = _document(json.loads(text), "spectrum")
+    doc = _read_document(text, "spectrum")
     eigenvalues = _expect(doc, "spectrum", "eigenvalues_rad2_per_s2", (None,))
     if np.any(np.diff(eigenvalues) > 0.0):
         raise ConfigError("spectrum.eigenvalues_rad2_per_s2", "expected non-increasing values")
@@ -185,20 +185,16 @@ def load_spectrum(path: str | Path) -> ModeSpectrum:
     return spectrum_from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def histogram_to_csv(histogram: ModeHistogram) -> str:
-    rows = zip(histogram.bin_centers_hz, histogram.counts)
-    return _csv(["bin_center_hz", "count"], rows)
-
-
 def save_histogram(histogram: ModeHistogram, path: str | Path) -> None:
-    atomic_write_text(path, histogram_to_csv(histogram))
+    rows = zip(histogram.bin_centers_hz, histogram.counts)
+    atomic_write_text(path, _csv(["bin_center_hz", "count"], rows))
 
 
 # ---------------------------------------------------------------------------
 # traces, trajectories, fits
 
 
-def trace_to_csv(trace: SpectrumTrace) -> str:
+def save_trace(trace: SpectrumTrace, path: str | Path) -> None:
     if trace.p_up_per_ion is None:
         header = ["mu_over_2pi_hz", "p_up_mean"]
         rows = zip(trace.mu_over_2pi, trace.p_up_mean)
@@ -209,11 +205,7 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
             [mu, pm, *col]
             for mu, pm, col in zip(trace.mu_over_2pi, trace.p_up_mean, trace.p_up_per_ion.T)
         )
-    return _csv(header, rows)
-
-
-def save_trace(trace: SpectrumTrace, path: str | Path) -> None:
-    atomic_write_text(path, trace_to_csv(trace))
+    atomic_write_text(path, _csv(header, rows))
 
 
 def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[list[str], np.ndarray]:
@@ -254,44 +246,30 @@ def load_trace(path: str | Path) -> SpectrumTrace:
     )
 
 
-def trajectory_to_csv(trajectory: Trajectory) -> str:
-    rows = zip(trajectory.times, trajectory.alpha.real, trajectory.alpha.imag)
-    return _csv(["t_s", "re_alpha", "im_alpha"], rows)
-
-
 def save_trajectory(trajectory: Trajectory, path: str | Path) -> None:
-    atomic_write_text(path, trajectory_to_csv(trajectory))
-
-
-def fit_result_to_json(result: FitResult) -> str:
-    return _dump_json(
-        {
-            "nbar": result.nbar,
-            "nbar_err": result.nbar_err,
-            "temperature_k": result.temperature,
-            "temperature_err_k": result.temperature_err,
-            "gamma_used_per_s": result.gamma_used,
-            "chi2_reduced": result.chi2_reduced,
-            "status": result.status,
-            "systematic_note": result.systematic_note,
-        }
-    )
+    rows = zip(trajectory.times, trajectory.alpha.real, trajectory.alpha.imag)
+    atomic_write_text(path, _csv(["t_s", "re_alpha", "im_alpha"], rows))
 
 
 def save_fit_result(result: FitResult, path: str | Path) -> None:
-    atomic_write_text(path, fit_result_to_json(result))
+    atomic_write_text(path, _dump_json({
+        "nbar": result.nbar,
+        "nbar_err": result.nbar_err,
+        "temperature_k": result.temperature,
+        "temperature_err_k": result.temperature_err,
+        "gamma_used_per_s": result.gamma_used,
+        "chi2_reduced": result.chi2_reduced,
+        "status": result.status,
+        "systematic_note": result.systematic_note,
+    }))
 
 
 # ---------------------------------------------------------------------------
 # observed spectra (measurement ingest)
 
 
-def observed_to_csv(data: ObservedSpectrum) -> str:
-    return _csv(["mu_hz", "p_up", "sigma"], zip(data.mu_hz, data.p_up, data.sigma))
-
-
 def save_observed(data: ObservedSpectrum, path: str | Path) -> None:
-    atomic_write_text(path, observed_to_csv(data))
+    atomic_write_text(path, _csv(["mu_hz", "p_up", "sigma"], zip(data.mu_hz, data.p_up, data.sigma)))
 
 
 def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> ObservedSpectrum:
@@ -313,7 +291,7 @@ def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> 
         metadata_path = candidate if candidate.exists() else None
     meta = FitMetadata()
     if metadata_path is not None:
-        doc = _document(json.loads(Path(metadata_path).read_text(encoding="utf-8")), "sidecar")
+        doc = _read_document(Path(metadata_path).read_text(encoding="utf-8"), "sidecar")
         _reject_unknown(doc, "sidecar", {"n_ions", "theta_r_deg", "theta_r_rel_err"})
         theta_deg = _expect(doc, "sidecar", "theta_r_deg", float, required=False)
         meta = FitMetadata(

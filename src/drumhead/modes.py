@@ -116,13 +116,8 @@ def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-
-    # sign convention
-    for m in range(evecs.shape[1]):
-        col = evecs[:, m]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            evecs[:, m] = -col
-
+    # sign convention: flip each column whose largest-magnitude entry is negative
+    evecs[:, evecs[np.argmax(np.abs(evecs), axis=0), np.arange(len(evals))] < 0.0] *= -1.0
     return ModeSpectrum(eigenvalues=evals, b=evecs, mass=stiffness.mass)
 
 

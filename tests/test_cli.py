@@ -107,6 +107,14 @@ class TestCrystalSolve:
         assert "trap: beta = inf is not finite" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_oversized_crystal_is_config_error(self, tmp_path, capsys):
+        # refused before the seed lattice is allocated
+        config = tmp_path / "huge.json"
+        write_config(config, n_ions=10**9)
+        assert run("crystal", "solve", "--config", config, "--out", tmp_path / "x.json") == EXIT_CONFIG
+        assert "n_ions: must be between 1 and 5000" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_csv_side_output(self, workspace):
         tmp, config = workspace
         out = tmp / "lattice.json"
@@ -562,6 +570,29 @@ class TestSidecar:
         sidecar = {"n_ions": 2, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}
         assert self.fit_with_sidecar(fit_inputs, tmp_path, sidecar) == EXIT_OK
         assert self.fit_with_sidecar(fit_inputs, tmp_path, {**sidecar, "n_ions": 3}) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("document, where", [("config", "$"), ("lattice", "lattice"),
+                                             ("spectrum", "spectrum"), ("sidecar", "sidecar")])
+def test_repeated_key_is_config_error(fit_inputs, tmp_path, capsys, document, where):
+    config, spec_path, data_path = fit_inputs
+    meta = tmp_path / "data.meta.json"
+    meta.write_text(json.dumps({"n_ions": 2, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}))
+    paths = {"config": config, "lattice": spec_path.with_name("l.json"), "spectrum": spec_path,
+             "sidecar": meta}
+    text = paths[document].read_text()
+    key, value = next(iter(json.loads(text).items()))
+    paths[document] = tmp_path / "repeated.json"
+    paths[document].write_text("{" + json.dumps(key) + ": " + json.dumps(value) + ", " + text.lstrip()[1:])
+    out = tmp_path / "out"
+    if document == "lattice":
+        code = run("modes", "compute", "--lattice", paths["lattice"], "--out", out)
+    else:
+        code = run("fit", "temperature", "--config", paths["config"], "--data", data_path,
+                   "--meta", paths["sidecar"], "--spectrum", paths["spectrum"], "--out", out)
+    assert code == EXIT_CONFIG
+    assert f"{where}: repeated key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPlot:

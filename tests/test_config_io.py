@@ -20,7 +20,7 @@ from drumhead import (
     sweep_spectrum,
 )
 from drumhead import io_formats as iof
-from drumhead.config import MAX_SWEEP_CELLS
+from drumhead.config import MAX_IONS, MAX_SWEEP_CELLS
 from drumhead.dynamics import SpectrumTrace, Trajectory
 from drumhead.modes import mode_histogram
 from drumhead.plotdata import build_plot_rows
@@ -103,6 +103,12 @@ class TestRunConfig:
             (lambda d: d.__setitem__("seeds", {"lattice": 1}), "$.seeds"),
             (lambda d: d["drive"].__setitem__("intensity_w_cm2", 2.0), "drive.intensity_w_cm2"),
             (lambda d: d["drive"].__setitem__("mu_r_hz", 795e3), "drive.mu_r_hz"),
+            (lambda d: d["thermal"].__setitem__("temperature_k", 1e-3), "thermal"),
+            (lambda d: d.__setitem__("thermal", {"nbar_uniform": 5.0, "bath_temperature_k": 1.0}),
+             "thermal.bath_temperature_k"),
+            (lambda d: d["drive"]["sequence"].__setitem__("type", "ramsey"), "drive.sequence.t_pi_s"),
+            # an explicit id keeps the row above named [<lambda>-n_ions]
+            pytest.param(lambda d: d.__setitem__("n_ions", MAX_IONS + 1), "n_ions", id="too_many_ions"),
         ],
     )
     def test_validation_errors_carry_paths(self, mutate, where):
@@ -111,6 +117,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as info:
             from_dict(d)
         assert info.value.where == where
+
+    def test_most_ions_load(self):
+        d = sample_config_dict()
+        d["n_ions"] = MAX_IONS
+        assert from_dict(d).n_ions == MAX_IONS == 5000
 
     def test_per_ion_force_length_check(self):
         d = sample_config_dict()
