@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import BE9_ION_MASS, ELEMENTARY_CHARGE
+from .crystal import MAX_IONS
 from .dynamics import ThermalState
 from .errors import ConfigError, DrumheadError
 from .modes import ModeSpectrum
@@ -118,9 +119,6 @@ def _reject_unknown(raw: dict, where: str, allowed: set[str]) -> None:
 
 # Most n_ions x points of a sweep: its three live (N, points) float64 arrays are 0.8 GB each here.
 MAX_SWEEP_CELLS = 10**8
-# Most ions in a crystal. At N = 5000 the polish Hessian alone is (2N)^2 doubles,
-# 0.8 GB, and the whole planar polish about 90 N^2 bytes, 2.3 GB: within an 8 GB machine.
-MAX_IONS = 5000
 
 
 @dataclass(frozen=True)

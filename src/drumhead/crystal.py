@@ -22,10 +22,10 @@ from the in-plane positions given a seeded random z. The polish runs once, in
 the space actually solved. An RNG built from the integer seed jitters the
 starting hex-disk patch and draws that z, so (params, N, seed) fixes the result.
 
-The O(N^2) energy-gradient kernel visits each pair once: rows [a, a + 64) against
-columns [a, N), whose leading square holds its pairs twice (row sums only) and the
-rectangle after it once (row sums, and column sums for the later rows), in (D + 2) 64 N
-doubles of scratch. The Hessian uses the per-component (N, N) `pair_separations`.
+Every O(N^2) pass reads its pair geometry from `_pair_blocks`, 64 rows at a time, in
+one reused scratch. The energy-gradient kernel takes rows [a, a + 64) against columns
+[a, N), each pair once; the Hessian, `z_stiffness` and `lattice_stats` take whole rows,
+so each row sum keeps its order. The only (N, N) arrays are the Hessian and K returned.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ _BUCKLE_PUSH = 0.02
 # Iteration budgets: L-BFGS steps per relax stage, Newton polish steps.
 _MAX_RELAX_STEPS = 100_000
 _MAX_POLISH_STEPS = 80
-# Rows per block of the pair kernel, which visits each pair once.
+# Rows per block of every pairwise pass (`_pair_blocks`).
 _ROW_BLOCK = 64
+# Most ions in a crystal. A planar Newton step holds 32 N^2 + 3 kB N bytes (35.2 MB traced
+# at N = 1000), 0.82 GB at N = 5000, and a buckled one 72 N^2, 1.8 GB: within 8 GB.
+MAX_IONS = 5000
 
 
 def length_scale(params: TrapParams) -> float:
@@ -109,35 +112,41 @@ class LatticeStats:
 # scaled-unit energy / gradient / Hessian
 
 
-def pair_separations(points: np.ndarray):
-    """Per-component (N, N) separations r_j - r_k and squared distances d_jk^2.
+def _pair_blocks(pos: np.ndarray, upper: bool, spare: int = 0):
+    """Yield (a, diffs, d2, extra) for each block [a, a + m) of `_ROW_BLOCK` rows of points (N, D):
+    the D separations r_j - r_k and d_jk^2 against columns [a, N) if `upper`, else [0, N), with +inf
+    where j = k, and `spare` more planes; views into one scratch that the next block overwrites."""
+    n, dim = pos.shape
+    planes = dim + 1 + spare
+    scratch = np.empty(planes * min(n, _ROW_BLOCK) * n)
+    for a in range(0, n, _ROW_BLOCK):
+        m, c0 = min(_ROW_BLOCK, n - a), a if upper else 0
+        block = scratch[: planes * m * (n - c0)].reshape(planes, m, n - c0)
+        diffs, d2 = block[:dim], block[dim]
+        # one subtract per component: broadcasting pos.T is 3-4x slower and reorders einsum's sum in 3D
+        for c, dc in zip(pos.T, diffs):
+            np.subtract(c[a : a + m, None], c[None, c0:], out=dc)
+        np.einsum("cjk,cjk->jk", diffs, diffs, out=d2)
+        d2.reshape(-1)[a - c0 :: n - c0 + 1] = np.inf  # j = k
+        yield a, diffs, d2, block[dim + 1 :]
 
-    `points` is (N, D) for any D. The diagonal of d^2 is +inf, so 1/d terms
-    vanish there and row minima are nearest-neighbor distances. The results
-    are views into one (D + 1, N, N) array.
-    """
-    pts = np.asarray(points, dtype=float)
-    n, dim = pts.shape
-    # One block, filled per component: broadcasting pts.T is 3-4x slower and reorders
-    # einsum's sum in 3D; separate diffs and d2 arrays page-faulted on every call.
-    out = np.empty((dim + 1, n, n))
-    diffs = out[:dim]
-    for c, dc in zip(pts.T, diffs):
-        np.subtract(c[:, None], c[None, :], out=dc)
-    d2 = np.einsum("cjk,cjk->jk", diffs, diffs, out=out[dim])
-    np.fill_diagonal(d2, np.inf)
-    return diffs, d2
+
+def require_distinct(points: np.ndarray, message: str) -> None:
+    """Raise CoincidentIonsError(message) when two of points (N, D) share a position."""
+    if any(np.min(d2) == 0.0 for _, _, d2, _ in _pair_blocks(points, upper=True)):
+        raise CoincidentIonsError(message)
 
 
 def z_stiffness(points: np.ndarray, coupling: float = 1.0, axial: float = 1.0) -> np.ndarray:
     """Out-of-plane stiffness of points (N, D) lying in the plane z = 0.
 
-    K_jk = coupling / d_jk^3 and K_jj = axial - sum_k K_jk; in scaled units
-    both constants are 1.
+    K_jk = coupling / d_jk^3 and K_jj = axial - sum_k K_jk; in scaled units both constants are 1.
     """
-    _, d2 = pair_separations(points)
-    stiffness = coupling * d2**-1.5
-    np.fill_diagonal(stiffness, axial - stiffness.sum(axis=1))
+    stiffness = np.empty((len(points), len(points)))
+    for a, _, d2, _ in _pair_blocks(points, upper=False):
+        rows = stiffness[a : a + len(d2)]
+        np.multiply(coupling, np.power(d2, -1.5, out=rows), out=rows)
+        np.fill_diagonal(rows[:, a:], axial - rows.sum(axis=1))
     return stiffness
 
 
@@ -152,21 +161,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
-    # `trap` holds the per-axis trap stiffness; its length D is the dimension of
-    # the points in `coords`.
+    # `trap` holds the per-axis trap stiffness; its length D is the points' dimension.
     dim = len(trap)
     pos = coords.reshape(-1, dim)
-    n = len(pos)
-    force, coulomb = np.zeros((dim, n)), 0.0  # force: sum_k (r_j - r_k) / d_jk^3
-    scratch = np.empty((dim + 2) * min(n, _ROW_BLOCK) * n)
-    for a in range(0, n, _ROW_BLOCK):
-        m = min(_ROW_BLOCK, n - a)
-        block = scratch[: (dim + 2) * m * (n - a)].reshape(dim + 2, m, n - a)
-        diffs, d2, inv_d = block[:dim], block[dim], block[dim + 1]
-        for c, dc in zip(pos.T, diffs):
-            np.subtract(c[a : a + m, None], c[None, a:], out=dc)
-        np.einsum("cjk,cjk->jk", diffs, diffs, out=d2)
-        d2.reshape(-1)[:: n - a + 1] = np.inf  # the square's diagonal
+    force, coulomb = np.zeros((dim, len(pos))), 0.0  # force: sum_k (r_j - r_k) / d_jk^3
+    for a, diffs, d2, (inv_d,) in _pair_blocks(pos, upper=True, spare=1):
+        m = len(d2)
         np.divide(1.0, np.sqrt(d2, out=inv_d), out=inv_d)
         coulomb += 0.5 * np.sum(inv_d[..., :m]) + np.sum(inv_d[..., m:])
         # direct reductions; rowsum(1/d^3) * r_j - (1/d^3) @ r cancels worse
@@ -181,17 +181,19 @@ def _hessian_scaled(coords: np.ndarray, trap: np.ndarray) -> np.ndarray:
     dim = len(trap)
     pos = coords.reshape(-1, dim)
     n = len(pos)
-    diffs, d2 = pair_separations(pos)
-    inv_d3 = d2**-1.5
-    inv_d5 = inv_d3 / d2
     hess = np.empty((n, dim, n, dim))
-    idx = np.arange(n)
-    for u in range(dim):
-        for v in range(u, dim):
-            # d^2(1/d)/dr_ju dr_kv = delta_uv / d^3 - 3 r_u r_v / d^5 (j != k)
-            block = (u == v) * inv_d3 - 3.0 * inv_d5 * diffs[u] * diffs[v]
-            hess[:, u, :, v] = hess[:, v, :, u] = block
-            hess[idx, u, idx, v] = hess[idx, v, idx, u] = (u == v) * trap[u] - block.sum(axis=1)
+    for a, diffs, d2, (inv_d3, three_inv_d5, block) in _pair_blocks(pos, upper=False, spare=3):
+        rows = np.arange(a, a + len(d2))
+        np.power(d2, -1.5, out=inv_d3)
+        np.multiply(3.0, np.divide(inv_d3, d2, out=three_inv_d5), out=three_inv_d5)
+        for u in range(dim):
+            for v in range(u, dim):
+                # d^2(1/d)/dr_ju dr_kv = delta_uv / d^3 - 3 r_u r_v / d^5 (j != k)
+                np.multiply(three_inv_d5, diffs[u], out=block)
+                block *= diffs[v]
+                np.subtract(inv_d3 if u == v else 0.0, block, out=block)
+                hess[rows, u, :, v] = hess[rows, v, :, u] = block
+                hess[rows, u, rows, v] = hess[rows, v, rows, u] = (u == v) * trap[u] - block.sum(axis=1)
     return hess.reshape(dim * n, dim * n)
 
 
@@ -199,27 +201,26 @@ def _hessian_scaled(coords: np.ndarray, trap: np.ndarray) -> np.ndarray:
 # SI-facing energy surface
 
 
+def _energy_gradient_si(positions: np.ndarray, params: TrapParams):
+    """Energy (J) and gradient (N, 3) (newtons) at positions (m); refuses coincident ions."""
+    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    require_distinct(pos, "two ions coincide; Coulomb energy diverges")
+    l0, m_w2 = length_scale(params), params.mass * params.omega_1**2
+    e, g = _energy_gradient_scaled((pos / l0).ravel(), _trap_stiffness(params))
+    return e * (m_w2 * l0**2), g.reshape(-1, 3) * (m_w2 * l0)
+
+
 def total_potential(positions: np.ndarray, params: TrapParams) -> float:
     """Total rotating-frame potential energy (J) of an arbitrary configuration.
 
     Raises CoincidentIonsError when any two ions share a position.
     """
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if np.min(pair_separations(pos)[1]) == 0.0:
-        raise CoincidentIonsError("two ions coincide; Coulomb energy diverges")
-    l0 = length_scale(params)
-    e0 = params.mass * params.omega_1**2 * l0**2
-    e, _ = _energy_gradient_scaled((pos / l0).ravel(), _trap_stiffness(params))
-    return e * e0
+    return _energy_gradient_si(positions, params)[0]
 
 
 def potential_gradient(positions: np.ndarray, params: TrapParams) -> np.ndarray:
-    """Gradient of total_potential, shape (N, 3), newtons."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    l0 = length_scale(params)
-    f0 = params.mass * params.omega_1**2 * l0
-    _, g = _energy_gradient_scaled((pos / l0).ravel(), _trap_stiffness(params))
-    return g.reshape(-1, 3) * f0
+    """Gradient of total_potential, shape (N, 3), newtons; raises as total_potential does."""
+    return _energy_gradient_si(positions, params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +402,12 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
     scale-free bound 1e-9 is almost always stricter than FORCE_TOL (newtons):
     the polish ends at max |g| 6e-16 to 7e-15 at N = 190 and 345, 4e-13 to 9e-10 at N = 13-20.
 
-    Raises EquilibriumNotConverged (carrying the best-so-far lattice in
-    `.best`) when the iteration budget (`_MAX_RELAX_STEPS` L-BFGS steps per
-    stage, `_MAX_POLISH_STEPS` Newton steps) runs out.
+    Raises ValueError unless 1 <= n_ions <= MAX_IONS, and EquilibriumNotConverged (carrying
+    the best-so-far lattice in `.best`) when the iteration budget (`_MAX_RELAX_STEPS` L-BFGS
+    steps per stage, `_MAX_POLISH_STEPS` Newton steps) runs out.
     """
-    if n_ions < 1:
-        raise ValueError("n_ions must be >= 1")
+    if not 1 <= n_ions <= MAX_IONS:
+        raise ValueError(f"n_ions must be between 1 and {MAX_IONS}, got {n_ions}")
     trap = _trap_stiffness(params)
     l0 = length_scale(params)
     f0 = params.mass * params.omega_1**2 * l0
@@ -469,7 +470,9 @@ def lattice_stats(lattice: CrystalLattice) -> LatticeStats:
     pos = lattice.positions
     if len(pos) == 1:
         return LatticeStats(mean_spacing=None, diameter=0.0)
-    _, d2 = pair_separations(pos)
-    mean_spacing = float(np.mean(np.sqrt(np.min(d2, axis=1))))
-    np.fill_diagonal(d2, 0.0)
-    return LatticeStats(mean_spacing=mean_spacing, diameter=float(np.sqrt(np.max(d2))))
+    nearest, farthest = np.empty(len(pos)), 0.0  # squared distances
+    for a, _, d2, _ in _pair_blocks(pos, upper=False):
+        nearest[a : a + len(d2)] = np.min(d2, axis=1)
+        np.fill_diagonal(d2[:, a:], 0.0)
+        farthest = max(farthest, np.max(d2))
+    return LatticeStats(mean_spacing=float(np.mean(np.sqrt(nearest))), diameter=float(np.sqrt(farthest)))

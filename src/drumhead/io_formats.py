@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import _expect, _read_document, _reject_unknown
-from .crystal import FORCE_TOL, CrystalLattice, pair_separations
+from .crystal import FORCE_TOL, CrystalLattice, require_distinct
 from .dynamics import SpectrumTrace, Trajectory
-from .errors import CoincidentIonsError, ConfigError
+from .errors import ConfigError
 from .modes import ModeHistogram, ModeSpectrum
 from .thermometry import FitMetadata, FitResult, ObservedSpectrum
 from .trap import TrapParams
@@ -93,8 +93,7 @@ def lattice_from_json(text: str) -> CrystalLattice:
             f"lattice file: converged is true, but residual_force_max_N "
             f"{lattice.residual_force_max!r} exceeds {FORCE_TOL!r} N"
         )
-    if np.min(pair_separations(positions)[1]) == 0.0:
-        raise CoincidentIonsError("lattice file: two ions share a position")
+    require_distinct(positions, "lattice file: two ions share a position")
     return lattice
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
@@ -17,6 +19,7 @@ from drumhead import (
     transverse_stiffness,
 )
 from drumhead import crystal
+from drumhead import io_formats as iof
 from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled, z_stiffness
 from conftest import paper_trap, solve_cached
 
@@ -77,8 +80,22 @@ class TestTotalPotential:
         assert total_potential(triangle(a_star), params) == pytest.approx(scan.fun, rel=1e-10)
 
     def test_coincident_ions_raise(self):
-        with pytest.raises(CoincidentIonsError):
-            total_potential(np.zeros((2, 3)), paper_trap())
+        three = np.zeros((3, 3))
+        three[2, 0] = 20e-6  # ions 0 and 1 share the origin
+        # ion 140 on ion 3: the pair meets only across the first and third row blocks
+        split = hex_disk_seed(150, 20e-6)
+        split[140] = split[3]
+        assert 3 < crystal._ROW_BLOCK and 140 >= 2 * crystal._ROW_BLOCK
+        for positions in (np.zeros((2, 3)), three, split):
+            for surface in (total_potential, potential_gradient):
+                with pytest.raises(CoincidentIonsError):
+                    surface(positions, paper_trap())
+            lattice = crystal.CrystalLattice(
+                params=paper_trap(), positions=positions, converged=False, residual_force_max=1.0,
+                planar=True, energy=0.0, seed=0,
+            )
+            with pytest.raises(CoincidentIonsError):
+                iof.lattice_from_json(iof.lattice_to_json(lattice))
 
     def test_gradient_matches_finite_differences(self):
         params = paper_trap(wall=0.002)
@@ -126,13 +143,15 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_row_blocks_match_explicit_pair_sum(self, dim):
-        # 150 points span three row blocks of the kernel, the last one partial
+        # 150 points span three row blocks of every pair pass, the last one partial
         n = 150
         assert 2 * crystal._ROW_BLOCK < n < 3 * crystal._ROW_BLOCK
         rng = np.random.default_rng(12)
         pos = rng.standard_normal((n, dim)) * np.array([6.0, 6.0, 2.0])[:dim]
         trap = np.array([0.034, 0.026, 1.0])[:dim]
         energy, grad = 0.5 * np.sum(trap * pos**2), pos * trap
+        hess, onsite = np.zeros((n, dim, n, dim)), np.zeros((n, dim, dim)) + np.diag(trap)
+        stiffness = np.zeros((n, n))
         for j in range(n - 1):
             r = pos[j] - pos[j + 1 :]  # each pair (j, k > j) once
             d = np.sqrt(np.sum(r**2, axis=1))
@@ -140,9 +159,34 @@ class TestPairKernel:
             pull = r / d[:, None] ** 3
             grad[j] -= pull.sum(axis=0)
             grad[j + 1 :] += pull
+            blocks = np.eye(dim) / d[:, None, None] ** 3 - 3.0 * r[:, :, None] * r[:, None, :] / d[:, None, None] ** 5
+            hess[j, :, j + 1 :, :] = blocks.transpose(1, 0, 2)
+            hess[j + 1 :, :, j, :] = blocks
+            onsite[j] -= blocks.sum(axis=0)
+            onsite[j + 1 :] -= blocks
+            stiffness[j, j + 1 :] = stiffness[j + 1 :, j] = 1.0 / d**3
+        hess[np.arange(n), :, np.arange(n), :] = onsite
+        stiffness[np.diag_indices(n)] = 1.0 - stiffness.sum(axis=1)
         e, g = _energy_gradient_scaled(pos.ravel(), trap)
         assert e == pytest.approx(energy, rel=1e-12, abs=0.0)
         assert np.max(np.abs(g - grad.ravel())) <= 1e-12 * np.max(np.abs(grad))
+        h = _hessian_scaled(pos.ravel(), trap)
+        assert np.max(np.abs(h - hess.reshape(n * dim, n * dim))) <= 1e-12 * np.max(np.abs(hess))
+        assert np.max(np.abs(z_stiffness(pos) - stiffness)) <= 1e-12 * np.max(np.abs(stiffness))
+
+    def test_pair_passes_allocate_only_their_result(self):
+        # at N = 1000 a whole (N, N) separation array is 8 MB per component; the
+        # row blocks of every pass together stay below 4 MB
+        n = 1000
+        pos = np.random.default_rng(13).standard_normal((n, 2)) * 15.0
+        for build in (lambda: _hessian_scaled(pos.ravel(), np.array([0.034, 0.026])), lambda: z_stiffness(pos)):
+            tracemalloc.start()
+            try:
+                result = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= result.nbytes + 4 * 2**20
 
 
 class TestSolveEquilibrium:
@@ -343,9 +387,15 @@ class TestSolveEquilibrium:
         hess = _hessian_scaled((lattice.positions / length_scale(params)).ravel(), trap)
         assert np.linalg.eigvalsh(hess)[0] > -1e-9
 
-    def test_invalid_ion_count(self):
-        with pytest.raises(ValueError):
-            solve_equilibrium(paper_trap(), 0)
+    def test_invalid_ion_count(self, monkeypatch):
+        # refused before the seed is built, let alone a MAX_IONS + 1 solve started
+        def no_seed(*args):
+            raise AssertionError("the solve began")
+
+        monkeypatch.setattr(crystal, "_seed_scaled", no_seed)
+        for n_ions in (0, crystal.MAX_IONS + 1):
+            with pytest.raises(ValueError):
+                solve_equilibrium(paper_trap(), n_ions)
 
 
 class TestLatticeStats:
