@@ -63,7 +63,6 @@ from .thermometry import (
     FitMetadata,
     FitResult,
     ObservedSpectrum,
-    fit_background_gamma,
     fit_occupation,
     occupation_to_temperature,
     temperature_to_occupation,

@@ -20,11 +20,8 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import io_formats as iof
 from .config import load_config
@@ -42,7 +39,7 @@ from .errors import (
 )
 from .modes import com_mode_deviation, diagonalize, mode_histogram, transverse_stiffness
 from .plotdata import build_plot_rows, write_plot_csv, write_plot_svg
-from .thermometry import ObservedSpectrum, fit_background_gamma, fit_occupation, off_resonant
+from .thermometry import fit_occupation
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -179,20 +176,8 @@ def _cmd_fit_temperature(args) -> int:
     spectrum = iof.load_spectrum(args.spectrum)
     _check_provenance(config, spectrum)
     data = iof.load_observed(args.data, args.meta)
-    drive = config.drive
-    if drive.gamma == 0.0:
-        # no decoherence rate supplied: estimate it from the data's own
-        # off-resonant points when enough of them exist
-        far = off_resonant(data.mu_hz, spectrum, drive.sequence.tau)
-        if np.count_nonzero(far) >= 3:
-            off = ObservedSpectrum(
-                mu_hz=data.mu_hz[far], p_up=data.p_up[far], sigma=data.sigma[far],
-                metadata=data.metadata,
-            )
-            gamma = fit_background_gamma(off, spectrum, drive.sequence)
-            drive = dataclasses.replace(drive, gamma=gamma)
     background = config.thermal.realize(spectrum) if config.thermal is not None else None
-    result = fit_occupation(data, spectrum, drive, target_mode=args.mode, background=background)
+    result = fit_occupation(data, spectrum, config.drive, target_mode=args.mode, background=background)
     iof.save_fit_result(result, args.out)
     print(
         f"fit: nbar = {result.nbar:.4g} +/- {result.nbar_err:.3g}, "

@@ -84,20 +84,34 @@ def _document(raw, where: str) -> dict:
 def _read_document(text: str, where: str) -> dict:
     """The JSON object in `text`, else ConfigError at `where`: the reader of every input document.
 
-    A syntax error names its line and column; a repeated key is refused.
+    A syntax error names its line and column; a repeated key is refused at its object's path.
     """
+    repeats = []
+
     def unique(pairs):
         doc = dict(pairs)
         if len(doc) < len(pairs):
             keys = [key for key, _ in pairs]
-            raise ConfigError(where, f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+            repeats.append((doc, next(k for k in keys if keys.count(k) > 1)))
         return doc
 
     try:
         raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where} (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
+    if repeats:  # the hook sees each object before its parent, so find its path now
+        raise ConfigError(_path_of(repeats[0][0], raw, where), f"repeated key {repeats[0][1]!r}")
     return _document(raw, where)
+
+
+def _path_of(target, node, where: str) -> str | None:
+    """The path of the object `target` within the parsed JSON `node` at `where`, else None."""
+    if node is target:
+        return where
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    paths = (_path_of(target, child, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+             for key, child in items)
+    return next(filter(None, paths), None)
 
 
 def _one_of(raw: dict, where: str, kinds: dict) -> tuple[str, object]:

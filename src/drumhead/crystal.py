@@ -24,8 +24,8 @@ starting hex-disk patch and draws that z, so (params, N, seed) fixes the result.
 
 Every O(N^2) pass reads its pair geometry from `_pair_blocks`, 64 rows at a time, in
 one reused scratch. The energy-gradient kernel takes rows [a, a + 64) against columns
-[a, N), each pair once; the Hessian, `z_stiffness` and `lattice_stats` take whole rows,
-so each row sum keeps its order. The only (N, N) arrays are the Hessian and K returned.
+[a, N), each pair once, as does `lattice_stats`; the Hessian and `z_stiffness` take whole
+rows, so each row sum keeps its order. The only (N, N) arrays are the Hessian and K returned.
 """
 
 from __future__ import annotations
@@ -470,9 +470,10 @@ def lattice_stats(lattice: CrystalLattice) -> LatticeStats:
     pos = lattice.positions
     if len(pos) == 1:
         return LatticeStats(mean_spacing=None, diameter=0.0)
-    nearest, farthest = np.empty(len(pos)), 0.0  # squared distances
-    for a, _, d2, _ in _pair_blocks(pos, upper=False):
-        nearest[a : a + len(d2)] = np.min(d2, axis=1)
-        np.fill_diagonal(d2[:, a:], 0.0)
+    nearest, farthest = np.full(len(pos), np.inf), 0.0  # squared distances
+    for a, _, d2, _ in _pair_blocks(pos, upper=True):
+        np.minimum(nearest[a : a + len(d2)], np.min(d2, axis=1), out=nearest[a : a + len(d2)])
+        np.minimum(nearest[a:], np.min(d2, axis=0), out=nearest[a:])
+        np.fill_diagonal(d2, 0.0)
         farthest = max(farthest, np.max(d2))
     return LatticeStats(mean_spacing=float(np.mean(np.sqrt(nearest))), diameter=float(np.sqrt(farthest)))

@@ -251,6 +251,7 @@ def save_trajectory(trajectory: Trajectory, path: str | Path) -> None:
 
 
 def save_fit_result(result: FitResult, path: str | Path) -> None:
+    fitted = {} if result.gamma_err is None else {"gamma_err_per_s": result.gamma_err}
     atomic_write_text(path, _dump_json({
         "nbar": result.nbar,
         "nbar_err": result.nbar_err,
@@ -260,6 +261,7 @@ def save_fit_result(result: FitResult, path: str | Path) -> None:
         "chi2_reduced": result.chi2_reduced,
         "status": result.status,
         "systematic_note": result.systematic_note,
+        **fitted,
     }))
 
 

@@ -1,13 +1,16 @@
 """Mode-resolved thermometry: fit nbar from a measured lineshape.
 
-The lineshape model has exactly one free parameter once the drive is
-calibrated: the target mode's thermal occupation, which enters the
-decoherence exponent linearly: per ion j and data point i the exponent is
-c0 + nbar u_j v_i, a rank-one term. So one exponential per cell and three
-column sums give chi^2 with its first two nbar-derivatives, and the fit is a
-bracketed Newton search for the root of chi^2' on [0, _NBAR_MAX] (Numerical
-Recipes' rtsafe). The statistical error comes from the analytic curvature of
-chi^2, and an optional beam-angle systematic is propagated by refitting at
+Once the drive is calibrated the lineshape has one free parameter, the
+target mode's thermal occupation, plus the background k = e^{-Gamma T} when
+the data supply the decoherence rate (`drive.gamma == 0`). The occupation
+enters the decoherence exponent linearly: per ion j and data point i the
+exponent is c0 + nbar u_j v_i, a rank-one term. So one exponential per cell
+and three column sums give chi^2 with its first two nbar-derivatives. The
+model is linear in k, so k is profiled out in closed form at each nbar
+(variable projection, Golub & Pereyra 1973), and the fit stays a bracketed
+Newton search for the root of chi^2' on [0, _NBAR_MAX] (Numerical Recipes'
+rtsafe). The statistical errors come from the analytic curvature of chi^2,
+and an optional beam-angle systematic is propagated by refitting at
 perturbed force calibrations. Forces enter the exponent only as F^2, so a
 perturbed calibration just rescales (c0, u).
 """
@@ -28,14 +31,13 @@ from .errors import (
     UnphysicalBackgroundError,
 )
 from .modes import ModeSpectrum
-from .odf import DriveConfig, Sequence
+from .odf import DriveConfig
 from .trap import TWO_PI
 
 _NBAR_MAX = 1e6
 _BOUNDARY_NBAR = 1e-3
 _NEWTON_XTOL = 1e-10  # stop when a step is at most this times max(1, nbar)
 _MAX_NEWTON_STEPS = 100
-_OFF_RESONANT_CYCLES = 4.0  # "far detuned" = this many lineshape widths 2pi/tau
 
 
 def occupation_to_temperature(nbar: float, omega_m: float) -> float:
@@ -108,6 +110,7 @@ class FitResult:
     chi2_reduced: float
     status: str  # "ok", "boundary_nbar_zero" or "boundary_nbar_max"
     systematic_note: str | None = None
+    gamma_err: float | None = None  # set when the data supplied gamma_used
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class _Lineshape:
     c0: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    decay: float  # Gamma T
+    decay: float | None  # Gamma T; None when the data supply it, and `moments` then uses 0
 
     def moments(self, nbar: float) -> np.ndarray:
         """The mean bright fraction m and its nbar-derivatives m', m'', shape (3, G).
@@ -129,7 +132,8 @@ class _Lineshape:
         """
         e = np.multiply.outer(-nbar * self.u, self.v)
         e -= self.c0
-        weights = np.vander(self.u, 3, increasing=True).T * (0.5 * math.exp(-self.decay) / len(self.u))
+        scale = 0.5 * math.exp(-(self.decay or 0.0)) / len(self.u)
+        weights = np.vander(self.u, 3, increasing=True).T * scale
         sums = np.einsum("kj,jg->kg", weights, np.exp(e, out=e))
         return np.array([0.5 - sums[0], self.v * sums[1], -(self.v**2) * sums[2]])
 
@@ -148,34 +152,58 @@ def _lineshape(
         c0=decoherence_exponent(coupling, gain, nbar),
         u=4.0 * coupling[:, target_mode],
         v=gain[target_mode],
-        decay=drive.gamma * drive.sequence.total_odf_time,
+        decay=None if drive.gamma == 0.0 else drive.gamma * drive.sequence.total_odf_time,
     )
 
 
-def _chi2(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float, float, float]:
-    """chi^2 and its first two nbar-derivatives from one model evaluation.
+def _terms(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple:
+    """`_chi2`'s terms, then k = e^{-Gamma T} and its variance 2 (H^-1)_kk (None with Gamma given).
 
-    chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2 and
-    chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
+    With decay None, m = 1/2 - k w (w = 1/2 - m at k = 1) is linear in k, which takes its
+    least-squares value, held at 1 (Gamma >= 0). chi^2' keeps its form (envelope theorem),
+    and while k < 1 the profile's chi^2'' is chi^2_nn - chi^2_nk^2 / chi^2_kk.
     """
     m, slope, bend = model.moments(nbar) / data.sigma  # each weighted by 1/sigma
     resid = data.p_up / data.sigma - m
-    return (float(np.sum(resid**2)), -2.0 * float(np.sum(resid * slope)),
-            2.0 * float(np.sum(slope**2 - resid * bend)))
+    k = k_var = None
+    if model.decay is None:
+        wing = 0.5 / data.sigma - m
+        h_kk = 2.0 * float(np.sum(wing**2))
+        k = min(1.0 - 2.0 * float(np.sum(wing * resid)) / h_kk, 1.0)
+        if k <= 0.0:
+            raise UnphysicalBackgroundError(f"the data put the background e^(-Gamma T) at {k:.3g} <= 0")
+        resid -= (1.0 - k) * wing
+        h_nk = -2.0 * float(np.sum((resid + k * wing) * slope))
+        slope, bend = k * slope, k * bend
+    chi2, grad, curv = (float(np.sum(resid**2)), -2.0 * float(np.sum(resid * slope)),
+                        2.0 * float(np.sum(slope**2 - resid * bend)))
+    if k is not None:
+        det = curv * h_kk - h_nk**2
+        k_var = 2.0 * curv / det if det > 0.0 else math.inf
+        if k < 1.0:
+            curv -= h_nk**2 / h_kk
+    return chi2, grad, curv, k, k_var
 
 
-def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0) -> tuple[float, tuple]:
+def _chi2(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float, float, float]:
+    """chi^2 and its first two nbar-derivatives from one model evaluation (of the profile over k
+    when the data supply Gamma, `_terms`): chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2 and
+    chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
+    """
+    return _terms(model, data, nbar)[:3]
+
+
+def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0) -> float:
     """The minimum of chi^2 on [0, _NBAR_MAX], as the root of chi^2' (rtsafe).
 
-    Returns it with the `_chi2` terms at nbar = 0, the default start: 0 when
-    chi^2 rises from there, _NBAR_MAX when it still falls at _NBAR_MAX. Else
+    It is 0 when chi^2 rises from nbar = 0, _NBAR_MAX when it still falls at _NBAR_MAX. Else
     a Newton step is taken when chi^2'' > 0 and the step stays in the bracket
     [lo, hi] (chi^2' < 0 at lo, >= 0 at hi); else nbar doubles while no hi is
     known, and the bracket is bisected after.
     """
     at_zero = _chi2(model, data, 0.0)
     if at_zero[1] >= 0.0:
-        return 0.0, at_zero
+        return 0.0
     lo, hi = 0.0, math.inf
     nbar = start
     for _ in range(_MAX_NEWTON_STEPS):
@@ -183,7 +211,7 @@ def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0
         if slope >= 0.0:
             hi = nbar
         elif nbar == _NBAR_MAX:
-            return _NBAR_MAX, at_zero
+            return _NBAR_MAX
         else:
             lo = nbar
         newton = nbar - slope / curvature if curvature > 0.0 else math.nan
@@ -195,7 +223,7 @@ def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0
             step = 0.5 * (lo + hi) - nbar
         nbar += step
         if abs(step) <= _NEWTON_XTOL * max(1.0, nbar):
-            return nbar, at_zero
+            return nbar
     raise FitConvergenceError(
         f"occupation fit did not converge in {_MAX_NEWTON_STEPS} steps (bracket [{lo:.6g}, {hi:.6g}])"
     )
@@ -215,7 +243,8 @@ def fit_occupation(
     thermometered. Requires the data to straddle the resonance: at least one
     point within half a lineshape width (|delta| tau / 2pi < 0.5) and one
     beyond a full width, and the data's `n_ions`, when given, to match the
-    spectrum's mode count.
+    spectrum's mode count. With `drive.gamma == 0` the data supply Gamma:
+    e^{-Gamma T} is fitted with nbar (see `_terms`), and `gamma_err` is set.
     """
     if not 0 <= target_mode < spectrum.n_modes:
         raise ValueError("target_mode out of range")
@@ -231,81 +260,51 @@ def fit_occupation(
     tau = drive.sequence.tau
     detuning_cycles = np.abs(data.mu_hz * TWO_PI - spectrum.omega[target_mode]) * tau / TWO_PI
     if not (np.any(detuning_cycles < 0.5) and np.any(detuning_cycles > 1.0)):
-        raise InsufficientSpanError(
-            "data must include a point with |delta| tau/2pi < 0.5 and one with > 1"
-        )
+        raise InsufficientSpanError("data must include a point with |delta| tau/2pi < 0.5 and one with > 1")
 
     model = _lineshape(data, spectrum, drive, target_mode, background)
-    nbar_hat, at_zero = _minimize_nbar(model, data)
+    nbar_hat = _minimize_nbar(model, data)
     status = "ok"
     if nbar_hat < _BOUNDARY_NBAR:
         status = "boundary_nbar_zero"
         nbar_hat = 0.0
     elif nbar_hat == _NBAR_MAX:
         status = "boundary_nbar_max"
-    chi2_min, _, curv = at_zero if nbar_hat == 0.0 else _chi2(model, data, nbar_hat)
+    chi2_min, _, curv, k, k_var = _terms(model, data, nbar_hat)
     stat_err = math.sqrt(2.0 / curv) if curv > 0.0 else math.inf
 
     # beam-angle systematic: force scales with the lattice wavevector
-    sys_err = 0.0
-    note = None
-    meta = data.metadata
+    sys_err, note, meta = 0.0, None, data.metadata
     if meta.theta_r is not None and meta.theta_r_rel_err:
         shifts = []
         for sign in (+1.0, -1.0):
-            factor = math.sin(meta.theta_r * (1.0 + sign * meta.theta_r_rel_err) / 2.0) / math.sin(
-                meta.theta_r / 2.0
-            )
+            angle = meta.theta_r * (1.0 + sign * meta.theta_r_rel_err)
+            factor = math.sin(angle / 2.0) / math.sin(meta.theta_r / 2.0)
             perturbed = replace(model, c0=factor**2 * model.c0, u=factor**2 * model.u)
-            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat)[0] - nbar_hat))
+            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat) - nbar_hat))
         sys_err = max(shifts)
         note = (
             f"beam-angle +/-{100 * meta.theta_r_rel_err:g}% refit shifts nbar by "
             f"{sys_err:.3g}; added in quadrature"
         )
 
-    nbar_err = math.hypot(stat_err, sys_err) if math.isfinite(stat_err) else math.inf
+    nbar_err = math.hypot(stat_err, sys_err)
     omega_t = float(spectrum.omega[target_mode])
-    dof = max(len(data) - 1, 1)
+    gamma, gamma_err, dof = drive.gamma, None, max(len(data) - 1, 1)
+    if k is not None:
+        total_time = drive.sequence.total_odf_time
+        gamma = abs(math.log(k)) / total_time  # k <= 1, and abs keeps a gamma of 0 unsigned
+        gamma_err = math.sqrt(k_var) / (k * total_time)
+        dof = max(len(data) - 2, 1)
     return FitResult(
         nbar=nbar_hat,
         nbar_err=nbar_err,
         temperature=occupation_to_temperature(nbar_hat, omega_t),
-        temperature_err=(
-            occupation_to_temperature(nbar_err, omega_t) if math.isfinite(nbar_err) else math.inf
-        ),
-        gamma_used=drive.gamma,
+        temperature_err=occupation_to_temperature(nbar_err, omega_t),
+        gamma_used=gamma,
         chi2_reduced=chi2_min / dof,
         status=status,
         systematic_note=note,
+        gamma_err=gamma_err,
     )
 
-
-def off_resonant(mu_hz: np.ndarray, spectrum: ModeSpectrum, tau: float) -> np.ndarray:
-    """True where mu_hz is >= _OFF_RESONANT_CYCLES widths 2pi/tau from every mode."""
-    mu = np.asarray(mu_hz, dtype=float) * TWO_PI
-    min_det = np.min(np.abs(mu[:, None] - spectrum.omega[None, :]), axis=1)
-    return min_det * tau / TWO_PI >= _OFF_RESONANT_CYCLES
-
-
-def fit_background_gamma(
-    data: ObservedSpectrum, spectrum: ModeSpectrum, sequence: Sequence
-) -> float:
-    """Decoherence rate from the flat off-resonant background of a sequence.
-
-    Every point must be `off_resonant` (at least 4 lineshape widths,
-    4 * 2pi/tau, from every mode); the weighted mean background pbar then
-    inverts pbar = 1/2 (1 - e^{-Gamma T}) with T the sequence's total drive
-    time (2 tau for a spin echo, tau for Ramsey).
-    """
-    if len(data) < 3:
-        raise InsufficientDataError("need at least 3 off-resonant points")
-    if not np.all(off_resonant(data.mu_hz, spectrum, sequence.tau)):
-        raise InsufficientDataError(
-            f"points must be detuned by >= {_OFF_RESONANT_CYCLES} * 2pi/tau from every mode"
-        )
-    w = 1.0 / data.sigma**2
-    pbar = float(np.sum(w * data.p_up) / np.sum(w))
-    if pbar >= 0.5:
-        raise UnphysicalBackgroundError(f"mean background {pbar:.3f} >= 0.5")
-    return -math.log1p(-2.0 * pbar) / sequence.total_odf_time

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from drumhead import (
     COULOMB_K,
@@ -34,6 +33,7 @@ from drumhead import (
 )
 from drumhead.modes import ModeSpectrum
 from conftest import paper_trap, solve_cached, spectrum_cached
+from test_dynamics import integrate_arm
 from test_modes import finite_difference_z_hessian
 
 TWO_PI = 2 * math.pi
@@ -197,15 +197,6 @@ def test_criterion_08_validity_ratio(check):
     )
 
 
-def _oracle_mode_integral(omega, mu, tau, phi):
-    def rhs(t, y):
-        v = 1j * np.cos(mu * t + phi) * np.exp(1j * omega * t)
-        return [v.real, v.imag]
-
-    sol = solve_ivp(rhs, (0.0, tau), [0.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-16)
-    return sol.y[0, -1] + 1j * sol.y[1, -1]
-
-
 def test_criterion_09_displacement_oracle(check):
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -227,7 +218,7 @@ def test_criterion_09_displacement_oracle(check):
         ramsey = DriveConfig(forces=force, mu_r=mu, gamma=0.0, sequence=Ramsey(tau=tau))
         field = alpha_single_arm(ramsey, spectrum, tau, phi)
         oracle = (force / HBAR) * q * np.array(
-            [z0[m] * _oracle_mode_integral(omegas[m], mu, tau, phi) for m in range(n)]
+            [z0[m] * integrate_arm(omegas[m], mu, tau, phi) for m in range(n)]
         )[None, :]
         scale = np.max(np.abs(oracle))
         worst = max(worst, float(np.max(np.abs(field.alpha - oracle)) / scale))
@@ -237,7 +228,7 @@ def test_criterion_09_displacement_oracle(check):
         cols = []
         for m in range(n):
             phi_m = (tau + t_pi) * (mu - omegas[m])
-            g = _oracle_mode_integral(omegas[m], mu, tau, 0.0) - _oracle_mode_integral(
+            g = integrate_arm(omegas[m], mu, tau, 0.0) - integrate_arm(
                 omegas[m], mu, tau, phi_m
             )
             cols.append(z0[m] * g)

@@ -480,9 +480,8 @@ class TestFitTemperature:
         assert not (tmp_path / "f.json").exists()
 
     def test_ramsey_background_gamma_estimated_from_data(self, tmp_path):
-        # with gamma_per_s = 0 the rate comes from the far-detuned points; a
-        # Ramsey sequence drives for T = tau, so the estimate is not halved
-        # (the Ramsey lineshape's wings lift those points by ~2 %)
+        # with gamma_per_s = 0 the rate is fitted with the occupation; a Ramsey
+        # sequence drives for T = tau, so the estimate is not halved
         ramsey = {"force_n": 8e-24, "gamma_per_s": 223.14,
                   "sequence": {"type": "ramsey", "tau_s": 2.5e-4}}
         config = tmp_path / "run.json"
@@ -495,7 +494,10 @@ class TestFitTemperature:
         out = tmp_path / "fit_result.json"
         assert run("fit", "temperature", "--config", fit_config, "--data", data_path,
                    "--spectrum", spec_path, "--out", out) == EXIT_OK
-        assert json.loads(out.read_text())["gamma_used_per_s"] == pytest.approx(223.14, rel=0.05)
+        fit = json.loads(out.read_text())
+        assert fit["gamma_used_per_s"] == pytest.approx(223.14, rel=1e-9)
+        assert fit["nbar"] == pytest.approx(25.0, rel=1e-9)
+        assert 0.0 < fit["gamma_err_per_s"] < np.inf
 
 
 class TestProvenance:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,14 @@ class TestRunConfig:
         assert cfg.trap.omega_1 == pytest.approx(2 * math.pi * 795e3)
         assert isinstance(cfg.drive.sequence, SpinEcho)
         assert cfg.drive.sequence.t_pi == 65e-6
+
+    def test_repeated_nested_key_names_its_path(self, tmp_path):
+        text = json.dumps(sample_config_dict()).replace(
+            '"axial_com_hz": 795000.0', '"axial_com_hz": 795000.0, "axial_com_hz": 795000.0')
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"^\$\.trap: repeated key 'axial_com_hz'$"):
+            load_config(path)
 
     def test_readme_config_schema_loads(self):
         # the schema the README documents is a config the reader accepts
@@ -277,6 +286,14 @@ class TestObservedAndFitFiles:
         assert loaded.metadata.n_ions == 190
         assert loaded.metadata.theta_r == pytest.approx(math.radians(4.8))
 
+    def test_sidecar_repeated_nested_key_names_its_path(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("mu_hz,p_up,sigma\n1e5,0.1,0.01\n")
+        (tmp_path / "data.csv.meta.json").write_text(
+            '{"n_ions": 2, "notes": [{"run": 1}, {"run": 2, "run": 3}]}')
+        with pytest.raises(ConfigError, match=r"^sidecar\.notes\[1\]: repeated key 'run'$"):
+            iof.load_observed(path)
+
     def test_observed_without_sidecar(self, tmp_path):
         data = ObservedSpectrum(mu_hz=np.array([1e5, 2e5, 3e5]),
                                 p_up=np.array([0.1, 0.2, 0.3]),
@@ -304,6 +321,9 @@ class TestObservedAndFitFiles:
         doc = json.loads(path.read_text())
         assert doc["nbar"] == 60.0
         assert doc["status"] == "ok"
+        assert "gamma_err_per_s" not in doc  # gamma was given
+        iof.save_fit_result(replace(result, gamma_err=1.5), path)
+        assert json.loads(path.read_text())["gamma_err_per_s"] == 1.5
 
 
 class TestAtomicWrites:

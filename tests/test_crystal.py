@@ -7,6 +7,7 @@ from scipy.optimize import minimize, minimize_scalar
 from drumhead import (
     COULOMB_K,
     CoincidentIonsError,
+    CrystalLattice,
     EquilibriumNotConverged,
     beta,
     diagonalize,
@@ -410,6 +411,21 @@ class TestLatticeStats:
         stats = lattice_stats(lattice)
         assert stats.mean_spacing == pytest.approx(d, rel=1e-12, abs=0.0)
         assert stats.diameter == pytest.approx(d, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 65, 150])
+    def test_matches_brute_force(self, n_ions):
+        # 65 and 150 end on partial row blocks; random points in 3D, no lattice order
+        pos = np.random.default_rng(n_ions).normal(0.0, 1e-4, (n_ions, 3))
+        lattice = CrystalLattice(params=paper_trap(), positions=pos, converged=True,
+                                 residual_force_max=0.0, planar=False, energy=0.0, seed=0)
+        d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        stats = lattice_stats(lattice)
+        assert stats.diameter == pytest.approx(d.max(), rel=1e-15, abs=0.0)
+        if n_ions == 1:
+            assert stats.mean_spacing is None
+        else:
+            np.fill_diagonal(d, np.inf)
+            assert stats.mean_spacing == pytest.approx(d.min(axis=1).mean(), rel=1e-15)
 
     def test_mesoscopic_crystal_matches_reported_scales(self):
         # a few-hundred-ion crystal at the fast-rotation operating point:

@@ -2,7 +2,9 @@
 # The command-line chain at N ions (default 19): crystal solve -> modes compute
 # -> spectrum simulate (spin echo and Ramsey) -> fit temperature, through the
 # `drumhead` console script. The noiseless spin-echo trace, read back as
-# measured data with sigma = 0.02, must fit to the generating nbar = 60.
+# measured data with sigma = 0.02, must fit to the generating nbar = 60, both
+# with the decoherence rate given and with it fitted (gamma_per_s = 0), when
+# it must also come back as the generating 223.14 / s.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -34,3 +36,9 @@ drumhead fit temperature --config "$out/run.json" --data "$out/data.csv" \
   --spectrum "$out/spectrum.json" --out "$out/fit.json"
 python3 -c 'import json, sys; fit = json.load(open(sys.argv[1])); assert fit["status"] == "ok" and abs(fit["nbar"] - 60.0) < 1e-6, fit' \
   "$out/fit.json"
+sed 's/"gamma_per_s": 223.14/"gamma_per_s": 0/' "$out/run.json" > "$out/run_fit_gamma.json"
+grep -q '"gamma_per_s": 0,' "$out/run_fit_gamma.json"
+drumhead fit temperature --config "$out/run_fit_gamma.json" --data "$out/data.csv" \
+  --spectrum "$out/spectrum.json" --out "$out/fit_gamma.json"
+python3 -c 'import json, sys; fit = json.load(open(sys.argv[1])); assert fit["status"] == "ok" and abs(fit["nbar"] - 60.0) < 1e-6 and abs(fit["gamma_used_per_s"] / 223.14 - 1.0) < 1e-6, fit' \
+  "$out/fit_gamma.json"
