@@ -20,7 +20,6 @@ from .crystal import (
     total_potential,
 )
 from .dynamics import (
-    BrightProbability,
     DisplacementField,
     MeanExcursion,
     SpectrumTrace,
@@ -30,7 +29,6 @@ from .dynamics import (
     alpha_single_arm,
     alpha_spin_echo,
     background_probability,
-    bright_probability,
     mean_excursion,
     phase_space_trajectory,
     sweep_spectrum,

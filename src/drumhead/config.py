@@ -99,19 +99,27 @@ def _read_document(text: str, where: str) -> dict:
         raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where} (line {exc.lineno}, col {exc.colno})", exc.msg) from exc
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise ConfigError(where, "arrays and objects nested too deeply") from None
     if repeats:  # the hook sees each object before its parent, so find its path now
         raise ConfigError(_path_of(repeats[0][0], raw, where), f"repeated key {repeats[0][1]!r}")
     return _document(raw, where)
 
 
 def _path_of(target, node, where: str) -> str | None:
-    """The path of the object `target` within the parsed JSON `node` at `where`, else None."""
-    if node is target:
-        return where
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    paths = (_path_of(target, child, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
-             for key, child in items)
-    return next(filter(None, paths), None)
+    """The path of the object `target` within the parsed JSON `node` at `where`, else None.
+
+    A walk over an explicit stack, so any depth the parser accepted is searched.
+    """
+    stack = [(node, where)]
+    while stack:
+        node, where = stack.pop()
+        if node is target:
+            return where
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        stack.extend((child, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+                     for key, child in items)
+    return None
 
 
 def _one_of(raw: dict, where: str, kinds: dict) -> tuple[str, object]:
@@ -199,21 +207,13 @@ class RunConfig:
 
 
 def _parse_trap(raw: dict) -> TrapParams:
-    _reject_unknown(
-        raw, "trap",
-        {"axial_com_hz", "cyclotron_hz", "rotation_hz", "wall_delta", "mass_kg", "charge_c"},
-    )
+    """The three frequencies are required; the wall, the mass and the charge default to 0, Be-9 and e."""
+    _reject_unknown(raw, "trap", set(TrapParams._HZ_KEYS))
+    defaults = (None, None, None, 0.0, BE9_ION_MASS, ELEMENTARY_CHARGE)
+    values = [_expect(raw, "trap", key, float, required=default is None, default=default)
+              for key, default in zip(TrapParams._HZ_KEYS, defaults)]
     try:
-        return TrapParams.from_hz(
-            axial_hz=_expect(raw, "trap", "axial_com_hz", float),
-            cyclotron_hz=_expect(raw, "trap", "cyclotron_hz", float),
-            rotation_hz=_expect(raw, "trap", "rotation_hz", float),
-            delta_wall=_expect(raw, "trap", "wall_delta", float, required=False, default=0.0),
-            mass=_expect(raw, "trap", "mass_kg", float, required=False, default=BE9_ION_MASS),
-            charge=_expect(raw, "trap", "charge_c", float, required=False, default=ELEMENTARY_CHARGE),
-        )
-    except ConfigError:
-        raise
+        return TrapParams.from_hz(*values)
     except DrumheadError as exc:
         raise ConfigError("trap", str(exc)) from exc
 

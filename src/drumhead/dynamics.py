@@ -176,27 +176,9 @@ def alpha_spin_echo(drive: DriveConfig, spectrum: ModeSpectrum) -> DisplacementF
 # bright-state probability
 
 
-@dataclass(frozen=True)
-class BrightProbability:
-    per_ion: np.ndarray
-    mean: float
-
-
 def background_probability(gamma: float, total_odf_time: float) -> float:
     """Flat spontaneous-emission background, `bright_fraction` with no displacement."""
     return float(bright_fraction(0.0, gamma, total_odf_time))
-
-
-def bright_probability(
-    field: DisplacementField,
-    thermal: ThermalState,
-    gamma: float,
-    total_odf_time: float,
-) -> BrightProbability:
-    """Per-ion and mean probability of ending in the bright state."""
-    exponent = decoherence_exponent(np.abs(field.alpha) ** 2, 1.0, thermal.nbar)[:, 0]
-    per_ion = bright_fraction(exponent, gamma, total_odf_time)
-    return BrightProbability(per_ion=per_ion, mean=float(np.mean(per_ion)))
 
 
 def _add_products(mode, point, cols, out, tmp):
@@ -257,7 +239,7 @@ def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndar
 
 
 def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.ndarray:
-    """2 sum_m coupling_jm gain_m (2 nbar_m + 1), shape (N_ion, G) for gain (M, G) or a scalar."""
+    """2 sum_m coupling_jm gain_m (2 nbar_m + 1), shape (N_ion, G) for gain (M, G)."""
     if len(nbar) != coupling.shape[1]:
         raise ValueError("thermal occupations and coupling disagree on mode count")
     out = coupling @ (gain * (2.0 * np.asarray(nbar, dtype=float) + 1.0)[:, None])

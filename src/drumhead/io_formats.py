@@ -35,8 +35,23 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
+# The header of each CSV table: its writer writes it and `_read_table` takes
+# only it. A trace with per-ion columns adds p_up_ion_0 ... p_up_ion_{n-1}.
+_HEADERS = {
+    "positions": ["x_m", "y_m", "z_m"],
+    "histogram": ["bin_center_hz", "count"],
+    "trace": ["mu_over_2pi_hz", "p_up_mean"],
+    "trajectory": ["t_s", "re_alpha", "im_alpha"],
+    "observed": ["mu_hz", "p_up", "sigma"],
+}
+
+
+def _header(table: str, n_per_ion: int = 0) -> list[str]:
+    return _HEADERS[table] + [f"p_up_ion_{j}" for j in range(n_per_ion)]
+
+
+def _csv(table: str, rows, n_per_ion: int = 0) -> str:
+    lines = [",".join(_header(table, n_per_ion))]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -61,10 +76,6 @@ def lattice_to_json(lattice: CrystalLattice) -> str:
     )
 
 
-# in the order of TrapParams.from_hz's arguments
-_TRAP_KEYS = ("axial_com_hz", "cyclotron_hz", "rotation_hz", "wall_delta", "mass_kg", "charge_c")
-
-
 def lattice_from_json(text: str) -> CrystalLattice:
     """Rebuild a lattice from its file, refusing a malformed or inconsistent one.
 
@@ -78,7 +89,8 @@ def lattice_from_json(text: str) -> CrystalLattice:
     n_ions = _expect(doc, "lattice", "n_ions", int)
     positions = _expect(doc, "lattice", "positions_m", (n_ions, 3))
     lattice = CrystalLattice(
-        params=TrapParams.from_hz(*(_expect(p, "lattice.params", key, float) for key in _TRAP_KEYS)),
+        params=TrapParams.from_hz(*(_expect(p, "lattice.params", key, float)
+                                    for key in TrapParams._HZ_KEYS)),
         positions=positions,
         converged=_expect(doc, "lattice", "converged", bool),
         residual_force_max=_expect(doc, "lattice", "residual_force_max_N", float),
@@ -106,7 +118,7 @@ def load_lattice(path: str | Path) -> CrystalLattice:
 
 
 def lattice_to_csv(lattice: CrystalLattice) -> str:
-    return _csv(["x_m", "y_m", "z_m"], lattice.positions)
+    return _csv("positions", lattice.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +198,7 @@ def load_spectrum(path: str | Path) -> ModeSpectrum:
 
 def save_histogram(histogram: ModeHistogram, path: str | Path) -> None:
     rows = zip(histogram.bin_centers_hz, histogram.counts)
-    atomic_write_text(path, _csv(["bin_center_hz", "count"], rows))
+    atomic_write_text(path, _csv("histogram", rows))
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +206,28 @@ def save_histogram(histogram: ModeHistogram, path: str | Path) -> None:
 
 
 def save_trace(trace: SpectrumTrace, path: str | Path) -> None:
-    if trace.p_up_per_ion is None:
-        header = ["mu_over_2pi_hz", "p_up_mean"]
-        rows = zip(trace.mu_over_2pi, trace.p_up_mean)
-    else:
-        n = trace.p_up_per_ion.shape[0]
-        header = ["mu_over_2pi_hz", "p_up_mean"] + [f"p_up_ion_{j}" for j in range(n)]
-        rows = (
-            [mu, pm, *col]
-            for mu, pm, col in zip(trace.mu_over_2pi, trace.p_up_mean, trace.p_up_per_ion.T)
-        )
-    atomic_write_text(path, _csv(header, rows))
+    per_ion = np.empty((0, len(trace.mu_over_2pi))) if trace.p_up_per_ion is None else trace.p_up_per_ion
+    rows = ([mu, pm, *col] for mu, pm, col in zip(trace.mu_over_2pi, trace.p_up_mean, per_ion.T))
+    atomic_write_text(path, _csv("trace", rows, len(per_ion)))
 
 
-def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[list[str], np.ndarray]:
-    """Header and float cells of a CSV table whose header starts with `columns`.
+def _read_table(path: str | Path, tables: tuple[str, ...]) -> tuple[str, np.ndarray]:
+    """Which of `tables` a CSV file holds, and its float cells: the reader of every CSV table.
 
-    Blank lines are skipped. A missing or other header raises
-    ValueError("<path>: <complaint>"). A data row whose cell count differs
+    The header must be the whole header that table's writer writes (a trace's
+    with its per-ion columns or without); any other raises ValueError naming
+    the file. Blank lines are skipped. A data row whose cell count differs
     from the header's, or that holds an empty, non-numeric, nan or infinite
     cell, raises ValueError naming its line.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
-    if header[: len(columns)] != columns:
-        raise ValueError(f"{path}: {complaint}")
+    n_per_ion = max(len(header) - len(_HEADERS["trace"]), 0)
+    table = next((t for t in tables if header == _header(t, n_per_ion if t == "trace" else 0)), None)
+    if table is None:
+        expected = " or ".join(",".join(_HEADERS[t]) + ("[,p_up_ion_j...]" if t == "trace" else "")
+                               for t in tables)
+        raise ValueError(f"{path}: unrecognized table header {','.join(header)!r}; expected {expected}")
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -233,21 +242,12 @@ def _read_table(path: str | Path, columns: list[str], complaint: str) -> tuple[l
         if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}: line {number}: non-finite cell in {line!r}")
         rows.append(row)
-    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
-
-
-def load_trace(path: str | Path) -> SpectrumTrace:
-    header, table = _read_table(path, ["mu_over_2pi_hz", "p_up_mean"], "not a spectrum trace file")
-    return SpectrumTrace(
-        mu_over_2pi=table[:, 0],
-        p_up_mean=table[:, 1],
-        p_up_per_ion=table[:, 2:].T if len(header) > 2 else None,
-    )
+    return table, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def save_trajectory(trajectory: Trajectory, path: str | Path) -> None:
     rows = zip(trajectory.times, trajectory.alpha.real, trajectory.alpha.imag)
-    atomic_write_text(path, _csv(["t_s", "re_alpha", "im_alpha"], rows))
+    atomic_write_text(path, _csv("trajectory", rows))
 
 
 def save_fit_result(result: FitResult, path: str | Path) -> None:
@@ -270,14 +270,14 @@ def save_fit_result(result: FitResult, path: str | Path) -> None:
 
 
 def save_observed(data: ObservedSpectrum, path: str | Path) -> None:
-    atomic_write_text(path, _csv(["mu_hz", "p_up", "sigma"], zip(data.mu_hz, data.p_up, data.sigma)))
+    atomic_write_text(path, _csv("observed", zip(data.mu_hz, data.p_up, data.sigma)))
 
 
 def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> ObservedSpectrum:
     """Read (mu_hz, p_up, sigma) rows; metadata comes from a JSON sidecar.
 
-    Every data row needs one finite cell per header column; any other row
-    raises ValueError naming its line.
+    The header must be exactly mu_hz,p_up,sigma, and every data row needs
+    three finite cells; any other header or row raises ValueError.
 
     The sidecar defaults to <path>.meta.json and is optional. It is a JSON
     object whose keys are all optional: `n_ions` (positive integer),
@@ -285,7 +285,7 @@ def load_observed(path: str | Path, metadata_path: str | Path | None = None) -> 
     (relative error of that angle, in [0, 1)). An unknown key or a value of
     the wrong type raises ConfigError; a value out of range, ValueError.
     """
-    _, arr = _read_table(path, ["mu_hz", "p_up", "sigma"], "expected header mu_hz,p_up,sigma")
+    _, arr = _read_table(path, ("observed",))
 
     if metadata_path is None:
         candidate = Path(str(path) + ".meta.json")

@@ -14,21 +14,17 @@ SVG_WIDTH = 640
 SVG_HEIGHT = 420
 
 
-def _read_plot_table(path: str | Path) -> tuple[str, list[list[float]]]:
-    """Series name and (x, y) rows of a table, matched on the full header its writer writes.
+# the series name and the (x, y) columns of each table plot reads; a trajectory
+# plots its phase-space path, x = Re alpha and y = Im alpha
+_LAYOUT = {"trace": ("p_up", slice(0, 2)), "histogram": ("mode_density", slice(0, 2)),
+           "trajectory": ("alpha", slice(1, 3))}
 
-    A trace may carry per-ion columns after its two; a trajectory plots its
-    phase-space path, x = Re alpha and y = Im alpha.
-    """
-    header, table = _read_table(path, [], "")  # any header; matched below
-    per_ion = [f"p_up_ion_{j}" for j in range(len(header) - 2)]
-    if header == ["mu_over_2pi_hz", "p_up_mean", *per_ion]:
-        return "p_up", table[:, :2].tolist()
-    if header == ["bin_center_hz", "count"]:
-        return "mode_density", table.tolist()
-    if header == ["t_s", "re_alpha", "im_alpha"]:
-        return "alpha", table[:, 1:].tolist()
-    raise ValueError(f"{path}: unrecognized table header {header}")
+
+def _read_plot_table(path: str | Path, tables=tuple(_LAYOUT)) -> tuple[str, list[list[float]]]:
+    """Series name and (x, y) rows of one of `tables`, read under the full header its writer writes."""
+    table, cells = _read_table(path, tables)
+    series, columns = _LAYOUT[table]
+    return series, cells[:, columns].tolist()
 
 
 def build_plot_rows(path: str | Path, overlay_histogram: str | Path | None = None):
@@ -38,9 +34,7 @@ def build_plot_rows(path: str | Path, overlay_histogram: str | Path | None = Non
     if overlay_histogram is not None:
         if series != "p_up":
             raise ValueError("histogram overlay only applies to a spectrum trace")
-        overlay_series, overlay_xy = _read_plot_table(overlay_histogram)
-        if overlay_series != "mode_density":
-            raise ValueError(f"{overlay_histogram}: not a histogram table")
+        overlay_series, overlay_xy = _read_plot_table(overlay_histogram, ("histogram",))
         out.extend((x, y, overlay_series) for x, y in overlay_xy)
     return out
 

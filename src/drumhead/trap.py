@@ -60,6 +60,9 @@ class TrapParams:
     mass: float = BE9_ION_MASS
     charge: float = ELEMENTARY_CHARGE
 
+    # the boundary (Hz) name of each field, in the order of from_hz's arguments
+    _HZ_KEYS = ("axial_com_hz", "cyclotron_hz", "rotation_hz", "wall_delta", "mass_kg", "charge_c")
+
     def __post_init__(self):
         if not all(map(math.isfinite, vars(self).values())):
             raise TrapParameterError("trap parameters must be finite")
@@ -97,14 +100,8 @@ class TrapParams:
         )
 
     def to_hz_dict(self) -> dict:
-        return {
-            "axial_com_hz": self.omega_1 / TWO_PI,
-            "cyclotron_hz": self.omega_c / TWO_PI,
-            "rotation_hz": self.omega_r / TWO_PI,
-            "wall_delta": self.delta_wall,
-            "mass_kg": self.mass,
-            "charge_c": self.charge,
-        }
+        hz = (self.omega_1 / TWO_PI, self.omega_c / TWO_PI, self.omega_r / TWO_PI)
+        return dict(zip(self._HZ_KEYS, (*hz, self.delta_wall, self.mass, self.charge)))
 
 
 def beta(params: TrapParams) -> float:

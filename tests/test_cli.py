@@ -115,6 +115,14 @@ class TestCrystalSolve:
         assert "n_ions: must be between 1 and 5000" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        # the JSON parser recurses once per array; 5000 levels pass the interpreter's limit
+        config = tmp_path / "deep.json"
+        config.write_text('{"trap": ' + "[" * 5000 + "]" * 5000 + "}")
+        assert run("crystal", "solve", "--config", config, "--out", tmp_path / "x.json") == EXIT_CONFIG
+        assert "$: arrays and objects nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_csv_side_output(self, workspace):
         tmp, config = workspace
         out = tmp / "lattice.json"
@@ -251,15 +259,15 @@ class TestSpectrumSimulate:
         code = run("spectrum", "simulate", "--config", config, "--spectrum", spec_path,
                    "--out", trace_path)
         assert code == EXIT_OK
-        trace = iof.load_trace(trace_path)
+        mu_hz, p_up = iof._read_table(trace_path, ("trace",))[1].T
         spectrum = iof.load_spectrum(spec_path)
         bg = background_probability(200.0, 2 * 2.5e-4)
         tau = 2.5e-4
         for f in spectrum.frequencies_hz:
-            near = np.abs(trace.mu_over_2pi - f) < 1.2 / tau
-            assert trace.p_up_mean[near].max() > bg + 0.05
-        far = trace.mu_over_2pi < spectrum.frequencies_hz.min() - 10 / tau
-        assert np.max(np.abs(trace.p_up_mean[far] - bg)) < 0.01
+            near = np.abs(mu_hz - f) < 1.2 / tau
+            assert p_up[near].max() > bg + 0.05
+        far = mu_hz < spectrum.frequencies_hz.min() - 10 / tau
+        assert np.max(np.abs(p_up[far] - bg)) < 0.01
 
     def test_per_ion_columns(self, workspace):
         tmp, config = workspace
@@ -407,10 +415,10 @@ class TestFitTemperature:
         """Forward-model trace written as measured data with sigma = 0.02."""
         trace_path = tmp / "trace.csv"
         run("spectrum", "simulate", "--config", config, "--spectrum", spec_path, "--out", trace_path)
-        trace = iof.load_trace(trace_path)
+        mu_hz, p_up = iof._read_table(trace_path, ("trace",))[1].T
         data_path = tmp / "data.csv"
         rows = ["mu_hz,p_up,sigma"]
-        rows += [f"{float(mu)!r},{float(p)!r},0.02" for mu, p in zip(trace.mu_over_2pi, trace.p_up_mean)]
+        rows += [f"{float(mu)!r},{float(p)!r},0.02" for mu, p in zip(mu_hz, p_up)]
         data_path.write_text("\n".join(rows) + "\n")
         return data_path
 
@@ -477,6 +485,20 @@ class TestFitTemperature:
                    "--spectrum", spec_path, "--out", tmp_path / "f.json")
         assert code == EXIT_CONFIG
         assert "line 2: expected 3 cells, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    def test_extra_data_column_is_config_error(self, tmp_path, capsys):
+        # a fourth column is not dropped: the header must be the writer's whole header
+        config = tmp_path / "run.json"
+        write_config(config)
+        spec_path = self.make_pipeline(tmp_path, config)
+        data_path = self.simulate_data(tmp_path, config, spec_path)
+        header, *rows = data_path.read_text().splitlines()
+        data_path.write_text("\n".join([header + ",note", *(row + ",1.0" for row in rows)]) + "\n")
+        code = run("fit", "temperature", "--config", config, "--data", data_path,
+                   "--spectrum", spec_path, "--out", tmp_path / "f.json")
+        assert code == EXIT_CONFIG
+        assert f"{data_path}: unrecognized table header" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
     def test_ramsey_background_gamma_estimated_from_data(self, tmp_path):

@@ -59,6 +59,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"^\$\.trap: repeated key 'axial_com_hz'$"):
             load_config(path)
 
+    def test_deeply_nested_document_is_config_error(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"trap": ' + "[" * 5000 + "]" * 5000 + "}")
+        with pytest.raises(ConfigError, match=r"^\$: arrays and objects nested too deeply$"):
+            load_config(path)
+
+    def test_repeated_key_deep_in_arrays_names_its_path(self, tmp_path):
+        # 900 arrays parse, and the path of the repeated key is found at any depth
+        path = tmp_path / "run.json"
+        path.write_text('{"trap": ' + "[" * 900 + '{"k": 1, "k": 2}' + "]" * 900 + "}")
+        with pytest.raises(ConfigError, match=r"^\$\.trap(\[0\]){900}: repeated key 'k'$"):
+            load_config(path)
+
     def test_readme_config_schema_loads(self):
         # the schema the README documents is a config the reader accepts
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -219,12 +232,19 @@ class TestSpectrumFiles:
         assert sum(counts) == 7
 
 
+def read_trace(path) -> SpectrumTrace:
+    """A trace file read back through the one CSV reader."""
+    _, cells = iof._read_table(path, ("trace",))
+    return SpectrumTrace(mu_over_2pi=cells[:, 0], p_up_mean=cells[:, 1],
+                         p_up_per_ion=cells[:, 2:].T if cells.shape[1] > 2 else None)
+
+
 class TestTraceFiles:
     def test_round_trip_mean_only(self, tmp_path):
         trace = SpectrumTrace(mu_over_2pi=np.array([1.0, 2.0]), p_up_mean=np.array([0.1, 0.2]))
         path = tmp_path / "trace.csv"
         iof.save_trace(trace, path)
-        loaded = iof.load_trace(path)
+        loaded = read_trace(path)
         assert np.array_equal(loaded.mu_over_2pi, trace.mu_over_2pi)
         assert np.array_equal(loaded.p_up_mean, trace.p_up_mean)
         assert loaded.p_up_per_ion is None
@@ -237,7 +257,7 @@ class TestTraceFiles:
         )
         path = tmp_path / "trace.csv"
         iof.save_trace(trace, path)
-        loaded = iof.load_trace(path)
+        loaded = read_trace(path)
         assert np.array_equal(loaded.p_up_per_ion, trace.p_up_per_ion)
 
     def test_full_precision_floats(self, tmp_path):
@@ -245,21 +265,47 @@ class TestTraceFiles:
         trace = SpectrumTrace(mu_over_2pi=np.array([value]), p_up_mean=np.array([value]))
         path = tmp_path / "trace.csv"
         iof.save_trace(trace, path)
-        assert iof.load_trace(path).mu_over_2pi[0] == np.float64(value)
+        assert read_trace(path).mu_over_2pi[0] == np.float64(value)
 
     @pytest.mark.parametrize("text", ["", "\n", "mu_hz,p_up,sigma\n1.0,0.1,0.02\n"],
                              ids=["empty", "blank_line", "other_header"])
     def test_not_a_trace_file(self, tmp_path, text):
         path = tmp_path / "trace.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match="not a spectrum trace file"):
-            iof.load_trace(path)
+        with pytest.raises(ValueError, match="unrecognized table header"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("header", [
+        "mu_over_2pi_hz,p_up_mean,junk", "mu_over_2pi_hz,p_up_mean,p_up_ion_1",
+        "mu_over_2pi_hz,p_up_mean,p_up_ion_0,p_up_ion_0", "mu_over_2pi_hz",
+    ], ids=["junk", "ion_1_first", "ion_0_twice", "short"])
+    def test_header_other_than_the_writers_refused(self, tmp_path, header):
+        # the whole header, per-ion columns included, must be the one save_trace writes
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n" + ",".join(["1.0"] * len(header.split(","))) + "\n")
+        with pytest.raises(ValueError, match=f"unrecognized table header '{header}'"):
+            read_trace(path)
+        with pytest.raises(ValueError, match="unrecognized table header"):
+            build_plot_rows(path)
 
     def test_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("mu_over_2pi_hz,p_up_mean,p_up_ion_0\n1.0,0.1,0.1\n2.0,0.2\n")
         with pytest.raises(ValueError, match="line 3: expected 3 cells, got 2"):
-            iof.load_trace(path)
+            read_trace(path)
+
+    def test_each_table_read_under_its_writers_header(self, tmp_path):
+        # every reader of a table takes the header its writer wrote, and names the table
+        observed = ObservedSpectrum(mu_hz=np.array([1e5]), p_up=np.array([0.1]), sigma=np.array([0.01]))
+        traj = Trajectory(times=np.array([0.0]), alpha=np.array([0.1 + 0.2j]), arm_boundary=None)
+        hist = mode_histogram(spectrum_cached(7), 10e3)
+        iof.save_observed(observed, tmp_path / "observed.csv")
+        iof.save_trajectory(traj, tmp_path / "trajectory.csv")
+        iof.save_histogram(hist, tmp_path / "histogram.csv")
+        iof.atomic_write_text(tmp_path / "positions.csv", iof.lattice_to_csv(solve_cached(7)))
+        tables = ("observed", "trajectory", "histogram", "positions")
+        for table in tables:
+            assert iof._read_table(tmp_path / f"{table}.csv", tables)[0] == table
 
     def test_trajectory_csv(self, tmp_path):
         traj = Trajectory(times=np.array([0.0, 1.0]), alpha=np.array([0.1 + 0.2j, 0.3 - 0.4j]),
@@ -482,7 +528,7 @@ class TestDamagedDocuments:
         path = csv_dir / "trace.csv"
         valid = "mu_over_2pi_hz,p_up_mean,p_up_ion_0,p_up_ion_1\n1.0,0.15,0.1,0.2\n2.0,0.25,0.2,0.3\n"
         path.write_text(data.draw(damaged_csv(valid)))
-        read_or_refuse(iof.load_trace, path)
+        read_or_refuse(read_trace, path)
 
     @given(data=st.data())
     @settings(derandomize=True, deadline=None)

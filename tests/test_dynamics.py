@@ -14,7 +14,6 @@ from drumhead import (
     alpha_spin_echo,
     background_probability,
     beta,
-    bright_probability,
     mean_excursion,
     phase_space_trajectory,
     sweep_spectrum,
@@ -229,26 +228,22 @@ class TestAlphaSpinEcho:
             alpha_spin_echo(drive, spectrum)
 
 
-class TestBrightProbability:
+class TestBrightFraction:
     def test_zero_force_zero_gamma_goes_dark(self):
         spectrum = com_only_spectrum(4)
-        drive = DriveConfig(
-            forces=0.0, mu_r=float(spectrum.omega[0]), gamma=0.0, sequence=SpinEcho(tau=5e-4)
-        )
-        field = alpha_spin_echo(drive, spectrum)
-        result = bright_probability(field, ThermalState.uniform(1, 10.0), 0.0, 1e-3)
-        assert result.mean == 0.0
+        drive = DriveConfig(forces=0.0, mu_r=None, gamma=0.0, sequence=SpinEcho(tau=5e-4))
+        trace = sweep_spectrum(drive, spectrum, ThermalState.uniform(1, 10.0), spectrum.omega, per_ion=True)
+        assert np.all(trace.p_up_per_ion == 0.0) and np.all(trace.p_up_mean == 0.0)
 
     def test_zero_force_background_level(self):
         # gamma alone: P = (1 - e^{-2 Gamma tau}) / 2, about 0.1 in practice
         tau = 5e-4
         gamma = -np.log(0.8) / (2 * tau)
         spectrum = com_only_spectrum(4)
-        drive = DriveConfig(forces=0.0, mu_r=float(spectrum.omega[0]), gamma=gamma,
-                            sequence=SpinEcho(tau=tau))
-        field = alpha_spin_echo(drive, spectrum)
-        result = bright_probability(field, ThermalState.uniform(1, 10.0), gamma, 2 * tau)
-        assert result.mean == pytest.approx(0.1, rel=1e-12)
+        drive = DriveConfig(forces=0.0, mu_r=None, gamma=gamma, sequence=SpinEcho(tau=tau))
+        trace = sweep_spectrum(drive, spectrum, ThermalState.uniform(1, 10.0), spectrum.omega, per_ion=True)
+        assert trace.p_up_per_ion == pytest.approx(np.full((4, 1), 0.1), rel=1e-12)
+        assert trace.p_up_mean[0] == pytest.approx(0.1, rel=1e-12)
         assert background_probability(gamma, 2 * tau) == pytest.approx(0.1, rel=1e-12)
 
     def test_small_exponent_keeps_its_digits(self):
@@ -257,29 +252,26 @@ class TestBrightProbability:
 
     def test_bounds_and_monotonicity_in_nbar_and_gamma(self, spectrum_190):
         tau = 5e-4
-        drive = DriveConfig(
-            forces=1.5e-23, mu_r=spectrum_190.omega[0] + TWO_PI * 2.8e3, gamma=0.0,
-            sequence=SpinEcho(tau=tau, t_pi=65e-6),
-        )
-        field = alpha_spin_echo(drive, spectrum_190)
+        grid = np.array([spectrum_190.omega[0] + TWO_PI * 2.8e3])
+
+        def sweep(nbar, gamma):
+            drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=gamma, sequence=SpinEcho(tau=tau, t_pi=65e-6))
+            thermal = ThermalState.uniform(spectrum_190.n_modes, nbar)
+            return sweep_spectrum(drive, spectrum_190, thermal, grid, per_ion=True)
+
         previous = -1.0
         for nbar in (0.0, 5.0, 60.0, 500.0):
-            thermal = ThermalState.uniform(spectrum_190.n_modes, nbar)
-            p = bright_probability(field, thermal, 100.0, 2 * tau)
-            assert np.all(p.per_ion >= 0.0) and np.all(p.per_ion <= 0.5)
-            assert p.mean > previous
-            previous = p.mean
-        lo = bright_probability(field, ThermalState.uniform(spectrum_190.n_modes, 10.0), 50.0, 2 * tau)
-        hi = bright_probability(field, ThermalState.uniform(spectrum_190.n_modes, 10.0), 500.0, 2 * tau)
-        assert hi.mean > lo.mean
+            p = sweep(nbar, 100.0)
+            assert np.all(p.p_up_per_ion >= 0.0) and np.all(p.p_up_per_ion <= 0.5)
+            assert p.p_up_mean[0] > previous
+            previous = p.p_up_mean[0]
+        assert sweep(10.0, 500.0).p_up_mean[0] > sweep(10.0, 50.0).p_up_mean[0]
 
     def test_mode_count_mismatch_rejected(self):
         spectrum = com_only_spectrum(4)
-        drive = DriveConfig(forces=1e-23, mu_r=float(spectrum.omega[0]), gamma=0.0,
-                            sequence=SpinEcho(tau=1e-4))
-        field = alpha_spin_echo(drive, spectrum)
+        drive = DriveConfig(forces=1e-23, mu_r=None, gamma=0.0, sequence=SpinEcho(tau=1e-4))
         with pytest.raises(ValueError):
-            bright_probability(field, ThermalState.uniform(3, 1.0), 0.0, 2e-4)
+            sweep_spectrum(drive, spectrum, ThermalState.uniform(3, 1.0), spectrum.omega, per_ion=True)
 
     def test_mode_selectivity_on_separated_spectrum(self):
         # with mu within 2pi/tau of one mode and others >> 2pi/tau away,

@@ -18,12 +18,12 @@ from drumhead import (
     ThermalState,
     alpha_single_arm,
     alpha_spin_echo,
-    bright_probability,
     diagonalize,
     effective_wavevector,
     mode_histogram,
     occupation_to_temperature,
     radial_confinement,
+    sweep_spectrum,
     temperature_to_occupation,
     total_potential,
 )
@@ -256,20 +256,17 @@ def _two_mode_spectrum():
     gamma=st.floats(0.0, 2e3),
 )
 @settings(max_examples=60, deadline=None)
-def test_bright_probability_bounds_and_monotonicity(nbar_a, nbar_b, gamma):
+def test_bright_fraction_bounds_and_monotonicity(nbar_a, nbar_b, gamma):
     spectrum = _two_mode_spectrum()
     tau = 4e-4
-    drive = DriveConfig(
-        forces=1.5e-23, mu_r=float(spectrum.omega[0]) + TWO_PI * 2.5e3 / 1.0, gamma=gamma,
-        sequence=SpinEcho(tau=tau, t_pi=5e-5),
-    )
-    field = alpha_spin_echo(drive, spectrum)
+    drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=gamma, sequence=SpinEcho(tau=tau, t_pi=5e-5))
+    grid = np.array([float(spectrum.omega[0]) + TWO_PI * 2.5e3])
     lo, hi = sorted((nbar_a, nbar_b))
-    p_lo = bright_probability(field, ThermalState.uniform(2, lo), gamma, 2 * tau)
-    p_hi = bright_probability(field, ThermalState.uniform(2, hi), gamma, 2 * tau)
+    p_lo = sweep_spectrum(drive, spectrum, ThermalState.uniform(2, lo), grid, per_ion=True)
+    p_hi = sweep_spectrum(drive, spectrum, ThermalState.uniform(2, hi), grid, per_ion=True)
     for p in (p_lo, p_hi):
-        assert np.all(p.per_ion >= 0.0) and np.all(p.per_ion <= 0.5 + 1e-12)
-    assert p_hi.mean >= p_lo.mean - 1e-15
+        assert np.all(p.p_up_per_ion >= 0.0) and np.all(p.p_up_per_ion <= 0.5 + 1e-12)
+    assert p_hi.p_up_mean[0] >= p_lo.p_up_mean[0] - 1e-15
 
 
 @given(loops=st.integers(1, 4), tau=st.floats(2e-4, 1e-3), t_pi=st.floats(0.0, 1e-4))

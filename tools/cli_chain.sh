@@ -1,7 +1,8 @@
 #!/bin/sh
 # The command-line chain at N ions (default 19): crystal solve -> modes compute
-# -> spectrum simulate (spin echo and Ramsey) -> fit temperature, through the
-# `drumhead` console script. The noiseless spin-echo trace, read back as
+# -> spectrum simulate (spin echo and Ramsey) -> plot and fit temperature,
+# through the `drumhead` console script. The plot of the spin-echo trace must
+# have one row per sweep point. The noiseless spin-echo trace, read back as
 # measured data with sigma = 0.02, must fit to the generating nbar = 60, both
 # with the decoherence rate given and with it fitted (gamma_per_s = 0), when
 # it must also come back as the generating 223.14 / s.
@@ -25,6 +26,9 @@ drumhead crystal solve --config "$out/run.json" --out "$out/lattice.json" --seed
 drumhead modes compute --lattice "$out/lattice.json" --out "$out/spectrum.json"
 drumhead spectrum simulate --config "$out/run.json" --spectrum "$out/spectrum.json" \
   --out "$out/trace.csv"
+drumhead plot --in "$out/trace.csv" --out "$out/plot_trace.csv"
+# a header and the 251 points of 780-805 kHz in 100 Hz steps
+test "$(wc -l < "$out/plot_trace.csv")" -eq 252
 sed 's/"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6/"type": "ramsey", "tau_s": 5e-4/' \
   "$out/run.json" > "$out/ramsey.json"
 grep -q '"ramsey"' "$out/ramsey.json"

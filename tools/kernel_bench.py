@@ -8,9 +8,10 @@ Start-up: the wall time of a fresh `python -c "import drumhead.cli"` process
 and the import's own time inside it, `--repeats` times per tree, the trees
 alternating. Solve: `solve_equilibrium` at N = 190 and 345 (44.7 kHz, seeds
 1-3), the buckled N = 345 (45.2 kHz, seeds 0 and 1) and N = 1000 (42.5 kHz,
-seed 1), each timed once per round in a fresh process per tree after one
-N = 50 warm-up solve, over `SOLVE_ROUNDS` rounds that alternate which tree
-runs first; the energy, the convergence flag and the accepted-step count come
+seed 1). `SOLVE_ROUNDS` (8) rounds alternate which tree runs first, and each
+round starts one fresh process per tree that runs one N = 50 warm-up solve
+and then the 9 solves once; so each solve is timed 8 times per tree, in 8
+processes. The energy, the convergence flag and the accepted-step count come
 with each time, and each solve process reports its peak RSS (`ru_maxrss`),
 which its largest solve, N = 1000, sets.
 
@@ -41,7 +42,7 @@ SEQUENCES = {"spin_echo": {"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6},
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SOLVES = ((190, 44.7e3, 1), (190, 44.7e3, 2), (190, 44.7e3, 3), (345, 44.7e3, 1), (345, 44.7e3, 2),
           (345, 44.7e3, 3), (345, 45.2e3, 0), (345, 45.2e3, 1), (1000, 42.5e3, 1))
-SOLVE_ROUNDS = 3
+SOLVE_ROUNDS = 8
 IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
                "print(time.perf_counter() - start)")
 
