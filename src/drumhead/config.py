@@ -139,7 +139,7 @@ def _reject_unknown(raw: dict, where: str, allowed: set[str]) -> None:
         raise ConfigError(f"{where}.{sorted(unknown)[0]}", "unknown field")
 
 
-# Most n_ions x points of a sweep: its three live (N, points) float64 arrays are 0.8 GB each here.
+# Most n_ions x points of a sweep: the --per-ion table, its one (N, points) float64 array, is 0.8 GB here.
 MAX_SWEEP_CELLS = 10**8
 
 

@@ -188,15 +188,13 @@ def _add_products(mode, point, cols, out, tmp):
     return out
 
 
-def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
-    """The two factors of |alpha_jm(mu)|^2 on a grid of beat frequencies (rad/s).
+def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
+    """Yield (cols, gain) for column blocks of |G_m(mu)|^2, each (M, block) of about _GAIN_BLOCK_CELLS cells.
 
-    Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the gain
-    |G_m(mu)|^2, (M, G), filled in column blocks of about _GAIN_BLOCK_CELLS
-    cells through four reused buffers. Every cell is elementwise in
-    (omega_m, mu), so the blocks do not change its bits.
+    Each block is written in place in four reused buffers, so it is valid
+    only until the next one. Every cell is elementwise in (omega_m, mu), so
+    the blocks do not change its bits.
     """
-    coupling = _coefficients(drive, spectrum) ** 2
     seq = drive.sequence
     om, mu = spectrum.omega[:, None], np.asarray(mu_grid, dtype=float)
     half = 0.5 * seq.tau
@@ -207,7 +205,6 @@ def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndar
     theta_m, theta_p, phi_m, phi_p = lag * om, (seq.tau + lag) * mu, 0.5 * lag * om, 0.5 * lag * mu
     cos_theta = ((weight * np.cos(theta_m), weight * np.sin(theta_m)), (np.cos(theta_p), np.sin(theta_p)))
     sin_phi = ((np.cos(phi_m), -np.sin(phi_m)), (seq.tau * np.sin(phi_p), seq.tau * np.cos(phi_p)))
-    gain = np.empty((len(om), len(mu)))
     block = max(1, _GAIN_BLOCK_CELLS // len(om))
     buffers = np.empty((4, len(om) * min(block, len(mu))))
     for start in range(0, len(mu), block):
@@ -234,7 +231,22 @@ def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndar
             scale = _add_products(*sin_phi, cols, sinc_a, tmp)
             np.put(scale, near, seq.tau * np.sin(0.5 * lag * (mu_near - om_near)))
             scale *= scale
-        np.multiply(cross, scale, out=gain[:, cols])
+        cross *= scale
+        yield cols, cross
+
+
+def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
+    """The two factors of |alpha_jm(mu)|^2 on a grid of beat frequencies (rad/s).
+
+    Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the whole
+    gain |G_m(mu)|^2, (M, G), copied block by block from `_gain_blocks`: the
+    fit's route, on its data grid. `sweep_spectrum` takes the blocks one at
+    a time instead and never holds the whole gain.
+    """
+    coupling = _coefficients(drive, spectrum) ** 2
+    gain = np.empty((spectrum.n_modes, len(mu_grid)))
+    for cols, block in _gain_blocks(drive, spectrum, mu_grid):
+        gain[:, cols] = block
     return coupling, gain
 
 
@@ -280,28 +292,35 @@ def sweep_spectrum(
     mu_grid: np.ndarray,
     per_ion: bool = False,
 ) -> SpectrumTrace:
-    """Evaluate the lineshape on an ascending grid of beat frequencies (rad/s).
+    """Evaluate the lineshape on an ascending grid of finite beat frequencies (rad/s).
 
-    The gain is built in column blocks, which leaves its bits unchanged; the
-    exponent is one matrix product over the whole grid. A pure function, so
-    callers may split the grid across threads, but a split grid changes that
-    product's rounding, so only a whole-grid sweep reproduces this one bit
-    for bit.
+    One pass over the gain's column blocks (`_gain_blocks`): each block's
+    exponent, bright fraction and ion mean are taken before the next block
+    is built, so the sweep holds no (M, G) or (N_ion, G) array except the
+    (N_ion, G) table that `per_ion=True` returns. The block width is fixed,
+    so a sweep repeats bit for bit at a fixed BLAS thread count; against one
+    matrix product over the whole grid, the exponent can differ in the last
+    bits. A pure function, so callers may sweep concurrently.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) == 0:
         raise ValueError("mu_grid must be a non-empty 1D array")
+    if not np.all(np.isfinite(mu_grid)):
+        raise ValueError("mu_grid must be finite")
     if np.any(np.diff(mu_grid) < 0.0):
         raise ValueError("mu_grid must be sorted ascending")
 
-    coupling, gain = lineshape_terms(drive, spectrum, mu_grid)
-    exponent = decoherence_exponent(coupling, gain, thermal.nbar)
-    per = bright_fraction(exponent, drive.gamma, drive.sequence.total_odf_time)  # (N, G)
-    return SpectrumTrace(
-        mu_over_2pi=mu_grid / TWO_PI,
-        p_up_mean=per.mean(axis=0),
-        p_up_per_ion=per if per_ion else None,
-    )
+    coupling = _coefficients(drive, spectrum) ** 2
+    total_time = drive.sequence.total_odf_time
+    p_up_mean = np.empty(len(mu_grid))
+    per = np.empty((len(coupling), len(mu_grid))) if per_ion else None
+    for cols, gain in _gain_blocks(drive, spectrum, mu_grid):
+        # (N, block); the exponent is freed as soon as P is taken from it
+        p = bright_fraction(decoherence_exponent(coupling, gain, thermal.nbar), drive.gamma, total_time)
+        p_up_mean[cols] = p.mean(axis=0)
+        if per_ion:
+            per[:, cols] = p
+    return SpectrumTrace(mu_over_2pi=mu_grid / TWO_PI, p_up_mean=p_up_mean, p_up_per_ion=per)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -354,6 +356,41 @@ class TestSweepSpectrum:
         with pytest.raises(ValueError):
             sweep_spectrum(drive, spectrum_190, ThermalState.uniform(190, 1.0),
                            np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("grid", [[1.0, np.nan], [1.0, np.inf], [-np.inf, 5e6]],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_grid_rejected(self, spectrum_190, grid):
+        drive = DriveConfig(forces=1e-23, mu_r=None, gamma=0.0, sequence=Ramsey(tau=1e-4))
+        with pytest.raises(ValueError, match="finite"):
+            sweep_spectrum(drive, spectrum_190, ThermalState.uniform(190, 1.0), np.array(grid))
+
+    @pytest.mark.parametrize("sequence", [SpinEcho(tau=5e-4, t_pi=65e-6), Ramsey(tau=5e-4)])
+    @pytest.mark.parametrize("n_points", [1, BLOCK_190 - 1, BLOCK_190, BLOCK_190 + 1, 1541])
+    def test_fused_sweep_matches_whole_grid_composition(self, spectrum_190, sequence, n_points):
+        # the sweep takes exponent and P block by block; the whole-grid
+        # composition differs only by the matrix product's rounding
+        grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=sequence)
+        thermal = ThermalState.com_plus_bath(spectrum_190, 60.0, 0.43e-3)
+        exponent = decoherence_exponent(*lineshape_terms(drive, spectrum_190, grid), thermal.nbar)
+        reference = bright_fraction(exponent, drive.gamma, sequence.total_odf_time)
+        trace = sweep_spectrum(drive, spectrum_190, thermal, grid, per_ion=True)
+        np.testing.assert_allclose(trace.p_up_per_ion, reference, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(trace.p_up_mean, reference.mean(axis=0), rtol=1e-14, atol=0.0)
+        assert np.array_equal(trace.p_up_mean, sweep_spectrum(drive, spectrum_190, thermal, grid).p_up_mean)
+
+    def test_sweep_holds_no_whole_grid_array(self, spectrum_190):
+        # the traced peak stays below one (N, G) float64 array: 7.6 MB here
+        grid = TWO_PI * np.linspace(30e3, 800e3, 5000)
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=SpinEcho(tau=5e-4, t_pi=65e-6))
+        thermal = ThermalState.com_plus_bath(spectrum_190, 60.0, 0.43e-3)
+        tracemalloc.start()
+        try:
+            sweep_spectrum(drive, spectrum_190, thermal, grid, per_ion=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectrum_190.b.shape[0] * len(grid) * 8
 
     @pytest.mark.parametrize("sequence", [SpinEcho(tau=5e-4, t_pi=65e-6), Ramsey(tau=5e-4)])
     @pytest.mark.parametrize("n_points", [1, BLOCK_190 - 1, BLOCK_190, BLOCK_190 + 1, 1541])

@@ -2,10 +2,12 @@
 # The command-line chain at N ions (default 19): crystal solve -> modes compute
 # -> spectrum simulate (spin echo and Ramsey) -> plot and fit temperature,
 # through the `drumhead` console script. The plot of the spin-echo trace must
-# have one row per sweep point. The noiseless spin-echo trace, read back as
-# measured data with sigma = 0.02, must fit to the generating nbar = 60, both
-# with the decoherence rate given and with it fitted (gamma_per_s = 0), when
-# it must also come back as the generating 223.14 / s.
+# have one row per sweep point. The spin-echo trace with `--per-ion` must keep
+# the plain trace's two columns byte for byte, beside one column per ion. The
+# noiseless spin-echo trace, read back as measured data with sigma = 0.02,
+# must fit to the generating nbar = 60, both with the decoherence rate given
+# and with it fitted (gamma_per_s = 0), when it must also come back as the
+# generating 223.14 / s.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -29,6 +31,11 @@ drumhead spectrum simulate --config "$out/run.json" --spectrum "$out/spectrum.js
 drumhead plot --in "$out/trace.csv" --out "$out/plot_trace.csv"
 # a header and the 251 points of 780-805 kHz in 100 Hz steps
 test "$(wc -l < "$out/plot_trace.csv")" -eq 252
+drumhead spectrum simulate --config "$out/run.json" --spectrum "$out/spectrum.json" \
+  --out "$out/trace_per_ion.csv" --per-ion
+# the same frequency and mean columns, byte for byte, and one column per ion
+cut -d, -f1,2 "$out/trace_per_ion.csv" | cmp - "$out/trace.csv"
+awk -F, -v n="$n_ions" 'NF != n + 2 {exit 1}' "$out/trace_per_ion.csv"
 sed 's/"type": "spin_echo", "tau_s": 5e-4, "t_pi_s": 65e-6/"type": "ramsey", "tau_s": 5e-4/' \
   "$out/run.json" > "$out/ramsey.json"
 grep -q '"ramsey"' "$out/ramsey.json"

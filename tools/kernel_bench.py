@@ -24,7 +24,8 @@ trace plus seeded Gaussian noise (sigma = 0.02). The two trees alternate
 which runs first. Each time is reported as median, q1 and q3 over
 `--repeats` calls after one warm-up call, with the minor page faults per
 call, the BLAS thread variables, numpy/scipy versions and the commit of each
-tree.
+tree. Each `sweep_spectrum` also reports the `tracemalloc` peak of one more
+call, untimed, beside its time.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ def _quartiles(values) -> dict:
 
 def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     """Time the three calls in this process; drumhead comes from PYTHONPATH."""
+    import functools
     import resource
     import time
+    import tracemalloc
 
     import numpy as np
 
@@ -96,6 +99,14 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeats
         return {**_quartiles(times), "minor_faults_per_call": faults}
 
+    def traced_peak_mb(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
     spectrum = io_formats.load_spectrum(workdir / f"spectrum_{n_ions}.json")
     result = {}
     for name in SEQUENCES:
@@ -108,9 +119,10 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
                                             sigma=np.full(len(grid), 0.02))
         background = dynamics.ThermalState.com_plus_bath(spectrum, 0.0, run.thermal.bath_temperature_k)
         fit = thermometry.fit_occupation(data, spectrum, drive, background=background)
+        sweep = functools.partial(dynamics.sweep_spectrum, drive, spectrum, thermal, grid)
         result[name] = {
             "lineshape_terms": quartiles(lambda: dynamics.lineshape_terms(drive, spectrum, grid)),
-            "sweep_spectrum": quartiles(lambda: dynamics.sweep_spectrum(drive, spectrum, thermal, grid)),
+            "sweep_spectrum": {**quartiles(sweep), "traced_peak_mb": traced_peak_mb(sweep)},
             "fit_occupation": quartiles(lambda: thermometry.fit_occupation(
                 data, spectrum, drive, background=background)),
             "fit_status": fit.status,
@@ -240,6 +252,8 @@ def main(argv=None) -> int:
             for call in ("lineshape_terms", "sweep_spectrum", "fit_occupation"):
                 old, new = (times[side][name][call]["median_s"] for side in ("parent", "change"))
                 print(f"N={n_ions:5d} {name:9s} {call:16s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms")
+            old, new = (times[side][name]["sweep_spectrum"]["traced_peak_mb"] for side in ("parent", "change"))
+            print(f"N={n_ions:5d} {name:9s} {'sweep traced peak':16s} {old:9.2f} -> {new:9.2f} MB")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
