@@ -41,7 +41,7 @@ from .errors import CoincidentIonsError, EquilibriumNotConverged
 from .trap import TrapParams, beta
 
 # Scaled-unit convergence targets. 1e-9 is the bar for the `converged` flag;
-# the polish reaches ~1e-15 at N = 190 and 345, and 4e-13 to 9e-10 at N = 13-20.
+# the polish reaches ~1e-15 at N = 190 and 345, and 5e-16 to 9e-10 at N = 13-20.
 _SCALED_GTOL = 1e-9
 _POLISH_TARGET = 5e-14
 # Further bounds for the `converged` flag: residual force in newtons, and the
@@ -51,9 +51,10 @@ ENERGY_RTOL = 1e-12
 # Standard deviation (scaled units, ~1 % of a spacing) of the seeded random z
 # push that leaves an unstable plane.
 _BUCKLE_PUSH = 0.02
-# Iteration budgets: L-BFGS steps per relax stage, Newton polish steps.
+# Iteration budgets: L-BFGS steps per relax stage, Newton polish steps. The
+# polish takes 1-2 steps from N = 37 on, but up to ~150 at N = 13 and 20.
 _MAX_RELAX_STEPS = 100_000
-_MAX_POLISH_STEPS = 80
+_MAX_POLISH_STEPS = 400
 # Rows per block of every pairwise pass (`_pair_blocks`).
 _ROW_BLOCK = 64
 # Most ions in a crystal. A planar Newton step holds 32 N^2 + 3 kB N bytes (35.2 MB traced
@@ -400,7 +401,8 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
     reproducible and callers can restart from a different basin. The one LAPACK
     call is `eigvalsh`, for the sign of the z block's lowest eigenvalue. The
     scale-free bound 1e-9 is almost always stricter than FORCE_TOL (newtons):
-    the polish ends at max |g| 6e-16 to 7e-15 at N = 190 and 345, 4e-13 to 9e-10 at N = 13-20.
+    the polish ends at max |g| 6e-16 to 7e-15 at N = 190 and 345 after 2 Newton
+    steps, and at 5e-16 to 9e-10 at N = 13-20 after up to ~150 of its 400.
 
     Raises ValueError unless 1 <= n_ions <= MAX_IONS, and EquilibriumNotConverged (carrying
     the best-so-far lattice in `.best`) when the iteration budget (`_MAX_RELAX_STEPS` L-BFGS

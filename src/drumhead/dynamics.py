@@ -51,6 +51,7 @@ from .odf import DriveConfig, Ramsey, SpinEcho
 from .trap import TWO_PI
 
 _GAIN_BLOCK_CELLS = 50_000  # (mode, point) cells per block of the lineshape gain
+_MIN_BLOCK_COLUMNS = 128  # grid points per block at least: each block's exponent repacks the coupling
 _NEAR_PHASE = 16.0  # rad; below it a cell's sines are taken directly, not by angle addition
 
 
@@ -191,9 +192,12 @@ def _add_products(mode, point, cols, out, tmp):
 def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
     """Yield (cols, gain) for column blocks of |G_m(mu)|^2, each (M, block) of about _GAIN_BLOCK_CELLS cells.
 
-    Each block is written in place in four reused buffers, so it is valid
-    only until the next one. Every cell is elementwise in (omega_m, mu), so
-    the blocks do not change its bits.
+    A block has at least `_MIN_BLOCK_COLUMNS` columns, and a one-column tail
+    joins the block before it: numpy takes the ion mean of an (N_ion, 1)
+    block pairwise but of a wider one row by row, so `p_up_mean` keeps the
+    bits of the per-ion table's mean. Each block is written in place in four
+    reused buffers, so it is valid only until the next one. Every cell is
+    elementwise in (omega_m, mu), so the blocks do not change its bits.
     """
     seq = drive.sequence
     om, mu = spectrum.omega[:, None], np.asarray(mu_grid, dtype=float)
@@ -205,10 +209,12 @@ def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray
     theta_m, theta_p, phi_m, phi_p = lag * om, (seq.tau + lag) * mu, 0.5 * lag * om, 0.5 * lag * mu
     cos_theta = ((weight * np.cos(theta_m), weight * np.sin(theta_m)), (np.cos(theta_p), np.sin(theta_p)))
     sin_phi = ((np.cos(phi_m), -np.sin(phi_m)), (seq.tau * np.sin(phi_p), seq.tau * np.cos(phi_p)))
-    block = max(1, _GAIN_BLOCK_CELLS // len(om))
-    buffers = np.empty((4, len(om) * min(block, len(mu))))
-    for start in range(0, len(mu), block):
-        cols = slice(start, start + block)
+    edges = [*range(0, len(mu), max(_MIN_BLOCK_COLUMNS, _GAIN_BLOCK_CELLS // len(om))), len(mu)]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    buffers = np.empty((4, len(om) * max(np.diff(edges), default=0)))
+    for start, stop in zip(edges, edges[1:]):
+        cols = slice(start, stop)
         shape = (len(om), len(mu[cols]))
         sinc_a, sinc_b, tmp, cross = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
         np.multiply(sin_x, cos_y[cols], out=sinc_a)

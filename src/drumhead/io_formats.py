@@ -11,6 +11,7 @@ import base64
 import json
 import math
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,12 @@ from .thermometry import FitMetadata, FitResult, ObservedSpectrum
 from .trap import TrapParams
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write `text`, one string or a sequence of pieces, to <path>.tmp, then move it onto path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines((text,) if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -127,34 +130,95 @@ def lattice_to_csv(lattice: CrystalLattice) -> str:
 
 # the largest |B^T B - I| entry a spectrum file may carry
 ORTHONORMALITY_TOL = 1e-10
+_BLOCK_KEY = "eigenvectors_f64le_b64"
+# Bytes of the eigenvector block per base64 chunk (about: a save takes whole
+# rows). A multiple of 3, so no chunk but the last pads and the chunks' base64
+# joins into the whole block's.
+_BLOCK_CHUNK_BYTES = 3 * 2**12
+# Columns of B, so rows of B^T B, per block of the orthonormality check.
+_CHECK_COLUMNS = 128
 
 
-def spectrum_to_json(spectrum: ModeSpectrum) -> str:
-    block = np.ascontiguousarray(spectrum.b, dtype="<f8").tobytes()
-    return _dump_json(
+def _block_base64(b: np.ndarray):
+    """The base64 of b's little-endian float64 bytes in row order, a chunk of rows at a time.
+
+    Each chunk holds a multiple of 3 rows, so a multiple of 3 bytes, and
+    only one chunk is copied at a time.
+    """
+    rows = 3 * max(1, _BLOCK_CHUNK_BYTES // (24 * max(len(b), 1)))
+    for start in range(0, len(b), rows):
+        yield base64.b64encode(np.ascontiguousarray(b[start:start + rows], dtype="<f8")).decode("ascii")
+
+
+def _spectrum_pieces(spectrum: ModeSpectrum):
+    """The spectrum file as text pieces: the JSON head, the block's base64 chunks, the tail."""
+    head, marker, tail = _dump_json(
         {
             "frequencies_hz": spectrum.frequencies_hz.tolist(),
             "eigenvalues_rad2_per_s2": spectrum.eigenvalues.tolist(),
-            "eigenvectors_f64le_b64": base64.b64encode(block).decode("ascii"),
+            _BLOCK_KEY: "",
             "mass_kg": spectrum.mass,
             "unstable_modes": list(spectrum.unstable_modes),
         }
-    )
+    ).partition(f'"{_BLOCK_KEY}": "')
+    yield head + marker
+    yield from _block_base64(spectrum.b)
+    yield tail
+
+
+def spectrum_to_json(spectrum: ModeSpectrum) -> str:
+    return "".join(_spectrum_pieces(spectrum))
+
+
+def _decode_block(text: str, n: int, path: str) -> np.ndarray:
+    """The (n, n) float64 matrix whose little-endian bytes `text` holds in base64.
+
+    The text is decoded a chunk at a time into one array. A text the chunks
+    refuse is decoded again whole, so the refusal names what a whole-string
+    decode finds: the first fault, else the wrong byte count.
+    """
+    b = np.empty((n, n), dtype="<f8")
+    out, step, pos = memoryview(b.reshape(-1).view(np.uint8)), 4 * _BLOCK_CHUNK_BYTES // 3, 0
+    try:
+        for start in range(0, len(text), step):
+            raw = base64.b64decode(text[start:start + step], validate=True)
+            # a short chunk before the last one held padding
+            if pos + len(raw) > len(out) or (len(raw) < _BLOCK_CHUNK_BYTES and start + step < len(text)):
+                raise ValueError("misplaced padding or too many bytes")
+            out[pos:pos + len(raw)] = raw
+            pos += len(raw)
+        if pos == len(out):
+            return b
+    except ValueError:  # binascii.Error, a non-ASCII character, or the two faults above
+        pass
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ConfigError(path, f"not base64 ({exc})") from exc
+    raise ConfigError(path, f"expected {8 * n * n} bytes ({n} x {n} float64), got {len(raw)}")
+
+
+def _orthonormality_residual(b: np.ndarray) -> float:
+    """max |B^T B - I|, over rows of B^T B from the diagonal on, `_CHECK_COLUMNS` rows at a time."""
+    residual = 0.0
+    for start in range(0, len(b), _CHECK_COLUMNS):
+        gram = b[:, start:start + _CHECK_COLUMNS].T @ b[:, start:]
+        gram[np.diag_indices(len(gram))] -= 1.0
+        residual = max(residual, gram.max(), -gram.min())
+    return residual
 
 
 def _eigenvector_block(doc: dict, n: int) -> np.ndarray:
-    """The (n, n) matrix in `eigenvectors_f64le_b64`: finite, with orthonormal columns."""
-    path, text = "spectrum.eigenvectors_f64le_b64", _expect(doc, "spectrum", "eigenvectors_f64le_b64", str)
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise ConfigError(path, f"not base64 ({exc})") from exc
-    if len(raw) != 8 * n * n:
-        raise ConfigError(path, f"expected {8 * n * n} bytes ({n} x {n} float64), got {len(raw)}")
-    b = np.frombuffer(raw, dtype="<f8").reshape(n, n)
+    """The (n, n) matrix in `eigenvectors_f64le_b64`: finite, with orthonormal columns.
+
+    The block's text is taken out of `doc`, so it is freed once decoded.
+    """
+    path = f"spectrum.{_BLOCK_KEY}"
+    _expect(doc, "spectrum", _BLOCK_KEY, str)
+    b = _decode_block(doc.pop(_BLOCK_KEY), n, path)
     if not np.all(np.isfinite(b)):
         raise ConfigError(path, "expected finite numbers")
-    residual = np.abs(b.T @ b - np.eye(n)).max(initial=0.0)
+    residual = _orthonormality_residual(b)
     if residual > ORTHONORMALITY_TOL:
         raise ConfigError(path, f"columns are not orthonormal (max |B^T B - I| = {residual:.3g})")
     return b
@@ -171,7 +235,10 @@ def spectrum_from_json(text: str) -> ModeSpectrum:
     `frequencies_hz` is derived data; a file whose values disagree with the
     eigenvalues by more than 1e-12 relative is refused with ValueError.
     """
-    doc = _read_document(text, "spectrum")
+    return _spectrum_from_document(_read_document(text, "spectrum"))
+
+
+def _spectrum_from_document(doc: dict) -> ModeSpectrum:
     eigenvalues = _expect(doc, "spectrum", "eigenvalues_rad2_per_s2", (None,))
     if np.any(np.diff(eigenvalues) > 0.0):
         raise ConfigError("spectrum.eigenvalues_rad2_per_s2", "expected non-increasing values")
@@ -189,11 +256,12 @@ def spectrum_from_json(text: str) -> ModeSpectrum:
 
 
 def save_spectrum(spectrum: ModeSpectrum, path: str | Path) -> None:
-    atomic_write_text(path, spectrum_to_json(spectrum))
+    atomic_write_text(path, _spectrum_pieces(spectrum))
 
 
 def load_spectrum(path: str | Path) -> ModeSpectrum:
-    return spectrum_from_json(Path(path).read_text(encoding="utf-8"))
+    # the file's text is freed once parsed: only the document reaches the reader
+    return _spectrum_from_document(_read_document(Path(path).read_text(encoding="utf-8"), "spectrum"))
 
 
 def save_histogram(histogram: ModeHistogram, path: str | Path) -> None:

@@ -1,6 +1,8 @@
+import base64
 import copy
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,6 +224,72 @@ class TestSpectrumFiles:
         with pytest.raises(ValueError, match="frequencies_hz"):
             iof.spectrum_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("chunk_bytes", [None, 24])
+    @pytest.mark.parametrize("n_ions", [1, 2, 7, 19, 150, 190])
+    def test_chunks_join_into_the_whole_block_document(self, tmp_path, monkeypatch, n_ions, chunk_bytes):
+        # the file and the string both equal the document with the block
+        # encoded whole, and read back to the same matrix; the default chunks
+        # join from N = 40 on, 24-byte chunks every 3 rows at every N
+        if chunk_bytes is not None:
+            monkeypatch.setattr(iof, "_BLOCK_CHUNK_BYTES", chunk_bytes)
+        spectrum = spectrum_cached(n_ions, 44.7e3)
+        path = tmp_path / "spectrum.json"
+        iof.save_spectrum(spectrum, path)
+        assert path.read_text(encoding="utf-8") == iof.spectrum_to_json(spectrum) == whole_block_document(spectrum)
+        assert np.array_equal(iof.load_spectrum(path).b, spectrum.b)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[:100_000] + "!" + text[100_001:],
+            lambda text: text[:100_000] + "=" + text[100_001:],
+            lambda text: text[:100_000] + "==" + text[100_002:],
+            lambda text: text[:100_000] + "é" + text[100_001:],
+            lambda text: text[:-4],
+            lambda text: text[:-1],
+            lambda text: text + "AAAA",
+            lambda text: text + "AAA=",
+            lambda text: text + "A",
+            lambda text: "",
+        ],
+        ids=["bad_character", "padding_inside", "two_paddings_inside", "non_ascii", "short", "short_by_one",
+             "long", "long_padded", "long_by_one", "empty"],
+    )
+    def test_damaged_block_refused_as_a_whole_decode_refuses_it(self, edit):
+        # the N = 150 block spans 15 chunks of 16384 characters; each damage
+        # is refused with the message a decode of the whole string gives
+        doc = json.loads(iof.spectrum_to_json(spectrum_cached(150, 44.7e3)))
+        text = doc["eigenvectors_f64le_b64"] = edit(doc["eigenvectors_f64le_b64"])
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            message = f"not base64 ({exc})"
+        else:
+            message = f"expected 180000 bytes (150 x 150 float64), got {len(raw)}"
+        with pytest.raises(ConfigError) as info:
+            iof.spectrum_from_json(json.dumps(doc))
+        assert str(info.value) == f"spectrum.eigenvectors_f64le_b64: {message}"
+
+    def test_save_and_load_hold_no_copy_of_the_block(self, tmp_path, spectrum_190):
+        # beyond the spectrum, save holds under 1/4 and load under 3 copies
+        # of the (N, N) float64 block; encoded or decoded whole, 5.2 and 4.7
+        path, block = tmp_path / "spectrum.json", spectrum_190.b.nbytes
+        iof.save_spectrum(spectrum_190, path)
+        iof.load_spectrum(path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            iof.save_spectrum(spectrum_190, path)
+            save_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            loaded = iof.load_spectrum(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.b, spectrum_190.b)
+        assert save_peak < 0.25 * block
+        assert peak - current < 3 * block
+
     def test_histogram_csv(self, tmp_path):
         hist = mode_histogram(spectrum_cached(7), 10e3)
         path = tmp_path / "hist.csv"
@@ -230,6 +298,18 @@ class TestSpectrumFiles:
         assert lines[0] == "bin_center_hz,count"
         counts = [float(line.split(",")[1]) for line in lines[1:]]
         assert sum(counts) == 7
+
+
+def whole_block_document(spectrum) -> str:
+    """A spectrum file with its eigenvector block encoded in one piece."""
+    block = np.ascontiguousarray(spectrum.b, dtype="<f8").tobytes()
+    return json.dumps({
+        "frequencies_hz": spectrum.frequencies_hz.tolist(),
+        "eigenvalues_rad2_per_s2": spectrum.eigenvalues.tolist(),
+        "eigenvectors_f64le_b64": base64.b64encode(block).decode("ascii"),
+        "mass_kg": spectrum.mass,
+        "unstable_modes": list(spectrum.unstable_modes),
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def read_trace(path) -> SpectrumTrace:

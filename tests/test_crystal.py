@@ -267,6 +267,13 @@ class TestSolveEquilibrium:
         # eigenvalue spectrum could not finish within its budget (seeds 1 and 2)
         assert solve_equilibrium(paper_trap(), n_ions, seed=seed).converged
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n_ions", [13, 20])
+    def test_small_crystals_converge_at_44_7_khz(self, n_ions, seed):
+        # the polish alternates here and takes up to ~150 Newton steps; a
+        # budget of 80 left N = 13 seeds 0, 1, 3 and 7 and N = 20 seed 3 unconverged
+        assert solve_equilibrium(paper_trap(44.7e3), n_ions, seed=seed).converged
+
     def test_no_hessian_is_built_twice_at_one_point(self, monkeypatch):
         # a rejected Newton step leaves x unchanged, so a retry could only
         # rebuild the same Hessian and reject the same step again

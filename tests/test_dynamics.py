@@ -21,7 +21,13 @@ from drumhead import (
     sweep_spectrum,
     validity_ratio,
 )
-from drumhead.dynamics import _GAIN_BLOCK_CELLS, bright_fraction, decoherence_exponent, lineshape_terms
+from drumhead.dynamics import (
+    _GAIN_BLOCK_CELLS,
+    _gain_blocks,
+    bright_fraction,
+    decoherence_exponent,
+    lineshape_terms,
+)
 from conftest import paper_trap, spectrum_cached
 
 TWO_PI = 2 * np.pi
@@ -378,6 +384,25 @@ class TestSweepSpectrum:
         np.testing.assert_allclose(trace.p_up_per_ion, reference, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(trace.p_up_mean, reference.mean(axis=0), rtol=1e-14, atol=0.0)
         assert np.array_equal(trace.p_up_mean, sweep_spectrum(drive, spectrum_190, thermal, grid).p_up_mean)
+
+    @pytest.mark.parametrize("n_points", [1, BLOCK_190 - 1, BLOCK_190, BLOCK_190 + 1, 1541])
+    def test_mean_is_the_per_ion_tables_mean(self, spectrum_190, n_points):
+        # a one-column tail joins the block before it: numpy takes the mean
+        # of an (N, 1) block pairwise, and the table's mean row by row
+        grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=SpinEcho(tau=5e-4, t_pi=65e-6))
+        thermal = ThermalState.com_plus_bath(spectrum_190, 60.0, 0.43e-3)
+        trace = sweep_spectrum(drive, spectrum_190, thermal, grid, per_ion=True)
+        assert np.array_equal(trace.p_up_mean, trace.p_up_per_ion.mean(axis=0))
+
+    @pytest.mark.parametrize("n_points, widths", [(1, [1]), (256, [128, 128]), (257, [128, 129]),
+                                                  (300, [128, 128, 44])])
+    def test_blocks_have_a_floor_of_columns(self, n_points, widths):
+        # 1000 modes would give 50-column blocks, each repacking the coupling
+        spectrum = synthetic_spectrum(TWO_PI * np.linspace(700e3, 795e3, 1000)[::-1])
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=SpinEcho(tau=5e-4, t_pi=65e-6))
+        grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
+        assert [cols.stop - cols.start for cols, _ in _gain_blocks(drive, spectrum, grid)] == widths
 
     def test_sweep_holds_no_whole_grid_array(self, spectrum_190):
         # the traced peak stays below one (N, G) float64 array: 7.6 MB here

@@ -1,13 +1,15 @@
 #!/bin/sh
 # The command-line chain at N ions (default 19): crystal solve -> modes compute
 # -> spectrum simulate (spin echo and Ramsey) -> plot and fit temperature,
-# through the `drumhead` console script. The plot of the spin-echo trace must
-# have one row per sweep point. The spin-echo trace with `--per-ion` must keep
-# the plain trace's two columns byte for byte, beside one column per ion. The
-# noiseless spin-echo trace, read back as measured data with sigma = 0.02,
-# must fit to the generating nbar = 60, both with the decoherence rate given
-# and with it fitted (gamma_per_s = 0), when it must also come back as the
-# generating 223.14 / s.
+# through the `drumhead` console script. The spectrum file, read back and
+# written again, must be the same file byte for byte: its eigenvector block is
+# one base64 chunk at N = 19, and is written in 17 chunks and read in 15 at
+# N = 150. The plot of the spin-echo trace must have one row per sweep point.
+# The spin-echo trace with `--per-ion` must keep the plain trace's two columns
+# byte for byte, beside one column per ion. The noiseless spin-echo trace,
+# read back as measured data with sigma = 0.02, must fit to the generating
+# nbar = 60, both with the decoherence rate given and with it fitted
+# (gamma_per_s = 0), when it must also come back as the generating 223.14 / s.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -26,6 +28,9 @@ cat > "$out/run.json" <<JSON
 JSON
 drumhead crystal solve --config "$out/run.json" --out "$out/lattice.json" --seed 1
 drumhead modes compute --lattice "$out/lattice.json" --out "$out/spectrum.json"
+python3 -c 'import sys; from drumhead import io_formats as f; f.save_spectrum(f.load_spectrum(sys.argv[1]), sys.argv[2])' \
+  "$out/spectrum.json" "$out/again.json"
+cmp "$out/spectrum.json" "$out/again.json"
 drumhead spectrum simulate --config "$out/run.json" --spectrum "$out/spectrum.json" \
   --out "$out/trace.csv"
 drumhead plot --in "$out/trace.csv" --out "$out/plot_trace.csv"

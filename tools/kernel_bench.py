@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Times of the start-up, the crystal solve, the lineshape kernel, the sweep and the fit, two source trees side by side.
+"""Times of the start-up, the crystal solve, the spectrum file, the lineshape kernel, the sweep and the fit, two source trees side by side.
 
     python3 tools/kernel_bench.py --parent OLD/src --change src --workdir /tmp/kb \
         --out BENCH_<short-sha>.json [--repeats 7]
@@ -17,15 +17,21 @@ which its largest solve, N = 1000, sets.
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
-CLI. Then, for each N, a fresh process per tree times `lineshape_terms`,
-`sweep_spectrum` and `fit_occupation` for spin echo and Ramsey on the full
-30-800 kHz band (1541 points, 500 Hz steps). The fit reads the noiseless
-trace plus seeded Gaussian noise (sigma = 0.02). The two trees alternate
-which runs first. Each time is reported as median, q1 and q3 over
-`--repeats` calls after one warm-up call, with the minor page faults per
-call, the BLAS thread variables, numpy/scipy versions and the commit of each
-tree. Each `sweep_spectrum` also reports the `tracemalloc` peak of one more
-call, untimed, beside its time.
+CLI. On that lattice each tree runs `modes compute` and then `spectrum
+simulate` (spin echo, on the band below) `--repeats` times, the trees
+alternating; each process reports its wall time and peak RSS (`ru_maxrss`,
+from `os.wait4`), and the record says whether the two trees wrote the same
+spectrum and trace files. Then, for each N, a fresh process per tree times
+`save_spectrum` and `load_spectrum`, and `lineshape_terms`, `sweep_spectrum`
+and `fit_occupation` for spin echo and Ramsey on the full 30-800 kHz band
+(1541 points, 500 Hz steps). The fit reads the noiseless trace plus seeded
+Gaussian noise (sigma = 0.02). The two trees alternate which runs first.
+Each time is reported as median, q1 and q3 over `--repeats` calls after one
+warm-up call, with the minor page faults per call, the BLAS thread
+variables, numpy/scipy versions and the commit of each tree. Each
+`save_spectrum`, `load_spectrum` and `sweep_spectrum` also reports the
+`tracemalloc` peak of one more call, untimed, beside its time; a load's peak
+includes the spectrum it returns.
 """
 
 from __future__ import annotations
@@ -107,8 +113,12 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
         finally:
             tracemalloc.stop()
 
-    spectrum = io_formats.load_spectrum(workdir / f"spectrum_{n_ions}.json")
-    result = {}
+    path, copy = workdir / f"spectrum_{n_ions}.json", workdir / f"spectrum_{n_ions}_saved.json"
+    spectrum = io_formats.load_spectrum(path)
+    save = functools.partial(io_formats.save_spectrum, spectrum, copy)
+    load = functools.partial(io_formats.load_spectrum, path)
+    result = {"save_spectrum": {**quartiles(save), "traced_peak_mb": traced_peak_mb(save)},
+              "load_spectrum": {**quartiles(load), "traced_peak_mb": traced_peak_mb(load)}}
     for name in SEQUENCES:
         run = config.load_config(workdir / f"run_{n_ions}_{name}.json")
         drive, grid = run.drive, run.sweep.points_rad_s()
@@ -183,6 +193,41 @@ def _startup_and_solves(trees: dict, repeats: int) -> dict:
     return record
 
 
+def _process(argv: list, env: dict) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MB) of one child process, which must succeed."""
+    import time
+
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, argv)
+    return time.perf_counter() - start, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def _commands(trees: dict, workdir: Path, n_ions: int, repeats: int) -> dict:
+    """`modes compute` and `spectrum simulate` processes of both trees, alternating which runs first."""
+    runs = {side: {"modes_compute": [], "spectrum_simulate": []} for side in trees}
+    for index in range(repeats):
+        for side in (("parent", "change") if index % 2 == 0 else ("change", "parent")):
+            env = dict(os.environ, PYTHONPATH=str(trees[side].resolve()))
+            cli = [sys.executable, "-m", "drumhead"]
+            spectrum = workdir / f"spectrum_{n_ions}_{side}.json"
+            runs[side]["modes_compute"].append(_process(
+                [*cli, "modes", "compute", "--lattice", workdir / f"lattice_{n_ions}.json", "--out", spectrum], env))
+            runs[side]["spectrum_simulate"].append(_process(
+                [*cli, "spectrum", "simulate", "--config", workdir / f"run_{n_ions}_spin_echo.json",
+                 "--spectrum", spectrum, "--out", workdir / f"trace_{n_ions}_{side}.csv"], env))
+    record = {side: {command: {**_quartiles([wall for wall, _ in samples]),
+                               "peak_rss_mb": [rss for _, rss in samples]}
+                     for command, samples in commands.items()} for side, commands in runs.items()}
+    for kind, suffix in (("spectrum", "json"), ("trace", "csv")):
+        files = [(workdir / f"{kind}_{n_ions}_{side}.{suffix}").read_bytes() for side in trees]
+        record[f"{kind}_files_equal"] = files[0] == files[1]
+    return record
+
+
 def _run_worker(src: Path, workdir: Path, n_ions: int, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     out = subprocess.run([sys.executable, __file__, "--worker", str(n_ions), "--workdir", str(workdir),
@@ -245,9 +290,23 @@ def main(argv=None) -> int:
                         "--out", lattice, "--seed", "1"], env=env, check=True, capture_output=True)
         subprocess.run([*cli, "modes", "compute", "--lattice", lattice, "--out", spectrum],
                        env=env, check=True, capture_output=True)
+        commands = _commands({"parent": args.parent, "change": args.change}, args.workdir, n_ions, args.repeats)
+        for command in ("modes_compute", "spectrum_simulate"):
+            (old, old_rss), (new, new_rss) = ((commands[side][command]["median_s"],
+                                               max(commands[side][command]["peak_rss_mb"]))
+                                              for side in ("parent", "change"))
+            print(f"N={n_ions:5d} {command:17s} {old:9.3f} -> {new:9.3f} s, "
+                  f"largest peak RSS {old_rss:7.1f} -> {new_rss:7.1f} MB")
+        print(f"N={n_ions:5d} same spectrum file: {commands['spectrum_files_equal']}, "
+              f"same trace: {commands['trace_files_equal']}")
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         times = {side: _run_worker(getattr(args, side), args.workdir, n_ions, args.repeats) for side in order}
-        record["sizes"][str(n_ions)] = {"rotation_hz": rotation_hz, "first": order[0], **times}
+        record["sizes"][str(n_ions)] = {"rotation_hz": rotation_hz, "commands": commands, "first": order[0], **times}
+        for call in ("save_spectrum", "load_spectrum"):
+            (old, old_mb), (new, new_mb) = ((times[side][call]["median_s"], times[side][call]["traced_peak_mb"])
+                                            for side in ("parent", "change"))
+            print(f"N={n_ions:5d} {call:26s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms, "
+                  f"traced peak {old_mb:7.2f} -> {new_mb:7.2f} MB")
         for name in SEQUENCES:
             for call in ("lineshape_terms", "sweep_spectrum", "fit_occupation"):
                 old, new = (times[side][name][call]["median_s"] for side in ("parent", "change"))
