@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import COULOMB_K, HBAR
-from .crystal import CrystalLattice, z_stiffness
+from .crystal import _ROW_BLOCK, CrystalLattice, z_stiffness
 from .errors import EquilibriumNotConverged, NonPlanarLatticeError
 from .trap import TWO_PI
 
@@ -100,24 +100,47 @@ def transverse_stiffness(lattice: CrystalLattice) -> StiffnessMatrix:
     )
 
 
+def _symmetric_part(k: np.ndarray) -> np.ndarray:
+    """(k + k^T) / 2 of a square k, refused unless max |k - k^T| <= 1e-10 max |k|.
+
+    Checked a block of rows at a time in one scratch. An exactly symmetric k (`z_stiffness`
+    builds one) is returned as it is, which is (k + k^T) / 2 to the bit; otherwise the one array
+    returned is filled a block at a time. Whole k - k^T and k + k^T would each add two N^2 arrays."""
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError("stiffness must be a square matrix")
+    blocks = [slice(a, a + _ROW_BLOCK) for a in range(0, len(k), _ROW_BLOCK)]
+    scratch, asym = np.empty_like(k[:_ROW_BLOCK]), 0.0
+    for rows in blocks:
+        diff = np.subtract(k[rows], k[:, rows].T, out=scratch[: len(k[rows])])
+        asym = max(asym, np.max(np.abs(diff, out=diff)))
+    if asym == 0.0:
+        return k
+    sym_dev = asym / max(np.max(k), -np.min(k), 1e-300)
+    if sym_dev > 1e-10:
+        raise ValueError(f"stiffness is not symmetric (relative deviation {sym_dev:.2e})")
+    sym = np.empty_like(k)
+    for rows in blocks:
+        np.multiply(0.5, np.add(k[rows], k[:, rows].T, out=sym[rows]), out=sym[rows])
+    return sym
+
+
 def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
     """Eigenmodes of a stiffness matrix, sorted by descending frequency.
 
     Sign convention: the largest-magnitude component of each eigenvector is
-    positive.
+    positive (the first such component, on a tie).
     """
-    k = np.asarray(stiffness.entries, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("stiffness must be a square matrix")
-    sym_dev = np.max(np.abs(k - k.T)) / max(np.max(np.abs(k)), 1e-300)
-    if sym_dev > 1e-10:
-        raise ValueError(f"stiffness is not symmetric (relative deviation {sym_dev:.2e})")
-    evals, evecs = np.linalg.eigh(0.5 * (k + k.T))
+    evals, evecs = np.linalg.eigh(_symmetric_part(np.asarray(stiffness.entries, dtype=float)))
     order = np.argsort(evals)[::-1]
     evals = evals[order]
-    evecs = evecs[:, order]
-    # sign convention: flip each column whose largest-magnitude entry is negative
-    evecs[:, evecs[np.argmax(np.abs(evecs), axis=0), np.arange(len(evals))] < 0.0] *= -1.0
+    for a in range(0, len(evecs), _ROW_BLOCK):  # columns put in order in place
+        rows = evecs[a : a + _ROW_BLOCK]
+        rows[:] = rows[:, order]
+    # a column's largest |entry| is negative where -min > max; on a tie the first such entry decides
+    top, bottom = evecs.max(axis=0), -evecs.min(axis=0)
+    negative, ties = bottom > top, np.flatnonzero(bottom == top)
+    negative[ties] = evecs[np.argmax(np.abs(evecs[:, ties]), axis=0), ties] < 0.0
+    evecs *= np.where(negative, -1.0, 1.0)
     return ModeSpectrum(eigenvalues=evals, b=evecs, mass=stiffness.mass)
 
 

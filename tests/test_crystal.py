@@ -175,6 +175,19 @@ class TestPairKernel:
         assert np.max(np.abs(h - hess.reshape(n * dim, n * dim))) <= 1e-12 * np.max(np.abs(hess))
         assert np.max(np.abs(z_stiffness(pos) - stiffness)) <= 1e-12 * np.max(np.abs(stiffness))
 
+    @pytest.mark.parametrize("upper", [True, False])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 65, 150])
+    def test_pair_blocks_match_broadcast_subtraction_bitwise(self, n, dim, upper):
+        # the copy-then-subtract separations are the same single subtraction per element
+        pos = np.random.default_rng(14).standard_normal((n, dim)) * 5.0
+        for a, diffs, d2, _ in crystal._pair_blocks(pos, upper=upper):
+            c0, rows = (a if upper else 0), slice(a, a + len(d2))
+            expected = np.stack([c[rows, None] - c[None, c0:] for c in pos.T])
+            sq = np.einsum("cjk,cjk->jk", expected, expected)
+            sq.reshape(-1)[a - c0 :: n - c0 + 1] = np.inf
+            assert np.array_equal(diffs, expected) and np.array_equal(d2, sq)
+
     def test_pair_passes_allocate_only_their_result(self):
         # at N = 1000 a whole (N, N) separation array is 8 MB per component; the
         # row blocks of every pass together stay below 4 MB
@@ -188,6 +201,54 @@ class TestPairKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= result.nbytes + 4 * 2**20
+
+
+def two_loop(pairs, gamma, g):
+    """Reference L-BFGS product H g by the two-loop recursion (Nocedal & Wright, alg. 7.4)."""
+    q, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        alphas.append((s @ q) / (s @ y))
+        q -= alphas[-1] * y
+    q *= gamma
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - (y @ q) / (s @ y)) * s
+    return q
+
+
+class TestInverseHessian:
+    def test_compact_form_matches_two_loop(self):
+        # random pairs y = A s + noise with A positive definite, so s.y > 0
+        rng = np.random.default_rng(15)
+        n, memory = 60, 25
+        a = rng.standard_normal((n, n))
+        a = a @ a.T / n + np.eye(n)
+        inverse, pairs, checked = crystal._InverseHessian(n, memory, 0.7), [], set()
+        for k in range(1, 41):
+            s = rng.standard_normal(n)
+            y = a @ s + 0.1 * rng.standard_normal(n)
+            assert s @ y > 0.0
+            inverse.add(s, y)
+            pairs = (pairs + [(s, y)])[-memory:]
+            assert inverse.gamma == pytest.approx((s @ y) / (y @ y), rel=1e-14)
+            if k in (1, 2, 25, 26, 40):  # 26 and 40: the window has slid past 25
+                g = rng.standard_normal(n)
+                expected = two_loop(pairs, inverse.gamma, g)
+                assert np.max(np.abs(inverse.times(g) - expected)) <= 1e-12 * np.max(np.abs(expected))
+                checked.add(k)
+        assert len(inverse.pairs) == memory and checked == {1, 2, 25, 26, 40}
+
+    def test_skipped_pair_and_clear(self):
+        rng = np.random.default_rng(16)
+        n = 8
+        inverse = crystal._InverseHessian(n, 3, 0.5)
+        s = rng.standard_normal(n)
+        inverse.add(s, 2.0 * s)
+        inverse.add(s, -s)  # s.y < 0: not stored, gamma kept
+        assert len(inverse.pairs) == 1 and inverse.gamma == pytest.approx(0.5)
+        g = rng.standard_normal(n)
+        assert np.allclose(inverse.times(g), two_loop([(s, 2.0 * s)], 0.5, g), rtol=1e-13, atol=0.0)
+        inverse.clear()
+        assert np.array_equal(inverse.times(g), 0.5 * g)
 
 
 class TestSolveEquilibrium:
@@ -273,6 +334,49 @@ class TestSolveEquilibrium:
         # the polish alternates here and takes up to ~150 Newton steps; a
         # budget of 80 left N = 13 seeds 0, 1, 3 and 7 and N = 20 seed 3 unconverged
         assert solve_equilibrium(paper_trap(44.7e3), n_ions, seed=seed).converged
+
+    @pytest.mark.parametrize("rotation_hz, n_ions, seed", [(44.7e3, 13, 20), (45.0e3, 13, 13), (45.0e3, 20, 23)])
+    def test_rejected_newton_step_falls_back_to_descent(self, rotation_hz, n_ions, seed):
+        # each once ended on a rejected Newton step at max |g| 1.4-2.5e-9, after 4-95 of
+        # 400 steps; which seeds do so moves with the relax's last bits
+        assert solve_equilibrium(paper_trap(rotation_hz), n_ions, seed=seed).converged
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("n_ions", [13, 20])
+    def test_small_crystals_converge_at_45_khz(self, n_ions, seed):
+        assert solve_equilibrium(paper_trap(45.0e3), n_ions, seed=seed).converged
+
+    @pytest.mark.parametrize(
+        "n_ions, seed, energy",
+        [(190, 0, 5.517270378199256e-20), (190, 1, 5.517270378199255e-20), (190, 2, 5.517270378199255e-20),
+         (190, 3, 5.517270378199255e-20), (345, 0, 1.5162848508440516e-19), (345, 1, 1.516278853657369e-19),
+         (345, 2, 1.5162841989799728e-19), (345, 3, 1.5162841989799728e-19)],
+    )
+    def test_paper_size_minima_are_kept(self, n_ions, seed, energy):
+        # energies (J) from the two-loop L-BFGS; the compact form must reach the same minima
+        assert solve_cached(n_ions, 44.7e3, seed=seed).energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+    def test_message_names_a_rejected_step(self, monkeypatch):
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad: (grad.copy(), 1.0))  # uphill
+        monkeypatch.setattr(crystal, "_descend", lambda *args: None)
+        with pytest.raises(EquilibriumNotConverged, match="stopped on a rejected step after 1 Newton steps"):
+            solve_equilibrium(paper_trap(), 30)
+
+    def test_descent_carries_the_polish_past_rejected_newton_steps(self, monkeypatch):
+        # every Newton step is rejected; the projected steepest-descent step is kept in its place
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        monkeypatch.setattr(crystal, "_MAX_POLISH_STEPS", 5)
+        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad: (grad.copy(), 1.0))
+        with pytest.raises(EquilibriumNotConverged, match="stopped on the budget after 5 Newton steps") as info:
+            solve_equilibrium(paper_trap(), 30)
+        assert np.all(np.diff(info.value.best.energy_trace[-6:]) <= 0.0)
+
+    def test_message_names_the_budget(self, monkeypatch):
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        monkeypatch.setattr(crystal, "_MAX_POLISH_STEPS", 2)
+        with pytest.raises(EquilibriumNotConverged, match="stopped on the budget after 2 Newton steps"):
+            solve_equilibrium(paper_trap(), 30)
 
     def test_no_hessian_is_built_twice_at_one_point(self, monkeypatch):
         # a rejected Newton step leaves x unchanged, so a retry could only

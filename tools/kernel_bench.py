@@ -13,7 +13,15 @@ round starts one fresh process per tree that runs one N = 50 warm-up solve
 and then the 9 solves once; so each solve is timed 8 times per tree, in 8
 processes. The energy, the convergence flag and the accepted-step count come
 with each time, and each solve process reports its peak RSS (`ru_maxrss`),
-which its largest solve, N = 1000, sets.
+which its largest solve, N = 1000, sets. Wrappers in the solve process count
+the energy-gradient kernel's calls and time `_relax` and `_polish`: each
+solve reports its kernel calls, the relax's time outside the kernel per
+L-BFGS step and the polish time, as medians over the rounds. L-BFGS steps
+are the energies the relax adds to the trace plus its last, refused step (a
+3D stage's steps above the plane's energy are not counted). One more process
+per tree solves the 384 small crystals of `SMALL_SOLVES` (N = 7, 13, 19 and
+20, seeds 0-23, at 42.2, 43.2, 44.7 and 45.0 kHz) and lists those that do
+not converge, with the reason.
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
@@ -50,6 +58,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SOLVES = ((190, 44.7e3, 1), (190, 44.7e3, 2), (190, 44.7e3, 3), (345, 44.7e3, 1), (345, 44.7e3, 2),
           (345, 44.7e3, 3), (345, 45.2e3, 0), (345, 45.2e3, 1), (1000, 42.5e3, 1))
 SOLVE_ROUNDS = 8
+SMALL_SOLVES = tuple((n_ions, rotation_hz, seed) for rotation_hz in (42.2e3, 43.2e3, 44.7e3, 45.0e3)
+                     for n_ions in (7, 13, 19, 20) for seed in range(24))
 IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
                "print(time.perf_counter() - start)")
 
@@ -141,30 +151,83 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     return result
 
 
+def _instrument(crystal) -> dict:
+    """Wrap `crystal`'s kernel, relax and polish; returns the tally the wrappers add to."""
+    import time
+
+    tally = dict.fromkeys(("kernel_calls", "kernel_s", "relax_s", "relax_kernel_s", "relax_steps", "polish_s"), 0)
+    kernel, relax, polish = crystal._energy_gradient_scaled, crystal._relax, crystal._polish
+
+    def counted_kernel(*args):
+        start = time.perf_counter()
+        result = kernel(*args)
+        tally["kernel_s"] += time.perf_counter() - start
+        tally["kernel_calls"] += 1
+        return result
+
+    def timed_relax(x, trap, trace):
+        start, kernel_s, accepted = time.perf_counter(), tally["kernel_s"], len(trace)
+        result = relax(x, trap, trace)
+        tally["relax_s"] += time.perf_counter() - start
+        tally["relax_kernel_s"] += tally["kernel_s"] - kernel_s
+        tally["relax_steps"] += len(trace) - accepted + 1
+        return result
+
+    def timed_polish(*args):
+        start = time.perf_counter()
+        result = polish(*args)
+        tally["polish_s"] += time.perf_counter() - start
+        return result
+
+    crystal._energy_gradient_scaled, crystal._relax, crystal._polish = counted_kernel, timed_relax, timed_polish
+    return tally
+
+
 def _solve_worker() -> dict:
     """Time each of SOLVES once in this process; drumhead comes from PYTHONPATH."""
     import resource
     import time
 
-    from drumhead import EquilibriumNotConverged, TrapParams, solve_equilibrium
+    from drumhead import EquilibriumNotConverged, TrapParams, crystal, solve_equilibrium
 
+    tally = _instrument(crystal)
     solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, 44.7e3), 50)  # a first solve runs slower
     result = []
     for n_ions, rotation_hz, seed in SOLVES:
+        tally.update(dict.fromkeys(tally, 0))
         start = time.perf_counter()
         try:
             lattice = solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, rotation_hz), n_ions, seed=seed)
         except EquilibriumNotConverged as exc:
             lattice = exc.best
         result.append({"seconds": time.perf_counter() - start, "energy_j": lattice.energy,
-                       "converged": lattice.converged, "accepted_steps": len(lattice.energy_trace)})
+                       "converged": lattice.converged, "accepted_steps": len(lattice.energy_trace),
+                       "kernel_calls": tally["kernel_calls"], "polish_s": tally["polish_s"],
+                       "relax_outside_kernel_per_step_s":
+                           (tally["relax_s"] - tally["relax_kernel_s"]) / tally["relax_steps"]})
     # ru_maxrss is in KiB on Linux
     return {"solves": result, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def _small_worker() -> dict:
+    """Solve SMALL_SOLVES in this process; drumhead comes from PYTHONPATH."""
+    from drumhead import EquilibriumNotConverged, TrapParams, solve_equilibrium
+
+    failed = []
+    for n_ions, rotation_hz, seed in SMALL_SOLVES:
+        try:
+            solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, rotation_hz), n_ions, seed=seed)
+        except EquilibriumNotConverged as exc:
+            failed.append({"n_ions": n_ions, "rotation_hz": rotation_hz, "seed": seed, "message": str(exc)})
+    return {"solves": len(SMALL_SOLVES), "not_converged": failed}
+
+
 def _startup_and_solves(trees: dict, repeats: int) -> dict:
-    """Import and solve times of both trees, alternating which runs first."""
+    """Import and solve times of both trees, alternating which runs first, and each tree's
+    small solves that do not converge."""
     import time
+
+    import numpy as np
 
     envs = {side: dict(os.environ, PYTHONPATH=str(src.resolve())) for side, src in trees.items()}
     wall, inside = {side: [] for side in trees}, {side: [] for side in trees}
@@ -189,7 +252,13 @@ def _startup_and_solves(trees: dict, repeats: int) -> dict:
             runs = [r["solves"][i] for r in rounds[side]]
             record[side]["solves"][f"{n_ions}_{rotation_hz / 1e3:g}kHz_seed{seed}"] = {
                 "rotation_hz": rotation_hz, **_quartiles([r["seconds"] for r in runs]),
-                **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps")}}
+                **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps", "kernel_calls")},
+                **{key: float(np.median([r[key] for r in runs]))
+                   for key in ("relax_outside_kernel_per_step_s", "polish_s")}}
+    for side in trees:
+        out = subprocess.run([sys.executable, __file__, "--small-worker"], env=envs[side], capture_output=True,
+                             text=True, check=True)
+        record[side]["small_solves"] = json.loads(out.stdout)
     return record
 
 
@@ -255,12 +324,16 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--solve-worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--small-worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
         print(json.dumps(_worker(args.workdir, args.worker, args.repeats)))
         return 0
     if args.solve_worker:
         print(json.dumps(_solve_worker()))
+        return 0
+    if args.small_worker:
+        print(json.dumps(_small_worker()))
         return 0
     if None in (args.parent, args.change, args.out, args.workdir):
         parser.error("--parent, --change, --workdir and --out are required")
@@ -275,8 +348,13 @@ def main(argv=None) -> int:
         old, new = (startup[side][key]["median_s"] for side in ("parent", "change"))
         print(f"{key:22s} {old:9.3f} -> {new:9.3f} s")
     for key in startup["parent"]["solves"]:
-        old, new = (startup[side]["solves"][key]["median_s"] for side in ("parent", "change"))
-        print(f"solve {key:22s} {old:9.3f} -> {new:9.3f} s")
+        old, new = (startup[side]["solves"][key] for side in ("parent", "change"))
+        print(f"solve {key:22s} {old['median_s']:9.3f} -> {new['median_s']:9.3f} s, "
+              f"kernel calls {old['kernel_calls']:5d} -> {new['kernel_calls']:5d}, relax outside the kernel "
+              f"{old['relax_outside_kernel_per_step_s'] * 1e6:6.1f} -> {new['relax_outside_kernel_per_step_s'] * 1e6:6.1f}"
+              f" us/step, polish {old['polish_s']:6.3f} -> {new['polish_s']:6.3f} s")
+    old, new = (len(startup[side]["small_solves"]["not_converged"]) for side in ("parent", "change"))
+    print(f"small solves not converged {old} -> {new} of {len(SMALL_SOLVES)}")
     old, new = (max(startup[side]["solve_process_peak_rss_mb"]) for side in ("parent", "change"))
     print(f"solve process peak RSS {old:9.1f} -> {new:9.1f} MB (largest of {SOLVE_ROUNDS})")
     record["sizes"] = {}
