@@ -12,7 +12,6 @@ from .constants import BE9_ION_MASS, COULOMB_K, HBAR, K_B
 from .crystal import (
     CrystalLattice,
     LatticeStats,
-    hex_disk_seed,
     lattice_stats,
     length_scale,
     potential_gradient,
@@ -28,7 +27,6 @@ from .dynamics import (
     ValidityRatio,
     alpha_single_arm,
     alpha_spin_echo,
-    background_probability,
     mean_excursion,
     phase_space_trajectory,
     sweep_spectrum,

@@ -113,7 +113,7 @@ def _cmd_crystal_solve(args) -> int:
         return EXIT_NOT_CONVERGED
     iof.save_lattice(lattice, args.out)
     if args.csv is not None:
-        iof.atomic_write_text(args.csv, iof.lattice_to_csv(lattice))
+        iof.save_positions(lattice, args.csv)
     stats = lattice_stats(lattice)
     spacing = "n/a" if stats.mean_spacing is None else f"{stats.mean_spacing * 1e6:.2f} um"
     print(

@@ -177,11 +177,6 @@ def alpha_spin_echo(drive: DriveConfig, spectrum: ModeSpectrum) -> DisplacementF
 # bright-state probability
 
 
-def background_probability(gamma: float, total_odf_time: float) -> float:
-    """Flat spontaneous-emission background, `bright_fraction` with no displacement."""
-    return float(bright_fraction(0.0, gamma, total_odf_time))
-
-
 def _add_products(mode, point, cols, out, tmp):
     """mode[0] point[0] + mode[1] point[1] into out, for per-mode and per-point pairs."""
     np.multiply(mode[0], point[0][cols], out=out)
@@ -197,7 +192,8 @@ def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray
     block pairwise but of a wider one row by row, so `p_up_mean` keeps the
     bits of the per-ion table's mean. Each block is written in place in four
     reused buffers, so it is valid only until the next one. Every cell is
-    elementwise in (omega_m, mu), so the blocks do not change its bits.
+    elementwise in (omega_m, mu), so the blocks do not change its bits. The
+    sweep and the fit's model (`thermometry._lineshape`) both take the gain here.
     """
     seq = drive.sequence
     om, mu = spectrum.omega[:, None], np.asarray(mu_grid, dtype=float)
@@ -239,21 +235,6 @@ def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray
             scale *= scale
         cross *= scale
         yield cols, cross
-
-
-def lineshape_terms(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
-    """The two factors of |alpha_jm(mu)|^2 on a grid of beat frequencies (rad/s).
-
-    Returns the coupling |F_j b_jm z_0m / hbar|^2, (N_ion, M), and the whole
-    gain |G_m(mu)|^2, (M, G), copied block by block from `_gain_blocks`: the
-    fit's route, on its data grid. `sweep_spectrum` takes the blocks one at
-    a time instead and never holds the whole gain.
-    """
-    coupling = _coefficients(drive, spectrum) ** 2
-    gain = np.empty((spectrum.n_modes, len(mu_grid)))
-    for cols, block in _gain_blocks(drive, spectrum, mu_grid):
-        gain[:, cols] = block
-    return coupling, gain
 
 
 def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ class CoincidentIonsError(DrumheadError):
 
 
 class EquilibriumNotConverged(DrumheadError):
-    """Minimization ran out of budget. Carries the best configuration found."""
+    """The polish stopped on its budget or a rejected step (best lattice in `.best`), or
+    `transverse_stiffness` was given an unconverged lattice."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -30,11 +31,11 @@ class NonPlanarLatticeError(DrumheadError):
 
 
 class UnphysicalBackgroundError(DrumheadError):
-    """Off-resonant bright fraction >= 1/2 cannot come from exponential decoherence."""
+    """The data put the fitted background e^{-Gamma T} at or below 0."""
 
 
 class InsufficientDataError(DrumheadError):
-    """Too few usable points (or wrong detuning coverage) for the requested estimate."""
+    """Too few data points for the requested estimate."""
 
 
 class InsufficientSpanError(DrumheadError):

@@ -12,6 +12,7 @@ import json
 import math
 import os
 from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,30 +65,28 @@ def _csv(table: str, rows, n_per_ion: int = 0) -> str:
 # lattice
 
 
-def lattice_to_json(lattice: CrystalLattice) -> str:
-    return _dump_json(
-        {
-            "params": lattice.params.to_hz_dict(),
-            "n_ions": lattice.n_ions,
-            "positions_m": lattice.positions.tolist(),
-            "converged": lattice.converged,
-            "residual_force_max_N": lattice.residual_force_max,
-            "planar": lattice.planar,
-            "energy_J": lattice.energy,
-            "seed": lattice.seed,
-        }
-    )
+def save_lattice(lattice: CrystalLattice, path: str | Path) -> None:
+    atomic_write_text(path, _dump_json({
+        "params": lattice.params.to_hz_dict(),
+        "n_ions": lattice.n_ions,
+        "positions_m": lattice.positions.tolist(),
+        "converged": lattice.converged,
+        "residual_force_max_N": lattice.residual_force_max,
+        "planar": lattice.planar,
+        "energy_J": lattice.energy,
+        "seed": lattice.seed,
+    }))
 
 
-def lattice_from_json(text: str) -> CrystalLattice:
-    """Rebuild a lattice from its file, refusing a malformed or inconsistent one.
+def load_lattice(path: str | Path) -> CrystalLattice:
+    """Read a lattice file, refusing a malformed or inconsistent one.
 
-    Every key `lattice_to_json` writes is required and read by the config
+    Every key `save_lattice` writes is required and read by the config
     reader (ConfigError); other keys are ignored. `planar: true` with an ion
     off z = 0, or `converged: true` with a residual above `FORCE_TOL`, raises
     ValueError; two ions at one position raise CoincidentIonsError.
     """
-    doc = _read_document(text, "lattice")
+    doc = _read_document(Path(path).read_text(encoding="utf-8"), "lattice")
     p = _expect(doc, "lattice", "params", dict)
     n_ions = _expect(doc, "lattice", "n_ions", int)
     positions = _expect(doc, "lattice", "positions_m", (n_ions, 3))
@@ -112,16 +111,8 @@ def lattice_from_json(text: str) -> CrystalLattice:
     return lattice
 
 
-def save_lattice(lattice: CrystalLattice, path: str | Path) -> None:
-    atomic_write_text(path, lattice_to_json(lattice))
-
-
-def load_lattice(path: str | Path) -> CrystalLattice:
-    return lattice_from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def lattice_to_csv(lattice: CrystalLattice) -> str:
-    return _csv("positions", lattice.positions)
+def save_positions(lattice: CrystalLattice, path: str | Path) -> None:
+    atomic_write_text(path, _csv("positions", lattice.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +139,6 @@ def _block_base64(b: np.ndarray):
     rows = 3 * max(1, _BLOCK_CHUNK_BYTES // (24 * max(len(b), 1)))
     for start in range(0, len(b), rows):
         yield base64.b64encode(np.ascontiguousarray(b[start:start + rows], dtype="<f8")).decode("ascii")
-
-
-def _spectrum_pieces(spectrum: ModeSpectrum):
-    """The spectrum file as text pieces: the JSON head, the block's base64 chunks, the tail."""
-    head, marker, tail = _dump_json(
-        {
-            "frequencies_hz": spectrum.frequencies_hz.tolist(),
-            "eigenvalues_rad2_per_s2": spectrum.eigenvalues.tolist(),
-            _BLOCK_KEY: "",
-            "mass_kg": spectrum.mass,
-            "unstable_modes": list(spectrum.unstable_modes),
-        }
-    ).partition(f'"{_BLOCK_KEY}": "')
-    yield head + marker
-    yield from _block_base64(spectrum.b)
-    yield tail
-
-
-def spectrum_to_json(spectrum: ModeSpectrum) -> str:
-    return "".join(_spectrum_pieces(spectrum))
 
 
 def _decode_block(text: str, n: int, path: str) -> np.ndarray:
@@ -224,8 +195,20 @@ def _eigenvector_block(doc: dict, n: int) -> np.ndarray:
     return b
 
 
-def spectrum_from_json(text: str) -> ModeSpectrum:
-    """Rebuild a spectrum exactly: omega comes from the stored eigenvalues.
+def save_spectrum(spectrum: ModeSpectrum, path: str | Path) -> None:
+    """Write the JSON head, then the eigenvector block's base64 a chunk at a time, then the tail."""
+    head, marker, tail = _dump_json({
+        "frequencies_hz": spectrum.frequencies_hz.tolist(),
+        "eigenvalues_rad2_per_s2": spectrum.eigenvalues.tolist(),
+        _BLOCK_KEY: "",
+        "mass_kg": spectrum.mass,
+        "unstable_modes": list(spectrum.unstable_modes),
+    }).partition(f'"{_BLOCK_KEY}": "')
+    atomic_write_text(path, chain([head + marker], _block_base64(spectrum.b), [tail]))
+
+
+def load_spectrum(path: str | Path) -> ModeSpectrum:
+    """Read a spectrum file exactly: omega comes from the stored eigenvalues.
 
     The file needs n finite, non-increasing eigenvalues (index 0 = COM), the
     n x n eigenvector block with orthonormal columns (within
@@ -235,10 +218,8 @@ def spectrum_from_json(text: str) -> ModeSpectrum:
     `frequencies_hz` is derived data; a file whose values disagree with the
     eigenvalues by more than 1e-12 relative is refused with ValueError.
     """
-    return _spectrum_from_document(_read_document(text, "spectrum"))
-
-
-def _spectrum_from_document(doc: dict) -> ModeSpectrum:
+    # the file's text is freed once parsed: only the document reaches the reader
+    doc = _read_document(Path(path).read_text(encoding="utf-8"), "spectrum")
     eigenvalues = _expect(doc, "spectrum", "eigenvalues_rad2_per_s2", (None,))
     if np.any(np.diff(eigenvalues) > 0.0):
         raise ConfigError("spectrum.eigenvalues_rad2_per_s2", "expected non-increasing values")
@@ -253,15 +234,6 @@ def _spectrum_from_document(doc: dict) -> ModeSpectrum:
     if not np.all(np.abs(freqs - hz) <= 1e-12 * hz):
         raise ValueError("spectrum file: frequencies_hz disagree with eigenvalues_rad2_per_s2")
     return spectrum
-
-
-def save_spectrum(spectrum: ModeSpectrum, path: str | Path) -> None:
-    atomic_write_text(path, _spectrum_pieces(spectrum))
-
-
-def load_spectrum(path: str | Path) -> ModeSpectrum:
-    # the file's text is freed once parsed: only the document reaches the reader
-    return _spectrum_from_document(_read_document(Path(path).read_text(encoding="utf-8"), "spectrum"))
 
 
 def save_histogram(histogram: ModeHistogram, path: str | Path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import HBAR, K_B
-from .dynamics import ThermalState, decoherence_exponent, lineshape_terms
+from .dynamics import ThermalState, _coefficients, _gain_blocks, decoherence_exponent
 from .errors import (
     FitConvergenceError,
     InsufficientDataError,
@@ -145,19 +145,26 @@ def _lineshape(
     target_mode: int,
     background: ThermalState,
 ) -> _Lineshape:
-    coupling, gain = lineshape_terms(drive, spectrum, data.mu_hz * TWO_PI)
+    coupling = _coefficients(drive, spectrum) ** 2
     nbar = background.nbar.copy()
     nbar[target_mode] = 0.0
+    # the sweep's gain blocks, joined once `_gain_blocks` has freed its buffers: a c0 allocated first
+    # left them atop the heap, which malloc trimmed and faulted in again (~700 faults a fit at N = 190)
+    blocks = [(decoherence_exponent(coupling, gain, nbar), gain[target_mode].copy())
+              for _, gain in _gain_blocks(drive, spectrum, data.mu_hz * TWO_PI)]
+    c0, v = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
     return _Lineshape(
-        c0=decoherence_exponent(coupling, gain, nbar),
+        c0=c0,
         u=4.0 * coupling[:, target_mode],
-        v=gain[target_mode],
+        v=v,
         decay=None if drive.gamma == 0.0 else drive.gamma * drive.sequence.total_odf_time,
     )
 
 
 def _terms(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple:
-    """`_chi2`'s terms, then k = e^{-Gamma T} and its variance 2 (H^-1)_kk (None with Gamma given).
+    """chi^2 and its nbar-derivatives from one model evaluation, then k = e^{-Gamma T} and its
+    variance 2 (H^-1)_kk (None with Gamma given): chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2
+    and chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
 
     With decay None, m = 1/2 - k w (w = 1/2 - m at k = 1) is linear in k, which takes its
     least-squares value, held at 1 (Gamma >= 0). chi^2' keeps its form (envelope theorem),
@@ -185,14 +192,6 @@ def _terms(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple:
     return chi2, grad, curv, k, k_var
 
 
-def _chi2(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple[float, float, float]:
-    """chi^2 and its first two nbar-derivatives from one model evaluation (of the profile over k
-    when the data supply Gamma, `_terms`): chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2 and
-    chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
-    """
-    return _terms(model, data, nbar)[:3]
-
-
 def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0) -> float:
     """The minimum of chi^2 on [0, _NBAR_MAX], as the root of chi^2' (rtsafe).
 
@@ -201,13 +200,13 @@ def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0
     [lo, hi] (chi^2' < 0 at lo, >= 0 at hi); else nbar doubles while no hi is
     known, and the bracket is bisected after.
     """
-    at_zero = _chi2(model, data, 0.0)
+    at_zero = _terms(model, data, 0.0)[:3]
     if at_zero[1] >= 0.0:
         return 0.0
     lo, hi = 0.0, math.inf
     nbar = start
     for _ in range(_MAX_NEWTON_STEPS):
-        _, slope, curvature = at_zero if nbar == 0.0 else _chi2(model, data, nbar)
+        _, slope, curvature = at_zero if nbar == 0.0 else _terms(model, data, nbar)[:3]
         if slope >= 0.0:
             hi = nbar
         elif nbar == _NBAR_MAX:

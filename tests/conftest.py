@@ -1,10 +1,13 @@
-"""Shared fixtures: trap parameter factories and a cross-module solve cache."""
+"""Shared fixtures: trap parameter factories, a cross-module solve cache and lineshape oracles."""
 
+import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from drumhead import TrapParams, diagonalize, solve_equilibrium, transverse_stiffness
+from drumhead.dynamics import _gain_blocks
 
 AXIAL_HZ = 795e3
 CYCLOTRON_HZ = 7.6e6
@@ -32,3 +35,16 @@ def lattice_190():
 @pytest.fixture(scope="session")
 def spectrum_190():
     return spectrum_cached(190, 44.7e3)
+
+
+def whole_gain(drive, spectrum, mu_grid) -> np.ndarray:
+    """The (M, G) gain |G_m(mu)|^2 joined from `_gain_blocks`.
+
+    Each block is copied: the blocks are views into buffers the next block reuses.
+    """
+    return np.hstack([gain.copy() for _, gain in _gain_blocks(drive, spectrum, mu_grid)])
+
+
+def flat_background(gamma: float, total_odf_time: float) -> float:
+    """The bright fraction with no displacement, 1/2 (1 - e^{-Gamma T}), written out."""
+    return 0.5 * (1.0 - math.exp(-gamma * total_odf_time))

@@ -19,7 +19,6 @@ from drumhead import (
     ThermalState,
     alpha_single_arm,
     alpha_spin_echo,
-    background_probability,
     beta,
     com_mode_deviation,
     effective_wavevector,
@@ -31,7 +30,7 @@ from drumhead import (
     validity_ratio,
 )
 from drumhead.modes import ModeSpectrum
-from conftest import paper_trap, solve_cached, spectrum_cached
+from conftest import flat_background, paper_trap, solve_cached, spectrum_cached
 from test_dynamics import integrate_arm
 from test_modes import finite_difference_z_hessian
 
@@ -132,7 +131,7 @@ def test_criterion_04_spectral_ordering_and_narrowing(check):
 
 def test_criterion_05_lineshape_nulls(check):
     spectrum, thermal, drive = com_operating_point()
-    bg = background_probability(GAMMA, 2 * TAU)
+    bg = flat_background(GAMMA, 2 * TAU)
     nulls = float(spectrum.omega[0]) + np.array([-2, -1, 1, 2]) * TWO_PI / TAU
     worst = float(np.max(np.abs(sweep_spectrum(drive, spectrum, thermal, nulls).p_up_mean - bg)))
     check(

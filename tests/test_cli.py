@@ -15,7 +15,6 @@ from drumhead import (
     BE9_ION_MASS,
     COULOMB_K,
     EquilibriumNotConverged,
-    background_probability,
     beta,
     solve_equilibrium,
 )
@@ -29,7 +28,7 @@ from drumhead.cli import (
     EXIT_OK,
     main,
 )
-from conftest import paper_trap, spectrum_cached
+from conftest import flat_background, paper_trap, spectrum_cached
 
 
 def write_config(path, **overrides):
@@ -206,8 +205,10 @@ class TestLatticeFile:
     """modes compute refuses a malformed or inconsistent lattice file with exit 2."""
 
     @pytest.fixture(scope="class")
-    def lattice_doc(self):
-        return json.loads(iof.lattice_to_json(solve_equilibrium(paper_trap(44.7e3), 19)))
+    def lattice_doc(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("lattice") / "lattice.json"
+        iof.save_lattice(solve_equilibrium(paper_trap(44.7e3), 19), path)
+        return json.loads(path.read_text())
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -261,7 +262,7 @@ class TestSpectrumSimulate:
         assert code == EXIT_OK
         mu_hz, p_up = iof._read_table(trace_path, ("trace",))[1].T
         spectrum = iof.load_spectrum(spec_path)
-        bg = background_probability(200.0, 2 * 2.5e-4)
+        bg = flat_background(200.0, 2 * 2.5e-4)
         tau = 2.5e-4
         for f in spectrum.frequencies_hz:
             near = np.abs(mu_hz - f) < 1.2 / tau
@@ -352,8 +353,10 @@ class TestSpectrumFile:
     """spectrum simulate refuses a malformed spectrum file with exit 2."""
 
     @pytest.fixture(scope="class")
-    def spectrum_doc(self):
-        return json.loads(iof.spectrum_to_json(spectrum_cached(7, 44.7e3)))
+    def spectrum_doc(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("spectrum") / "spectrum.json"
+        iof.save_spectrum(spectrum_cached(7, 44.7e3), path)
+        return json.loads(path.read_text())
 
     def simulate(self, tmp_path, doc):
         config, spec_path = tmp_path / "run.json", tmp_path / "s.json"

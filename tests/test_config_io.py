@@ -175,15 +175,17 @@ class TestLatticeFiles:
         assert loaded.params.omega_1 == pytest.approx(lattice.params.omega_1, rel=1e-15)
 
     def test_schema_keys(self, tmp_path):
-        lattice = solve_cached(2)
-        doc = json.loads(iof.lattice_to_json(lattice))
+        path = tmp_path / "lattice.json"
+        iof.save_lattice(solve_cached(2), path)
+        doc = json.loads(path.read_text())
         assert set(doc) >= {"params", "positions_m", "converged", "residual_force_max_N", "planar"}
         assert len(doc["positions_m"]) == 2 and len(doc["positions_m"][0]) == 3
 
-    def test_csv_export(self):
+    def test_csv_export(self, tmp_path):
         lattice = solve_cached(3)
-        text = iof.lattice_to_csv(lattice)
-        lines = text.strip().split("\n")
+        path = tmp_path / "positions.csv"
+        iof.save_positions(lattice, path)
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "x_m,y_m,z_m"
         assert len(lines) == 4
         parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
@@ -219,23 +221,26 @@ class TestSpectrumFiles:
         assert "eigenvectors_f64le_b64" in json.loads(first.read_text())
 
     def test_inconsistent_frequencies_rejected(self, tmp_path):
-        doc = json.loads(iof.spectrum_to_json(spectrum_cached(7)))
+        path = tmp_path / "spectrum.json"
+        iof.save_spectrum(spectrum_cached(7), path)
+        doc = json.loads(path.read_text())
         doc["frequencies_hz"][3] *= 1.0 + 1e-9
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="frequencies_hz"):
-            iof.spectrum_from_json(json.dumps(doc))
+            iof.load_spectrum(path)
 
     @pytest.mark.parametrize("chunk_bytes", [None, 24])
     @pytest.mark.parametrize("n_ions", [1, 2, 7, 19, 150, 190])
     def test_chunks_join_into_the_whole_block_document(self, tmp_path, monkeypatch, n_ions, chunk_bytes):
-        # the file and the string both equal the document with the block
-        # encoded whole, and read back to the same matrix; the default chunks
-        # join from N = 40 on, 24-byte chunks every 3 rows at every N
+        # the file equals the document with the block encoded whole and reads
+        # back to the same matrix; the default chunks join from N = 40 on,
+        # 24-byte chunks every 3 rows at every N
         if chunk_bytes is not None:
             monkeypatch.setattr(iof, "_BLOCK_CHUNK_BYTES", chunk_bytes)
         spectrum = spectrum_cached(n_ions, 44.7e3)
         path = tmp_path / "spectrum.json"
         iof.save_spectrum(spectrum, path)
-        assert path.read_text(encoding="utf-8") == iof.spectrum_to_json(spectrum) == whole_block_document(spectrum)
+        assert path.read_text(encoding="utf-8") == whole_block_document(spectrum)
         assert np.array_equal(iof.load_spectrum(path).b, spectrum.b)
 
     @pytest.mark.parametrize(
@@ -255,11 +260,14 @@ class TestSpectrumFiles:
         ids=["bad_character", "padding_inside", "two_paddings_inside", "non_ascii", "short", "short_by_one",
              "long", "long_padded", "long_by_one", "empty"],
     )
-    def test_damaged_block_refused_as_a_whole_decode_refuses_it(self, edit):
+    def test_damaged_block_refused_as_a_whole_decode_refuses_it(self, tmp_path, edit):
         # the N = 150 block spans 15 chunks of 16384 characters; each damage
         # is refused with the message a decode of the whole string gives
-        doc = json.loads(iof.spectrum_to_json(spectrum_cached(150, 44.7e3)))
+        path = tmp_path / "spectrum.json"
+        iof.save_spectrum(spectrum_cached(150, 44.7e3), path)
+        doc = json.loads(path.read_text())
         text = doc["eigenvectors_f64le_b64"] = edit(doc["eigenvectors_f64le_b64"])
+        path.write_text(json.dumps(doc))
         try:
             raw = base64.b64decode(text, validate=True)
         except ValueError as exc:
@@ -267,7 +275,7 @@ class TestSpectrumFiles:
         else:
             message = f"expected 180000 bytes (150 x 150 float64), got {len(raw)}"
         with pytest.raises(ConfigError) as info:
-            iof.spectrum_from_json(json.dumps(doc))
+            iof.load_spectrum(path)
         assert str(info.value) == f"spectrum.eigenvectors_f64le_b64: {message}"
 
     def test_save_and_load_hold_no_copy_of_the_block(self, tmp_path, spectrum_190):
@@ -382,7 +390,7 @@ class TestTraceFiles:
         iof.save_observed(observed, tmp_path / "observed.csv")
         iof.save_trajectory(traj, tmp_path / "trajectory.csv")
         iof.save_histogram(hist, tmp_path / "histogram.csv")
-        iof.atomic_write_text(tmp_path / "positions.csv", iof.lattice_to_csv(solve_cached(7)))
+        iof.save_positions(solve_cached(7), tmp_path / "positions.csv")
         tables = ("observed", "trajectory", "histogram", "positions")
         for table in tables:
             assert iof._read_table(tmp_path / f"{table}.csv", tables)[0] == table
@@ -524,6 +532,17 @@ def read_or_refuse(read, doc):
 
 
 @pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "document.json"
+
+
+def saved_document(save, value, path) -> dict:
+    """The JSON document that `save` writes for `value` at `path`."""
+    save(value, path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
 def observed_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("sidecar") / "data.csv"
     iof.save_observed(ObservedSpectrum(mu_hz=np.array([1e5, 2e5]), p_up=np.array([0.1, 0.2]),
@@ -562,10 +581,12 @@ def csv_dir(tmp_path_factory):
 
 
 class TestDamagedDocuments:
-    def test_valid_documents_read(self, observed_path):
+    def test_valid_documents_read(self, document_path, observed_path):
         assert from_dict(config_7()).n_ions == 7
-        assert iof.lattice_from_json(iof.lattice_to_json(solve_cached(7))).n_ions == 7
-        assert iof.spectrum_from_json(iof.spectrum_to_json(spectrum_cached(7))).n_modes == 7
+        iof.save_lattice(solve_cached(7), document_path)
+        assert iof.load_lattice(document_path).n_ions == 7
+        iof.save_spectrum(spectrum_cached(7), document_path)
+        assert iof.load_spectrum(document_path).n_modes == 7
         meta = observed_path.with_name("data.csv.meta.json")
         meta.write_text(json.dumps({"n_ions": 7, "theta_r_deg": 4.8, "theta_r_rel_err": 0.05}))
         assert iof.load_observed(observed_path).metadata.n_ions == 7
@@ -577,15 +598,17 @@ class TestDamagedDocuments:
 
     @given(data=st.data())
     @settings(derandomize=True, deadline=None)
-    def test_lattice(self, data):
-        valid = json.loads(iof.lattice_to_json(solve_cached(7)))
-        read_or_refuse(lambda doc: iof.lattice_from_json(json.dumps(doc)), data.draw(damaged(valid)))
+    def test_lattice(self, document_path, data):
+        valid = saved_document(iof.save_lattice, solve_cached(7), document_path)
+        document_path.write_text(json.dumps(data.draw(damaged(valid))))
+        read_or_refuse(iof.load_lattice, document_path)
 
     @given(data=st.data())
     @settings(derandomize=True, deadline=None)
-    def test_spectrum(self, data):
-        valid = json.loads(iof.spectrum_to_json(spectrum_cached(7)))
-        read_or_refuse(lambda doc: iof.spectrum_from_json(json.dumps(doc)), data.draw(damaged(valid)))
+    def test_spectrum(self, document_path, data):
+        valid = saved_document(iof.save_spectrum, spectrum_cached(7), document_path)
+        document_path.write_text(json.dumps(data.draw(damaged(valid))))
+        read_or_refuse(iof.load_spectrum, document_path)
 
     @given(data=st.data())
     @settings(derandomize=True, deadline=None)

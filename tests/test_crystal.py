@@ -11,7 +11,6 @@ from drumhead import (
     EquilibriumNotConverged,
     beta,
     diagonalize,
-    hex_disk_seed,
     lattice_stats,
     length_scale,
     potential_gradient,
@@ -21,7 +20,7 @@ from drumhead import (
 )
 from drumhead import crystal
 from drumhead import io_formats as iof
-from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled, z_stiffness
+from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled, hex_disk_seed, z_stiffness
 from conftest import paper_trap, solve_cached
 
 
@@ -80,7 +79,7 @@ class TestTotalPotential:
         )
         assert total_potential(triangle(a_star), params) == pytest.approx(scan.fun, rel=1e-10)
 
-    def test_coincident_ions_raise(self):
+    def test_coincident_ions_raise(self, tmp_path):
         three = np.zeros((3, 3))
         three[2, 0] = 20e-6  # ions 0 and 1 share the origin
         # ion 140 on ion 3: the pair meets only across the first and third row blocks
@@ -95,8 +94,9 @@ class TestTotalPotential:
                 params=paper_trap(), positions=positions, converged=False, residual_force_max=1.0,
                 planar=True, energy=0.0, seed=0,
             )
+            iof.save_lattice(lattice, tmp_path / "lattice.json")
             with pytest.raises(CoincidentIonsError):
-                iof.lattice_from_json(iof.lattice_to_json(lattice))
+                iof.load_lattice(tmp_path / "lattice.json")
 
     def test_gradient_matches_finite_differences(self):
         params = paper_trap(wall=0.002)

@@ -14,7 +14,6 @@ from drumhead import (
     ThermalState,
     alpha_single_arm,
     alpha_spin_echo,
-    background_probability,
     beta,
     mean_excursion,
     phase_space_trajectory,
@@ -23,12 +22,12 @@ from drumhead import (
 )
 from drumhead.dynamics import (
     _GAIN_BLOCK_CELLS,
+    _coefficients,
     _gain_blocks,
     bright_fraction,
     decoherence_exponent,
-    lineshape_terms,
 )
-from conftest import paper_trap, spectrum_cached
+from conftest import flat_background, paper_trap, spectrum_cached, whole_gain
 
 TWO_PI = 2 * np.pi
 BLOCK_190 = _GAIN_BLOCK_CELLS // 190  # gain columns per block for a 190-mode spectrum
@@ -252,7 +251,6 @@ class TestBrightFraction:
         trace = sweep_spectrum(drive, spectrum, ThermalState.uniform(1, 10.0), spectrum.omega, per_ion=True)
         assert trace.p_up_per_ion == pytest.approx(np.full((4, 1), 0.1), rel=1e-12)
         assert trace.p_up_mean[0] == pytest.approx(0.1, rel=1e-12)
-        assert background_probability(gamma, 2 * tau) == pytest.approx(0.1, rel=1e-12)
 
     def test_small_exponent_keeps_its_digits(self):
         # 1/2 (1 - e^{-x}) = x/2 - x^2/4 + ...; 1 - e^{-x} in floats keeps only ~4 digits at 1e-12
@@ -306,7 +304,7 @@ class TestSweepSpectrum:
         # grid far above the COM mode: |mu - omega_m| tau >> 2pi for all m
         grid = TWO_PI * np.linspace(900e3, 950e3, 40)
         trace = sweep_spectrum(drive, spectrum_190, thermal, grid)
-        assert np.max(np.abs(trace.p_up_mean - background_probability(gamma, 2 * tau))) < 0.01
+        assert np.max(np.abs(trace.p_up_mean - flat_background(gamma, 2 * tau))) < 0.01
 
     def test_two_ion_sweep_shows_both_modes(self):
         spectrum = spectrum_cached(2, 44.7e3)
@@ -317,7 +315,7 @@ class TestSweepSpectrum:
         thermal = ThermalState.uniform(2, 15.0)
         grid = TWO_PI * np.arange(700e3, 810e3, 100.0)
         trace = sweep_spectrum(drive, spectrum, thermal, grid)
-        bg = background_probability(gamma, 2 * tau)
+        bg = flat_background(gamma, 2 * tau)
         freqs = spectrum.frequencies_hz
         # strong signal near both mode frequencies
         for f in freqs:
@@ -337,7 +335,7 @@ class TestSweepSpectrum:
         gamma = -np.log(0.8) / (2 * tau)
         drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=gamma,
                             sequence=SpinEcho(tau=tau, t_pi=65e-6))
-        bg = background_probability(gamma, 2 * tau)
+        bg = flat_background(gamma, 2 * tau)
         spans = {}
         for rotation_hz in (43.2e3, 44.7e3):
             spectrum = spectrum_cached(345, rotation_hz)
@@ -378,7 +376,8 @@ class TestSweepSpectrum:
         grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
         drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=sequence)
         thermal = ThermalState.com_plus_bath(spectrum_190, 60.0, 0.43e-3)
-        exponent = decoherence_exponent(*lineshape_terms(drive, spectrum_190, grid), thermal.nbar)
+        coupling = _coefficients(drive, spectrum_190) ** 2
+        exponent = decoherence_exponent(coupling, whole_gain(drive, spectrum_190, grid), thermal.nbar)
         reference = bright_fraction(exponent, drive.gamma, sequence.total_odf_time)
         trace = sweep_spectrum(drive, spectrum_190, thermal, grid, per_ion=True)
         np.testing.assert_allclose(trace.p_up_per_ion, reference, rtol=1e-14, atol=0.0)
@@ -424,15 +423,16 @@ class TestSweepSpectrum:
         # (omega_m, mu), so a grid of any length matches one column at a time
         grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
         drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=sequence)
-        gain = lineshape_terms(drive, spectrum_190, grid)[1]
-        columns = [lineshape_terms(drive, spectrum_190, grid[i:i + 1])[1] for i in range(n_points)]
+        gain = whole_gain(drive, spectrum_190, grid)
+        columns = [whole_gain(drive, spectrum_190, grid[i:i + 1]) for i in range(n_points)]
         assert gain.shape == (spectrum_190.n_modes, n_points)
         assert np.array_equal(gain, np.hstack(columns))
 
     def test_exponent_leaves_the_gain_unscaled(self, spectrum_190):
-        # the fit reuses gain[target] after computing its exponent
+        # the fit reads a block's gain[target] after taking that block's exponent
         drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=Ramsey(tau=5e-4))
-        coupling, gain = lineshape_terms(drive, spectrum_190, TWO_PI * np.linspace(790e3, 800e3, 7))
+        coupling = _coefficients(drive, spectrum_190) ** 2
+        _, gain = next(_gain_blocks(drive, spectrum_190, TWO_PI * np.linspace(790e3, 800e3, 7)))
         before = gain.copy()
         decoherence_exponent(coupling, gain, ThermalState.uniform(190, 3.0).nbar)
         assert np.array_equal(gain, before)

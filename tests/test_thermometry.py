@@ -11,16 +11,15 @@ from drumhead import (
     SpinEcho,
     ThermalState,
     UnphysicalBackgroundError,
-    background_probability,
     fit_occupation,
     occupation_to_temperature,
     sweep_spectrum,
     temperature_to_occupation,
 )
 from drumhead import thermometry
-from drumhead.dynamics import bright_fraction
-from drumhead.thermometry import _NBAR_MAX, _chi2, _lineshape
-from conftest import spectrum_cached
+from drumhead.dynamics import _coefficients, _gain_blocks, bright_fraction, decoherence_exponent
+from drumhead.thermometry import _NBAR_MAX, _lineshape, _terms
+from conftest import flat_background, spectrum_cached, whole_gain
 
 TWO_PI = 2 * np.pi
 TAU = 500e-6
@@ -146,7 +145,7 @@ class TestFitOccupation:
 
     def test_flat_background_hits_zero_boundary(self):
         data, spectrum, drive, bath = synthetic_observation()
-        bg = background_probability(drive.gamma, 2 * TAU)
+        bg = flat_background(drive.gamma, 2 * TAU)
         flat = ObservedSpectrum(mu_hz=data.mu_hz, p_up=np.full(len(data), bg),
                                 sigma=data.sigma)
         result = fit_occupation(flat, spectrum, drive, target_mode=0, background=bath)
@@ -158,7 +157,7 @@ class TestFitOccupation:
         data, spectrum, drive, bath = synthetic_observation()
         half = ObservedSpectrum(mu_hz=data.mu_hz, p_up=np.full(len(data), 0.5), sigma=data.sigma)
         model = _lineshape(half, spectrum, drive, 0, bath)
-        chi2 = [_chi2(model, half, nbar)[0] for nbar in np.geomspace(1.0, _NBAR_MAX, 25)]
+        chi2 = [_terms(model, half, nbar)[0] for nbar in np.geomspace(1.0, _NBAR_MAX, 25)]
         assert np.all(np.diff(chi2) < 0.0)
         result = fit_occupation(half, spectrum, drive, target_mode=0, background=bath)
         assert result.status == "boundary_nbar_max"
@@ -169,7 +168,7 @@ class TestFitOccupation:
         # the nbar = 0 boundary (not a stencil clamped onto it, which picks up
         # the slope) and in the interior
         data, spectrum, drive, bath = synthetic_observation()
-        bg = background_probability(drive.gamma, 2 * TAU)
+        bg = flat_background(drive.gamma, 2 * TAU)
         flat = ObservedSpectrum(mu_hz=data.mu_hz, p_up=np.full(len(data), bg),
                                 sigma=data.sigma)
         noisy = synthetic_observation(noise_seed=3)[0]
@@ -181,7 +180,7 @@ class TestFitOccupation:
                 grid = np.linspace(0.0, 0.01, 201)
             else:
                 grid = result.nbar + np.linspace(-half_width, half_width, 201)
-            chi2 = [_chi2(model, observed, nbar)[0] for nbar in grid]
+            chi2 = [_terms(model, observed, nbar)[0] for nbar in grid]
             curvature = 2.0 * np.polyfit(grid, chi2, 2)[0]
             assert result.nbar_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-3)
 
@@ -233,6 +232,26 @@ class TestFitOccupation:
         assert 0.5 < result.nbar_err < 20.0
 
 
+@pytest.mark.parametrize("n_points, blocks", [(241, 1), (1541, 6)])
+def test_lineshape_is_the_joined_gain(n_points, blocks):
+    # the model takes c0 and v block by block from `_gain_blocks`: v is the joined gain's
+    # target row bit for bit, and c0 the whole-gain exponent, bit for bit on one block and
+    # up to the matrix product's rounding on several
+    spectrum, drive, _ = com_lineshape_setup()
+    mu_hz = np.linspace(30e3, 800e3, n_points)
+    data = ObservedSpectrum(mu_hz=mu_hz, p_up=np.full(n_points, 0.1), sigma=np.full(n_points, 0.02))
+    bath = ThermalState.com_plus_bath(spectrum, 0.0, 0.43e-3)  # the target's nbar is 0, as in the model
+    mu = data.mu_hz * TWO_PI
+    assert sum(1 for _ in _gain_blocks(drive, spectrum, mu)) == blocks
+    model = _lineshape(data, spectrum, drive, 0, bath)
+    gain = whole_gain(drive, spectrum, mu)
+    c0 = decoherence_exponent(_coefficients(drive, spectrum) ** 2, gain, bath.nbar)
+    assert np.array_equal(model.v, gain[0])
+    if blocks == 1:
+        assert np.array_equal(model.c0, c0)
+    np.testing.assert_allclose(model.c0, c0, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("noise_seed", [1, 2, 3])
 @pytest.mark.parametrize("nbar_true", [0.5, 10.0, 60.0, 300.0])
 def test_fit_is_the_chi2_minimum(nbar_true, noise_seed, monkeypatch):
@@ -240,22 +259,22 @@ def test_fit_is_the_chi2_minimum(nbar_true, noise_seed, monkeypatch):
         nbar_com=nbar_true, noise_seed=noise_seed,
         metadata=FitMetadata(theta_r=np.radians(4.8), theta_r_rel_err=0.05))
     evaluations = []
-    chi2 = thermometry._chi2
+    terms = thermometry._terms
 
     def counted(model, observed, nbar):
         evaluations.append(nbar)
-        return chi2(model, observed, nbar)
+        return terms(model, observed, nbar)
 
-    monkeypatch.setattr(thermometry, "_chi2", counted)
+    monkeypatch.setattr(thermometry, "_terms", counted)
     result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
     monkeypatch.undo()
-    # the searches of the main fit and both beam-angle refits together; the report's
-    # evaluation at the fitted nbar goes through `_terms` (measured: 14 at nbar 0.5 up to 24 at nbar 300)
-    assert len(evaluations) <= 24
+    # the searches of the main fit and both beam-angle refits, and the report's one
+    # evaluation at the fitted nbar (measured: 15 at nbar 0.5 up to 25 at nbar 300)
+    assert len(evaluations) <= 25
 
     model = _lineshape(data, spectrum, drive, 0, bath)
     grid = np.linspace(max(result.nbar - 1.0, 0.0), result.nbar + 1.0, 2001)
-    assert _chi2(model, data, result.nbar)[0] <= min(_chi2(model, data, nbar)[0] for nbar in grid)
+    assert _terms(model, data, result.nbar)[0] <= min(_terms(model, data, nbar)[0] for nbar in grid)
 
     assert_systematic_is_force_scaled_refit(result, data, spectrum, drive, bath)
 
@@ -373,7 +392,7 @@ class TestFitBackgroundGamma:
         assert result.status == "ok"
         model = _lineshape(data, spectrum, free, 0, bath)
         grid = result.nbar + np.linspace(-0.1, 0.1, 201)
-        profile = [_chi2(model, data, nbar)[0] for nbar in grid]
+        profile = [_terms(model, data, nbar)[0] for nbar in grid]
         curvature = 2.0 * np.polyfit(grid, profile, 2)[0]
         assert result.nbar_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-3)
         assert profile[100] <= min(profile)

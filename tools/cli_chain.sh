@@ -10,6 +10,7 @@
 # read back as measured data with sigma = 0.02, must fit to the generating
 # nbar = 60, both with the decoherence rate given and with it fitted
 # (gamma_per_s = 0), when it must also come back as the generating 223.14 / s.
+# The fit with the rate given, run twice, must write the same file byte for byte.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -52,6 +53,9 @@ drumhead fit temperature --config "$out/run.json" --data "$out/data.csv" \
   --spectrum "$out/spectrum.json" --out "$out/fit.json"
 python3 -c 'import json, sys; fit = json.load(open(sys.argv[1])); assert fit["status"] == "ok" and abs(fit["nbar"] - 60.0) < 1e-6, fit' \
   "$out/fit.json"
+drumhead fit temperature --config "$out/run.json" --data "$out/data.csv" \
+  --spectrum "$out/spectrum.json" --out "$out/fit_again.json"
+cmp "$out/fit.json" "$out/fit_again.json"
 sed 's/"gamma_per_s": 223.14/"gamma_per_s": 0/' "$out/run.json" > "$out/run_fit_gamma.json"
 grep -q '"gamma_per_s": 0,' "$out/run_fit_gamma.json"
 drumhead fit temperature --config "$out/run_fit_gamma.json" --data "$out/data.csv" \

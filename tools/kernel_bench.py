@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Times of the start-up, the crystal solve, the spectrum file, the lineshape kernel, the sweep and the fit, two source trees side by side.
+"""Times of the start-up, the crystal solve, the spectrum file, the sweep and the fit, two source trees side by side.
 
     python3 tools/kernel_bench.py --parent OLD/src --change src --workdir /tmp/kb \
         --out BENCH_<short-sha>.json [--repeats 7]
@@ -30,8 +30,8 @@ simulate` (spin echo, on the band below) `--repeats` times, the trees
 alternating; each process reports its wall time and peak RSS (`ru_maxrss`,
 from `os.wait4`), and the record says whether the two trees wrote the same
 spectrum and trace files. Then, for each N, a fresh process per tree times
-`save_spectrum` and `load_spectrum`, and `lineshape_terms`, `sweep_spectrum`
-and `fit_occupation` for spin echo and Ramsey on the full 30-800 kHz band
+`save_spectrum` and `load_spectrum`, and `sweep_spectrum` and
+`fit_occupation` for spin echo and Ramsey on the full 30-800 kHz band
 (1541 points, 500 Hz steps). The fit reads the noiseless trace plus seeded
 Gaussian noise (sigma = 0.02). The two trees alternate which runs first.
 Each time is reported as median, q1 and q3 over `--repeats` calls after one
@@ -94,7 +94,7 @@ def _quartiles(values) -> dict:
 
 
 def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
-    """Time the three calls in this process; drumhead comes from PYTHONPATH."""
+    """Time the spectrum save and load, the sweep and the fit in this process; drumhead comes from PYTHONPATH."""
     import functools
     import resource
     import time
@@ -141,7 +141,6 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
         fit = thermometry.fit_occupation(data, spectrum, drive, background=background)
         sweep = functools.partial(dynamics.sweep_spectrum, drive, spectrum, thermal, grid)
         result[name] = {
-            "lineshape_terms": quartiles(lambda: dynamics.lineshape_terms(drive, spectrum, grid)),
             "sweep_spectrum": {**quartiles(sweep), "traced_peak_mb": traced_peak_mb(sweep)},
             "fit_occupation": quartiles(lambda: thermometry.fit_occupation(
                 data, spectrum, drive, background=background)),
@@ -386,7 +385,7 @@ def main(argv=None) -> int:
             print(f"N={n_ions:5d} {call:26s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms, "
                   f"traced peak {old_mb:7.2f} -> {new_mb:7.2f} MB")
         for name in SEQUENCES:
-            for call in ("lineshape_terms", "sweep_spectrum", "fit_occupation"):
+            for call in ("sweep_spectrum", "fit_occupation"):
                 old, new = (times[side][name][call]["median_s"] for side in ("parent", "change"))
                 print(f"N={n_ions:5d} {name:9s} {call:16s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms")
             old, new = (times[side][name]["sweep_spectrum"]["traced_peak_mb"] for side in ("parent", "change"))
