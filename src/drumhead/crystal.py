@@ -8,9 +8,11 @@ The crystal is the minimum of the rotating-frame potential
 
 Minimization runs in dimensionless units (length l0 = (k_e q^2 / M w1^2)^(1/3),
 energy M w1^2 l0^2) so the tolerances are scale-free: an L-BFGS descent in compact
-form, then a regularized Newton-CG polish on the analytic Hessian. Both use numpy ufuncs
-and einsum, never BLAS; the one LAPACK call gives only the sign of K's lowest
-eigenvalue (below), so every lattice has the same bytes under any thread count.
+form to max |g| <= 1e-4, then a regularized Newton-CG polish on the analytic Hessian,
+whose CG products are float32 far from the minimum and float64 near it. Both use numpy
+ufuncs and einsum, never BLAS, at either precision; the one LAPACK call gives only the
+sign of K's lowest eigenvalue (below), so every lattice has the same bytes under any
+thread count.
 
 At z = 0 every z force vanishes and the z block of the Hessian decouples from
 the in-plane problem, so the solve first runs over (x, y) alone. The z block
@@ -41,9 +43,13 @@ from .errors import CoincidentIonsError, EquilibriumNotConverged
 from .trap import TrapParams, beta
 
 # Scaled-unit convergence targets. 1e-9 is the bar for the `converged` flag;
-# the polish reaches ~1e-15 at N = 190 and 345, and 5e-16 to 9e-10 at N = 13-20.
+# the polish reaches ~1e-15 at N = 190 and 345, and 7e-18 to 9e-10 at N = 7-20.
 _SCALED_GTOL = 1e-9
 _POLISH_TARGET = 5e-14
+# The relax hands over to the polish at max |g| <= _HANDOVER_GTOL; the polish's CG products
+# are float32 while |g_perp| > _FLOAT32_GNORM (`_newton_step`).
+_HANDOVER_GTOL = 1e-4
+_FLOAT32_GNORM = 1e-6
 # Further bounds for the `converged` flag: residual force in newtons, and the
 # predicted energy decrease of one more Newton step relative to the energy.
 FORCE_TOL = 1e-14
@@ -51,14 +57,15 @@ ENERGY_RTOL = 1e-12
 # Standard deviation (scaled units, ~1 % of a spacing) of the seeded random z
 # push that leaves an unstable plane.
 _BUCKLE_PUSH = 0.02
-# Iteration budgets: L-BFGS steps per relax stage, Newton polish steps. The
-# polish takes 1-2 steps from N = 37 on, but up to ~150 at N = 13 and 20.
+# Iteration budgets: L-BFGS steps per relax stage, Newton polish steps. From the
+# hand-over the polish takes 3-21 steps at N = 19-345, but up to ~180 at N = 13 and 20.
 _MAX_RELAX_STEPS = 100_000
 _MAX_POLISH_STEPS = 400
 # Rows per block of every pairwise pass (`_pair_blocks`).
 _ROW_BLOCK = 64
-# Most ions in a crystal. A planar Newton step holds 32 N^2 + 3 kB N bytes (35.2 MB traced
-# at N = 1000), 0.82 GB at N = 5000, and a buckled one 72 N^2, 1.8 GB: within 8 GB.
+# Most ions in a crystal. A planar float64 Newton step holds 32 N^2 + 3 kB N bytes (35.2 MB
+# traced at N = 1000), 0.82 GB at N = 5000, and a buckled one 72 N^2, 1.8 GB: within 8 GB.
+# A float32 step holds half the Hessian.
 MAX_IONS = 5000
 
 
@@ -180,11 +187,12 @@ def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
     return energy, (pos * trap - force.T).ravel()
 
 
-def _hessian_scaled(coords: np.ndarray, trap: np.ndarray) -> np.ndarray:
+def _hessian_scaled(coords: np.ndarray, trap: np.ndarray, dtype=np.float64) -> np.ndarray:
+    # each element is formed in float64 and rounded once into `dtype`: the float64 Hessian, cast
     dim = len(trap)
     pos = coords.reshape(-1, dim)
     n = len(pos)
-    hess = np.empty((n, dim, n, dim))
+    hess = np.empty((n, dim, n, dim), dtype=dtype)
     for a, diffs, d2, (inv_d3, three_inv_d5, block) in _pair_blocks(pos, upper=False, spare=3):
         rows = np.arange(a, a + len(d2))
         np.power(d2, -1.5, out=inv_d3)
@@ -328,14 +336,15 @@ def _relax(x: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
 
     The direction comes from the compact form of the last 25 pairs (`_InverseHessian`).
     Pairs with s.y <= 0 are skipped; a non-descent direction restarts from steepest
-    descent. Stops at max |g| <= 1e-12 or at a step lowering the energy by at most
-    1e-17 relative (below rounding a step can pass Armijo), which is not taken.
+    descent. Stops at max |g| <= `_HANDOVER_GTOL` (1e-4), where a few Newton steps of the
+    polish replace the L-BFGS tail, or at a step lowering the energy by at most 1e-17
+    relative (below rounding a step can pass Armijo), which is not taken.
     """
     energy, grad = _energy_gradient_scaled(x, trap)
     # initial inverse Hessian gamma * I: a unit first step, then s.y / y.y of the last pair
     inverse = _InverseHessian(len(x), 25, 1.0 / max(math.sqrt(_dot(grad, grad)), 1e-300))
     for _ in range(_MAX_RELAX_STEPS):
-        if np.max(np.abs(grad)) <= 1e-12:
+        if np.max(np.abs(grad)) <= _HANDOVER_GTOL:
             break
         step = -inverse.times(grad)
         slope = _dot(grad, step)
@@ -374,18 +383,24 @@ def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
     g and s are orthogonal to r, the unit rotation about z (zero with a wall).
     Truncated CG (Steihaug; Nocedal & Wright, section 7.1) stops at a residual of
     min(0.1, sqrt|g|) |g|, or on non-positive curvature (keeping the step so far, or -g).
+
+    While |g| > `_FLOAT32_GNORM` the shifted Hessian is built in float32 and the product
+    H d is taken in float32, rounding d once: its error, about 1e-7 relative, lies far
+    below the residual CG asks for there (>= 1e-3 relative). Below it every product is
+    float64, so the last steps and the convergence certificate are float64 throughout.
+    The product is an einsum, which calls no BLAS; the CG vectors and sums stay float64.
     """
-    hess = _hessian_scaled(x, trap)
     rot, rhs = _rotation_and_rhs(x, trap, grad)
     rr = _dot(rhs, rhs)
     gnorm = math.sqrt(rr)
+    hess = _hessian_scaled(x, trap, np.float32 if gnorm > _FLOAT32_GNORM else np.float64)
     hess[np.diag_indices_from(hess)] += gnorm
     step, resid, direction = np.zeros_like(rhs), rhs, rhs
     tol = min(0.1, math.sqrt(gnorm)) * gnorm
     for _ in range(len(rhs)):
         if math.sqrt(rr) <= tol:
             break
-        h_dir = np.einsum("ij,j->i", hess, direction) + _dot(rot, direction) * rot
+        h_dir = np.einsum("ij,j->i", hess, direction.astype(hess.dtype, copy=False)) + _dot(rot, direction) * rot
         curvature = _dot(direction, h_dir)
         if not curvature > 0.0:
             step = step if step.any() else direction.copy()
@@ -418,14 +433,16 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
     decrease 1/2 |g.s| one more step s predicts there (or a bound on it), and the rule that
     ended it with the number of Newton steps.
 
-    The |g| shift keeps quasi-flat directions (shell rearrangements) from dominating
-    a step far from the minimum and fades as g vanishes; r r^T lifts the rotational
-    zero mode. Steps are capped at 0.5 scaled units and halved up to 30 times. When the
-    line search rejects a Newton step above the 1e-9 bar, a projected steepest-descent step
-    (`_descend`) is tried in its place. The polish stops at the first step neither keeps,
-    whose solve gives the decrease, or at a small gradient, where H >= 0 (a minimum) bounds
-    every CG iterate's 1/2 |g.s| by 1/2 |g_perp|: that bound is the decrease if below
-    ENERGY_RTOL |E|, else one more solve runs.
+    It starts where the relax hands over, at max |g| <= 1e-4, and takes 3-21 Newton steps
+    at N = 19-345: the ones above |g_perp| = 1e-6 with float32 CG products, then 1-2 in
+    float64 (`_newton_step`). The |g| shift keeps quasi-flat directions (shell
+    rearrangements) from dominating a step far from the minimum and fades as g vanishes;
+    r r^T lifts the rotational zero mode. Steps are capped at 0.5 scaled units and halved
+    up to 30 times. When the line search rejects a Newton step above the 1e-9 bar, a
+    projected steepest-descent step (`_descend`) is tried in its place. The polish stops at
+    the first step neither keeps, whose solve gives the decrease, or at a small gradient,
+    where H >= 0 (a minimum) bounds every CG iterate's 1/2 |g.s| by 1/2 |g_perp|: that bound
+    is the decrease if below ENERGY_RTOL |E|, else one more solve runs.
     """
     energy, grad = _energy_gradient_scaled(x, trap)
     if not trace or energy < trace[-1]:
@@ -480,10 +497,11 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
 
     `seed` feeds the RNG of the seed jitter and the buckling push, so runs are
     reproducible and callers can restart from a different basin. The one LAPACK
-    call is `eigvalsh`, for the sign of the z block's lowest eigenvalue. The
-    scale-free bound 1e-9 is almost always stricter than FORCE_TOL (newtons):
-    the polish ends at max |g| 6e-16 to 7e-15 at N = 190 and 345 after 2 Newton
-    steps, and at 5e-16 to 9e-10 at N = 13-20 after up to ~150 of its 400.
+    call is `eigvalsh`, for the sign of the z block's lowest eigenvalue, taken where
+    the in-plane relax hands over (max |g| <= 1e-4). The scale-free bound 1e-9 is
+    almost always stricter than FORCE_TOL (newtons): the polish ends at max |g|
+    6e-16 to 2e-14 at N = 190 and 345 after 4-21 Newton steps, and at 7e-18 to
+    9e-10 at N = 7-20 after up to ~180 of its 400.
 
     Raises ValueError unless 1 <= n_ions <= MAX_IONS, and EquilibriumNotConverged (carrying
     the best-so-far lattice in `.best`) when a tolerance is missed; its message names the rule

@@ -188,6 +188,16 @@ class TestPairKernel:
             sq.reshape(-1)[a - c0 :: n - c0 + 1] = np.inf
             assert np.array_equal(diffs, expected) and np.array_equal(d2, sq)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [2, 65, 150])
+    def test_float32_hessian_is_the_float64_one_cast(self, n, dim):
+        # each element is formed in float64 and rounded once into the float32 array
+        pos = np.random.default_rng(17).standard_normal((n, dim)) * 5.0
+        trap = np.array([0.034, 0.026, 1.0])[:dim]
+        single = _hessian_scaled(pos.ravel(), trap, np.float32)
+        assert single.dtype == np.float32
+        assert np.array_equal(single, _hessian_scaled(pos.ravel(), trap).astype(np.float32))
+
     def test_pair_passes_allocate_only_their_result(self):
         # at N = 1000 a whole (N, N) separation array is 8 MB per component; the
         # row blocks of every pass together stay below 4 MB
@@ -213,6 +223,74 @@ def two_loop(pairs, gamma, g):
     for (s, y), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - (y @ q) / (s @ y)) * s
     return q
+
+
+def float64_newton_step(x, trap, grad):
+    """Reference Newton-CG step (`crystal._newton_step`) with every Hessian product in float64,
+    and its predicted decrease."""
+    hess = _hessian_scaled(x, trap)
+    rot, rhs = crystal._rotation_and_rhs(x, trap, grad)
+    rr = crystal._dot(rhs, rhs)
+    gnorm = np.sqrt(rr)
+    hess[np.diag_indices_from(hess)] += gnorm
+    step, resid, direction = np.zeros_like(rhs), rhs, rhs
+    tol = min(0.1, np.sqrt(gnorm)) * gnorm
+    for _ in range(len(rhs)):
+        if np.sqrt(rr) <= tol:
+            break
+        h_dir = np.einsum("ij,j->i", hess, direction) + crystal._dot(rot, direction) * rot
+        curvature = crystal._dot(direction, h_dir)
+        if not curvature > 0.0:
+            step = step if step.any() else direction.copy()
+            break
+        alpha = rr / curvature
+        step += alpha * direction
+        resid = resid - alpha * h_dir
+        rr, rr_prev = crystal._dot(resid, resid), rr
+        direction = resid + (rr / rr_prev) * direction
+    step -= crystal._dot(step, rot) * rot
+    return step, 0.5 * abs(crystal._dot(rhs, step))
+
+
+class TestNewtonStep:
+    @staticmethod
+    def scaled_point(n_ions, rotation_hz):
+        lattice = solve_cached(n_ions, rotation_hz)
+        trap = crystal._trap_stiffness(lattice.params)[:2]
+        x = (lattice.positions[:, :2] / length_scale(lattice.params)).ravel()
+        return x, trap
+
+    @pytest.mark.parametrize("n_ions, rotation_hz", [(20, 44.7e3), (190, 44.7e3)])
+    def test_float64_below_the_switch(self, n_ions, rotation_hz):
+        # at a converged lattice |g_perp| is far below the switch: the step keeps every bit
+        x, trap = self.scaled_point(n_ions, rotation_hz)
+        _, grad = _energy_gradient_scaled(x, trap)
+        rhs = crystal._rotation_and_rhs(x, trap, grad)[1]
+        assert np.sqrt(rhs @ rhs) <= crystal._FLOAT32_GNORM
+        step, decrease = crystal._newton_step(x, trap, grad)
+        expected_step, expected_decrease = float64_newton_step(x, trap, grad)
+        assert np.array_equal(step, expected_step) and decrease == expected_decrease
+
+    @pytest.mark.parametrize("n_ions, rotation_hz", [(20, 44.7e3), (190, 44.7e3)])
+    def test_float32_products_meet_the_cg_residual(self, monkeypatch, n_ions, rotation_hz):
+        # a point displaced from the minimum, above the switch: the step from float32 products
+        # solves the float64 system to the residual CG asks for, with slack for the rounding
+        # (observed at most 0.99 of it at N = 20 and 190)
+        x, trap = self.scaled_point(n_ions, rotation_hz)
+        x = x + 1e-4 * np.random.default_rng(18).standard_normal(len(x))
+        _, grad = _energy_gradient_scaled(x, trap)
+        rot, rhs = crystal._rotation_and_rhs(x, trap, grad)
+        gnorm = np.sqrt(rhs @ rhs)
+        assert gnorm > crystal._FLOAT32_GNORM
+        types = []
+        monkeypatch.setattr(crystal, "_hessian_scaled",
+                            lambda *args: types.append(args[2]) or _hessian_scaled(*args))
+        step, decrease = crystal._newton_step(x, trap, grad)
+        assert types == [np.float32]
+        shifted = _hessian_scaled(x, trap) + gnorm * np.eye(len(x)) + np.outer(rot, rot)
+        residual = np.einsum("ij,j->i", shifted, step) - rhs
+        assert np.sqrt(residual @ residual) <= 1.1 * min(0.1, np.sqrt(gnorm)) * gnorm
+        assert decrease == 0.5 * abs(crystal._dot(rhs, step))
 
 
 class TestInverseHessian:
@@ -356,6 +434,19 @@ class TestSolveEquilibrium:
         # energies (J) from the two-loop L-BFGS; the compact form must reach the same minima
         assert solve_cached(n_ions, 44.7e3, seed=seed).energy == pytest.approx(energy, rel=1e-12, abs=0.0)
 
+    def test_polish_starts_at_the_hand_over(self, monkeypatch):
+        # the relax stops at max |g| <= 1e-4 and the polish's Newton steps take it from there
+        received, polish = [], crystal._polish
+
+        def recording_polish(x, trap, trace):
+            received.append(np.max(np.abs(_energy_gradient_scaled(x, trap)[1])))
+            return polish(x, trap, trace)
+
+        monkeypatch.setattr(crystal, "_polish", recording_polish)
+        lattice = solve_equilibrium(paper_trap(44.7e3), 190, seed=0)
+        assert len(received) == 1 and received[0] <= crystal._HANDOVER_GTOL == 1e-4
+        assert lattice.converged and lattice.residual_force_max <= crystal.FORCE_TOL
+
     def test_message_names_a_rejected_step(self, monkeypatch):
         monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
         monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad: (grad.copy(), 1.0))  # uphill
@@ -383,9 +474,9 @@ class TestSolveEquilibrium:
         # rebuild the same Hessian and reject the same step again
         points = []
 
-        def recording_hessian(coords, trap):
+        def recording_hessian(coords, trap, dtype):
             points.append(coords.tobytes())
-            return _hessian_scaled(coords, trap)
+            return _hessian_scaled(coords, trap, dtype)
 
         monkeypatch.setattr(crystal, "_hessian_scaled", recording_hessian)
         solve_equilibrium(paper_trap(), 20)

@@ -18,10 +18,15 @@ the energy-gradient kernel's calls and time `_relax` and `_polish`: each
 solve reports its kernel calls, the relax's time outside the kernel per
 L-BFGS step and the polish time, as medians over the rounds. L-BFGS steps
 are the energies the relax adds to the trace plus its last, refused step (a
-3D stage's steps above the plane's energy are not counted). One more process
-per tree solves the 384 small crystals of `SMALL_SOLVES` (N = 7, 13, 19 and
-20, seeds 0-23, at 42.2, 43.2, 44.7 and 45.0 kHz) and lists those that do
-not converge, with the reason.
+3D stage's steps above the plane's energy are not counted). A wrapper on
+`_hessian_scaled` counts the polish's Newton solves (one Hessian each, the
+final certificate solve included when one runs) and, through an ndarray
+subclass that sees each `einsum` on the Hessian, its CG products; both are
+split by the Hessian's dtype (float32 or float64). One more process per tree
+solves the 384 small crystals of `SMALL_SOLVES` (N = 7, 13, 19 and 20, seeds
+0-23, at 42.2, 43.2, 44.7 and 45.0 kHz). It lists those that do not
+converge, with the reason, and counts those that end above max |g| 1e-10
+(scaled units, against the 1e-9 bar), with the largest final max |g|.
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
@@ -60,6 +65,9 @@ SOLVES = ((190, 44.7e3, 1), (190, 44.7e3, 2), (190, 44.7e3, 3), (345, 44.7e3, 1)
 SOLVE_ROUNDS = 8
 SMALL_SOLVES = tuple((n_ions, rotation_hz, seed) for rotation_hz in (42.2e3, 43.2e3, 44.7e3, 45.0e3)
                      for n_ions in (7, 13, 19, 20) for seed in range(24))
+# a small solve's final max |g| (scaled units) counts as thin margin above this, against the 1e-9 bar
+MARGIN_GMAX = 1e-10
+PRECISION_KEYS = ("newton_float32", "newton_float64", "cg_float32", "cg_float64")
 IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
                "print(time.perf_counter() - start)")
 
@@ -151,11 +159,28 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
 
 
 def _instrument(crystal) -> dict:
-    """Wrap `crystal`'s kernel, relax and polish; returns the tally the wrappers add to."""
+    """Wrap `crystal`'s kernel, relax, polish and Hessian; returns the tally the wrappers add to."""
     import time
 
-    tally = dict.fromkeys(("kernel_calls", "kernel_s", "relax_s", "relax_kernel_s", "relax_steps", "polish_s"), 0)
-    kernel, relax, polish = crystal._energy_gradient_scaled, crystal._relax, crystal._polish
+    import numpy as np
+
+    tally = dict.fromkeys(("kernel_calls", "kernel_s", "relax_s", "relax_kernel_s", "relax_steps", "polish_s",
+                           *PRECISION_KEYS), 0)
+    kernel, relax, polish, hessian = (crystal._energy_gradient_scaled, crystal._relax, crystal._polish,
+                                      crystal._hessian_scaled)
+
+    class CountedHessian(np.ndarray):
+        """A Hessian that counts the CG products (`einsum` calls) taken with it."""
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func is np.einsum:
+                tally[f"cg_{self.dtype}"] += 1
+            return super().__array_function__(func, types, args, kwargs)
+
+    def counted_hessian(*args, **kwargs):  # the parent tree's takes no dtype
+        result = hessian(*args, **kwargs)
+        tally[f"newton_{result.dtype}"] += 1
+        return result.view(CountedHessian)
 
     def counted_kernel(*args):
         start = time.perf_counter()
@@ -179,6 +204,7 @@ def _instrument(crystal) -> dict:
         return result
 
     crystal._energy_gradient_scaled, crystal._relax, crystal._polish = counted_kernel, timed_relax, timed_polish
+    crystal._hessian_scaled = counted_hessian
     return tally
 
 
@@ -202,6 +228,7 @@ def _solve_worker() -> dict:
         result.append({"seconds": time.perf_counter() - start, "energy_j": lattice.energy,
                        "converged": lattice.converged, "accepted_steps": len(lattice.energy_trace),
                        "kernel_calls": tally["kernel_calls"], "polish_s": tally["polish_s"],
+                       **{key: tally[key] for key in PRECISION_KEYS},
                        "relax_outside_kernel_per_step_s":
                            (tally["relax_s"] - tally["relax_kernel_s"]) / tally["relax_steps"]})
     # ru_maxrss is in KiB on Linux
@@ -210,15 +237,20 @@ def _solve_worker() -> dict:
 
 def _small_worker() -> dict:
     """Solve SMALL_SOLVES in this process; drumhead comes from PYTHONPATH."""
-    from drumhead import EquilibriumNotConverged, TrapParams, solve_equilibrium
+    from drumhead import EquilibriumNotConverged, TrapParams, crystal, solve_equilibrium
 
-    failed = []
+    failed, final_gmax = [], []
     for n_ions, rotation_hz, seed in SMALL_SOLVES:
+        params = TrapParams.from_hz(795e3, 7.6e6, rotation_hz)
         try:
-            solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, rotation_hz), n_ions, seed=seed)
+            lattice = solve_equilibrium(params, n_ions, seed=seed)
         except EquilibriumNotConverged as exc:
+            lattice = exc.best
             failed.append({"n_ions": n_ions, "rotation_hz": rotation_hz, "seed": seed, "message": str(exc)})
-    return {"solves": len(SMALL_SOLVES), "not_converged": failed}
+        # the scaled gradient: the residual force over the force unit M w1^2 l0
+        final_gmax.append(lattice.residual_force_max / (params.mass * params.omega_1**2 * crystal.length_scale(params)))
+    return {"solves": len(SMALL_SOLVES), "not_converged": failed,
+            "above_margin": sum(g > MARGIN_GMAX for g in final_gmax), "largest_final_gmax": max(final_gmax)}
 
 
 def _startup_and_solves(trees: dict, repeats: int) -> dict:
@@ -251,7 +283,8 @@ def _startup_and_solves(trees: dict, repeats: int) -> dict:
             runs = [r["solves"][i] for r in rounds[side]]
             record[side]["solves"][f"{n_ions}_{rotation_hz / 1e3:g}kHz_seed{seed}"] = {
                 "rotation_hz": rotation_hz, **_quartiles([r["seconds"] for r in runs]),
-                **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps", "kernel_calls")},
+                **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps", "kernel_calls",
+                                                 *PRECISION_KEYS)},
                 **{key: float(np.median([r[key] for r in runs]))
                    for key in ("relax_outside_kernel_per_step_s", "polish_s")}}
     for side in trees:
@@ -352,8 +385,14 @@ def main(argv=None) -> int:
               f"kernel calls {old['kernel_calls']:5d} -> {new['kernel_calls']:5d}, relax outside the kernel "
               f"{old['relax_outside_kernel_per_step_s'] * 1e6:6.1f} -> {new['relax_outside_kernel_per_step_s'] * 1e6:6.1f}"
               f" us/step, polish {old['polish_s']:6.3f} -> {new['polish_s']:6.3f} s")
-    old, new = (len(startup[side]["small_solves"]["not_converged"]) for side in ("parent", "change"))
-    print(f"small solves not converged {old} -> {new} of {len(SMALL_SOLVES)}")
+        print(f"      {key:22s} Newton solves float32/float64 {old['newton_float32']}/{old['newton_float64']} -> "
+              f"{new['newton_float32']}/{new['newton_float64']}, CG products float32/float64 "
+              f"{old['cg_float32']}/{old['cg_float64']} -> {new['cg_float32']}/{new['cg_float64']}")
+    old, new = (startup[side]["small_solves"] for side in ("parent", "change"))
+    print(f"small solves not converged {len(old['not_converged'])} -> {len(new['not_converged'])} of "
+          f"{len(SMALL_SOLVES)}; ending above max |g| {MARGIN_GMAX:g} {old['above_margin']} -> "
+          f"{new['above_margin']}; largest final max |g| {old['largest_final_gmax']:.2e} -> "
+          f"{new['largest_final_gmax']:.2e}")
     old, new = (max(startup[side]["solve_process_peak_rss_mb"]) for side in ("parent", "change"))
     print(f"solve process peak RSS {old:9.1f} -> {new:9.1f} MB (largest of {SOLVE_ROUNDS})")
     record["sizes"] = {}
