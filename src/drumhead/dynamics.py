@@ -24,9 +24,11 @@ which has no cancellation as phi_m -> 0. In real arithmetic the gain is
 C = -2 cos theta (echo) or S = t/2, C = 2 cos(mu t) (Ramsey). On an (M modes,
 G points) grid, a = x + y and b = x - y split into per-mode and per-point
 phases, and every per-cell sine or cosine comes from M + G calls joined by
-angle addition, except on cells with min(|a|, |b|) = ||x| - |y|| below
-_NEAR_PHASE: there sin a, sin b and sin(phi_m/2) are taken directly, keeping
-their relative precision where they vanish (the echo null is exactly 0).
+angle addition, one einsum of a per-mode and a per-point pair each, except on
+cells with min(|a|, |b|) = ||x| - |y|| below _NEAR_PHASE: there sin a, sin b
+and sin(phi_m/2) are taken directly, keeping their relative precision where
+they vanish (the echo null is exactly 0). Those cells are found per mode by a
+sorted search on |y|, so the grid may come in any order.
 
 Tracing out the motion of a thermal crystal turns the residual entanglement
 into a bright-state probability
@@ -177,11 +179,34 @@ def alpha_spin_echo(drive: DriveConfig, spectrum: ModeSpectrum) -> DisplacementF
 # bright-state probability
 
 
-def _add_products(mode, point, cols, out, tmp):
-    """mode[0] point[0] + mode[1] point[1] into out, for per-mode and per-point pairs."""
-    np.multiply(mode[0], point[0][cols], out=out)
-    out += np.multiply(mode[1], point[1][cols], out=tmp)
-    return out
+def _block_edges(n_modes: int, n_points: int) -> list:
+    """Column edges of the gain's blocks: about _GAIN_BLOCK_CELLS cells, at least _MIN_BLOCK_COLUMNS columns."""
+    edges = [*range(0, n_points, max(_MIN_BLOCK_COLUMNS, _GAIN_BLOCK_CELLS // n_modes)), n_points]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
+
+
+def _block(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous (rows, cols) view of the front of a flat scratch buffer."""
+    return buffer[:rows * cols].reshape(rows, cols)
+
+
+def _near_cells(abs_x, abs_y):
+    """Rows and columns of the cells with ||x| - |y|| < _NEAR_PHASE, for per-mode |x| and per-point |y| in any order.
+
+    Each mode's candidates come from a sorted search on |y|, widened by a
+    relative 1e-9 against the rounding of |x| -+ _NEAR_PHASE; the exact test
+    then keeps the same cells as a test of every cell would.
+    """
+    order = np.argsort(abs_y, kind="stable")
+    sorted_y, slack = abs_y[order], 1e-9 * (abs_x + _NEAR_PHASE)
+    lo = np.searchsorted(sorted_y, abs_x - _NEAR_PHASE - slack)
+    counts = np.searchsorted(sorted_y, abs_x + _NEAR_PHASE + slack, side="right") - lo
+    rows = np.repeat(np.arange(len(abs_x)), counts)
+    cols = order[np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+    near = np.abs(abs_x[rows] - abs_y[cols]) < _NEAR_PHASE
+    return rows[near], cols[near]
 
 
 def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray):
@@ -191,69 +216,79 @@ def _gain_blocks(drive: DriveConfig, spectrum: ModeSpectrum, mu_grid: np.ndarray
     joins the block before it: numpy takes the ion mean of an (N_ion, 1)
     block pairwise but of a wider one row by row, so `p_up_mean` keeps the
     bits of the per-ion table's mean. Each block is written in place in four
-    reused buffers, so it is valid only until the next one. Every cell is
-    elementwise in (omega_m, mu), so the blocks do not change its bits. The
-    sweep and the fit's model (`thermometry._lineshape`) both take the gain here.
+    reused buffers, so it is valid only until the next one. Every two-product
+    cell sum (sin a, sin b, C and S) is one einsum of a per-mode (2, M) pair
+    and a per-point (2, block) pair, and the near cells come from a sorted
+    search per mode (`_near_cells`), so the grid may be in any order. Every
+    cell is elementwise in (omega_m, mu), so the blocks do not change its
+    bits. The sweep and the fit's model (`thermometry._lineshape`) both take
+    the gain here.
     """
     seq = drive.sequence
-    om, mu = spectrum.omega[:, None], np.asarray(mu_grid, dtype=float)
+    omega, mu = spectrum.omega, np.asarray(mu_grid, dtype=float)
     half = 0.5 * seq.tau
-    x, y = half * om, half * mu
-    sin_x, cos_x, sin_y, cos_y = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+    x, y = half * omega, half * mu
+    abs_x, abs_y = np.abs(x), np.abs(y)
+    # sin a = sin x cos y + cos x sin y and sin b = sin x cos y + (-cos x) sin y
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    mode_a, mode_b, point_y = np.array([sin_x, cos_x]), np.array([sin_x, -cos_x]), np.array([np.cos(y), np.sin(y)])
     # echo: C = -2 cos theta, S = tau sin(lag (mu - omega) / 2); Ramsey: lag = 0, C = 2 cos(mu tau), S = tau/2
     lag, weight = (seq.tau + seq.t_pi, -2.0) if isinstance(seq, SpinEcho) else (0.0, 2.0)
-    theta_m, theta_p, phi_m, phi_p = lag * om, (seq.tau + lag) * mu, 0.5 * lag * om, 0.5 * lag * mu
-    cos_theta = ((weight * np.cos(theta_m), weight * np.sin(theta_m)), (np.cos(theta_p), np.sin(theta_p)))
-    sin_phi = ((np.cos(phi_m), -np.sin(phi_m)), (seq.tau * np.sin(phi_p), seq.tau * np.cos(phi_p)))
-    edges = [*range(0, len(mu), max(_MIN_BLOCK_COLUMNS, _GAIN_BLOCK_CELLS // len(om))), len(mu)]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    buffers = np.empty((4, len(om) * max(np.diff(edges), default=0)))
+    theta_m, theta_p, phi_m, phi_p = lag * omega, (seq.tau + lag) * mu, 0.5 * lag * omega, 0.5 * lag * mu
+    cos_theta = (np.array([weight * np.cos(theta_m), weight * np.sin(theta_m)]),
+                 np.array([np.cos(theta_p), np.sin(theta_p)]))
+    sin_phi = (np.array([np.cos(phi_m), -np.sin(phi_m)]), np.array([seq.tau * np.sin(phi_p), seq.tau * np.cos(phi_p)]))
+    edges = _block_edges(len(omega), len(mu))
+    buffers = np.empty((4, len(omega) * max(np.diff(edges), default=0)))
     for start, stop in zip(edges, edges[1:]):
         cols = slice(start, stop)
-        shape = (len(om), len(mu[cols]))
-        sinc_a, sinc_b, tmp, cross = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        np.multiply(sin_x, cos_y[cols], out=sinc_a)
-        np.multiply(cos_x, sin_y[cols], out=tmp)
-        np.subtract(sinc_a, tmp, out=sinc_b)
-        sinc_a += tmp
+        sinc_a, sinc_b, tmp, cross = (_block(buf, len(omega), stop - start) for buf in buffers)
+        np.einsum("ki,kj->ij", mode_a, point_y[:, cols], out=sinc_a)
+        np.einsum("ki,kj->ij", mode_b, point_y[:, cols], out=sinc_b)
         with np.errstate(divide="ignore", invalid="ignore"):  # at a = 0 or b = 0; those cells are near
-            sinc_a /= np.add(x, y[cols], out=tmp)
-            sinc_b /= np.subtract(x, y[cols], out=tmp)
-        near = np.flatnonzero(np.abs(np.subtract(np.abs(x), np.abs(y[cols]), out=tmp), out=tmp) < _NEAR_PHASE)
-        om_near, mu_near = om[near // shape[1], 0], mu[start + near % shape[1]]
+            sinc_a /= np.add(x[:, None], y[cols], out=tmp)
+            sinc_b /= np.subtract(x[:, None], y[cols], out=tmp)
+        near = _near_cells(abs_x, abs_y[cols])
+        om_near, mu_near = omega[near[0]], mu[start + near[1]]
         for sinc, phase in ((sinc_a, half * om_near + half * mu_near), (sinc_b, half * (om_near - mu_near))):
-            np.put(sinc, near, _sinc(np.sin(phase), phase))
-        np.multiply(sinc_b, _add_products(*cos_theta, cols, cross, tmp), out=cross)
+            sinc[near] = _sinc(np.sin(phase), phase)
+        np.einsum("ki,kj->ij", cos_theta[0], cos_theta[1][:, cols], out=cross)
+        cross *= sinc_b
         cross += sinc_a
         cross *= sinc_a
         cross += np.square(sinc_b, out=sinc_b)
         scale = half**2
         if isinstance(seq, SpinEcho):
-            scale = _add_products(*sin_phi, cols, sinc_a, tmp)
-            np.put(scale, near, seq.tau * np.sin(0.5 * lag * (mu_near - om_near)))
+            scale = np.einsum("ki,kj->ij", sin_phi[0], sin_phi[1][:, cols], out=sinc_a)
+            scale[near] = seq.tau * np.sin(0.5 * lag * (mu_near - om_near))
             scale *= scale
         cross *= scale
         yield cols, cross
 
 
-def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray) -> np.ndarray:
-    """2 sum_m coupling_jm gain_m (2 nbar_m + 1), shape (N_ion, G) for gain (M, G)."""
+def decoherence_exponent(coupling: np.ndarray, gain, nbar: np.ndarray, out=None) -> np.ndarray:
+    """2 sum_m coupling_jm gain_m (2 nbar_m + 1), shape (N_ion, G) for gain (M, G).
+
+    `out`, if given, is a pair of buffers for the weighted gain (M, G) and the
+    exponent (N_ion, G), which is returned; the gain itself is never written.
+    """
     if len(nbar) != coupling.shape[1]:
         raise ValueError("thermal occupations and coupling disagree on mode count")
-    out = coupling @ (gain * (2.0 * np.asarray(nbar, dtype=float) + 1.0)[:, None])
-    out *= 2.0
-    return out
+    weighted, exponent = (None, None) if out is None else out
+    # the leading 2 rides in the weights: a power of two scales every product and sum exactly, short of underflow
+    weighted = np.multiply(gain, (2.0 * (2.0 * np.asarray(nbar, dtype=float) + 1.0))[:, None], out=weighted)
+    return np.matmul(coupling, weighted, out=exponent)
 
 
-def bright_fraction(exponent: np.ndarray, gamma: float, total_odf_time: float) -> np.ndarray:
+def bright_fraction(exponent: np.ndarray, gamma: float, total_odf_time: float, out=None) -> np.ndarray:
     """P = 1/2 (1 - e^{-Gamma T} e^{-exponent}), through expm1 so small P keeps its digits.
 
-    One array is allocated and every later step runs in place in it; a
-    scalar exponent gives a 0-d array.
+    P is written into `out` (which may be the exponent itself), or into one
+    new array, and every later step runs in place there; a scalar exponent
+    gives a 0-d array.
     """
-    p = np.asarray(gamma * total_odf_time + exponent, dtype=float)
-    np.negative(p, out=p)
+    # -Gamma T - x rounds to exactly -(Gamma T + x)
+    p = np.subtract(-(gamma * total_odf_time), exponent, out=np.empty(np.shape(exponent)) if out is None else out)
     np.expm1(p, out=p)
     p *= -0.5
     return p
@@ -283,8 +318,9 @@ def sweep_spectrum(
 
     One pass over the gain's column blocks (`_gain_blocks`): each block's
     exponent, bright fraction and ion mean are taken before the next block
-    is built, so the sweep holds no (M, G) or (N_ion, G) array except the
-    (N_ion, G) table that `per_ion=True` returns. The block width is fixed,
+    is built, in two scratch blocks allocated once per sweep, so the sweep
+    holds no (M, G) or (N_ion, G) array except the (N_ion, G) table that
+    `per_ion=True` returns. The block width is fixed,
     so a sweep repeats bit for bit at a fixed BLAS thread count; against one
     matrix product over the whole grid, the exponent can differ in the last
     bits. A pure function, so callers may sweep concurrently.
@@ -301,10 +337,14 @@ def sweep_spectrum(
     total_time = drive.sequence.total_odf_time
     p_up_mean = np.empty(len(mu_grid))
     per = np.empty((len(coupling), len(mu_grid))) if per_ion else None
+    width = max(np.diff(_block_edges(spectrum.n_modes, len(mu_grid))))
+    weighted, exponent = np.empty(spectrum.n_modes * width), np.empty(len(coupling) * width)
     for cols, gain in _gain_blocks(drive, spectrum, mu_grid):
-        # (N, block); the exponent is freed as soon as P is taken from it
-        p = bright_fraction(decoherence_exponent(coupling, gain, thermal.nbar), drive.gamma, total_time)
-        p_up_mean[cols] = p.mean(axis=0)
+        # the weighted gain and the exponent, then P in place of the exponent, in two scratch blocks
+        out = (_block(weighted, *gain.shape), _block(exponent, len(coupling), gain.shape[1]))
+        p = bright_fraction(decoherence_exponent(coupling, gain, thermal.nbar, out=out), drive.gamma, total_time,
+                            out=out[1])
+        np.mean(p, axis=0, out=p_up_mean[cols])
         if per_ion:
             per[:, cols] = p
     return SpectrumTrace(mu_over_2pi=mu_grid / TWO_PI, p_up_mean=p_up_mean, p_up_per_ion=per)

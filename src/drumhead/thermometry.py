@@ -128,9 +128,9 @@ class _Lineshape:
 
         With E = e^{-(c0 + nbar u v)} = e^{Gamma T} (1 - 2P) per ion, m = (1 - e^{-Gamma T} mean_j E) / 2,
         m' = e^{-Gamma T} v mean_j u E / 2 and m'' = -e^{-Gamma T} v^2 mean_j u^2 E / 2: one exponential
-        per cell and three weighted column sums, which einsum adds without BLAS.
+        per cell and three weighted column sums; einsum forms the outer product and adds the sums without BLAS.
         """
-        e = np.multiply.outer(-nbar * self.u, self.v)
+        e = np.einsum("j,i->ji", -nbar * self.u, self.v)
         e -= self.c0
         scale = 0.5 * math.exp(-(self.decay or 0.0)) / len(self.u)
         weights = np.vander(self.u, 3, increasing=True).T * scale

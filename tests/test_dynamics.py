@@ -22,12 +22,21 @@ from drumhead import (
 )
 from drumhead.dynamics import (
     _GAIN_BLOCK_CELLS,
+    _NEAR_PHASE,
     _coefficients,
     _gain_blocks,
+    _near_cells,
     bright_fraction,
     decoherence_exponent,
 )
-from conftest import flat_background, paper_trap, spectrum_cached, whole_gain
+from conftest import (
+    broadcast_gain_blocks,
+    broadcast_sweep,
+    flat_background,
+    paper_trap,
+    spectrum_cached,
+    whole_gain,
+)
 
 TWO_PI = 2 * np.pi
 BLOCK_190 = _GAIN_BLOCK_CELLS // 190  # gain columns per block for a 190-mode spectrum
@@ -436,6 +445,73 @@ class TestSweepSpectrum:
         before = gain.copy()
         decoherence_exponent(coupling, gain, ThermalState.uniform(190, 3.0).nbar)
         assert np.array_equal(gain, before)
+
+
+def oracle_grids(spectrum):
+    """Grids (rad/s) on which the gain must keep the broadcast oracle's bits: the full band,
+    the same band shuffled, one of negative mu (so a = 0 cells are near), one crossing 0,
+    and points 1e-9 rad either side of |b| = _NEAR_PHASE and |a| = _NEAR_PHASE."""
+    band = TWO_PI * np.linspace(30e3, 800e3, 1541)
+    half = 0.5 * 5e-4
+    omega = spectrum.omega[::17]
+    edge = np.concatenate([omega + sign * (_NEAR_PHASE + offset) / half
+                           for sign in (1.0, -1.0) for offset in (-1e-9, 1e-9)])
+    return {"band": band,
+            "shuffled": np.random.default_rng(5).permutation(band),
+            "negative": -band,
+            "crossing_zero": TWO_PI * np.linspace(-800e3, 100e3, 1801),
+            "near_edge": np.concatenate([edge, -edge])}
+
+
+class TestGainKernelOracle:
+    """`_gain_blocks` (einsum pairs, sorted near search, scratch blocks) against the broadcast oracle."""
+
+    @pytest.mark.parametrize("sequence", [SpinEcho(tau=5e-4, t_pi=65e-6), Ramsey(tau=5e-4)],
+                             ids=["echo", "ramsey"])
+    @pytest.mark.parametrize("grid", ["band", "shuffled", "negative", "crossing_zero", "near_edge"])
+    def test_blocks_bit_equal_to_broadcast(self, spectrum_190, sequence, grid):
+        mu = oracle_grids(spectrum_190)[grid]
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=sequence)
+        blocks = 0
+        for (cols, gain), (ref_cols, ref) in zip(_gain_blocks(drive, spectrum_190, mu),
+                                                  broadcast_gain_blocks(drive, spectrum_190, mu), strict=True):
+            assert cols == ref_cols
+            assert np.array_equal(gain.view(np.uint64), ref.view(np.uint64))
+            blocks += 1
+        assert blocks == len(range(0, len(mu), BLOCK_190)) - (len(mu) % BLOCK_190 == 1)
+
+    @pytest.mark.parametrize("grid", ["band", "shuffled", "negative", "crossing_zero", "near_edge"])
+    def test_near_cells_are_the_every_cell_test(self, spectrum_190, grid):
+        half = 0.5 * 5e-4
+        abs_x, abs_y = np.abs(half * spectrum_190.omega), np.abs(half * oracle_grids(spectrum_190)[grid])
+        rows, cols = _near_cells(abs_x, abs_y)
+        every = np.flatnonzero(np.abs(abs_x[:, None] - abs_y) < _NEAR_PHASE)
+        assert np.array_equal(np.sort(rows * len(abs_y) + cols), every)
+        assert len(every) > 0
+
+    def test_near_edge_points_straddle_the_bound(self, spectrum_190):
+        # the near_edge grid puts cells on both sides of the bound, within 1e-8 rad of it
+        half = 0.5 * 5e-4
+        mu = oracle_grids(spectrum_190)["near_edge"]
+        gap = np.abs(np.abs(half * spectrum_190.omega[:, None]) - np.abs(half * mu))
+        closest = gap[np.abs(gap - _NEAR_PHASE) < 1e-8]
+        assert np.any(closest < _NEAR_PHASE) and np.any(closest >= _NEAR_PHASE)
+
+    @pytest.mark.parametrize("sequence", [SpinEcho(tau=5e-4, t_pi=65e-6), Ramsey(tau=5e-4)],
+                             ids=["echo", "ramsey"])
+    @pytest.mark.parametrize("n_points, blocks", [(241, 1), (1541, 6), (2800, 11)])
+    def test_sweep_bit_equal_to_broadcast(self, spectrum_190, sequence, n_points, blocks):
+        # the sweep's exponent and P go through two scratch blocks; the oracle allocates per block
+        grid = TWO_PI * np.linspace(30e3, 800e3, n_points)
+        drive = DriveConfig(forces=1.5e-23, mu_r=None, gamma=223.0, sequence=sequence)
+        thermal = ThermalState.com_plus_bath(spectrum_190, 60.0, 0.43e-3)
+        assert sum(1 for _ in _gain_blocks(drive, spectrum_190, grid)) == blocks
+        mean, per = broadcast_sweep(drive, spectrum_190, thermal, grid)
+        trace = sweep_spectrum(drive, spectrum_190, thermal, grid, per_ion=True)
+        assert np.array_equal(trace.p_up_mean.view(np.uint64), mean.view(np.uint64))
+        assert np.array_equal(trace.p_up_per_ion.view(np.uint64), per.view(np.uint64))
+        plain = sweep_spectrum(drive, spectrum_190, thermal, grid).p_up_mean
+        assert np.array_equal(plain.view(np.uint64), mean.view(np.uint64))
 
 
 class TestPhaseSpaceTrajectory:

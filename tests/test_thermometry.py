@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,21 @@ def test_fit_moments_match_per_ion_model(nbar):
     d2 = (-f[-2] + 16.0 * f[-1] - 30.0 * f[0] + 16.0 * f[1] - f[2]) / (12.0 * h * h)
     assert np.max(np.abs(slope - d1)) <= 1e-14
     assert np.max(np.abs(bend - d2)) <= 1e-14
+
+
+@pytest.mark.parametrize("nbar", [0.0, 10.0, 60.0, 300.0])
+@pytest.mark.parametrize("gamma", [None, 0.0], ids=["gamma_given", "gamma_fitted"])
+def test_moments_bit_equal_to_outer_product_form(nbar, gamma):
+    # the einsum outer product against np.multiply.outer, the rest written out as before
+    spectrum, drive, _ = com_lineshape_setup(gamma=gamma)
+    data, *_ = synthetic_observation(noise_seed=1)
+    model = _lineshape(data, spectrum, drive, 0, ThermalState.com_plus_bath(spectrum, 0.0, 0.43e-3))
+    e = np.multiply.outer(-nbar * model.u, model.v)
+    e -= model.c0
+    scale = 0.5 * math.exp(-(model.decay or 0.0)) / len(model.u)
+    sums = np.einsum("kj,jg->kg", np.vander(model.u, 3, increasing=True).T * scale, np.exp(e))
+    reference = np.array([0.5 - sums[0], model.v * sums[1], -(model.v**2) * sums[2]])
+    assert np.array_equal(model.moments(nbar).view(np.uint64), reference.view(np.uint64))
 
 
 def fitted_gamma(drive):

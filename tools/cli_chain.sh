@@ -10,7 +10,8 @@
 # read back as measured data with sigma = 0.02, must fit to the generating
 # nbar = 60, both with the decoherence rate given and with it fitted
 # (gamma_per_s = 0), when it must also come back as the generating 223.14 / s.
-# The fit with the rate given, run twice, must write the same file byte for byte.
+# The fit with the rate given, run twice, must write the same file byte for byte,
+# and on the data with its rows reversed it must give the same nbar to 1e-9.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -56,6 +57,12 @@ python3 -c 'import json, sys; fit = json.load(open(sys.argv[1])); assert fit["st
 drumhead fit temperature --config "$out/run.json" --data "$out/data.csv" \
   --spectrum "$out/spectrum.json" --out "$out/fit_again.json"
 cmp "$out/fit.json" "$out/fit_again.json"
+awk 'NR == 1 {print; next} {rows[NR] = $0} END {for (i = NR; i > 1; i--) print rows[i]}' \
+  "$out/data.csv" > "$out/data_reversed.csv"
+drumhead fit temperature --config "$out/run.json" --data "$out/data_reversed.csv" \
+  --spectrum "$out/spectrum.json" --out "$out/fit_reversed.json"
+python3 -c 'import json, sys; fit, ref = (json.load(open(p)) for p in sys.argv[1:]); assert fit["status"] == "ok" and abs(fit["nbar"] / ref["nbar"] - 1.0) < 1e-9, fit' \
+  "$out/fit_reversed.json" "$out/fit.json"
 sed 's/"gamma_per_s": 223.14/"gamma_per_s": 0/' "$out/run.json" > "$out/run_fit_gamma.json"
 grep -q '"gamma_per_s": 0,' "$out/run_fit_gamma.json"
 drumhead fit temperature --config "$out/run_fit_gamma.json" --data "$out/data.csv" \

@@ -35,9 +35,12 @@ simulate` (spin echo, on the band below) `--repeats` times, the trees
 alternating; each process reports its wall time and peak RSS (`ru_maxrss`,
 from `os.wait4`), and the record says whether the two trees wrote the same
 spectrum and trace files. Then, for each N, a fresh process per tree times
-`save_spectrum` and `load_spectrum`, and `sweep_spectrum` and
-`fit_occupation` for spin echo and Ramsey on the full 30-800 kHz band
-(1541 points, 500 Hz steps). The fit reads the noiseless trace plus seeded
+`save_spectrum` and `load_spectrum`, and, for spin echo and Ramsey on the
+full 30-800 kHz band (1541 points, 500 Hz steps), the gain kernel
+`_gain_blocks` on its own, `sweep_spectrum`, `fit_occupation`, and a sweep
+and a fit back to back, as one `thermometry_n190` request runs them: the
+minor page faults of a call repeated alone depend on what the call before
+left on the heap, and only the pair repeats a request's. The fit reads the noiseless trace plus seeded
 Gaussian noise (sigma = 0.02). The two trees alternate which runs first.
 Each time is reported as median, q1 and q3 over `--repeats` calls after one
 warm-up call, with the minor page faults per call, the BLAS thread
@@ -102,7 +105,9 @@ def _quartiles(values) -> dict:
 
 
 def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
-    """Time the spectrum save and load, the sweep and the fit in this process; drumhead comes from PYTHONPATH."""
+    """Time the spectrum save and load, the gain kernel, the sweep and the fit in this process; drumhead comes
+    from PYTHONPATH."""
+    import collections
     import functools
     import resource
     import time
@@ -148,10 +153,12 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
         background = dynamics.ThermalState.com_plus_bath(spectrum, 0.0, run.thermal.bath_temperature_k)
         fit = thermometry.fit_occupation(data, spectrum, drive, background=background)
         sweep = functools.partial(dynamics.sweep_spectrum, drive, spectrum, thermal, grid)
+        fit_call = functools.partial(thermometry.fit_occupation, data, spectrum, drive, background=background)
         result[name] = {
+            "gain_blocks": quartiles(lambda: collections.deque(dynamics._gain_blocks(drive, spectrum, grid), 0)),
             "sweep_spectrum": {**quartiles(sweep), "traced_peak_mb": traced_peak_mb(sweep)},
-            "fit_occupation": quartiles(lambda: thermometry.fit_occupation(
-                data, spectrum, drive, background=background)),
+            "fit_occupation": quartiles(fit_call),
+            "sweep_then_fit": quartiles(lambda: (sweep(), fit_call())),
             "fit_status": fit.status,
             "fit_nbar": fit.nbar,
         }
@@ -424,9 +431,12 @@ def main(argv=None) -> int:
             print(f"N={n_ions:5d} {call:26s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms, "
                   f"traced peak {old_mb:7.2f} -> {new_mb:7.2f} MB")
         for name in SEQUENCES:
-            for call in ("sweep_spectrum", "fit_occupation"):
-                old, new = (times[side][name][call]["median_s"] for side in ("parent", "change"))
-                print(f"N={n_ions:5d} {name:9s} {call:16s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms")
+            for call in ("gain_blocks", "sweep_spectrum", "fit_occupation", "sweep_then_fit"):
+                (old, old_faults), (new, new_faults) = ((times[side][name][call]["median_s"],
+                                                         times[side][name][call]["minor_faults_per_call"])
+                                                        for side in ("parent", "change"))
+                print(f"N={n_ions:5d} {name:9s} {call:16s} {old * 1e3:9.2f} -> {new * 1e3:9.2f} ms, "
+                      f"minor faults per call {old_faults:6.0f} -> {new_faults:6.0f}")
             old, new = (times[side][name]["sweep_spectrum"]["traced_peak_mb"] for side in ("parent", "change"))
             print(f"N={n_ions:5d} {name:9s} {'sweep traced peak':16s} {old:9.2f} -> {new:9.2f} MB")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
