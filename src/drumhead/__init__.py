@@ -61,7 +61,6 @@ from .thermometry import (
     ObservedSpectrum,
     fit_occupation,
     occupation_to_temperature,
-    temperature_to_occupation,
 )
 from .trap import TrapParams, beta, radial_confinement
 

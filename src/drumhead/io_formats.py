@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import _expect, _read_document, _reject_unknown
-from .crystal import FORCE_TOL, CrystalLattice, require_distinct
+from .crystal import FORCE_TOL, MAX_IONS, CrystalLattice, require_distinct
 from .dynamics import SpectrumTrace, Trajectory
 from .errors import ConfigError
 from .modes import ModeHistogram, ModeSpectrum
@@ -82,13 +82,16 @@ def load_lattice(path: str | Path) -> CrystalLattice:
     """Read a lattice file, refusing a malformed or inconsistent one.
 
     Every key `save_lattice` writes is required and read by the config
-    reader (ConfigError); other keys are ignored. `planar: true` with an ion
+    reader (ConfigError), and `n_ions` must lie in [1, MAX_IONS], as for a
+    solve; other keys are ignored. `planar: true` with an ion
     off z = 0, or `converged: true` with a residual above `FORCE_TOL`, raises
     ValueError; two ions at one position raise CoincidentIonsError.
     """
     doc = _read_document(Path(path).read_text(encoding="utf-8"), "lattice")
     p = _expect(doc, "lattice", "params", dict)
     n_ions = _expect(doc, "lattice", "n_ions", int)
+    if not 1 <= n_ions <= MAX_IONS:
+        raise ConfigError("lattice.n_ions", f"must be between 1 and {MAX_IONS}, got {n_ions}")
     positions = _expect(doc, "lattice", "positions_m", (n_ions, 3))
     lattice = CrystalLattice(
         params=TrapParams.from_hz(*(_expect(p, "lattice.params", key, float)
@@ -144,24 +147,23 @@ def _block_base64(b: np.ndarray):
 def _decode_block(text: str, n: int, path: str) -> np.ndarray:
     """The (n, n) float64 matrix whose little-endian bytes `text` holds in base64.
 
-    The text is decoded a chunk at a time into one array. A text the chunks
-    refuse is decoded again whole, so the refusal names what a whole-string
-    decode finds: the first fault, else the wrong byte count.
+    Only a text of the block's base64 length, 4 ceil(8 n^2 / 3), is decoded, a
+    chunk at a time into one array, so the array is never larger than the text.
+    Any other text, or one the chunks refuse, is decoded whole, so the refusal
+    names what a whole-string decode finds: the first fault, else the wrong
+    byte count.
     """
-    b = np.empty((n, n), dtype="<f8")
-    out, step, pos = memoryview(b.reshape(-1).view(np.uint8)), 4 * _BLOCK_CHUNK_BYTES // 3, 0
-    try:
-        for start in range(0, len(text), step):
-            raw = base64.b64decode(text[start:start + step], validate=True)
-            # a short chunk before the last one held padding
-            if pos + len(raw) > len(out) or (len(raw) < _BLOCK_CHUNK_BYTES and start + step < len(text)):
-                raise ValueError("misplaced padding or too many bytes")
-            out[pos:pos + len(raw)] = raw
-            pos += len(raw)
-        if pos == len(out):
+    if len(text) == 4 * -(-8 * n * n // 3):
+        b = np.empty((n, n), dtype="<f8")
+        out, step, pos = memoryview(b.reshape(-1).view(np.uint8)), 4 * _BLOCK_CHUNK_BYTES // 3, 0
+        try:
+            for start in range(0, len(text), step):
+                # each chunk fills its own slice: a padded chunk or an over-long last one fails here
+                out[pos:pos + _BLOCK_CHUNK_BYTES] = base64.b64decode(text[start:start + step], validate=True)
+                pos += _BLOCK_CHUNK_BYTES
             return b
-    except ValueError:  # binascii.Error, a non-ASCII character, or the two faults above
-        pass
+        except ValueError:  # binascii.Error, a non-ASCII character or a chunk of the wrong size
+            pass
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:

@@ -94,18 +94,14 @@ def transverse_stiffness(lattice: CrystalLattice) -> StiffnessMatrix:
     params = lattice.params
     coupling = COULOMB_K * params.charge**2 / params.mass
     return StiffnessMatrix(
-        entries=z_stiffness(lattice.positions, coupling, params.omega_1**2),
+        entries=z_stiffness(lattice.positions[:, :2], coupling, params.omega_1**2),
         omega_1=params.omega_1,
         mass=params.mass,
     )
 
 
-def _symmetric_part(k: np.ndarray) -> np.ndarray:
-    """(k + k^T) / 2 of a square k, refused unless max |k - k^T| <= 1e-10 max |k|.
-
-    Checked a block of rows at a time in one scratch. An exactly symmetric k (`z_stiffness`
-    builds one) is returned as it is, which is (k + k^T) / 2 to the bit; otherwise the one array
-    returned is filled a block at a time. Whole k - k^T and k + k^T would each add two N^2 arrays."""
+def _require_symmetric(k: np.ndarray) -> None:
+    """Refuse k unless square with max |k - k^T| <= 1e-10 max |k|, checked a block of rows at a time."""
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("stiffness must be a square matrix")
     blocks = [slice(a, a + _ROW_BLOCK) for a in range(0, len(k), _ROW_BLOCK)]
@@ -113,29 +109,21 @@ def _symmetric_part(k: np.ndarray) -> np.ndarray:
     for rows in blocks:
         diff = np.subtract(k[rows], k[:, rows].T, out=scratch[: len(k[rows])])
         asym = max(asym, np.max(np.abs(diff, out=diff)))
-    if asym == 0.0:
-        return k
-    sym_dev = asym / max(np.max(k), -np.min(k), 1e-300)
-    if sym_dev > 1e-10:
-        raise ValueError(f"stiffness is not symmetric (relative deviation {sym_dev:.2e})")
-    sym = np.empty_like(k)
-    for rows in blocks:
-        np.multiply(0.5, np.add(k[rows], k[:, rows].T, out=sym[rows]), out=sym[rows])
-    return sym
+    scale = max(np.max(k), -np.min(k))
+    if asym > 1e-10 * scale:
+        raise ValueError(f"stiffness is not symmetric (relative deviation {asym / scale:.2e})")
 
 
 def diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
     """Eigenmodes of a stiffness matrix, sorted by descending frequency.
 
-    Sign convention: the largest-magnitude component of each eigenvector is
-    positive (the first such component, on a tie).
+    `eigh` takes the stiffness as given (it reads the lower triangle); `b` is a view of its
+    ascending eigenvectors with a reversed column stride. Sign convention: the largest-magnitude
+    component of each eigenvector is positive (the first such component, on a tie).
     """
-    evals, evecs = np.linalg.eigh(_symmetric_part(np.asarray(stiffness.entries, dtype=float)))
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    for a in range(0, len(evecs), _ROW_BLOCK):  # columns put in order in place
-        rows = evecs[a : a + _ROW_BLOCK]
-        rows[:] = rows[:, order]
+    _require_symmetric(stiffness.entries)
+    evals, evecs = np.linalg.eigh(stiffness.entries)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     # a column's largest |entry| is negative where -min > max; on a tie the first such entry decides
     top, bottom = evecs.max(axis=0), -evecs.min(axis=0)
     negative, ties = bottom > top, np.flatnonzero(bottom == top)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,6 @@ def occupation_to_temperature(nbar: float, omega_m: float) -> float:
     if nbar < 0.0 or omega_m <= 0.0:
         raise ValueError("nbar must be >= 0 and omega_m positive")
     return nbar * HBAR * omega_m / K_B
-
-
-def temperature_to_occupation(kelvin: float, omega_m: float) -> float:
-    """nbar = k_B T / (hbar omega); exact inverse of occupation_to_temperature."""
-    if kelvin < 0.0 or omega_m <= 0.0:
-        raise ValueError("temperature must be >= 0 and omega_m positive")
-    return K_B * kelvin / (HBAR * omega_m)
 
 
 @dataclass(frozen=True)
@@ -132,10 +126,14 @@ class _Lineshape:
         """
         e = np.einsum("j,i->ji", -nbar * self.u, self.v)
         e -= self.c0
-        scale = 0.5 * math.exp(-(self.decay or 0.0)) / len(self.u)
-        weights = np.vander(self.u, 3, increasing=True).T * scale
-        sums = np.einsum("kj,jg->kg", weights, np.exp(e, out=e))
+        sums = np.einsum("kj,jg->kg", self._weights, np.exp(e, out=e))
         return np.array([0.5 - sums[0], self.v * sums[1], -(self.v**2) * sums[2]])
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """(1, u, u^2) e^{-Gamma T} / (2 N), shape (3, N): the column sums' weights, free of nbar."""
+        scale = 0.5 * math.exp(-(self.decay or 0.0)) / len(self.u)
+        return np.vander(self.u, 3, increasing=True).T * scale
 
 
 def _lineshape(

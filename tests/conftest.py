@@ -6,7 +6,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from drumhead import TrapParams, diagonalize, solve_equilibrium, transverse_stiffness
+from drumhead import (
+    BE9_ION_MASS,
+    ModeSpectrum,
+    StiffnessMatrix,
+    TrapParams,
+    diagonalize,
+    solve_equilibrium,
+    transverse_stiffness,
+)
+from drumhead.crystal import _ROW_BLOCK
 from drumhead.dynamics import (
     _GAIN_BLOCK_CELLS,
     _MIN_BLOCK_COLUMNS,
@@ -33,6 +42,49 @@ def solve_cached(n_ions: int, rotation_hz: float = 43.2e3, wall: float = 0.0, se
 @lru_cache(maxsize=64)
 def spectrum_cached(n_ions: int, rotation_hz: float = 43.2e3, wall: float = 0.0, seed: int = 0):
     return diagonalize(transverse_stiffness(solve_cached(n_ions, rotation_hz, wall, seed)))
+
+
+def averaged(k: np.ndarray) -> np.ndarray:
+    """(k + k^T) / 2 of a square k, refused unless max |k - k^T| <= 1e-10 max |k|; an exactly
+    symmetric k is returned as it is, which is (k + k^T) / 2 to the bit."""
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError("stiffness must be a square matrix")
+    blocks = [slice(a, a + _ROW_BLOCK) for a in range(0, len(k), _ROW_BLOCK)]
+    scratch, asym = np.empty_like(k[:_ROW_BLOCK]), 0.0
+    for rows in blocks:
+        diff = np.subtract(k[rows], k[:, rows].T, out=scratch[: len(k[rows])])
+        asym = max(asym, np.max(np.abs(diff, out=diff)))
+    if asym == 0.0:
+        return k
+    sym_dev = asym / max(np.max(k), -np.min(k), 1e-300)
+    if sym_dev > 1e-10:
+        raise ValueError(f"stiffness is not symmetric (relative deviation {sym_dev:.2e})")
+    sym = np.empty_like(k)
+    for rows in blocks:
+        np.multiply(0.5, np.add(k[rows], k[:, rows].T, out=sym[rows]), out=sym[rows])
+    return sym
+
+
+def argsort_diagonalize(stiffness: StiffnessMatrix) -> ModeSpectrum:
+    """The reference `diagonalize` must equal bit for bit: the stiffness averaged with its
+    transpose, eigh's eigenvalues argsorted into descending order and its columns put in that
+    order in place, a block of rows at a time, then the same sign convention."""
+    evals, evecs = np.linalg.eigh(averaged(np.asarray(stiffness.entries, dtype=float)))
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    for a in range(0, len(evecs), _ROW_BLOCK):
+        rows = evecs[a : a + _ROW_BLOCK]
+        rows[:] = rows[:, order]
+    top, bottom = evecs.max(axis=0), -evecs.min(axis=0)
+    negative, ties = bottom > top, np.flatnonzero(bottom == top)
+    negative[ties] = evecs[np.argmax(np.abs(evecs[:, ties]), axis=0), ties] < 0.0
+    evecs *= np.where(negative, -1.0, 1.0)
+    return ModeSpectrum(eigenvalues=evals, b=evecs, mass=stiffness.mass)
+
+
+def one_mode_spectrum(omega: float) -> ModeSpectrum:
+    """A one-ion spectrum whose single mode has angular frequency omega."""
+    return ModeSpectrum(eigenvalues=np.array([omega**2]), b=np.eye(1), mass=BE9_ION_MASS)
 
 
 @pytest.fixture(scope="session")

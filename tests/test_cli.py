@@ -230,10 +230,15 @@ class TestLatticeFile:
              "converged is true, but residual_force_max_N 1e-06 exceeds 1e-14 N"),
             (lambda doc: {**doc, "residual_force_max_N": float("nan")},
              "lattice.residual_force_max_N: expected a finite number"),
+            # refused before the positions are read, so no O(N^2) pass or N x N stiffness runs
+            (lambda doc: {**doc, "n_ions": crystal.MAX_IONS + 1},
+             f"lattice.n_ions: must be between 1 and {crystal.MAX_IONS}, got {crystal.MAX_IONS + 1}"),
+            (lambda doc: {**doc, "n_ions": 0, "positions_m": []},
+             f"lattice.n_ions: must be between 1 and {crystal.MAX_IONS}, got 0"),
         ],
         ids=["planar_string", "converged_string", "count_mismatch", "coincident", "no_params",
              "not_object", "nan_position", "planar_off_plane", "converged_large_residual",
-             "nan_residual"],
+             "nan_residual", "too_many_ions", "no_ions"],
     )
     def test_malformed_lattice_is_config_error(self, lattice_doc, tmp_path, capsys, edit, message):
         lattice_path = tmp_path / "lattice.json"
@@ -386,9 +391,14 @@ class TestSpectrumFile:
              "spectrum.eigenvectors_f64le_b64: columns are not orthonormal"),
             (lambda doc: reorder_modes(doc, [1, 0, 2, 3, 4, 5, 6]),
              "spectrum.eigenvalues_rad2_per_s2: expected non-increasing values"),
+            # the 32 TB block is never allocated for a 12-character text
+            (lambda doc: {**doc, "eigenvalues_rad2_per_s2": [0.0] * 2_000_000,
+                          "eigenvectors_f64le_b64": "AAAAAAAAAAA="},
+             "spectrum.eigenvectors_f64le_b64: expected 32000000000000 bytes (2000000 x 2000000 float64), got 8"),
         ],
         ids=["no_mass", "not_object", "nan_eigenvector", "three_rows", "boolean_eigenvector",
-             "not_base64", "old_nested_list", "not_orthonormal", "swapped_eigenvalues"],
+             "not_base64", "old_nested_list", "not_orthonormal", "swapped_eigenvalues",
+             "two_million_modes_eight_bytes"],
     )
     def test_malformed_spectrum_is_config_error(self, spectrum_doc, tmp_path, capsys, edit, message):
         assert self.simulate(tmp_path, edit(spectrum_doc)) == EXIT_CONFIG

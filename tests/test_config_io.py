@@ -278,6 +278,17 @@ class TestSpectrumFiles:
             iof.load_spectrum(path)
         assert str(info.value) == f"spectrum.eigenvectors_f64le_b64: {message}"
 
+    def test_padded_chunk_refused_though_the_last_chunk_makes_up_its_byte(self):
+        # at n = 46 the block is 16928 bytes in two chunks, its base64 ending in one '='; a first
+        # chunk that ends in padding (one byte short) and a last one without it (one byte over)
+        # hold the right length and byte count between them, and a whole-string decode refuses them
+        n, step = 46, 4 * iof._BLOCK_CHUNK_BYTES // 3
+        text = base64.b64encode(np.eye(n).tobytes()).decode("ascii")
+        assert text[-2:] != "==" and text[-1] == "=" and len(text) > step
+        damaged = text[:step - 1] + "=" + text[step:-1] + "A"
+        with pytest.raises(ConfigError, match="not base64"):
+            iof._decode_block(damaged, n, "block")
+
     def test_save_and_load_hold_no_copy_of_the_block(self, tmp_path, spectrum_190):
         # beyond the spectrum, save holds under 1/4 and load under 3 copies
         # of the (N, N) float64 block; encoded or decoded whole, 5.2 and 4.7

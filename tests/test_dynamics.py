@@ -16,6 +16,7 @@ from drumhead import (
     alpha_spin_echo,
     beta,
     mean_excursion,
+    occupation_to_temperature,
     phase_space_trajectory,
     sweep_spectrum,
     validity_ratio,
@@ -601,10 +602,8 @@ class TestThermalState:
     def test_from_temperature_matches_conversion(self):
         spectrum = spectrum_cached(5)
         thermal = ThermalState.from_temperature(spectrum, 0.43e-3)
-        from drumhead import temperature_to_occupation
-
-        expected = [temperature_to_occupation(0.43e-3, om) for om in spectrum.omega]
-        assert np.allclose(thermal.nbar, expected, rtol=1e-12)
+        kelvin = [occupation_to_temperature(nbar, om) for nbar, om in zip(thermal.nbar, spectrum.omega)]
+        assert np.allclose(kelvin, 0.43e-3, rtol=1e-12, atol=0.0)
 
     def test_com_plus_bath(self):
         spectrum = spectrum_cached(5)

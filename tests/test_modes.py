@@ -18,8 +18,18 @@ from drumhead import (
     total_potential,
     transverse_stiffness,
 )
+from drumhead.constants import COULOMB_K
+from drumhead.crystal import z_stiffness
 from drumhead.modes import MAX_HISTOGRAM_BINS
-from conftest import paper_trap, solve_cached, spectrum_cached
+from conftest import argsort_diagonalize, paper_trap, solve_cached, spectrum_cached
+
+# (N, rotation Hz, seed): N = 7 to 345. N = 26 at 44.7 kHz has an exact eigenvalue tie; which of
+# the larger ones do (N = 300 at 45.2 kHz, N = 345 at 44.7 kHz) follows eigh's BLAS thread count
+LATTICES = [
+    (7, 43.2e3, 0), (12, 43.2e3, 0), (19, 44.7e3, 1), (26, 43.2e3, 0), (26, 44.7e3, 0),
+    (50, 43.2e3, 0), (150, 44.7e3, 0), (190, 44.7e3, 0), (250, 44.7e3, 0), (300, 45.2e3, 0),
+    (331, 43.2e3, 0), (345, 43.2e3, 0), (345, 44.7e3, 0),
+]
 
 
 def finite_difference_z_hessian(lattice, h_rel=5e-3):
@@ -86,6 +96,15 @@ class TestTransverseStiffness:
         assert not buckled.planar
         with pytest.raises(NonPlanarLatticeError):
             transverse_stiffness(buckled)
+
+    @pytest.mark.parametrize("n_ions", [7, 150, 345])
+    def test_planar_form_equals_pair_geometry_in_3d(self, n_ions):
+        # a planar lattice has every z separation 0, so the (x, y) separations give the same bits
+        lattice = solve_cached(n_ions, 44.7e3)
+        params = lattice.params
+        in_3d = z_stiffness(lattice.positions, COULOMB_K * params.charge**2 / params.mass, params.omega_1**2)
+        entries = transverse_stiffness(lattice).entries
+        assert np.array_equal(entries.view(np.uint64), in_3d.view(np.uint64))
 
     def test_rejects_unconverged(self):
         lattice = solve_cached(3)
@@ -212,15 +231,30 @@ class TestDiagonalize:
         n = stiffness.n_ions
         assert peak - spectrum.b.nbytes - spectrum.eigenvalues.nbytes <= 0.3 * 8 * n * n
 
-    def test_nearly_symmetric_matrix_is_symmetrized(self):
-        # 70 rows span two row blocks; an asymmetry below 1e-10 is averaged away
+    def test_nearly_symmetric_matrix_goes_to_eigh_as_given(self):
+        # 70 rows span two row blocks; an asymmetry below 1e-10 is let through, not averaged
         a = np.random.default_rng(3).standard_normal((70, 70))
         k = a + a.T
-        k[3, 66] += 1e-12
+        k[66, 3] += 1e-12
         spectrum = diagonalize(StiffnessMatrix(entries=k, omega_1=1.0, mass=BE9_ION_MASS))
-        averaged = diagonalize(StiffnessMatrix(entries=0.5 * (k + k.T), omega_1=1.0, mass=BE9_ION_MASS))
-        assert np.array_equal(spectrum.eigenvalues, averaged.eigenvalues)
-        assert np.array_equal(spectrum.b, averaged.b)
+        evals, evecs = np.linalg.eigh(k)
+        assert np.array_equal(spectrum.eigenvalues, evals[::-1])
+        assert np.array_equal(np.abs(spectrum.b), np.abs(evecs[:, ::-1]))
+        mean = diagonalize(StiffnessMatrix(entries=0.5 * (k + k.T), omega_1=1.0, mass=BE9_ION_MASS))
+        assert not np.array_equal(spectrum.eigenvalues, mean.eigenvalues)
+
+    @pytest.mark.parametrize("n_ions, rotation_hz, seed", LATTICES)
+    def test_bit_equal_to_argsort_reference(self, n_ions, rotation_hz, seed):
+        # eigh's ascending order reversed is the order argsort gave, exact ties included
+        stiffness = transverse_stiffness(solve_cached(n_ions, rotation_hz, seed=seed))
+        spectrum, reference = diagonalize(stiffness), argsort_diagonalize(stiffness)
+        assert np.array_equal(spectrum.eigenvalues.view(np.uint64), reference.eigenvalues.view(np.uint64))
+        assert np.array_equal(spectrum.b.view(np.uint64), reference.b.view(np.uint64))
+
+    def test_reference_lattices_hold_exact_ties(self):
+        ties = [n for n, rotation_hz, seed in LATTICES
+                if np.any(np.diff(spectrum_cached(n, rotation_hz, seed=seed).eigenvalues) == 0.0)]
+        assert 26 in ties
 
     def test_asymmetric_matrix_rejected(self):
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])

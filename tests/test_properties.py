@@ -24,12 +24,11 @@ from drumhead import (
     occupation_to_temperature,
     radial_confinement,
     sweep_spectrum,
-    temperature_to_occupation,
     total_potential,
 )
 from drumhead.dynamics import _NEAR_PHASE, _arm_factor, _echo_factor, _sidebands
 from drumhead.modes import ModeSpectrum
-from conftest import paper_trap, whole_gain
+from conftest import one_mode_spectrum, paper_trap, whole_gain
 
 TWO_PI = 2 * math.pi
 
@@ -221,10 +220,9 @@ def test_wavevector_monotone(wavelength, theta_a, theta_b):
 @given(nbar=st.floats(0.0, 1e4), freq=st.floats(1e4, 1e7))
 @settings(max_examples=60, deadline=None)
 def test_occupation_temperature_inverse(nbar, freq):
-    omega = TWO_PI * freq
-    assert temperature_to_occupation(
-        occupation_to_temperature(nbar, omega), omega
-    ) == pytest.approx(nbar, rel=1e-12, abs=1e-12)
+    spectrum = one_mode_spectrum(TWO_PI * freq)
+    kelvin = occupation_to_temperature(nbar, spectrum.omega[0])
+    assert ThermalState.from_temperature(spectrum, kelvin).nbar[0] == pytest.approx(nbar, rel=1e-12, abs=1e-12)
 
 
 @given(

@@ -16,12 +16,11 @@ from drumhead import (
     fit_occupation,
     occupation_to_temperature,
     sweep_spectrum,
-    temperature_to_occupation,
 )
 from drumhead import thermometry
 from drumhead.dynamics import _coefficients, _gain_blocks, bright_fraction, decoherence_exponent
 from drumhead.thermometry import _NBAR_MAX, _lineshape, _terms
-from conftest import flat_background, spectrum_cached, whole_gain
+from conftest import flat_background, one_mode_spectrum, spectrum_cached, whole_gain
 
 TWO_PI = 2 * np.pi
 TAU = 500e-6
@@ -82,24 +81,27 @@ class TestConversions:
         assert t == pytest.approx(2.3e-3, rel=0.05)
 
     def test_doppler_limit_occupation(self):
-        assert temperature_to_occupation(0.43e-3, TWO_PI * 795e3) == pytest.approx(11.3, rel=5e-3)
+        # the Doppler limit, 0.43 mK, puts nbar ~ 11.3 in the 795 kHz COM mode
+        thermal = ThermalState.from_temperature(one_mode_spectrum(TWO_PI * 795e3), 0.43e-3)
+        assert thermal.nbar[0] == pytest.approx(11.3, rel=5e-3)
 
     def test_zero(self):
         assert occupation_to_temperature(0.0, TWO_PI * 795e3) == 0.0
-        assert temperature_to_occupation(0.0, TWO_PI * 795e3) == 0.0
+        assert ThermalState.from_temperature(one_mode_spectrum(TWO_PI * 795e3), 0.0).nbar[0] == 0.0
 
     def test_exact_inverses(self):
+        spectrum = one_mode_spectrum(TWO_PI * 777e3)
         for nbar in (0.5, 10.0, 60.0, 300.0):
-            omega = TWO_PI * 777e3
-            assert temperature_to_occupation(
-                occupation_to_temperature(nbar, omega), omega
-            ) == pytest.approx(nbar, rel=1e-12)
+            kelvin = occupation_to_temperature(nbar, spectrum.omega[0])
+            assert ThermalState.from_temperature(spectrum, kelvin).nbar[0] == pytest.approx(nbar, rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             occupation_to_temperature(-1.0, 1.0)
         with pytest.raises(ValueError):
-            temperature_to_occupation(1.0, 0.0)
+            occupation_to_temperature(1.0, 0.0)
+        with pytest.raises(ValueError):
+            ThermalState.from_temperature(one_mode_spectrum(1.0), -1.0)
 
 
 class TestFitOccupation:
