@@ -9,7 +9,8 @@ The crystal is the minimum of the rotating-frame potential
 Minimization runs in dimensionless units (length l0 = (k_e q^2 / M w1^2)^(1/3),
 energy M w1^2 l0^2) so the tolerances are scale-free: an L-BFGS descent in compact
 form to max |g| <= 1e-4, then a regularized Newton-CG polish on the analytic Hessian,
-whose CG products are float32 far from the minimum and float64 near it. Both use numpy
+whose CG products are float32: far from the minimum on a Hessian built in float32, near
+it in rounds of iterative refinement, each closed by a float64 residual. Both use numpy
 ufuncs and einsum, never BLAS, at either precision; the one LAPACK call gives only the
 sign of K's lowest eigenvalue (below), so every lattice has the same bytes under any
 thread count.
@@ -46,8 +47,9 @@ from .trap import TrapParams, beta
 # the polish reaches ~1e-15 at N = 190 and 345, and 7e-18 to 9e-10 at N = 7-20.
 _SCALED_GTOL = 1e-9
 _POLISH_TARGET = 5e-14
-# The relax hands over to the polish at max |g| <= _HANDOVER_GTOL; the polish's CG products
-# are float32 while |g_perp| > _FLOAT32_GNORM (`_newton_step`).
+# The relax hands over to the polish at max |g| <= _HANDOVER_GTOL; while |g_perp| >
+# _FLOAT32_GNORM the polish builds its Hessian in float32, below it in float64 and refines
+# float32 CG rounds against float64 residuals (`_newton_step`).
 _HANDOVER_GTOL = 1e-4
 _FLOAT32_GNORM = 1e-6
 # Further bounds for the `converged` flag: residual force in newtons, and the
@@ -63,9 +65,9 @@ _MAX_RELAX_STEPS = 100_000
 _MAX_POLISH_STEPS = 400
 # Rows per block of every pairwise pass (`_pair_blocks`).
 _ROW_BLOCK = 64
-# Most ions in a crystal. A planar float64 Newton step holds 32 N^2 + 3 kB N bytes (35.2 MB
-# traced at N = 1000), 0.82 GB at N = 5000, and a buckled one 72 N^2, 1.8 GB: within 8 GB.
-# A float32 step holds half the Hessian.
+# Most ions in a crystal. A planar near Newton step holds the float64 Hessian and its float32
+# copy, 48 N^2 + 3 kB N bytes, 1.2 GB at N = 5000, and a buckled one 108 N^2, 2.7 GB: within
+# 8 GB. A far step holds only a float32 Hessian.
 MAX_IONS = 5000
 
 
@@ -377,41 +379,75 @@ def _rotation_and_rhs(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
     return rot, _dot(grad, rot) * rot - grad
 
 
-def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray):
-    """Step s solving (H + |g| I + r r^T) s = -g at x, and its predicted decrease 1/2 |g.s|.
+def _shifted_product(hess: np.ndarray, rot: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(hess + r r^T) d, the hess part an einsum in hess's dtype (d rounded once into it): no BLAS."""
+    return np.einsum("ij,j->i", hess, d.astype(hess.dtype, copy=False)) + _dot(rot, d) * rot
 
-    g and s are orthogonal to r, the unit rotation about z (zero with a wall).
-    Truncated CG (Steihaug; Nocedal & Wright, section 7.1) stops at a residual of
-    min(0.1, sqrt|g|) |g|, or on non-positive curvature (keeping the step so far, or -g).
 
-    While |g| > `_FLOAT32_GNORM` the shifted Hessian is built in float32 and the product
-    H d is taken in float32, rounding d once: its error, about 1e-7 relative, lies far
-    below the residual CG asks for there (>= 1e-3 relative). Below it every product is
-    float64, so the last steps and the convergence certificate are float64 throughout.
-    The product is an einsum, which calls no BLAS; the CG vectors and sums stay float64.
-    """
-    rot, rhs = _rotation_and_rhs(x, trap, grad)
-    rr = _dot(rhs, rhs)
-    gnorm = math.sqrt(rr)
-    hess = _hessian_scaled(x, trap, np.float32 if gnorm > _FLOAT32_GNORM else np.float64)
-    hess[np.diag_indices_from(hess)] += gnorm
+def _cg(hess: np.ndarray, rot: np.ndarray, rhs: np.ndarray, tol: float):
+    """Truncated CG (Steihaug; Nocedal & Wright, section 7.1) on (hess + r r^T) s = rhs from s = 0:
+    s at the first residual <= tol and True, or, on non-positive curvature, the step so far (or
+    the first direction) and False. The CG vectors and sums are float64 whatever hess's dtype."""
     step, resid, direction = np.zeros_like(rhs), rhs, rhs
-    tol = min(0.1, math.sqrt(gnorm)) * gnorm
+    rr = _dot(rhs, rhs)
     for _ in range(len(rhs)):
         if math.sqrt(rr) <= tol:
             break
-        h_dir = np.einsum("ij,j->i", hess, direction.astype(hess.dtype, copy=False)) + _dot(rot, direction) * rot
+        h_dir = _shifted_product(hess, rot, direction)
         curvature = _dot(direction, h_dir)
         if not curvature > 0.0:
-            step = step if step.any() else direction.copy()
-            break
+            return (step if step.any() else direction.copy()), False
         alpha = rr / curvature
         step += alpha * direction
         resid = resid - alpha * h_dir
         rr, rr_prev = _dot(resid, resid), rr
         direction = resid + (rr / rr_prev) * direction
+    return step, True
+
+
+def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, single: bool = True):
+    """Step s solving (H + |g| I + r r^T) s = -g at x, its predicted decrease 1/2 |g.s|, and
+    whether later near steps may still refine in float32 (`single`, False once one fell back).
+
+    g and s are orthogonal to r, the unit rotation about z (zero with a wall). CG (`_cg`)
+    stops at a residual of min(0.1, sqrt|g|) |g|, raised to 0.1 `_POLISH_TARGET` where that
+    is smaller (below the ~1e-15 rounding of the gradient it solves against) but never above
+    0.1 |g|, so a solve at a gradient below the floor still takes a CG step.
+
+    While |g| > `_FLOAT32_GNORM` the shifted Hessian is built in float32 and CG takes float32
+    products: their error, about 1e-7 relative, lies far below the residual asked for there
+    (>= 1e-3 relative). Below it the shifted Hessian is built in float64 and cast once to
+    float32, and the step is solved by mixed-precision iterative refinement (Moler, J. ACM 14,
+    316 (1967)): each round runs CG with float32 products on the residual r to 1e-3 |r| (or the
+    tolerance), adds its step, and recomputes r = -g - (H + |g| I + r r^T) s with one float64
+    product, until |r| meets the tolerance. A round that ends on non-positive curvature, or
+    leaves |r| above both the tolerance and half its previous value, is dropped: CG with
+    float64 products finishes the step from r, and `single` turns False. A near step given
+    `single` False takes float64 products from the start.
+    """
+    rot, rhs = _rotation_and_rhs(x, trap, grad)
+    gnorm = math.sqrt(_dot(rhs, rhs))
+    tol = min(0.1 * gnorm, max(math.sqrt(gnorm) * gnorm, 0.1 * _POLISH_TARGET))
+    far = gnorm > _FLOAT32_GNORM
+    hess = _hessian_scaled(x, trap, np.float32 if far else np.float64)
+    hess[np.diag_indices_from(hess)] += gnorm
+    if far:
+        step = _cg(hess, rot, rhs, tol)[0]
+    else:
+        step, resid, norm = np.zeros_like(rhs), rhs, gnorm
+        hess32 = hess.astype(np.float32) if single else None
+        while single and norm > tol:
+            delta, curved = _cg(hess32, rot, resid, max(tol, 1e-3 * norm))
+            trial = step + delta
+            trial_resid = rhs - _shifted_product(hess, rot, trial)
+            trial_norm = math.sqrt(_dot(trial_resid, trial_resid))
+            single = curved and (trial_norm <= tol or trial_norm <= 0.5 * norm)
+            if single:
+                step, resid, norm = trial, trial_resid, trial_norm
+        if norm > tol:
+            step += _cg(hess, rot, resid, tol)[0]
     step -= _dot(step, rot) * rot
-    return step, 0.5 * abs(_dot(rhs, step))
+    return step, 0.5 * abs(_dot(rhs, step)), single
 
 
 def _descend(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, energy: float, gmax: float):
@@ -434,22 +470,25 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
     ended it with the number of Newton steps.
 
     It starts where the relax hands over, at max |g| <= 1e-4, and takes 3-21 Newton steps
-    at N = 19-345: the ones above |g_perp| = 1e-6 with float32 CG products, then 1-2 in
-    float64 (`_newton_step`). The |g| shift keeps quasi-flat directions (shell
-    rearrangements) from dominating a step far from the minimum and fades as g vanishes;
-    r r^T lifts the rotational zero mode. Steps are capped at 0.5 scaled units and halved
-    up to 30 times. When the line search rejects a Newton step above the 1e-9 bar, a
-    projected steepest-descent step (`_descend`) is tried in its place. The polish stops at
-    the first step neither keeps, whose solve gives the decrease, or at a small gradient,
-    where H >= 0 (a minimum) bounds every CG iterate's 1/2 |g.s| by 1/2 |g_perp|: that bound
-    is the decrease if below ENERGY_RTOL |E|, else one more solve runs.
+    at N = 19-345: the ones above |g_perp| = 1e-6 on a float32 Hessian, then 1-2 near steps
+    of float32 CG rounds under float64 residuals (`_newton_step`). Once a near step falls
+    back to float64 CG products, every later near step of the solve takes them from the
+    start: in the small crystals' flat valleys a round that failed once mostly fails again.
+    The |g| shift keeps quasi-flat directions (shell rearrangements) from dominating a step
+    far from the minimum and fades as g vanishes; r r^T lifts the rotational zero mode.
+    Steps are capped at 0.5 scaled units and halved up to 30 times. When the line search
+    rejects a Newton step above the 1e-9 bar, a projected steepest-descent step
+    (`_descend`) is tried in its place. The polish stops at the first step neither keeps,
+    whose solve gives the decrease, or at a small gradient, where H >= 0 (a minimum) bounds
+    every CG iterate's 1/2 |g.s| by 1/2 |g_perp|: that bound is the decrease if below
+    ENERGY_RTOL |E|, else one more solve runs.
     """
     energy, grad = _energy_gradient_scaled(x, trap)
     if not trace or energy < trace[-1]:
         trace.append(energy)
     gmax = np.max(np.abs(grad))
     slow = steps = 0
-    decrease, rule = None, "the budget"
+    decrease, rule, single = None, "the budget", True
     while steps < _MAX_POLISH_STEPS:
         # Magic-number crystals have quartically flat intershell-libration
         # valleys; once the gradient is below the convergence bar and barely
@@ -457,7 +496,7 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
         if gmax <= _POLISH_TARGET or (gmax <= _SCALED_GTOL and slow >= 3):
             rule = "the gradient target" if gmax <= _POLISH_TARGET else "slow progress"
             break
-        step, decrease = _newton_step(x, trap, grad)
+        step, decrease, single = _newton_step(x, trap, grad, single)
         steps += 1
         step *= min(1.0, 0.5 / max(np.max(np.abs(step)), 1e-300))
         scale, kept, prev_gmax = 1.0, None, gmax
@@ -484,7 +523,7 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
     if decrease is None:
         rhs = _rotation_and_rhs(x, trap, grad)[1]
         half_gnorm = 0.5 * math.sqrt(_dot(rhs, rhs))
-        decrease = half_gnorm if half_gnorm <= ENERGY_RTOL * abs(energy) else _newton_step(x, trap, grad)[1]
+        decrease = half_gnorm if half_gnorm <= ENERGY_RTOL * abs(energy) else _newton_step(x, trap, grad, single)[1]
     return x, energy, gmax, decrease, f"{rule} after {steps} Newton steps"
 
 

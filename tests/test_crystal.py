@@ -225,33 +225,6 @@ def two_loop(pairs, gamma, g):
     return q
 
 
-def float64_newton_step(x, trap, grad):
-    """Reference Newton-CG step (`crystal._newton_step`) with every Hessian product in float64,
-    and its predicted decrease."""
-    hess = _hessian_scaled(x, trap)
-    rot, rhs = crystal._rotation_and_rhs(x, trap, grad)
-    rr = crystal._dot(rhs, rhs)
-    gnorm = np.sqrt(rr)
-    hess[np.diag_indices_from(hess)] += gnorm
-    step, resid, direction = np.zeros_like(rhs), rhs, rhs
-    tol = min(0.1, np.sqrt(gnorm)) * gnorm
-    for _ in range(len(rhs)):
-        if np.sqrt(rr) <= tol:
-            break
-        h_dir = np.einsum("ij,j->i", hess, direction) + crystal._dot(rot, direction) * rot
-        curvature = crystal._dot(direction, h_dir)
-        if not curvature > 0.0:
-            step = step if step.any() else direction.copy()
-            break
-        alpha = rr / curvature
-        step += alpha * direction
-        resid = resid - alpha * h_dir
-        rr, rr_prev = crystal._dot(resid, resid), rr
-        direction = resid + (rr / rr_prev) * direction
-    step -= crystal._dot(step, rot) * rot
-    return step, 0.5 * abs(crystal._dot(rhs, step))
-
-
 class TestNewtonStep:
     @staticmethod
     def scaled_point(n_ions, rotation_hz):
@@ -260,16 +233,106 @@ class TestNewtonStep:
         x = (lattice.positions[:, :2] / length_scale(lattice.params)).ravel()
         return x, trap
 
-    @pytest.mark.parametrize("n_ions, rotation_hz", [(20, 44.7e3), (190, 44.7e3)])
-    def test_float64_below_the_switch(self, n_ions, rotation_hz):
-        # at a converged lattice |g_perp| is far below the switch: the step keeps every bit
-        x, trap = self.scaled_point(n_ions, rotation_hz)
+    @classmethod
+    def near_point(cls, n_ions, rotation_hz):
+        """A converged lattice displaced just enough that 1e-9 < |g_perp| <= 1e-6 (a near step):
+        x, trap, grad, and the step's CG tolerance."""
+        x, trap = cls.scaled_point(n_ions, rotation_hz)
+        x = x + 1e-8 * np.random.default_rng(19).standard_normal(len(x))
         _, grad = _energy_gradient_scaled(x, trap)
         rhs = crystal._rotation_and_rhs(x, trap, grad)[1]
-        assert np.sqrt(rhs @ rhs) <= crystal._FLOAT32_GNORM
-        step, decrease = crystal._newton_step(x, trap, grad)
-        expected_step, expected_decrease = float64_newton_step(x, trap, grad)
-        assert np.array_equal(step, expected_step) and decrease == expected_decrease
+        gnorm = np.sqrt(rhs @ rhs)
+        assert 1e-9 < gnorm <= crystal._FLOAT32_GNORM
+        return x, trap, grad, max(np.sqrt(gnorm) * gnorm, 0.1 * crystal._POLISH_TARGET)
+
+    @staticmethod
+    def float64_residual(x, trap, grad, step):
+        """|(H + |g_perp| I + r r^T) s + g_perp| with a float64 product."""
+        rot, rhs = crystal._rotation_and_rhs(x, trap, grad)
+        shifted = _hessian_scaled(x, trap) + np.sqrt(rhs @ rhs) * np.eye(len(x)) + np.outer(rot, rot)
+        residual = np.einsum("ij,j->i", shifted, step) - rhs
+        return np.sqrt(residual @ residual)
+
+    @staticmethod
+    def recorded_cg(monkeypatch):
+        """The (dtype, tol) of each CG run from here on."""
+        calls, cg = [], crystal._cg
+
+        def recording_cg(hess, rot, rhs, tol):
+            calls.append((hess.dtype, tol))
+            return cg(hess, rot, rhs, tol)
+
+        monkeypatch.setattr(crystal, "_cg", recording_cg)
+        return calls
+
+    @pytest.mark.parametrize("n_ions, rotation_hz", [(20, 44.7e3), (190, 44.7e3)])
+    def test_near_step_meets_the_residual_in_float64(self, monkeypatch, n_ions, rotation_hz):
+        # float32 CG rounds under float64 residuals solve the float64 system to the tolerance
+        x, trap, grad, tol = self.near_point(n_ions, rotation_hz)
+        calls = self.recorded_cg(monkeypatch)
+        step, decrease, single = crystal._newton_step(x, trap, grad)
+        assert single and calls and all(dtype == np.float32 for dtype, _ in calls)
+        assert self.float64_residual(x, trap, grad, step) <= tol
+        rhs = crystal._rotation_and_rhs(x, trap, grad)[1]
+        assert decrease == 0.5 * abs(crystal._dot(rhs, step))
+
+    @pytest.mark.parametrize("n_ions, rotation_hz", [(20, 44.7e3), (190, 44.7e3)])
+    def test_refinement_corrects_a_wrong_float32_product(self, monkeypatch, n_ions, rotation_hz):
+        # every float32 product 1e-3 relative wrong: one CG run on it misses the tolerance by far,
+        # and the float64 residuals between float32 rounds still bring the step to it
+        x, trap, grad, tol = self.near_point(n_ions, rotation_hz)
+        product = crystal._shifted_product
+
+        def wrong_product(hess, rot, d):
+            return product(hess, rot, d) * (1.001 if hess.dtype == np.float32 else 1.0)
+
+        monkeypatch.setattr(crystal, "_shifted_product", wrong_product)
+        rot, rhs = crystal._rotation_and_rhs(x, trap, grad)
+        hess = _hessian_scaled(x, trap)
+        hess[np.diag_indices_from(hess)] += np.sqrt(rhs @ rhs)
+        unrefined = crystal._cg(hess.astype(np.float32), rot, rhs, tol)[0]
+        assert self.float64_residual(x, trap, grad, unrefined) > 2.0 * tol
+        calls = self.recorded_cg(monkeypatch)
+        step, _, single = crystal._newton_step(x, trap, grad)
+        assert single and len(calls) >= 2 and all(dtype == np.float32 for dtype, _ in calls)
+        assert self.float64_residual(x, trap, grad, step) <= tol
+
+    def test_flat_valley_switches_to_float64_and_converges(self, monkeypatch):
+        # N = 13 at 43.2 kHz, seed 0: a float32 round fails in the quartically flat valley,
+        # and every later step of the solve takes float64 products
+        flags, newton_step = [], crystal._newton_step
+
+        def recording_step(x, trap, grad, single):
+            step, decrease, still_single = newton_step(x, trap, grad, single)
+            flags.append((single, still_single))
+            return step, decrease, still_single
+
+        monkeypatch.setattr(crystal, "_newton_step", recording_step)
+        calls = self.recorded_cg(monkeypatch)
+        assert solve_equilibrium(paper_trap(43.2e3), 13, seed=0).converged
+        first = next(i for i, (_, still_single) in enumerate(flags) if not still_single)
+        assert flags[first][0] and not any(single for single, _ in flags[first + 1 :])
+        assert any(dtype == np.float64 for dtype, _ in calls)
+
+    def test_last_step_stops_at_the_floor(self, monkeypatch):
+        # the last step's forcing term asks for about 1e-16, below the gradient's own rounding;
+        # CG stops at 0.1 _POLISH_TARGET instead, and the float64 residual meets it
+        steps, newton_step = [], crystal._newton_step
+
+        def recording_step(x, trap, grad, single):
+            result = newton_step(x, trap, grad, single)
+            steps.append((x, trap, grad, result[0]))
+            return result
+
+        monkeypatch.setattr(crystal, "_newton_step", recording_step)
+        calls = self.recorded_cg(monkeypatch)
+        assert solve_equilibrium(paper_trap(44.7e3), 190, seed=0).converged
+        x, trap, grad, step = steps[-1]
+        rhs = crystal._rotation_and_rhs(x, trap, grad)[1]
+        gnorm = np.sqrt(rhs @ rhs)
+        floor = 0.1 * crystal._POLISH_TARGET
+        assert min(0.1, np.sqrt(gnorm)) * gnorm < floor == calls[-1][1]
+        assert self.float64_residual(x, trap, grad, step) <= floor
 
     @pytest.mark.parametrize("n_ions, rotation_hz", [(20, 44.7e3), (190, 44.7e3)])
     def test_float32_products_meet_the_cg_residual(self, monkeypatch, n_ions, rotation_hz):
@@ -285,7 +348,7 @@ class TestNewtonStep:
         types = []
         monkeypatch.setattr(crystal, "_hessian_scaled",
                             lambda *args: types.append(args[2]) or _hessian_scaled(*args))
-        step, decrease = crystal._newton_step(x, trap, grad)
+        step, decrease, _ = crystal._newton_step(x, trap, grad)
         assert types == [np.float32]
         shifted = _hessian_scaled(x, trap) + gnorm * np.eye(len(x)) + np.outer(rot, rot)
         residual = np.einsum("ij,j->i", shifted, step) - rhs
@@ -449,7 +512,7 @@ class TestSolveEquilibrium:
 
     def test_message_names_a_rejected_step(self, monkeypatch):
         monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
-        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad: (grad.copy(), 1.0))  # uphill
+        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad, single: (grad.copy(), 1.0, single))  # uphill
         monkeypatch.setattr(crystal, "_descend", lambda *args: None)
         with pytest.raises(EquilibriumNotConverged, match="stopped on a rejected step after 1 Newton steps"):
             solve_equilibrium(paper_trap(), 30)
@@ -458,7 +521,7 @@ class TestSolveEquilibrium:
         # every Newton step is rejected; the projected steepest-descent step is kept in its place
         monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
         monkeypatch.setattr(crystal, "_MAX_POLISH_STEPS", 5)
-        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad: (grad.copy(), 1.0))
+        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad, single: (grad.copy(), 1.0, single))
         with pytest.raises(EquilibriumNotConverged, match="stopped on the budget after 5 Newton steps") as info:
             solve_equilibrium(paper_trap(), 30)
         assert np.all(np.diff(info.value.best.energy_trace[-6:]) <= 0.0)
@@ -493,7 +556,7 @@ class TestSolveEquilibrium:
         rot = np.column_stack([-x[1::2], x[::2]]).ravel()  # rotation about z
         rot /= np.linalg.norm(rot)
         g_perp = grad - (grad @ rot) * rot
-        _, decrease = crystal._newton_step(x, trap, grad)
+        _, decrease, _ = crystal._newton_step(x, trap, grad)
         assert 0.0 < decrease <= 0.5 * np.linalg.norm(g_perp)
 
     def test_zero_energy_tolerance_still_solves_at_the_final_point(self, monkeypatch):
@@ -504,9 +567,9 @@ class TestSolveEquilibrium:
         def newton_points_and_converged():
             points = []
 
-            def recording_step(x, trap, grad):
+            def recording_step(x, trap, grad, single):
                 points.append(x.tobytes())
-                return newton_step(x, trap, grad)
+                return newton_step(x, trap, grad, single)
 
             monkeypatch.setattr(crystal, "_newton_step", recording_step)
             try:

@@ -23,10 +23,11 @@ from drumhead.crystal import z_stiffness
 from drumhead.modes import MAX_HISTOGRAM_BINS
 from conftest import argsort_diagonalize, paper_trap, solve_cached, spectrum_cached
 
-# (N, rotation Hz, seed): N = 7 to 345. N = 26 at 44.7 kHz has an exact eigenvalue tie; which of
-# the larger ones do (N = 300 at 45.2 kHz, N = 345 at 44.7 kHz) follows eigh's BLAS thread count
+# (N, rotation Hz, seed): N = 7 to 345. N = 26 at 43.2 kHz, seed 1, has an exact eigenvalue tie
+# under one and two BLAS threads; which of the others do (N = 190 at 44.7 kHz) follows the
+# solver's last bits and eigh's BLAS thread count
 LATTICES = [
-    (7, 43.2e3, 0), (12, 43.2e3, 0), (19, 44.7e3, 1), (26, 43.2e3, 0), (26, 44.7e3, 0),
+    (7, 43.2e3, 0), (12, 43.2e3, 0), (19, 44.7e3, 1), (26, 43.2e3, 0), (26, 43.2e3, 1), (26, 44.7e3, 0),
     (50, 43.2e3, 0), (150, 44.7e3, 0), (190, 44.7e3, 0), (250, 44.7e3, 0), (300, 45.2e3, 0),
     (331, 43.2e3, 0), (345, 43.2e3, 0), (345, 44.7e3, 0),
 ]

@@ -20,13 +20,20 @@ L-BFGS step and the polish time, as medians over the rounds. L-BFGS steps
 are the energies the relax adds to the trace plus its last, refused step (a
 3D stage's steps above the plane's energy are not counted). A wrapper on
 `_hessian_scaled` counts the polish's Newton solves (one Hessian each, the
-final certificate solve included when one runs) and, through an ndarray
-subclass that sees each `einsum` on the Hessian, its CG products; both are
-split by the Hessian's dtype (float32 or float64). One more process per tree
+final certificate solve included when one runs): far ones, whose Hessian is
+built in float32, and near ones, built in float64. Through an ndarray
+subclass that sees each `einsum` on the Hessian or its float32 copy, and a
+wrapper on `_cg`, each solve also reports its float32 and float64 CG
+products, its near-step rounds (float32 CG runs on a float64-built Hessian,
+each closed by one float64 residual product, not counted as a CG product)
+and whether it switched to float64 CG products (1 or 0). A tree without
+`_cg` (CG inside `_newton_step`) counts every `einsum` on the Hessian as a
+CG product, and its rounds and switch read 0. One more process per tree
 solves the 384 small crystals of `SMALL_SOLVES` (N = 7, 13, 19 and 20, seeds
 0-23, at 42.2, 43.2, 44.7 and 45.0 kHz). It lists those that do not
-converge, with the reason, and counts those that end above max |g| 1e-10
-(scaled units, against the 1e-9 bar), with the largest final max |g|.
+converge, with the reason, counts those that end above max |g| 1e-10
+(scaled units, against the 1e-9 bar), with the largest final max |g|, and
+counts the solves that switched to float64 CG products.
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
@@ -70,7 +77,7 @@ SMALL_SOLVES = tuple((n_ions, rotation_hz, seed) for rotation_hz in (42.2e3, 43.
                      for n_ions in (7, 13, 19, 20) for seed in range(24))
 # a small solve's final max |g| (scaled units) counts as thin margin above this, against the 1e-9 bar
 MARGIN_GMAX = 1e-10
-PRECISION_KEYS = ("newton_float32", "newton_float64", "cg_float32", "cg_float64")
+PRECISION_KEYS = ("newton_far", "newton_near", "cg_float32", "cg_float64", "near_rounds", "switched_to_float64")
 IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
                "print(time.perf_counter() - start)")
 
@@ -166,7 +173,7 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
 
 
 def _instrument(crystal) -> dict:
-    """Wrap `crystal`'s kernel, relax, polish and Hessian; returns the tally the wrappers add to."""
+    """Wrap `crystal`'s kernel, relax, polish, Hessian and CG; returns the tally the wrappers add to."""
     import time
 
     import numpy as np
@@ -175,19 +182,35 @@ def _instrument(crystal) -> dict:
                            *PRECISION_KEYS), 0)
     kernel, relax, polish, hessian = (crystal._energy_gradient_scaled, crystal._relax, crystal._polish,
                                       crystal._hessian_scaled)
+    cg = getattr(crystal, "_cg", None)  # the parent tree's CG runs inside `_newton_step`
+    state = {"in_cg": cg is None, "near": False}
 
     class CountedHessian(np.ndarray):
-        """A Hessian that counts the CG products (`einsum` calls) taken with it."""
+        """A Hessian that counts the CG products (`einsum` calls inside CG) taken with it, by its dtype; its
+        float32 copy (`astype`) is one too."""
 
         def __array_function__(self, func, types, args, kwargs):
-            if func is np.einsum:
+            if func is np.einsum and state["in_cg"]:
                 tally[f"cg_{self.dtype}"] += 1
             return super().__array_function__(func, types, args, kwargs)
 
     def counted_hessian(*args, **kwargs):  # the parent tree's takes no dtype
         result = hessian(*args, **kwargs)
-        tally[f"newton_{result.dtype}"] += 1
+        state["near"] = result.dtype == np.float64
+        tally["newton_near" if state["near"] else "newton_far"] += 1
         return result.view(CountedHessian)
+
+    def counted_cg(hess, *args):
+        # float64 CG products run only once a near step has fallen back; a float32 CG in a near step is a round
+        if hess.dtype == np.float64:
+            tally["switched_to_float64"] = 1
+        elif state["near"]:
+            tally["near_rounds"] += 1
+        state["in_cg"] = True
+        try:
+            return cg(hess, *args)
+        finally:
+            state["in_cg"] = False
 
     def counted_kernel(*args):
         start = time.perf_counter()
@@ -212,6 +235,8 @@ def _instrument(crystal) -> dict:
 
     crystal._energy_gradient_scaled, crystal._relax, crystal._polish = counted_kernel, timed_relax, timed_polish
     crystal._hessian_scaled = counted_hessian
+    if cg is not None:
+        crystal._cg = counted_cg
     return tally
 
 
@@ -246,18 +271,22 @@ def _small_worker() -> dict:
     """Solve SMALL_SOLVES in this process; drumhead comes from PYTHONPATH."""
     from drumhead import EquilibriumNotConverged, TrapParams, crystal, solve_equilibrium
 
-    failed, final_gmax = [], []
+    tally = _instrument(crystal)
+    failed, final_gmax, switched = [], [], 0
     for n_ions, rotation_hz, seed in SMALL_SOLVES:
         params = TrapParams.from_hz(795e3, 7.6e6, rotation_hz)
+        tally["switched_to_float64"] = 0
         try:
             lattice = solve_equilibrium(params, n_ions, seed=seed)
         except EquilibriumNotConverged as exc:
             lattice = exc.best
             failed.append({"n_ions": n_ions, "rotation_hz": rotation_hz, "seed": seed, "message": str(exc)})
+        switched += tally["switched_to_float64"]
         # the scaled gradient: the residual force over the force unit M w1^2 l0
         final_gmax.append(lattice.residual_force_max / (params.mass * params.omega_1**2 * crystal.length_scale(params)))
     return {"solves": len(SMALL_SOLVES), "not_converged": failed,
-            "above_margin": sum(g > MARGIN_GMAX for g in final_gmax), "largest_final_gmax": max(final_gmax)}
+            "above_margin": sum(g > MARGIN_GMAX for g in final_gmax), "largest_final_gmax": max(final_gmax),
+            "switched_to_float64": switched}
 
 
 def _startup_and_solves(trees: dict, repeats: int) -> dict:
@@ -392,14 +421,17 @@ def main(argv=None) -> int:
               f"kernel calls {old['kernel_calls']:5d} -> {new['kernel_calls']:5d}, relax outside the kernel "
               f"{old['relax_outside_kernel_per_step_s'] * 1e6:6.1f} -> {new['relax_outside_kernel_per_step_s'] * 1e6:6.1f}"
               f" us/step, polish {old['polish_s']:6.3f} -> {new['polish_s']:6.3f} s")
-        print(f"      {key:22s} Newton solves float32/float64 {old['newton_float32']}/{old['newton_float64']} -> "
-              f"{new['newton_float32']}/{new['newton_float64']}, CG products float32/float64 "
-              f"{old['cg_float32']}/{old['cg_float64']} -> {new['cg_float32']}/{new['cg_float64']}")
+        print(f"      {key:22s} Newton solves far/near {old['newton_far']}/{old['newton_near']} -> "
+              f"{new['newton_far']}/{new['newton_near']}, CG products float32/float64 "
+              f"{old['cg_float32']}/{old['cg_float64']} -> {new['cg_float32']}/{new['cg_float64']}, near-step "
+              f"rounds {old['near_rounds']} -> {new['near_rounds']}, switched to float64 "
+              f"{old['switched_to_float64']} -> {new['switched_to_float64']}")
     old, new = (startup[side]["small_solves"] for side in ("parent", "change"))
     print(f"small solves not converged {len(old['not_converged'])} -> {len(new['not_converged'])} of "
           f"{len(SMALL_SOLVES)}; ending above max |g| {MARGIN_GMAX:g} {old['above_margin']} -> "
           f"{new['above_margin']}; largest final max |g| {old['largest_final_gmax']:.2e} -> "
-          f"{new['largest_final_gmax']:.2e}")
+          f"{new['largest_final_gmax']:.2e}; switched to float64 CG products {old['switched_to_float64']} -> "
+          f"{new['switched_to_float64']}")
     old, new = (max(startup[side]["solve_process_peak_rss_mb"]) for side in ("parent", "change"))
     print(f"solve process peak RSS {old:9.1f} -> {new:9.1f} MB (largest of {SOLVE_ROUNDS})")
     record["sizes"] = {}
