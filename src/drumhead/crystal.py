@@ -66,8 +66,8 @@ _MAX_POLISH_STEPS = 400
 # Rows per block of every pairwise pass (`_pair_blocks`).
 _ROW_BLOCK = 64
 # Most ions in a crystal. A planar near Newton step holds the float64 Hessian and its float32
-# copy, 48 N^2 + 3 kB N bytes, 1.2 GB at N = 5000, and a buckled one 108 N^2, 2.7 GB: within
-# 8 GB. A far step holds only a float32 Hessian.
+# copy, 48 N^2 bytes (48.2 MB traced at N = 1000), 1.2 GB at N = 5000, and a buckled one
+# 108 N^2, 2.7 GB: within 8 GB. A far step holds only a float32 Hessian.
 MAX_IONS = 5000
 
 
