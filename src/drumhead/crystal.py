@@ -34,8 +34,7 @@ rows, so each row sum keeps its order. The only (N, N) arrays are the Hessian an
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +76,28 @@ def length_scale(params: TrapParams) -> float:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What one `solve_equilibrium` did, counted by the solver as it ran. Newton solves count the
+    certificate's too; a relax stage ends on "the hand-over" (max |g| <= 1e-4), "an energy stall"
+    or "the budget", the polish on "the gradient target", "slow progress", "a rejected step" or
+    "the budget"."""
+
+    kernel_calls: int = 0           # energy-gradient evaluations, in every stage
+    lbfgs_steps: int = 0            # L-BFGS steps taken, over both relax stages
+    relax_ended: tuple[str, ...] = ()  # the rule that ended each relax stage, 2D then 3D
+    newton_steps: int = 0           # Newton steps of the polish
+    descent_steps: int = 0          # steepest-descent steps kept in place of rejected Newton steps
+    newton_far: int = 0             # Newton solves on a float32 Hessian (|g_perp| above 1e-6)
+    newton_near: int = 0            # Newton solves on a float64 Hessian
+    cg_float32: int = 0             # CG products with a float32 Hessian
+    cg_float64: int = 0             # CG products with a float64 Hessian
+    cg_capped: int = 0              # CG runs stopped on their cap of 2N (3N) products above tolerance
+    near_rounds: int = 0            # float32 CG rounds of near steps, each closed by a float64 residual
+    switched_to_float64: bool = False  # a round failed: later near steps take float64 products
+    polish_ended: str | None = None  # the rule that ended the polish
+
+
+@dataclass(frozen=True)
 class CrystalLattice:
     """A relaxed ion configuration in the rotating frame.
 
@@ -87,6 +108,8 @@ class CrystalLattice:
                         the solve then keeps z = 0 exactly
     energy              total potential energy, joules
     energy_trace        energies of accepted minimizer steps (monotone audit trail)
+    solve_stats         what the solve that made it did (`SolveStats`); None for a lattice
+                        read from a file
     """
 
     params: TrapParams
@@ -97,6 +120,7 @@ class CrystalLattice:
     energy: float
     seed: int
     energy_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    solve_stats: SolveStats | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -268,6 +292,24 @@ def _seed_scaled(n_ions: int, b: float, rng: np.random.Generator) -> np.ndarray:
 # solver
 
 
+class _SolveLog:
+    """One solve's running record: the energies of accepted steps (`trace`) and the fields of
+    `SolveStats`, which `_relax`, `_polish`, `_newton_step`, `_cg` and `_descend` update as they
+    run. Its `switched_to_float64` is also the solve's switch to float64 near steps."""
+
+    def __init__(self):
+        self.trace: list[float] = []
+        for stat in fields(SolveStats):
+            setattr(self, stat.name, stat.default)
+
+    def energy_gradient(self, x: np.ndarray, trap: np.ndarray):
+        self.kernel_calls += 1
+        return _energy_gradient_scaled(x, trap)
+
+    def stats(self) -> SolveStats:
+        return SolveStats(**{stat.name: getattr(self, stat.name) for stat in fields(SolveStats)})
+
+
 class _InverseHessian:
     """L-BFGS inverse Hessian of the last `memory` pairs (s, y) in compact form (Byrd, Nocedal &
     Schnabel, Math. Prog. 63, 129 (1994)), which is the two-loop recursion's H:
@@ -275,8 +317,9 @@ class _InverseHessian:
         H = gamma I + [S Y] [[R^-T (D + gamma Y^T Y) R^-1, -gamma R^-T], [-gamma R^-1, 0]] [S Y]^T
 
     with R the upper triangle of S^T Y over the pairs in the order stored and D its diagonal.
-    The pairs sit in a ring of memory + 1 slots; R^-1, D and Y^T Y are indexed by slot, and R^-1
-    is zero on every row and column of a slot not in use, which masks that slot everywhere else.
+    The pairs sit in a ring of memory + 1 slots, filled in turn from slot 0, so the `stored` pairs
+    are the slots before `next`, cyclically; R^-1, D and Y^T Y are indexed by slot, and R^-1 is
+    zero on every row and column of a slot not in use, which masks that slot everywhere else.
     Dropping the oldest pair zeros its row and column (the inverse of a trailing block of a
     triangle is the same block of its inverse); storing one borders R^-1 with one column. A
     product H g costs two einsum passes over the ring, and storing a pair one more.
@@ -292,34 +335,32 @@ class _InverseHessian:
 
     def clear(self) -> None:
         self.r_inv[:] = 0.0
-        self.pairs: deque = deque()  # slots in use, oldest first
-        self.free = list(range(self.memory, -1, -1))
+        self.stored = self.next = 0
 
     def add(self, s: np.ndarray, y: np.ndarray) -> None:
         """Store (s, y) unless s.y <= 0, dropping the oldest pair when memory is full; the
         scaling gamma becomes s.y / y.y."""
-        slot = self.free[-1]
+        slot = self.next
         self.ring[slot, 0], self.ring[slot, 1] = s, y
         dots = np.einsum("pcj,j->pc", self.ring, self.ring[slot, 1])  # (s_i.y, y_i.y) per slot
         sy, yy = dots[slot]
         if not sy > 0.0:
             return
-        self.free.pop()
-        if len(self.pairs) == self.memory:
-            oldest = self.pairs.popleft()
-            self.r_inv[oldest] = self.r_inv[:, oldest] = 0.0
-            self.free.append(oldest)
+        self.next = (slot + 1) % len(self.ring)
+        if self.stored == self.memory:
+            self.r_inv[self.next] = self.r_inv[:, self.next] = 0.0  # the oldest pair
+        else:
+            self.stored += 1
         # R gains the column s_i.y (zero R^-1 columns mask the slots not in use) and sy below it
         self.r_inv[:, slot] = np.einsum("ij,j->i", self.r_inv, dots[:, 0]) / -sy
         self.r_inv[slot, slot] = 1.0 / sy
         self.d[slot] = sy
         self.yy[slot] = self.yy[:, slot] = dots[:, 1]
-        self.pairs.append(slot)
         self.gamma = sy / yy
 
     def times(self, g: np.ndarray) -> np.ndarray:
         """H g."""
-        if not self.pairs:
+        if not self.stored:
             return self.gamma * g
         sg, yg = np.einsum("pcj,j->cp", self.ring, g)
         u = np.einsum("ij,j->i", self.r_inv, sg)
@@ -332,21 +373,24 @@ class _InverseHessian:
         return hg
 
 
-def _relax(x: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
+def _relax(x: np.ndarray, trap: np.ndarray, log: _SolveLog) -> np.ndarray:
     """L-BFGS descent (Liu & Nocedal, Math. Prog. 45, 503 (1989)) in the space of
-    `trap`'s dimension, with Armijo backtracking; appends accepted energies to `trace`.
+    `trap`'s dimension, with Armijo backtracking; appends accepted energies to `log.trace`.
 
     The direction comes from the compact form of the last 25 pairs (`_InverseHessian`).
     Pairs with s.y <= 0 are skipped; a non-descent direction restarts from steepest
     descent. Stops at max |g| <= `_HANDOVER_GTOL` (1e-4), where a few Newton steps of the
     polish replace the L-BFGS tail, or at a step lowering the energy by at most 1e-17
-    relative (below rounding a step can pass Armijo), which is not taken.
+    relative (below rounding a step can pass Armijo), which is not taken. The rule that
+    ended it goes to `log.relax_ended`.
     """
-    energy, grad = _energy_gradient_scaled(x, trap)
+    energy, grad = log.energy_gradient(x, trap)
     # initial inverse Hessian gamma * I: a unit first step, then s.y / y.y of the last pair
     inverse = _InverseHessian(len(x), 25, 1.0 / max(math.sqrt(_dot(grad, grad)), 1e-300))
+    rule = "the budget"
     for _ in range(_MAX_RELAX_STEPS):
         if np.max(np.abs(grad)) <= _HANDOVER_GTOL:
+            rule = "the hand-over"
             break
         step = -inverse.times(grad)
         slope = _dot(grad, step)
@@ -355,17 +399,20 @@ def _relax(x: np.ndarray, trap: np.ndarray, trace: list) -> np.ndarray:
             step, slope = -inverse.gamma * grad, -inverse.gamma * _dot(grad, grad)
         for _ in range(60):
             x_try = x + step
-            e_try, g_try = _energy_gradient_scaled(x_try, trap)
+            e_try, g_try = log.energy_gradient(x_try, trap)
             if e_try <= energy + 1e-4 * slope:
                 break
             step, slope = 0.5 * step, 0.5 * slope
         if energy - e_try <= 1e-17 * max(abs(energy), abs(e_try), 1.0):
+            rule = "an energy stall"
             break
         inverse.add(x_try - x, g_try - grad)
         x, energy, grad = x_try, e_try, g_try
+        log.lbfgs_steps += 1
         # a 3D restart may begin above the plane's energy; the trace resumes below it
-        if not trace or energy < trace[-1]:
-            trace.append(energy)
+        if not log.trace or energy < log.trace[-1]:
+            log.trace.append(energy)
+    log.relax_ended += (rule,)
     return x
 
 
@@ -384,30 +431,39 @@ def _shifted_product(hess: np.ndarray, rot: np.ndarray, d: np.ndarray) -> np.nda
     return np.einsum("ij,j->i", hess, d.astype(hess.dtype, copy=False)) + _dot(rot, d) * rot
 
 
-def _cg(hess: np.ndarray, rot: np.ndarray, rhs: np.ndarray, tol: float):
+def _cg(hess: np.ndarray, rot: np.ndarray, rhs: np.ndarray, tol: float, log: _SolveLog):
     """Truncated CG (Steihaug; Nocedal & Wright, section 7.1) on (hess + r r^T) s = rhs from s = 0:
     s at the first residual <= tol and True, or, on non-positive curvature, the step so far (or
-    the first direction) and False. The CG vectors and sums are float64 whatever hess's dtype."""
+    the first direction) and False. The CG vectors and sums are float64 whatever hess's dtype.
+    Its products count in `log` by hess's dtype. After len(rhs) products it stops and returns s
+    and True whatever the residual, and a run that stops there above tol counts in
+    `log.cg_capped`."""
     step, resid, direction = np.zeros_like(rhs), rhs, rhs
-    rr = _dot(rhs, rhs)
-    for _ in range(len(rhs)):
-        if math.sqrt(rr) <= tol:
-            break
+    rr, products, curved = _dot(rhs, rhs), 0, True
+    while math.sqrt(rr) > tol and products < len(rhs):
         h_dir = _shifted_product(hess, rot, direction)
+        products += 1
         curvature = _dot(direction, h_dir)
         if not curvature > 0.0:
-            return (step if step.any() else direction.copy()), False
+            curved = False
+            break
         alpha = rr / curvature
         step += alpha * direction
         resid = resid - alpha * h_dir
         rr, rr_prev = _dot(resid, resid), rr
         direction = resid + (rr / rr_prev) * direction
+    if hess.dtype == np.float32:
+        log.cg_float32 += products
+    else:
+        log.cg_float64 += products
+    if not curved:
+        return (step if step.any() else direction.copy()), False
+    log.cg_capped += math.sqrt(rr) > tol
     return step, True
 
 
-def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, single: bool = True):
-    """Step s solving (H + |g| I + r r^T) s = -g at x, its predicted decrease 1/2 |g.s|, and
-    whether later near steps may still refine in float32 (`single`, False once one fell back).
+def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, log: _SolveLog):
+    """Step s solving (H + |g| I + r r^T) s = -g at x, and its predicted decrease 1/2 |g.s|.
 
     g and s are orthogonal to r, the unit rotation about z (zero with a wall). CG (`_cg`)
     stops at a residual of min(0.1, sqrt|g|) |g|, raised to 0.1 `_POLISH_TARGET` where that
@@ -422,8 +478,9 @@ def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, single: bool
     tolerance), adds its step, and recomputes r = -g - (H + |g| I + r r^T) s with one float64
     product, until |r| meets the tolerance. A round that ends on non-positive curvature, or
     leaves |r| above both the tolerance and half its previous value, is dropped: CG with
-    float64 products finishes the step from r, and `single` turns False. A near step given
-    `single` False takes float64 products from the start.
+    float64 products finishes the step from r, and `log.switched_to_float64` turns True. A
+    near step of a solve so switched takes float64 products from the start. The step counts in
+    `log` as far or near, with its rounds.
     """
     rot, rhs = _rotation_and_rhs(x, trap, grad)
     gnorm = math.sqrt(_dot(rhs, rhs))
@@ -432,77 +489,83 @@ def _newton_step(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, single: bool
     hess = _hessian_scaled(x, trap, np.float32 if far else np.float64)
     hess[np.diag_indices_from(hess)] += gnorm
     if far:
-        step = _cg(hess, rot, rhs, tol)[0]
+        log.newton_far += 1
+        step = _cg(hess, rot, rhs, tol, log)[0]
     else:
+        log.newton_near += 1
         step, resid, norm = np.zeros_like(rhs), rhs, gnorm
-        hess32 = hess.astype(np.float32) if single else None
-        while single and norm > tol:
-            delta, curved = _cg(hess32, rot, resid, max(tol, 1e-3 * norm))
+        hess32 = None if log.switched_to_float64 else hess.astype(np.float32)
+        while not log.switched_to_float64 and norm > tol:
+            log.near_rounds += 1
+            delta, curved = _cg(hess32, rot, resid, max(tol, 1e-3 * norm), log)
             trial = step + delta
             trial_resid = rhs - _shifted_product(hess, rot, trial)
             trial_norm = math.sqrt(_dot(trial_resid, trial_resid))
-            single = curved and (trial_norm <= tol or trial_norm <= 0.5 * norm)
-            if single:
+            if curved and (trial_norm <= tol or trial_norm <= 0.5 * norm):
                 step, resid, norm = trial, trial_resid, trial_norm
+            else:
+                log.switched_to_float64 = True
         if norm > tol:
-            step += _cg(hess, rot, resid, tol)[0]
+            step += _cg(hess, rot, resid, tol, log)[0]
     step -= _dot(step, rot) * rot
-    return step, 0.5 * abs(_dot(rhs, step)), single
+    return step, 0.5 * abs(_dot(rhs, step))
 
 
-def _descend(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, energy: float, gmax: float):
+def _descend(x: np.ndarray, trap: np.ndarray, grad: np.ndarray, energy: float, gmax: float,
+             log: _SolveLog):
     """The projected steepest-descent step -g_perp, halved up to 40 times: the first point
     (x, energy, gradient, max |gradient|) whose energy does not rise and whose max |g| falls,
     or None."""
     step = _rotation_and_rhs(x, trap, grad)[1]
     for _ in range(40):
         x_try = x + step
-        e_try, g_try = _energy_gradient_scaled(x_try, trap)
+        e_try, g_try = log.energy_gradient(x_try, trap)
         if e_try <= energy and (g_try_max := np.max(np.abs(g_try))) < gmax:
             return x_try, e_try, g_try, g_try_max
         step = 0.5 * step
     return None
 
 
-def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
-    """Newton-CG polish (`_newton_step`); returns x, energy, max |gradient|, the energy
-    decrease 1/2 |g.s| one more step s predicts there (or a bound on it), and the rule that
-    ended it with the number of Newton steps.
+def _polish(x: np.ndarray, trap: np.ndarray, log: _SolveLog):
+    """Newton-CG polish (`_newton_step`); returns x, energy, max |gradient| and the energy
+    decrease 1/2 |g.s| one more step s predicts there (or a bound on it). Its Newton steps,
+    the descent steps it keeps and the rule that ended it go to `log`.
 
     It starts where the relax hands over, at max |g| <= 1e-4, and takes 3-21 Newton steps
     at N = 19-345: the ones above |g_perp| = 1e-6 on a float32 Hessian, then 1-2 near steps
     of float32 CG rounds under float64 residuals (`_newton_step`). Once a near step falls
-    back to float64 CG products, every later near step of the solve takes them from the
-    start: in the small crystals' flat valleys a round that failed once mostly fails again.
-    The |g| shift keeps quasi-flat directions (shell rearrangements) from dominating a step
-    far from the minimum and fades as g vanishes; r r^T lifts the rotational zero mode.
-    Steps are capped at 0.5 scaled units and halved up to 30 times. When the line search
-    rejects a Newton step above the 1e-9 bar, a projected steepest-descent step
-    (`_descend`) is tried in its place. The polish stops at the first step neither keeps,
-    whose solve gives the decrease, or at a small gradient, where H >= 0 (a minimum) bounds
+    back to float64 CG products (`log.switched_to_float64`), every later near step of the
+    solve takes them from the start: in the small crystals' flat valleys a round that failed
+    once mostly fails again. The |g| shift keeps quasi-flat directions (shell rearrangements)
+    from dominating a step far from the minimum and fades as g vanishes; r r^T lifts the
+    rotational zero mode. Steps are capped at 0.5 scaled units and halved up to 30 times.
+    When the line search rejects a Newton step above the 1e-9 bar, a projected
+    steepest-descent step (`_descend`) is tried in its place. The polish stops at the first
+    step neither keeps ("a rejected step"), whose solve gives the decrease, or at a small
+    gradient ("the gradient target" or "slow progress"), where H >= 0 (a minimum) bounds
     every CG iterate's 1/2 |g.s| by 1/2 |g_perp|: that bound is the decrease if below
-    ENERGY_RTOL |E|, else one more solve runs.
+    ENERGY_RTOL |E|, else the certificate's solve runs, which is not a step.
     """
-    energy, grad = _energy_gradient_scaled(x, trap)
-    if not trace or energy < trace[-1]:
-        trace.append(energy)
+    energy, grad = log.energy_gradient(x, trap)
+    if not log.trace or energy < log.trace[-1]:
+        log.trace.append(energy)
     gmax = np.max(np.abs(grad))
-    slow = steps = 0
-    decrease, rule, single = None, "the budget", True
-    while steps < _MAX_POLISH_STEPS:
+    slow = 0
+    decrease, rule = None, "the budget"
+    while log.newton_steps < _MAX_POLISH_STEPS:
         # Magic-number crystals have quartically flat intershell-libration
         # valleys; once the gradient is below the convergence bar and barely
         # improving, grinding further buys nothing.
         if gmax <= _POLISH_TARGET or (gmax <= _SCALED_GTOL and slow >= 3):
             rule = "the gradient target" if gmax <= _POLISH_TARGET else "slow progress"
             break
-        step, decrease, single = _newton_step(x, trap, grad, single)
-        steps += 1
+        step, decrease = _newton_step(x, trap, grad, log)
+        log.newton_steps += 1
         step *= min(1.0, 0.5 / max(np.max(np.abs(step)), 1e-300))
         scale, kept, prev_gmax = 1.0, None, gmax
         for _ in range(30):
             x_try = x + scale * step
-            e_try, g_try = _energy_gradient_scaled(x_try, trap)
+            e_try, g_try = log.energy_gradient(x_try, trap)
             g_try_max = np.max(np.abs(g_try))
             if e_try <= energy or (math.isclose(e_try, energy, rel_tol=1e-14) and g_try_max < gmax):
                 if e_try < energy or g_try_max < gmax:
@@ -512,19 +575,21 @@ def _polish(x: np.ndarray, trap: np.ndarray, trace: list):
         if kept is None and gmax > _SCALED_GTOL:
             # the last bits of the relax can leave a small crystal where the Newton step
             # is rejected just above the bar; plain descent still lowers the gradient there
-            kept = _descend(x, trap, grad, energy, gmax)
+            kept = _descend(x, trap, grad, energy, gmax, log)
+            log.descent_steps += kept is not None
         if kept is None:
             rule = "a rejected step"
             break
         x, energy, grad, gmax = kept
-        trace.append(energy)
+        log.trace.append(energy)
         decrease = None
         slow = slow + 1 if gmax > 0.3 * prev_gmax else 0
     if decrease is None:
         rhs = _rotation_and_rhs(x, trap, grad)[1]
         half_gnorm = 0.5 * math.sqrt(_dot(rhs, rhs))
-        decrease = half_gnorm if half_gnorm <= ENERGY_RTOL * abs(energy) else _newton_step(x, trap, grad, single)[1]
-    return x, energy, gmax, decrease, f"{rule} after {steps} Newton steps"
+        decrease = half_gnorm if half_gnorm <= ENERGY_RTOL * abs(energy) else _newton_step(x, trap, grad, log)[1]
+    log.polish_ended = rule
+    return x, energy, gmax, decrease
 
 
 def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> CrystalLattice:
@@ -545,7 +610,8 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
     Raises ValueError unless 1 <= n_ions <= MAX_IONS, and EquilibriumNotConverged (carrying
     the best-so-far lattice in `.best`) when a tolerance is missed; its message names the rule
     that ended the polish (a rejected step, or the budget of `_MAX_POLISH_STEPS` Newton steps)
-    and the Newton steps taken. Each relax stage has `_MAX_RELAX_STEPS` L-BFGS steps.
+    and the Newton steps taken, as the lattice's `solve_stats` (`SolveStats`) counts them. Each
+    relax stage has `_MAX_RELAX_STEPS` L-BFGS steps.
     """
     if not 1 <= n_ions <= MAX_IONS:
         raise ValueError(f"n_ions must be between 1 and {MAX_IONS}, got {n_ions}")
@@ -564,11 +630,12 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
             energy=0.0,
             seed=seed,
             energy_trace=np.zeros(1),
+            solve_stats=SolveStats(),
         )
 
     rng = np.random.default_rng(seed)
-    trace: list[float] = []
-    x = _relax(_seed_scaled(n_ions, beta(params), rng).ravel(), trap[:2], trace)
+    log = _SolveLog()
+    x = _relax(_seed_scaled(n_ions, beta(params), rng).ravel(), trap[:2], log)
     planar = bool(np.linalg.eigvalsh(z_stiffness(x.reshape(-1, 2)))[0] > 0.0)
     if planar:
         trap = trap[:2]
@@ -577,10 +644,11 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
         # component along every soft mode and keeps no symmetry of the plane that
         # could hold the descent on a 3D saddle.
         z = _BUCKLE_PUSH * rng.standard_normal(n_ions)
-        x = _relax(np.column_stack([x.reshape(-1, 2), z]).ravel(), trap, trace)
+        x = _relax(np.column_stack([x.reshape(-1, 2), z]).ravel(), trap, log)
     # The decrease one more Newton step predicts is the honest "relative energy
     # change of one more step"; with no z gradient on the plane, 2N = 3N here.
-    x, energy, gmax, decrease, ended = _polish(x, trap, trace)
+    x, energy, gmax, decrease = _polish(x, trap, log)
+    stats = log.stats()
     residual_si = gmax * f0
     rel_de = decrease / max(abs(energy), 1e-300)
     converged = residual_si <= FORCE_TOL and gmax <= _SCALED_GTOL and rel_de <= ENERGY_RTOL
@@ -595,12 +663,13 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
         planar=planar,
         energy=energy * e0,
         seed=seed,
-        energy_trace=np.asarray(trace) * e0,
+        energy_trace=np.asarray(log.trace) * e0,
+        solve_stats=stats,
     )
     if not converged:
         raise EquilibriumNotConverged(
             f"residual force {residual_si:.3e} N (scaled gradient {gmax:.3e}); "
-            f"the polish stopped on {ended}",
+            f"the polish stopped on {stats.polish_ended} after {stats.newton_steps} Newton steps",
             best=lattice,
         )
     return lattice

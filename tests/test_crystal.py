@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -258,9 +259,9 @@ class TestNewtonStep:
         """The (dtype, tol) of each CG run from here on."""
         calls, cg = [], crystal._cg
 
-        def recording_cg(hess, rot, rhs, tol):
+        def recording_cg(hess, rot, rhs, tol, log):
             calls.append((hess.dtype, tol))
-            return cg(hess, rot, rhs, tol)
+            return cg(hess, rot, rhs, tol, log)
 
         monkeypatch.setattr(crystal, "_cg", recording_cg)
         return calls
@@ -270,7 +271,8 @@ class TestNewtonStep:
         # float32 CG rounds under float64 residuals solve the float64 system to the tolerance
         x, trap, grad, tol = self.near_point(n_ions, rotation_hz)
         calls = self.recorded_cg(monkeypatch)
-        step, decrease, single = crystal._newton_step(x, trap, grad)
+        step, decrease = crystal._newton_step(x, trap, grad, log := crystal._SolveLog())
+        single = not log.switched_to_float64
         assert single and calls and all(dtype == np.float32 for dtype, _ in calls)
         assert self.float64_residual(x, trap, grad, step) <= tol
         rhs = crystal._rotation_and_rhs(x, trap, grad)[1]
@@ -290,10 +292,11 @@ class TestNewtonStep:
         rot, rhs = crystal._rotation_and_rhs(x, trap, grad)
         hess = _hessian_scaled(x, trap)
         hess[np.diag_indices_from(hess)] += np.sqrt(rhs @ rhs)
-        unrefined = crystal._cg(hess.astype(np.float32), rot, rhs, tol)[0]
+        unrefined = crystal._cg(hess.astype(np.float32), rot, rhs, tol, crystal._SolveLog())[0]
         assert self.float64_residual(x, trap, grad, unrefined) > 2.0 * tol
         calls = self.recorded_cg(monkeypatch)
-        step, _, single = crystal._newton_step(x, trap, grad)
+        step, _ = crystal._newton_step(x, trap, grad, log := crystal._SolveLog())
+        single = not log.switched_to_float64
         assert single and len(calls) >= 2 and all(dtype == np.float32 for dtype, _ in calls)
         assert self.float64_residual(x, trap, grad, step) <= tol
 
@@ -302,10 +305,11 @@ class TestNewtonStep:
         # and every later step of the solve takes float64 products
         flags, newton_step = [], crystal._newton_step
 
-        def recording_step(x, trap, grad, single):
-            step, decrease, still_single = newton_step(x, trap, grad, single)
-            flags.append((single, still_single))
-            return step, decrease, still_single
+        def recording_step(x, trap, grad, log):
+            single = not log.switched_to_float64
+            result = newton_step(x, trap, grad, log)
+            flags.append((single, not log.switched_to_float64))
+            return result
 
         monkeypatch.setattr(crystal, "_newton_step", recording_step)
         calls = self.recorded_cg(monkeypatch)
@@ -319,8 +323,8 @@ class TestNewtonStep:
         # CG stops at 0.1 _POLISH_TARGET instead, and the float64 residual meets it
         steps, newton_step = [], crystal._newton_step
 
-        def recording_step(x, trap, grad, single):
-            result = newton_step(x, trap, grad, single)
+        def recording_step(x, trap, grad, log):
+            result = newton_step(x, trap, grad, log)
             steps.append((x, trap, grad, result[0]))
             return result
 
@@ -348,7 +352,7 @@ class TestNewtonStep:
         types = []
         monkeypatch.setattr(crystal, "_hessian_scaled",
                             lambda *args: types.append(args[2]) or _hessian_scaled(*args))
-        step, decrease, _ = crystal._newton_step(x, trap, grad)
+        step, decrease = crystal._newton_step(x, trap, grad, crystal._SolveLog())
         assert types == [np.float32]
         shifted = _hessian_scaled(x, trap) + gnorm * np.eye(len(x)) + np.outer(rot, rot)
         residual = np.einsum("ij,j->i", shifted, step) - rhs
@@ -376,7 +380,7 @@ class TestInverseHessian:
                 expected = two_loop(pairs, inverse.gamma, g)
                 assert np.max(np.abs(inverse.times(g) - expected)) <= 1e-12 * np.max(np.abs(expected))
                 checked.add(k)
-        assert len(inverse.pairs) == memory and checked == {1, 2, 25, 26, 40}
+        assert inverse.stored == memory and checked == {1, 2, 25, 26, 40}
 
     def test_skipped_pair_and_clear(self):
         rng = np.random.default_rng(16)
@@ -385,11 +389,158 @@ class TestInverseHessian:
         s = rng.standard_normal(n)
         inverse.add(s, 2.0 * s)
         inverse.add(s, -s)  # s.y < 0: not stored, gamma kept
-        assert len(inverse.pairs) == 1 and inverse.gamma == pytest.approx(0.5)
+        assert inverse.stored == 1 and inverse.gamma == pytest.approx(0.5)
         g = rng.standard_normal(n)
         assert np.allclose(inverse.times(g), two_loop([(s, 2.0 * s)], 0.5, g), rtol=1e-13, atol=0.0)
         inverse.clear()
         assert np.array_equal(inverse.times(g), 0.5 * g)
+
+
+def counted_solve(monkeypatch, n_ions, rotation_hz, seed):
+    """A solve under wrappers on the solver's private functions, and the SolveStats fields they count.
+
+    Kernel calls wrap `_energy_gradient_scaled`; CG products wrap `_shifted_product` inside `_cg`, by
+    the Hessian's dtype, and the one outside `_cg` is a near round's float64 residual. A Hessian
+    built in float32 is a far Newton solve, one in float64 a near one. The last Newton solve is the
+    certificate's when no kernel call follows it. Each `_cg` run is repeated by the loop it had
+    before it counted, which must give the same step and says whether it used every iteration
+    and ended above its tolerance. L-BFGS steps are the pairs offered to `_InverseHessian`, and
+    the rules are read from where each stage stopped.
+    """
+    counts = dict.fromkeys(("kernel_calls", "lbfgs_steps", "descent_steps", "newton_far", "newton_near",
+                            "cg_float32", "cg_float64", "cg_capped", "near_rounds"), 0)
+    counts.update(relax_ended=(), switched_to_float64=False)
+    newton_points, in_cg, polished = [], [], []  # (x, kernel calls so far) at each Newton solve
+    kernel, hessian, product, cg = (crystal._energy_gradient_scaled, crystal._hessian_scaled,
+                                    crystal._shifted_product, crystal._cg)
+    newton_step, descend, relax, polish = crystal._newton_step, crystal._descend, crystal._relax, crystal._polish
+    add = crystal._InverseHessian.add
+
+    def counted_kernel(x, trap):
+        counts["kernel_calls"] += 1
+        return kernel(x, trap)
+
+    def counted_hessian(coords, trap, dtype):
+        counts["newton_far" if dtype == np.float32 else "newton_near"] += 1
+        return hessian(coords, trap, dtype)
+
+    def counted_product(hess, rot, d):
+        counts[f"cg_{hess.dtype}" if in_cg else "near_rounds"] += 1
+        return product(hess, rot, d)
+
+    def loop_cg(hess, rot, rhs, tol):
+        step, resid, direction = np.zeros_like(rhs), rhs, rhs
+        rr = crystal._dot(rhs, rhs)
+        for _ in range(len(rhs)):
+            if np.sqrt(rr) <= tol:
+                return step, True, False
+            h_dir = product(hess, rot, direction)
+            curvature = crystal._dot(direction, h_dir)
+            if not curvature > 0.0:
+                return (step if step.any() else direction.copy()), False, False
+            alpha = rr / curvature
+            step += alpha * direction
+            resid = resid - alpha * h_dir
+            rr, rr_prev = crystal._dot(resid, resid), rr
+            direction = resid + (rr / rr_prev) * direction
+        return step, True, np.sqrt(rr) > tol
+
+    def counted_cg(hess, rot, rhs, tol, log):
+        counts["switched_to_float64"] |= hess.dtype == np.float64
+        in_cg.append(hess)
+        step, curved = cg(hess, rot, rhs, tol, log)
+        in_cg.pop()
+        loop_step, loop_curved, capped = loop_cg(hess, rot, rhs, tol)
+        assert curved == loop_curved and np.array_equal(step, loop_step)
+        counts["cg_capped"] += capped
+        return step, curved
+
+    def counted_newton_step(x, trap, grad, log):
+        newton_points.append((x.tobytes(), counts["kernel_calls"]))
+        return newton_step(x, trap, grad, log)
+
+    def counted_descend(*args):
+        kept = descend(*args)
+        counts["descent_steps"] += kept is not None
+        return kept
+
+    def counted_relax(x, trap, log):
+        steps = counts["lbfgs_steps"]
+        x = relax(x, trap, log)
+        handed_over = np.max(np.abs(kernel(x, trap)[1])) <= crystal._HANDOVER_GTOL
+        budget = counts["lbfgs_steps"] - steps == crystal._MAX_RELAX_STEPS
+        counts["relax_ended"] += ("the hand-over" if handed_over else "the budget" if budget else "an energy stall",)
+        return x
+
+    def counted_polish(x, trap, log):
+        polished[:] = polish(x, trap, log)
+        return polished
+
+    def counted_add(inverse, s, y):
+        counts["lbfgs_steps"] += 1
+        return add(inverse, s, y)
+
+    for name, wrapper in (("_energy_gradient_scaled", counted_kernel), ("_hessian_scaled", counted_hessian),
+                          ("_shifted_product", counted_product), ("_cg", counted_cg),
+                          ("_newton_step", counted_newton_step), ("_descend", counted_descend),
+                          ("_relax", counted_relax), ("_polish", counted_polish)):
+        monkeypatch.setattr(crystal, name, wrapper)
+    monkeypatch.setattr(crystal._InverseHessian, "add", counted_add)
+    lattice = solve_equilibrium(paper_trap(rotation_hz), n_ions, seed=seed)
+    certificate = newton_points[-1][1] == counts["kernel_calls"]
+    counts["newton_steps"] = steps = len(newton_points) - certificate
+    x, _, gmax, _ = polished
+    if gmax <= crystal._POLISH_TARGET:
+        counts["polish_ended"] = "the gradient target"
+    elif steps == crystal._MAX_POLISH_STEPS:
+        counts["polish_ended"] = "the budget"
+    else:  # a rejected step leaves x where its Newton solve was
+        counts["polish_ended"] = "a rejected step" if newton_points[steps - 1][0] == x.tobytes() else "slow progress"
+    return lattice, counts
+
+
+class TestSolveStats:
+    @pytest.mark.parametrize("n_ions, rotation_hz, seed", [(20, 43.2e3, 0), (20, 45.0e3, 19), (190, 44.7e3, 1)])
+    def test_counts_match_the_wrappers(self, monkeypatch, n_ions, rotation_hz, seed):
+        lattice, counted = counted_solve(monkeypatch, n_ions, rotation_hz, seed)
+        assert dataclasses.asdict(lattice.solve_stats) == counted
+        # both N = 20 solves switch to float64 products after a failed round and stop CG on its cap,
+        # and the one at 45 kHz keeps a descent step; N = 190 stays in float32
+        assert counted["switched_to_float64"] == (counted["cg_capped"] > 0) == (n_ions == 20)
+        assert counted["descent_steps"] == (rotation_hz == 45.0e3)
+
+    def test_relax_rules(self, monkeypatch):
+        # a buckled crystal relaxes twice; with no hand-over the relax ends on the energy stall
+        assert solve_cached(50, 300e3).solve_stats.relax_ended == ("the hand-over", "the hand-over")
+        monkeypatch.setattr(crystal, "_HANDOVER_GTOL", 0.0)
+        assert solve_equilibrium(paper_trap(), 20).solve_stats.relax_ended == ("an energy stall",)
+        monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
+        assert solve_equilibrium(paper_trap(), 20).solve_stats.relax_ended == ("the budget",)
+
+    def test_paper_size_counts(self):
+        stats = solve_cached(345, 44.7e3, seed=1).solve_stats
+        assert (stats.kernel_calls, stats.newton_far, stats.newton_near) == (219, 3, 2)
+        assert (stats.cg_float32, stats.cg_float64, stats.near_rounds) == (546, 0, 4)
+        assert stats.relax_ended == ("the hand-over",) and stats.polish_ended == "the gradient target"
+
+    def test_single_ion_and_file_lattices(self, tmp_path):
+        assert solve_equilibrium(paper_trap(), 1).solve_stats == crystal.SolveStats()
+        iof.save_lattice(solve_cached(12), tmp_path / "lattice.json")
+        assert iof.load_lattice(tmp_path / "lattice.json").solve_stats is None
+
+    def test_cg_counts_a_stop_on_its_cap(self):
+        # eigenvalues from 1 to 1e12: 40 products leave the residual far above 1e-12 |rhs|, and
+        # CG still returns its step as finished
+        rng = np.random.default_rng(20)
+        basis = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        hess = (basis * np.logspace(0, 12, 40)) @ basis.T
+        rhs, rot = rng.standard_normal(40), np.zeros(40)
+        log = crystal._SolveLog()
+        step, curved = crystal._cg(hess, rot, rhs, 1e-12 * np.linalg.norm(rhs), log)
+        assert curved and (log.cg_capped, log.cg_float64, log.cg_float32) == (1, 40, 0)
+        assert np.linalg.norm(hess @ step - rhs) > 1e-12 * np.linalg.norm(rhs)
+        crystal._cg(np.eye(40), rot, rhs, 1e-12 * np.linalg.norm(rhs), log)  # one product finishes
+        assert (log.cg_capped, log.cg_float64) == (1, 41)
 
 
 class TestSolveEquilibrium:
@@ -501,9 +652,9 @@ class TestSolveEquilibrium:
         # the relax stops at max |g| <= 1e-4 and the polish's Newton steps take it from there
         received, polish = [], crystal._polish
 
-        def recording_polish(x, trap, trace):
+        def recording_polish(x, trap, log):
             received.append(np.max(np.abs(_energy_gradient_scaled(x, trap)[1])))
-            return polish(x, trap, trace)
+            return polish(x, trap, log)
 
         monkeypatch.setattr(crystal, "_polish", recording_polish)
         lattice = solve_equilibrium(paper_trap(44.7e3), 190, seed=0)
@@ -512,7 +663,7 @@ class TestSolveEquilibrium:
 
     def test_message_names_a_rejected_step(self, monkeypatch):
         monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
-        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad, single: (grad.copy(), 1.0, single))  # uphill
+        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad, log: (grad.copy(), 1.0))  # uphill
         monkeypatch.setattr(crystal, "_descend", lambda *args: None)
         with pytest.raises(EquilibriumNotConverged, match="stopped on a rejected step after 1 Newton steps"):
             solve_equilibrium(paper_trap(), 30)
@@ -521,7 +672,7 @@ class TestSolveEquilibrium:
         # every Newton step is rejected; the projected steepest-descent step is kept in its place
         monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
         monkeypatch.setattr(crystal, "_MAX_POLISH_STEPS", 5)
-        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad, single: (grad.copy(), 1.0, single))
+        monkeypatch.setattr(crystal, "_newton_step", lambda x, trap, grad, log: (grad.copy(), 1.0))
         with pytest.raises(EquilibriumNotConverged, match="stopped on the budget after 5 Newton steps") as info:
             solve_equilibrium(paper_trap(), 30)
         assert np.all(np.diff(info.value.best.energy_trace[-6:]) <= 0.0)
@@ -556,7 +707,7 @@ class TestSolveEquilibrium:
         rot = np.column_stack([-x[1::2], x[::2]]).ravel()  # rotation about z
         rot /= np.linalg.norm(rot)
         g_perp = grad - (grad @ rot) * rot
-        _, decrease, _ = crystal._newton_step(x, trap, grad)
+        _, decrease = crystal._newton_step(x, trap, grad, crystal._SolveLog())
         assert 0.0 < decrease <= 0.5 * np.linalg.norm(g_perp)
 
     def test_zero_energy_tolerance_still_solves_at_the_final_point(self, monkeypatch):
@@ -567,9 +718,9 @@ class TestSolveEquilibrium:
         def newton_points_and_converged():
             points = []
 
-            def recording_step(x, trap, grad, single):
+            def recording_step(x, trap, grad, log):
                 points.append(x.tobytes())
-                return newton_step(x, trap, grad, single)
+                return newton_step(x, trap, grad, log)
 
             monkeypatch.setattr(crystal, "_newton_step", recording_step)
             try:

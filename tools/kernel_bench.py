@@ -11,29 +11,17 @@ alternating. Solve: `solve_equilibrium` at N = 190 and 345 (44.7 kHz, seeds
 seed 1). `SOLVE_ROUNDS` (8) rounds alternate which tree runs first, and each
 round starts one fresh process per tree that runs one N = 50 warm-up solve
 and then the 9 solves once; so each solve is timed 8 times per tree, in 8
-processes. The energy, the convergence flag and the accepted-step count come
+processes. The energy, the convergence flag, the accepted-step count and
+every field of the lattice's `solve_stats` (which both trees must have) come
 with each time, and each solve process reports its peak RSS (`ru_maxrss`),
-which its largest solve, N = 1000, sets. Wrappers in the solve process count
-the energy-gradient kernel's calls and time `_relax` and `_polish`: each
-solve reports its kernel calls, the relax's time outside the kernel per
-L-BFGS step and the polish time, as medians over the rounds. L-BFGS steps
-are the energies the relax adds to the trace plus its last, refused step (a
-3D stage's steps above the plane's energy are not counted). A wrapper on
-`_hessian_scaled` counts the polish's Newton solves (one Hessian each, the
-final certificate solve included when one runs): far ones, whose Hessian is
-built in float32, and near ones, built in float64. Through an ndarray
-subclass that sees each `einsum` on the Hessian or its float32 copy, and a
-wrapper on `_cg`, each solve also reports its float32 and float64 CG
-products, its near-step rounds (float32 CG runs on a float64-built Hessian,
-each closed by one float64 residual product, not counted as a CG product)
-and whether it switched to float64 CG products (1 or 0). A tree without
-`_cg` (CG inside `_newton_step`) counts every `einsum` on the Hessian as a
-CG product, and its rounds and switch read 0. One more process per tree
-solves the 384 small crystals of `SMALL_SOLVES` (N = 7, 13, 19 and 20, seeds
-0-23, at 42.2, 43.2, 44.7 and 45.0 kHz). It lists those that do not
-converge, with the reason, counts those that end above max |g| 1e-10
-(scaled units, against the 1e-9 bar), with the largest final max |g|, and
-counts the solves that switched to float64 CG products.
+which its largest solve, N = 1000, sets. One more process per tree solves
+the 384 small crystals of `SMALL_SOLVES` (N = 7, 13, 19 and 20, seeds 0-23,
+at 42.2, 43.2, 44.7 and 45.0 kHz). It lists those that do not converge, with
+the reason, and counts those that end above max |g| 1e-10 (scaled units,
+against the 1e-9 bar), with the largest final max |g|. From their
+`solve_stats` it gives, over all 384 and for each N, the rules that ended
+each stage, the Newton steps (least, median and most), per-solve ranges and
+totals of the other counts (`_stats_summary`).
 
 For N = 19, 190, 345 (44.7 kHz) and N = 1000 (42.5 kHz) it then solves the
 crystal (seed 1) and computes the spectrum once with the `--parent` tree's
@@ -77,7 +65,6 @@ SMALL_SOLVES = tuple((n_ions, rotation_hz, seed) for rotation_hz in (42.2e3, 43.
                      for n_ions in (7, 13, 19, 20) for seed in range(24))
 # a small solve's final max |g| (scaled units) counts as thin margin above this, against the 1e-9 bar
 MARGIN_GMAX = 1e-10
-PRECISION_KEYS = ("newton_far", "newton_near", "cg_float32", "cg_float64", "near_rounds", "switched_to_float64")
 IMPORT_CODE = ("import time; start = time.perf_counter(); import drumhead.cli; "
                "print(time.perf_counter() - start)")
 
@@ -172,86 +159,17 @@ def _worker(workdir: Path, n_ions: int, repeats: int) -> dict:
     return result
 
 
-def _instrument(crystal) -> dict:
-    """Wrap `crystal`'s kernel, relax, polish, Hessian and CG; returns the tally the wrappers add to."""
-    import time
-
-    import numpy as np
-
-    tally = dict.fromkeys(("kernel_calls", "kernel_s", "relax_s", "relax_kernel_s", "relax_steps", "polish_s",
-                           *PRECISION_KEYS), 0)
-    kernel, relax, polish, hessian = (crystal._energy_gradient_scaled, crystal._relax, crystal._polish,
-                                      crystal._hessian_scaled)
-    cg = getattr(crystal, "_cg", None)  # the parent tree's CG runs inside `_newton_step`
-    state = {"in_cg": cg is None, "near": False}
-
-    class CountedHessian(np.ndarray):
-        """A Hessian that counts the CG products (`einsum` calls inside CG) taken with it, by its dtype; its
-        float32 copy (`astype`) is one too."""
-
-        def __array_function__(self, func, types, args, kwargs):
-            if func is np.einsum and state["in_cg"]:
-                tally[f"cg_{self.dtype}"] += 1
-            return super().__array_function__(func, types, args, kwargs)
-
-    def counted_hessian(*args, **kwargs):  # the parent tree's takes no dtype
-        result = hessian(*args, **kwargs)
-        state["near"] = result.dtype == np.float64
-        tally["newton_near" if state["near"] else "newton_far"] += 1
-        return result.view(CountedHessian)
-
-    def counted_cg(hess, *args):
-        # float64 CG products run only once a near step has fallen back; a float32 CG in a near step is a round
-        if hess.dtype == np.float64:
-            tally["switched_to_float64"] = 1
-        elif state["near"]:
-            tally["near_rounds"] += 1
-        state["in_cg"] = True
-        try:
-            return cg(hess, *args)
-        finally:
-            state["in_cg"] = False
-
-    def counted_kernel(*args):
-        start = time.perf_counter()
-        result = kernel(*args)
-        tally["kernel_s"] += time.perf_counter() - start
-        tally["kernel_calls"] += 1
-        return result
-
-    def timed_relax(x, trap, trace):
-        start, kernel_s, accepted = time.perf_counter(), tally["kernel_s"], len(trace)
-        result = relax(x, trap, trace)
-        tally["relax_s"] += time.perf_counter() - start
-        tally["relax_kernel_s"] += tally["kernel_s"] - kernel_s
-        tally["relax_steps"] += len(trace) - accepted + 1
-        return result
-
-    def timed_polish(*args):
-        start = time.perf_counter()
-        result = polish(*args)
-        tally["polish_s"] += time.perf_counter() - start
-        return result
-
-    crystal._energy_gradient_scaled, crystal._relax, crystal._polish = counted_kernel, timed_relax, timed_polish
-    crystal._hessian_scaled = counted_hessian
-    if cg is not None:
-        crystal._cg = counted_cg
-    return tally
-
-
 def _solve_worker() -> dict:
     """Time each of SOLVES once in this process; drumhead comes from PYTHONPATH."""
+    import dataclasses
     import resource
     import time
 
-    from drumhead import EquilibriumNotConverged, TrapParams, crystal, solve_equilibrium
+    from drumhead import EquilibriumNotConverged, TrapParams, solve_equilibrium
 
-    tally = _instrument(crystal)
     solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, 44.7e3), 50)  # a first solve runs slower
     result = []
     for n_ions, rotation_hz, seed in SOLVES:
-        tally.update(dict.fromkeys(tally, 0))
         start = time.perf_counter()
         try:
             lattice = solve_equilibrium(TrapParams.from_hz(795e3, 7.6e6, rotation_hz), n_ions, seed=seed)
@@ -259,42 +177,54 @@ def _solve_worker() -> dict:
             lattice = exc.best
         result.append({"seconds": time.perf_counter() - start, "energy_j": lattice.energy,
                        "converged": lattice.converged, "accepted_steps": len(lattice.energy_trace),
-                       "kernel_calls": tally["kernel_calls"], "polish_s": tally["polish_s"],
-                       **{key: tally[key] for key in PRECISION_KEYS},
-                       "relax_outside_kernel_per_step_s":
-                           (tally["relax_s"] - tally["relax_kernel_s"]) / tally["relax_steps"]})
+                       **dataclasses.asdict(lattice.solve_stats)})
     # ru_maxrss is in KiB on Linux
     return {"solves": result, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def _stats_summary(stats: list) -> dict:
+    """Rule tallies, step counts, per-solve ranges and totals over solves' `solve_stats` (as dicts)."""
+    import collections
+
+    import numpy as np
+
+    steps = [s["newton_steps"] for s in stats]
+    return {"solves": len(stats),
+            "relax_ended": collections.Counter(rule for s in stats for rule in s["relax_ended"]),
+            "polish_ended": collections.Counter(s["polish_ended"] for s in stats),
+            "newton_steps": {"min": min(steps), "median": float(np.median(steps)), "max": max(steps)},
+            **{key: [min(s[key] for s in stats), max(s[key] for s in stats)]
+               for key in ("lbfgs_steps", "kernel_calls", "newton_far", "newton_near")},
+            **{key: sum(s[key] for s in stats) for key in ("cg_float32", "cg_float64", "cg_capped", "near_rounds",
+                                                          "descent_steps", "switched_to_float64")}}
+
+
 def _small_worker() -> dict:
     """Solve SMALL_SOLVES in this process; drumhead comes from PYTHONPATH."""
-    from drumhead import EquilibriumNotConverged, TrapParams, crystal, solve_equilibrium
+    import dataclasses
 
-    tally = _instrument(crystal)
-    failed, final_gmax, switched = [], [], 0
+    from drumhead import EquilibriumNotConverged, TrapParams, length_scale, solve_equilibrium
+
+    failed, final_gmax, stats = [], [], {}
     for n_ions, rotation_hz, seed in SMALL_SOLVES:
         params = TrapParams.from_hz(795e3, 7.6e6, rotation_hz)
-        tally["switched_to_float64"] = 0
         try:
             lattice = solve_equilibrium(params, n_ions, seed=seed)
         except EquilibriumNotConverged as exc:
             lattice = exc.best
             failed.append({"n_ions": n_ions, "rotation_hz": rotation_hz, "seed": seed, "message": str(exc)})
-        switched += tally["switched_to_float64"]
+        stats.setdefault(n_ions, []).append(dataclasses.asdict(lattice.solve_stats))
         # the scaled gradient: the residual force over the force unit M w1^2 l0
-        final_gmax.append(lattice.residual_force_max / (params.mass * params.omega_1**2 * crystal.length_scale(params)))
-    return {"solves": len(SMALL_SOLVES), "not_converged": failed,
-            "above_margin": sum(g > MARGIN_GMAX for g in final_gmax), "largest_final_gmax": max(final_gmax),
-            "switched_to_float64": switched}
+        final_gmax.append(lattice.residual_force_max / (params.mass * params.omega_1**2 * length_scale(params)))
+    return {"not_converged": failed, "above_margin": sum(g > MARGIN_GMAX for g in final_gmax),
+            "largest_final_gmax": max(final_gmax), **_stats_summary(sum(stats.values(), [])),
+            "by_n_ions": {n_ions: _stats_summary(each) for n_ions, each in stats.items()}}
 
 
 def _startup_and_solves(trees: dict, repeats: int) -> dict:
-    """Import and solve times of both trees, alternating which runs first, and each tree's
-    small solves that do not converge."""
+    """Import and solve times of both trees, alternating which runs first, with each solve's counts,
+    and each tree's small-solve summary."""
     import time
-
-    import numpy as np
 
     envs = {side: dict(os.environ, PYTHONPATH=str(src.resolve())) for side, src in trees.items()}
     wall, inside = {side: [] for side in trees}, {side: [] for side in trees}
@@ -319,10 +249,7 @@ def _startup_and_solves(trees: dict, repeats: int) -> dict:
             runs = [r["solves"][i] for r in rounds[side]]
             record[side]["solves"][f"{n_ions}_{rotation_hz / 1e3:g}kHz_seed{seed}"] = {
                 "rotation_hz": rotation_hz, **_quartiles([r["seconds"] for r in runs]),
-                **{key: runs[0][key] for key in ("energy_j", "converged", "accepted_steps", "kernel_calls",
-                                                 *PRECISION_KEYS)},
-                **{key: float(np.median([r[key] for r in runs]))
-                   for key in ("relax_outside_kernel_per_step_s", "polish_s")}}
+                **{key: value for key, value in runs[0].items() if key != "seconds"}}
     for side in trees:
         out = subprocess.run([sys.executable, __file__, "--small-worker"], env=envs[side], capture_output=True,
                              text=True, check=True)
@@ -418,9 +345,8 @@ def main(argv=None) -> int:
     for key in startup["parent"]["solves"]:
         old, new = (startup[side]["solves"][key] for side in ("parent", "change"))
         print(f"solve {key:22s} {old['median_s']:9.3f} -> {new['median_s']:9.3f} s, "
-              f"kernel calls {old['kernel_calls']:5d} -> {new['kernel_calls']:5d}, relax outside the kernel "
-              f"{old['relax_outside_kernel_per_step_s'] * 1e6:6.1f} -> {new['relax_outside_kernel_per_step_s'] * 1e6:6.1f}"
-              f" us/step, polish {old['polish_s']:6.3f} -> {new['polish_s']:6.3f} s")
+              f"kernel calls {old['kernel_calls']:5d} -> {new['kernel_calls']:5d}, Newton steps "
+              f"{old['newton_steps']} -> {new['newton_steps']}")
         print(f"      {key:22s} Newton solves far/near {old['newton_far']}/{old['newton_near']} -> "
               f"{new['newton_far']}/{new['newton_near']}, CG products float32/float64 "
               f"{old['cg_float32']}/{old['cg_float64']} -> {new['cg_float32']}/{new['cg_float64']}, near-step "
@@ -432,6 +358,9 @@ def main(argv=None) -> int:
           f"{new['above_margin']}; largest final max |g| {old['largest_final_gmax']:.2e} -> "
           f"{new['largest_final_gmax']:.2e}; switched to float64 CG products {old['switched_to_float64']} -> "
           f"{new['switched_to_float64']}")
+    print(f"small solves' polish ended on {dict(old['polish_ended'])} -> {dict(new['polish_ended'])}; Newton steps "
+          f"median/max {old['newton_steps']['median']}/{old['newton_steps']['max']} -> "
+          f"{new['newton_steps']['median']}/{new['newton_steps']['max']}")
     old, new = (max(startup[side]["solve_process_peak_rss_mb"]) for side in ("parent", "change"))
     print(f"solve process peak RSS {old:9.1f} -> {new:9.1f} MB (largest of {SOLVE_ROUNDS})")
     record["sizes"] = {}
