@@ -11,16 +11,16 @@ energy M w1^2 l0^2) so the tolerances are scale-free: an L-BFGS descent in compa
 form to max |g| <= 1e-4, then a regularized Newton-CG polish on the analytic Hessian,
 whose CG products are float32: far from the minimum on a Hessian built in float32, near
 it in rounds of iterative refinement, each closed by a float64 residual. Both use numpy
-ufuncs and einsum, never BLAS, at either precision; the one LAPACK call gives only the
-sign of K's lowest eigenvalue (below), so every lattice has the same bytes under any
+ufuncs and einsum, never BLAS, at either precision; the one LAPACK call only tells
+whether K (below) is positive definite, so every lattice has the same bytes under any
 thread count.
 
 At z = 0 every z force vanishes and the z block of the Hessian decouples from
 the in-plane problem, so the solve first runs over (x, y) alone. The z block
 at the in-plane minimum, K_jk = 1/d_jk^3 and K_jj = 1 - sum_k 1/d_jk^3 (the
 transverse stiffness `modes` diagonalizes), is the stability check: when K is
-positive definite (a sign, from `eigvalsh`) the crystal is a single plane and
-z = 0 exactly. Otherwise the plane is a saddle, and the solve restarts in 3D
+positive definite (its Cholesky factorization succeeds) the crystal is a single
+plane and z = 0 exactly. Otherwise the plane is a saddle, and the solve restarts in 3D
 from the in-plane positions given a seeded random z. The polish runs once, in
 the space actually solved. An RNG built from the integer seed jitters the
 starting hex-disk patch and draws that z, so (params, N, seed) fixes the result.
@@ -592,6 +592,15 @@ def _polish(x: np.ndarray, trap: np.ndarray, log: _SolveLog):
     return x, energy, gmax, decrease
 
 
+def _positive_definite(k: np.ndarray) -> bool:
+    """Whether the symmetric k is positive definite: its Cholesky factorization succeeds."""
+    try:
+        np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> CrystalLattice:
     """Relax n_ions to a local minimum of the rotating-frame potential.
 
@@ -601,8 +610,8 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
 
     `seed` feeds the RNG of the seed jitter and the buckling push, so runs are
     reproducible and callers can restart from a different basin. The one LAPACK
-    call is `eigvalsh`, for the sign of the z block's lowest eigenvalue, taken where
-    the in-plane relax hands over (max |g| <= 1e-4). The scale-free bound 1e-9 is
+    call is `cholesky`, whose success says that the z block is positive definite, taken
+    where the in-plane relax hands over (max |g| <= 1e-4). The scale-free bound 1e-9 is
     almost always stricter than FORCE_TOL (newtons): the polish ends at max |g|
     6e-16 to 2e-14 at N = 190 and 345 after 4-21 Newton steps, and at 7e-18 to
     9e-10 at N = 7-20 after up to ~180 of its 400.
@@ -636,7 +645,7 @@ def solve_equilibrium(params: TrapParams, n_ions: int, seed: int = 0) -> Crystal
     rng = np.random.default_rng(seed)
     log = _SolveLog()
     x = _relax(_seed_scaled(n_ions, beta(params), rng).ravel(), trap[:2], log)
-    planar = bool(np.linalg.eigvalsh(z_stiffness(x.reshape(-1, 2)))[0] > 0.0)
+    planar = _positive_definite(z_stiffness(x.reshape(-1, 2)))
     if planar:
         trap = trap[:2]
     else:

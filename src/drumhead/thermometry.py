@@ -9,10 +9,13 @@ and three column sums give chi^2 with its first two nbar-derivatives. The
 model is linear in k, so k is profiled out in closed form at each nbar
 (variable projection, Golub & Pereyra 1973), and the fit stays a bracketed
 Newton search for the root of chi^2' on [0, _NBAR_MAX] (Numerical Recipes'
-rtsafe). The statistical errors come from the analytic curvature of chi^2,
-and an optional beam-angle systematic is propagated by refitting at
-perturbed force calibrations. Forces enter the exponent only as F^2, so a
-perturbed calibration just rescales (c0, u).
+rtsafe). The search starts from a log-linear estimate of nbar, read from the
+model at nbar = 0 that the boundary test evaluates anyway. The statistical
+errors come from the analytic curvature of chi^2, and an optional beam-angle
+systematic is propagated by refitting at perturbed force calibrations. Forces
+enter the exponent only as F^2, so a perturbed calibration just rescales
+(c0, u) by f^2, and each refit starts at nbar / f^2; it evaluates chi^2' at
+nbar = 0 only when its bracket needs the boundary test.
 """
 
 from __future__ import annotations
@@ -159,16 +162,21 @@ def _lineshape(
     )
 
 
-def _terms(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple:
+def _terms(
+    model: _Lineshape, data: ObservedSpectrum, nbar: float, moments: np.ndarray | None = None
+) -> tuple:
     """chi^2 and its nbar-derivatives from one model evaluation, then k = e^{-Gamma T} and its
     variance 2 (H^-1)_kk (None with Gamma given): chi^2' = -2 sum_i (p_i - m_i) m_i' / sigma_i^2
-    and chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2.
+    and chi^2'' = 2 sum_i (m_i'^2 - (p_i - m_i) m_i'') / sigma_i^2. `moments`, when given, is
+    `model.moments(nbar)`, already evaluated.
 
     With decay None, m = 1/2 - k w (w = 1/2 - m at k = 1) is linear in k, which takes its
     least-squares value, held at 1 (Gamma >= 0). chi^2' keeps its form (envelope theorem),
     and while k < 1 the profile's chi^2'' is chi^2_nn - chi^2_nk^2 / chi^2_kk.
     """
-    m, slope, bend = model.moments(nbar) / data.sigma  # each weighted by 1/sigma
+    if moments is None:
+        moments = model.moments(nbar)
+    m, slope, bend = moments / data.sigma  # each weighted by 1/sigma
     resid = data.p_up / data.sigma - m
     k = k_var = None
     if model.decay is None:
@@ -190,21 +198,61 @@ def _terms(model: _Lineshape, data: ObservedSpectrum, nbar: float) -> tuple:
     return chi2, grad, curv, k, k_var
 
 
-def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float = 0.0) -> float:
+def _log_linear_nbar(model: _Lineshape, data: ObservedSpectrum, m0: np.ndarray) -> float:
+    """A start for the search: nbar from the log-linear model 1 - 2p_i ~ (1 - 2m_i(0)) e^{-nbar u_bar v_i}.
+
+    m0 is the model at nbar = 0 and u_bar the ion mean of u. Each point whose ratio
+    (1 - 2p_i) / (1 - 2m_i(0)) is positive gives y_i = -log of it = nbar u_bar v_i, plus an
+    intercept -log k when the data supply Gamma; nbar is their weighted least-squares slope,
+    with the weights ((1 - 2p_i) / sigma_i)^2, y_i's inverse variance to first order. It is 0
+    when fewer than two points qualify.
+    """
+    dip, dip0 = 1.0 - 2.0 * data.p_up, 1.0 - 2.0 * m0  # dip0 > 0 unless e^{-c0} underflows
+    keep = (dip > 0.0) & (dip0 > 0.0)
+    if np.count_nonzero(keep) < 2:
+        return 0.0
+    x = float(np.mean(model.u)) * model.v[keep]
+    y = np.log(dip0[keep] / dip[keep])
+    w = (dip[keep] / data.sigma[keep]) ** 2
+    if model.decay is None:  # the intercept: centre x and y on their weighted means
+        x = x - np.dot(w, x) / np.sum(w)
+        y = y - np.dot(w, y) / np.sum(w)
+    sxx = float(np.dot(w, x * x))
+    return float(np.dot(w, x * y)) / sxx if sxx > 0.0 else 0.0
+
+
+def _minimize_nbar(model: _Lineshape, data: ObservedSpectrum, start: float | None = None) -> float:
     """The minimum of chi^2 on [0, _NBAR_MAX], as the root of chi^2' (rtsafe).
 
     It is 0 when chi^2 rises from nbar = 0, _NBAR_MAX when it still falls at _NBAR_MAX. Else
     a Newton step is taken when chi^2'' > 0 and the step stays in the bracket
     [lo, hi] (chi^2' < 0 at lo, >= 0 at hi); else nbar doubles while no hi is
     known, and the bracket is bisected after.
+
+    The main fit passes no `start`: chi^2 is evaluated at 0 first, as the boundary test, and
+    the search starts from `_log_linear_nbar` on that evaluation's moments. A refit passes its
+    `start`. Either start is clamped to [0, _NBAR_MAX]. The boundary test of a refit is lazy:
+    chi^2' at 0 is evaluated only when an iterate has chi^2' >= 0 while the bracket's lower
+    end is still 0.
     """
-    at_zero = _terms(model, data, 0.0)[:3]
-    if at_zero[1] >= 0.0:
-        return 0.0
+    zero = None  # chi^2' and chi^2'' at nbar = 0, once evaluated
+    if start is None:
+        moments = model.moments(0.0)
+        zero = _terms(model, data, 0.0, moments)[1:3]
+        if zero[0] >= 0.0:
+            return 0.0
+        start = _log_linear_nbar(model, data, moments[0])
     lo, hi = 0.0, math.inf
-    nbar = start
+    nbar = min(max(start, 0.0), _NBAR_MAX)
     for _ in range(_MAX_NEWTON_STEPS):
-        _, slope, curvature = at_zero if nbar == 0.0 else _terms(model, data, nbar)[:3]
+        if zero is None and nbar == 0.0:
+            zero = _terms(model, data, 0.0)[1:3]
+        slope, curvature = zero if nbar == 0.0 else _terms(model, data, nbar)[1:3]
+        if slope >= 0.0 and lo == 0.0:  # the lower end 0 brackets the root only if chi^2' < 0 there
+            if zero is None:
+                zero = _terms(model, data, 0.0)[1:3]
+            if zero[0] >= 0.0:
+                return 0.0
         if slope >= 0.0:
             hi = nbar
         elif nbar == _NBAR_MAX:
@@ -278,7 +326,7 @@ def fit_occupation(
             angle = meta.theta_r * (1.0 + sign * meta.theta_r_rel_err)
             factor = math.sin(angle / 2.0) / math.sin(meta.theta_r / 2.0)
             perturbed = replace(model, c0=factor**2 * model.c0, u=factor**2 * model.u)
-            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat) - nbar_hat))
+            shifts.append(abs(_minimize_nbar(perturbed, data, start=nbar_hat / factor**2) - nbar_hat))
         sys_err = max(shifts)
         note = (
             f"beam-angle +/-{100 * meta.theta_r_rel_err:g}% refit shifts nbar by "

@@ -1,4 +1,5 @@
-"""Shared fixtures: trap parameter factories, a cross-module solve cache and lineshape oracles."""
+"""Shared fixtures: trap parameter factories, a cross-module solve cache, lineshape oracles and a
+reference occupation search."""
 
 import math
 from functools import lru_cache
@@ -25,6 +26,7 @@ from drumhead.dynamics import (
     _sinc,
 )
 from drumhead.odf import SpinEcho
+from drumhead.thermometry import _MAX_NEWTON_STEPS, _NBAR_MAX, _NEWTON_XTOL, _terms
 
 AXIAL_HZ = 795e3
 CYCLOTRON_HZ = 7.6e6
@@ -174,3 +176,33 @@ def broadcast_sweep(drive, spectrum, thermal, mu_grid):
         mean[cols] = p.mean(axis=0)
         per[:, cols] = p
     return mean, per
+
+
+def reference_minimize_nbar(model, data, start=0.0):
+    """The occupation search as an oracle: rtsafe on chi^2' from `start`, with chi^2' at 0 evaluated
+    first as the boundary test. The fit searches from 0 and each beam-angle refit from the fitted
+    nbar; `thermometry._minimize_nbar`, which starts from estimates, must find the same roots."""
+    at_zero = _terms(model, data, 0.0)[:3]
+    if at_zero[1] >= 0.0:
+        return 0.0
+    lo, hi = 0.0, math.inf
+    nbar = start
+    for _ in range(_MAX_NEWTON_STEPS):
+        _, slope, curvature = at_zero if nbar == 0.0 else _terms(model, data, nbar)[:3]
+        if slope >= 0.0:
+            hi = nbar
+        elif nbar == _NBAR_MAX:
+            return _NBAR_MAX
+        else:
+            lo = nbar
+        newton = nbar - slope / curvature if curvature > 0.0 else math.nan
+        if lo <= newton <= min(hi, _NBAR_MAX):
+            step = newton - nbar
+        elif hi == math.inf:
+            step = min(max(2.0 * nbar, 1.0), _NBAR_MAX) - nbar
+        else:
+            step = 0.5 * (lo + hi) - nbar
+        nbar += step
+        if abs(step) <= _NEWTON_XTOL * max(1.0, nbar):
+            return nbar
+    raise AssertionError("the reference search did not converge")

@@ -21,7 +21,13 @@ from drumhead import (
 )
 from drumhead import crystal
 from drumhead import io_formats as iof
-from drumhead.crystal import _energy_gradient_scaled, _hessian_scaled, hex_disk_seed, z_stiffness
+from drumhead.crystal import (
+    _energy_gradient_scaled,
+    _hessian_scaled,
+    _positive_definite,
+    hex_disk_seed,
+    z_stiffness,
+)
 from conftest import paper_trap, solve_cached
 
 
@@ -791,6 +797,23 @@ class TestSolveEquilibrium:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         lattice = solve_equilibrium(paper_trap(rotation_hz=60e3), 19, seed=0)
         assert lattice.converged and not lattice.planar
+
+    @pytest.mark.parametrize("rotation_hz, planar", [(44.7e3, True), (60e3, False)])
+    def test_planarity_needs_no_eigenvalues(self, rotation_hz, planar, monkeypatch):
+        # the verdict is whether K's Cholesky factorization succeeds, not the sign of an eigenvalue
+        def no_eigen(*args, **kwargs):
+            raise AssertionError("an eigenvalue solver was called")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, no_eigen)
+        lattice = solve_equilibrium(paper_trap(rotation_hz=rotation_hz), 19, seed=0)
+        assert lattice.converged and lattice.planar is planar
+
+    @pytest.mark.parametrize("lowest", [-1e-3, -1e-12, 1e-12, 1e-3])
+    def test_positive_definite_is_the_sign_of_the_lowest_eigenvalue(self, lowest):
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((40, 40)))[0]
+        k = (q * np.concatenate([[lowest], np.linspace(0.5, 2.0, 39)])) @ q.T
+        assert _positive_definite((k + k.T) / 2.0) is (lowest > 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_buckled_crystal_is_a_minimum_in_3d(self, seed):

@@ -19,8 +19,15 @@ from drumhead import (
 )
 from drumhead import thermometry
 from drumhead.dynamics import _coefficients, _gain_blocks, bright_fraction, decoherence_exponent
-from drumhead.thermometry import _NBAR_MAX, _lineshape, _terms
-from conftest import flat_background, one_mode_spectrum, spectrum_cached, whole_gain
+from drumhead.errors import DrumheadError
+from drumhead.thermometry import _BOUNDARY_NBAR, _NBAR_MAX, _lineshape, _log_linear_nbar, _terms
+from conftest import (
+    flat_background,
+    one_mode_spectrum,
+    reference_minimize_nbar,
+    spectrum_cached,
+    whole_gain,
+)
 
 TWO_PI = 2 * np.pi
 TAU = 500e-6
@@ -263,18 +270,18 @@ def test_fit_is_the_chi2_minimum(nbar_true, noise_seed, monkeypatch):
         nbar_com=nbar_true, noise_seed=noise_seed,
         metadata=FitMetadata(theta_r=np.radians(4.8), theta_r_rel_err=0.05))
     evaluations = []
-    terms = thermometry._terms
+    moments = thermometry._Lineshape.moments
 
-    def counted(model, observed, nbar):
+    def counted(model, nbar):
         evaluations.append(nbar)
-        return terms(model, observed, nbar)
+        return moments(model, nbar)
 
-    monkeypatch.setattr(thermometry, "_terms", counted)
+    monkeypatch.setattr(thermometry._Lineshape, "moments", counted)
     result = fit_occupation(data, spectrum, drive, target_mode=0, background=bath)
     monkeypatch.undo()
-    # the searches of the main fit and both beam-angle refits, and the report's one
-    # evaluation at the fitted nbar (measured: 15 at nbar 0.5 up to 25 at nbar 300)
-    assert len(evaluations) <= 25
+    # model evaluations, the cost: the searches of the main fit and both beam-angle refits,
+    # and the report's one at the fitted nbar (measured: 14 to 16)
+    assert len(evaluations) <= 16
 
     model = _lineshape(data, spectrum, drive, 0, bath)
     grid = np.linspace(max(result.nbar - 1.0, 0.0), result.nbar + 1.0, 2001)
@@ -329,6 +336,86 @@ def profile_chi2(model, data, nbar, k):
     """chi^2 at (nbar, k = e^{-Gamma T}) from the k = 1 model, written out from m = 1/2 - k (1/2 - m_1)."""
     m = 0.5 - k * (0.5 - model.moments(nbar)[0])
     return float(np.sum(((data.p_up - m) / data.sigma) ** 2))
+
+
+def reference_fit(monkeypatch, data, spectrum, drive, target_mode, bath):
+    """`fit_occupation` with `reference_minimize_nbar` as its search: the fit from 0, each refit
+    from the fitted nbar. Returns the result, or the type of the error it raised."""
+    fitted = []
+
+    def search(model, observed, start=None):
+        if start is None:
+            nbar = reference_minimize_nbar(model, observed)
+            fitted.append(nbar if nbar >= _BOUNDARY_NBAR else 0.0)
+            return nbar
+        return reference_minimize_nbar(model, observed, start=fitted[0])
+
+    monkeypatch.setattr(thermometry, "_minimize_nbar", search)
+    try:
+        return fit_occupation(data, spectrum, drive, target_mode=target_mode, background=bath)
+    except DrumheadError as error:
+        return type(error)
+    finally:
+        monkeypatch.undo()
+
+
+def assert_fit_matches_reference(monkeypatch, data, spectrum, drive, target_mode, bath):
+    reference = reference_fit(monkeypatch, data, spectrum, drive, target_mode, bath)
+    try:
+        result = fit_occupation(data, spectrum, drive, target_mode=target_mode, background=bath)
+    except DrumheadError as error:
+        assert type(error) is reference
+        return
+    assert not isinstance(reference, type), reference
+    assert result.status == reference.status
+    for field in ("nbar", "nbar_err", "chi2_reduced", "gamma_used"):
+        assert getattr(result, field) == pytest.approx(getattr(reference, field), rel=1e-12, abs=0.0), field
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["rows", "reversed"])
+@pytest.mark.parametrize("noise_seed", [1, 2])
+@pytest.mark.parametrize("target_mode", [0, 1])
+@pytest.mark.parametrize("gamma", ["given", "fitted"])
+@pytest.mark.parametrize("nbar_true", [0.0, 0.5, 10.0, 60.0, 300.0, 3000.0])
+def test_search_matches_reference(nbar_true, gamma, target_mode, noise_seed, reverse, monkeypatch):
+    # the search from the log-linear estimate, and each refit from nbar / f^2 with its lazy
+    # boundary test, find the roots that the search from 0 and the refits from nbar find
+    spectrum, drive, _ = com_lineshape_setup()
+    bath = ThermalState.com_plus_bath(spectrum, 0.0, 0.43e-3)
+    nbar = bath.nbar.copy()
+    nbar[target_mode] = nbar_true
+    grid = np.sort(spectrum.omega[target_mode] + np.linspace(-3.0, 3.0, 81) * TWO_PI / TAU)
+    p = sweep_spectrum(drive, spectrum, ThermalState(nbar), grid).p_up_mean
+    p = np.clip(p + np.random.default_rng(noise_seed).normal(0.0, 0.02, len(p)), 1e-4, 1.0 - 1e-4)
+    rows = slice(None, None, -1 if reverse else 1)
+    data = ObservedSpectrum(mu_hz=grid[rows] / TWO_PI, p_up=p[rows], sigma=np.full(len(p), 0.02),
+                            metadata=FitMetadata(theta_r=np.radians(4.8), theta_r_rel_err=0.05))
+    if gamma == "fitted":
+        drive = fitted_gamma(drive)
+    assert_fit_matches_reference(monkeypatch, data, spectrum, drive, target_mode, bath)
+
+
+def test_search_without_estimate_points_starts_at_zero(monkeypatch):
+    # no point has 1 - 2p > 0, so the log-linear estimate has nothing to fit and the
+    # search starts at 0; it still ends where the reference search does
+    data, spectrum, drive, bath = synthetic_observation()
+    p = np.where(np.arange(len(data)) % 2, 0.5, 0.53)
+    high = ObservedSpectrum(mu_hz=data.mu_hz, p_up=p, sigma=data.sigma,
+                            metadata=FitMetadata(theta_r=np.radians(4.8), theta_r_rel_err=0.05))
+    model = _lineshape(high, spectrum, drive, 0, bath)
+    assert _log_linear_nbar(model, high, model.moments(0.0)[0]) == 0.0
+    assert_fit_matches_reference(monkeypatch, high, spectrum, drive, 0, bath)
+
+
+def test_log_linear_estimate_is_exact_for_the_com_mode():
+    # the COM mode drives every ion alike (u is one value), so the log-linear model is the
+    # lineshape itself and, on noiseless data, the estimate is the true nbar
+    for nbar_true in (10.0, 60.0, 300.0):
+        data, spectrum, drive, bath = synthetic_observation(nbar_com=nbar_true)
+        for fit_drive in (drive, fitted_gamma(drive)):
+            model = _lineshape(data, spectrum, fit_drive, 0, bath)
+            estimate = _log_linear_nbar(model, data, model.moments(0.0)[0])
+            assert estimate == pytest.approx(nbar_true, rel=1e-9)
 
 
 class TestFitBackgroundGamma:

@@ -14,6 +14,7 @@
 # (gamma_per_s = 0), when it must also come back as the generating 223.14 / s.
 # The fit with the rate given, run twice, must write the same file byte for byte,
 # and on the data with its rows reversed it must give the same nbar to 1e-9.
+# The noiseless Ramsey trace, read the same way, must fit to nbar = 60 as well.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -66,6 +67,12 @@ drumhead fit temperature --config "$out/run.json" --data "$out/data_reversed.csv
   --spectrum "$out/spectrum.json" --out "$out/fit_reversed.json"
 python3 -c 'import json, sys; fit, ref = (json.load(open(p)) for p in sys.argv[1:]); assert fit["status"] == "ok" and abs(fit["nbar"] / ref["nbar"] - 1.0) < 1e-9, fit' \
   "$out/fit_reversed.json" "$out/fit.json"
+awk -F, 'NR == 1 {print "mu_hz,p_up,sigma"; next} {print $1 "," $2 ",0.02"}' \
+  "$out/trace_ramsey.csv" > "$out/data_ramsey.csv"
+drumhead fit temperature --config "$out/ramsey.json" --data "$out/data_ramsey.csv" \
+  --spectrum "$out/spectrum.json" --out "$out/fit_ramsey.json"
+python3 -c 'import json, sys; fit = json.load(open(sys.argv[1])); assert fit["status"] == "ok" and abs(fit["nbar"] - 60.0) < 1e-6, fit' \
+  "$out/fit_ramsey.json"
 sed 's/"gamma_per_s": 223.14/"gamma_per_s": 0/' "$out/run.json" > "$out/run_fit_gamma.json"
 grep -q '"gamma_per_s": 0,' "$out/run_fit_gamma.json"
 drumhead fit temperature --config "$out/run_fit_gamma.json" --data "$out/data.csv" \
