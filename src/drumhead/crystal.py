@@ -260,6 +260,14 @@ def potential_gradient(positions: np.ndarray, params: TrapParams) -> np.ndarray:
     return _energy_gradient_si(positions, params)[1]
 
 
+def scaled_gradient_max(lattice: CrystalLattice) -> float:
+    """max |g| (scaled units, in the plane if planar) at the lattice's positions under its params."""
+    dim = 2 if lattice.planar else 3
+    coords = lattice.positions[:, :dim] / length_scale(lattice.params)
+    grad = _energy_gradient_scaled(coords.ravel(), _trap_stiffness(lattice.params)[:dim])[1]
+    return float(np.max(np.abs(grad)))
+
+
 # ---------------------------------------------------------------------------
 # seeding
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import _expect, _read_document, _reject_unknown
-from .crystal import FORCE_TOL, MAX_IONS, CrystalLattice, require_distinct
+from .crystal import _SCALED_GTOL, FORCE_TOL, MAX_IONS, CrystalLattice, require_distinct, scaled_gradient_max
 from .dynamics import SpectrumTrace, Trajectory
 from .errors import ConfigError
 from .modes import ModeHistogram, ModeSpectrum
@@ -85,7 +85,9 @@ def load_lattice(path: str | Path) -> CrystalLattice:
     reader (ConfigError), and `n_ions` must lie in [1, MAX_IONS], as for a
     solve; other keys are ignored. `planar: true` with an ion
     off z = 0, or `converged: true` with a residual above `FORCE_TOL`, raises
-    ValueError; two ions at one position raise CoincidentIonsError.
+    ValueError, as does `converged: true` with positions whose forces under the file's params,
+    recomputed, exceed the solver's bar (`crystal.scaled_gradient_max`); two ions at one
+    position raise CoincidentIonsError, converged or not.
     """
     doc = _read_document(Path(path).read_text(encoding="utf-8"), "lattice")
     p = _expect(doc, "lattice", "params", dict)
@@ -111,6 +113,9 @@ def load_lattice(path: str | Path) -> CrystalLattice:
             f"{lattice.residual_force_max!r} exceeds {FORCE_TOL!r} N"
         )
     require_distinct(positions, "lattice file: two ions share a position")
+    if lattice.converged and (gmax := scaled_gradient_max(lattice)) > _SCALED_GTOL:
+        raise ValueError(f"lattice file: converged is true, but its positions carry max |g| {gmax:.3g} "
+                         f"(scaled units) under its params, above {_SCALED_GTOL!r}")
     return lattice
 
 

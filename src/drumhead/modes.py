@@ -50,7 +50,7 @@ class ModeSpectrum:
     b[:, m] is the displacement pattern of mode m, normalized so both
     sum_j b_jm^2 = 1 and sum_m b_jm^2 = 1. `eigenvalues` keeps the raw
     (possibly negative) squared frequencies; `omega` = sqrt(max(eigenvalue, 0))
-    and `unstable_modes`, the indices with eigenvalue < 0, are derived from them.
+    and `unstable_modes`, the indices with eigenvalue <= 0, are derived from them.
     """
 
     eigenvalues: np.ndarray
@@ -65,7 +65,7 @@ class ModeSpectrum:
         for name, arr in (("eigenvalues", evals), ("b", np.asarray(self.b)), ("omega", omega)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "unstable_modes", tuple(int(m) for m in np.flatnonzero(evals < 0.0)))
+        object.__setattr__(self, "unstable_modes", tuple(int(m) for m in np.flatnonzero(evals <= 0.0)))
 
     @property
     def n_modes(self) -> int:

@@ -89,6 +89,9 @@ class ObservedSpectrum:
             raise ValueError("p_up must lie in [0, 1]")
         if np.any(s <= 0.0):
             raise ValueError("sigma must be positive")
+        with np.errstate(over="ignore"):  # the chi^2 weights 1/sigma^2 and their sum
+            if not np.isfinite(np.sum(s**-2.0)):
+                raise ValueError("sigma is too small: the weights 1/sigma^2 or their sum overflow")
         for name, arr in (("mu_hz", mu), ("p_up", p), ("sigma", s)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

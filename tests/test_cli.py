@@ -18,7 +18,7 @@ from drumhead import (
     beta,
     solve_equilibrium,
 )
-from drumhead import crystal
+from drumhead import crystal, thermometry
 from drumhead import io_formats as iof
 from drumhead.cli import (
     EXIT_CONFIG,
@@ -230,6 +230,12 @@ class TestLatticeFile:
              "converged is true, but residual_force_max_N 1e-06 exceeds 1e-14 N"),
             (lambda doc: {**doc, "residual_force_max_N": float("nan")},
              "lattice.residual_force_max_N: expected a finite number"),
+            # the forces are recomputed under the file's params: relaxed at 44.7 kHz, not at 45.5
+            (lambda doc: {**doc, "params": {**doc["params"], "rotation_hz": 45.5e3}},
+             "converged is true, but its positions carry max |g|"),
+            (lambda doc: {**doc, "converged": False,
+                          "positions_m": doc["positions_m"][:1] + doc["positions_m"][:18]},
+             "two ions share a position"),
             # refused before the positions are read, so no O(N^2) pass or N x N stiffness runs
             (lambda doc: {**doc, "n_ions": crystal.MAX_IONS + 1},
              f"lattice.n_ions: must be between 1 and {crystal.MAX_IONS}, got {crystal.MAX_IONS + 1}"),
@@ -238,7 +244,8 @@ class TestLatticeFile:
         ],
         ids=["planar_string", "converged_string", "count_mismatch", "coincident", "no_params",
              "not_object", "nan_position", "planar_off_plane", "converged_large_residual",
-             "nan_residual", "too_many_ions", "no_ions"],
+             "nan_residual", "converged_other_params", "coincident_unconverged", "too_many_ions",
+             "no_ions"],
     )
     def test_malformed_lattice_is_config_error(self, lattice_doc, tmp_path, capsys, edit, message):
         lattice_path = tmp_path / "lattice.json"
@@ -354,6 +361,11 @@ def reorder_modes(doc, order):
                       for key in ("eigenvalues_rad2_per_s2", "frequencies_hz")}}
 
 
+def zero_last_mode(doc):
+    """`doc` with its last mode's eigenvalue and frequency set to 0."""
+    return {**doc, **{key: [*doc[key][:-1], 0.0] for key in ("eigenvalues_rad2_per_s2", "frequencies_hz")}}
+
+
 class TestSpectrumFile:
     """spectrum simulate refuses a malformed spectrum file with exit 2."""
 
@@ -391,19 +403,40 @@ class TestSpectrumFile:
              "spectrum.eigenvectors_f64le_b64: columns are not orthonormal"),
             (lambda doc: reorder_modes(doc, [1, 0, 2, 3, 4, 5, 6]),
              "spectrum.eigenvalues_rad2_per_s2: expected non-increasing values"),
+            # a mode with eigenvalue 0 has no zero-point length: it counts as unstable
+            (zero_last_mode, "cannot drive an unstable mode spectrum"),
             # the 32 TB block is never allocated for a 12-character text
             (lambda doc: {**doc, "eigenvalues_rad2_per_s2": [0.0] * 2_000_000,
                           "eigenvectors_f64le_b64": "AAAAAAAAAAA="},
              "spectrum.eigenvectors_f64le_b64: expected 32000000000000 bytes (2000000 x 2000000 float64), got 8"),
         ],
         ids=["no_mass", "not_object", "nan_eigenvector", "three_rows", "boolean_eigenvector",
-             "not_base64", "old_nested_list", "not_orthonormal", "swapped_eigenvalues",
+             "not_base64", "old_nested_list", "not_orthonormal", "swapped_eigenvalues", "zero_mode",
              "two_million_modes_eight_bytes"],
     )
     def test_malformed_spectrum_is_config_error(self, spectrum_doc, tmp_path, capsys, edit, message):
         assert self.simulate(tmp_path, edit(spectrum_doc)) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_zero_frequency_mode_is_not_fitted(self, spectrum_doc, tmp_path, capsys):
+        # data from the spectrum as it is, fitted against it with its last mode at eigenvalue 0:
+        # refused with no thermal section, and with a COM-plus-bath one
+        assert self.simulate(tmp_path, spectrum_doc) == EXIT_OK
+        data = tmp_path / "data.csv"
+        trace_rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        data.write_text("".join(f"{row}\n" for row in ["mu_hz,p_up,sigma", *(row + ",0.02" for row in trace_rows)]))
+        spec_path = tmp_path / "zero.json"
+        spec_path.write_text(json.dumps(zero_last_mode(spectrum_doc)))
+        for thermal in ({}, {"thermal": {"nbar_com": 1.0, "bath_temperature_k": 4.3e-4}}):
+            config = tmp_path / "fit.json"
+            doc = write_config(config, n_ions=7)
+            config.write_text(json.dumps({**{k: v for k, v in doc.items() if k != "thermal"}, **thermal}))
+            code = run("fit", "temperature", "--config", config, "--data", data,
+                       "--spectrum", spec_path, "--out", tmp_path / "f.json")
+            assert code == EXIT_CONFIG
+            assert "unstable" in capsys.readouterr().err
+            assert not (tmp_path / "f.json").exists()
 
     def test_extra_keys_are_ignored(self, spectrum_doc, tmp_path):
         # a file written before degenerate_clusters or source_lattice_hash was dropped still loads
@@ -512,6 +545,27 @@ class TestFitTemperature:
                    "--spectrum", spec_path, "--out", tmp_path / "f.json")
         assert code == EXIT_CONFIG
         assert f"{data_path}: unrecognized table header" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    def test_overflowing_weights_are_config_error(self, fit_inputs, tmp_path, capsys):
+        # sigma = 1e-200 would fit nbar = 1e6 at the boundary: 1/sigma^2 overflows
+        config, spec_path, data_path = fit_inputs
+        header, *rows = data_path.read_text().splitlines()
+        tiny = tmp_path / "data.csv"
+        tiny.write_text("\n".join([header, *(row.replace(",0.02", ",1e-200") for row in rows)]) + "\n")
+        code = run("fit", "temperature", "--config", config, "--data", tiny,
+                   "--spectrum", spec_path, "--out", tmp_path / "f.json")
+        assert code == EXIT_CONFIG
+        assert "weights 1/sigma^2" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    def test_search_out_of_steps_is_fit_error(self, fit_inputs, tmp_path, monkeypatch, capsys):
+        config, spec_path, data_path = fit_inputs
+        monkeypatch.setattr(thermometry, "_MAX_NEWTON_STEPS", 0)
+        code = run("fit", "temperature", "--config", config, "--data", data_path,
+                   "--spectrum", spec_path, "--out", tmp_path / "f.json")
+        assert code == EXIT_FIT
+        assert "occupation fit did not converge in 0 steps" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
     def test_ramsey_background_gamma_estimated_from_data(self, tmp_path):

@@ -24,6 +24,7 @@ from drumhead import (
 )
 from drumhead import io_formats as iof
 from drumhead.config import MAX_IONS, MAX_SWEEP_CELLS
+from drumhead.crystal import length_scale, scaled_gradient_max
 from drumhead.dynamics import SpectrumTrace, Trajectory
 from drumhead.modes import mode_histogram
 from drumhead.plotdata import build_plot_rows
@@ -173,6 +174,31 @@ class TestLatticeFiles:
         assert loaded.planar == lattice.planar
         assert loaded.residual_force_max == lattice.residual_force_max
         assert loaded.params.omega_1 == pytest.approx(lattice.params.omega_1, rel=1e-15)
+
+    @pytest.mark.parametrize("n_ions, rotation_hz, seed", [(13, 44.7e3, 0), (20, 45.0e3, 2),
+                                                           (345, 44.7e3, 2), (345, 45.2e3, 1)])
+    def test_reloaded_gradient_is_the_solvers(self, tmp_path, n_ions, rotation_hz, seed):
+        # the load's force check recomputes the solver's final max |g| (planar, and buckled at
+        # 45.2 kHz) from the file's positions, to within about one rounding (measured: at most 1.11e-16)
+        lattice = solve_cached(n_ions, rotation_hz, seed=seed)
+        path = tmp_path / "lattice.json"
+        iof.save_lattice(lattice, path)
+        params = lattice.params
+        stored = lattice.residual_force_max / (params.mass * params.omega_1**2 * length_scale(params))
+        assert abs(scaled_gradient_max(iof.load_lattice(path)) - stored) <= 2e-16
+
+    def test_positions_must_balance_under_the_params(self, tmp_path):
+        # an N = 7 crystal relaxed at 44.7 kHz and relabelled 45.5 kHz: its forces reach max |g| 0.041
+        # (scaled), 1.3e-19 N, under FORCE_TOL; a converged file is refused, an unconverged one read
+        path = tmp_path / "lattice.json"
+        iof.save_lattice(solve_cached(7, 44.7e3), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["rotation_hz"] = 45.5e3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"converged is true, but its positions carry max \|g\| 0.041"):
+            iof.load_lattice(path)
+        path.write_text(json.dumps({**doc, "converged": False}))
+        assert not iof.load_lattice(path).converged
 
     def test_schema_keys(self, tmp_path):
         path = tmp_path / "lattice.json"

@@ -611,9 +611,35 @@ class TestSolveEquilibrium:
         assert best.n_ions == 30
         assert best.residual_force_max > 0.0
 
+    def test_uphill_direction_restarts_from_steepest_descent(self, monkeypatch):
+        # the first L-BFGS direction, turned uphill, is dropped with the stored pairs and the relax
+        # takes steepest descent instead; with no pair stored yet that is the step a plain solve
+        # takes, so the solve ends where a plain one does
+        plain = solve_equilibrium(paper_trap(), 30)
+        clear, times, events = crystal._InverseHessian.clear, crystal._InverseHessian.times, []
+
+        def counted_clear(inverse):
+            events.append("clear")
+            clear(inverse)
+
+        def uphill_first(inverse, g):
+            direction = times(inverse, g)
+            if "times" not in events:
+                events.append("times")
+                return -direction
+            return direction
+
+        monkeypatch.setattr(crystal._InverseHessian, "clear", counted_clear)
+        monkeypatch.setattr(crystal._InverseHessian, "times", uphill_first)
+        restarted = solve_equilibrium(paper_trap(), 30)
+        # the constructor's clear, the uphill direction, and the restart's clear
+        assert events == ["clear", "times", "clear"]
+        assert restarted.converged
+        assert np.array_equal(restarted.positions, plain.positions)
+
     @pytest.mark.parametrize("n_ions", [30, 100])
     def test_polish_finishes_a_short_descent(self, monkeypatch, n_ions):
-        # three L-BFGS-B steps leave the polish far from the minimum; only its
+        # three L-BFGS steps leave the polish far from the minimum; only its
         # step cap and backtracking carry it there
         monkeypatch.setattr(crystal, "_MAX_RELAX_STEPS", 3)
         lattice = solve_equilibrium(paper_trap(), n_ions)

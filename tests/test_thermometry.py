@@ -5,6 +5,7 @@ import pytest
 
 from drumhead import (
     DriveConfig,
+    FitConvergenceError,
     FitMetadata,
     InsufficientDataError,
     InsufficientSpanError,
@@ -20,7 +21,7 @@ from drumhead import (
 from drumhead import thermometry
 from drumhead.dynamics import _coefficients, _gain_blocks, bright_fraction, decoherence_exponent
 from drumhead.errors import DrumheadError
-from drumhead.thermometry import _BOUNDARY_NBAR, _NBAR_MAX, _lineshape, _log_linear_nbar, _terms
+from drumhead.thermometry import _BOUNDARY_NBAR, _NBAR_MAX, _NEWTON_XTOL, _lineshape, _log_linear_nbar, _terms
 from conftest import (
     flat_background,
     one_mode_spectrum,
@@ -418,6 +419,35 @@ def test_log_linear_estimate_is_exact_for_the_com_mode():
             assert estimate == pytest.approx(nbar_true, rel=1e-9)
 
 
+def arctan_slope(monkeypatch) -> list:
+    """Replace `_terms` by chi^2' = arctan(nbar - 50) and chi^2'' its derivative, which flattens away
+    from the root at 50, so Newton overshoots; returns the list of the nbar it is evaluated at."""
+    visited = []
+
+    def terms(model, data, nbar, moments=None):
+        visited.append(nbar)
+        return 0.0, math.atan(nbar - 50.0), 1.0 / (1.0 + (nbar - 50.0) ** 2), 1.0, None
+
+    monkeypatch.setattr(thermometry, "_terms", terms)
+    return visited
+
+
+def test_overshooting_newton_step_bisects_the_bracket(monkeypatch):
+    visited = arctan_slope(monkeypatch)
+    nbar = thermometry._minimize_nbar(None, None, start=0.0)
+    # Newton from 0 lands far beyond the root, where the next Newton step leaves the bracket
+    # [0, that point]: the bracket is halved instead
+    assert visited[1] > 1e3 and visited[2] == visited[1] / 2
+    assert abs(nbar - 50.0) <= _NEWTON_XTOL * 50.0
+
+
+def test_search_out_of_steps_raises(monkeypatch):
+    arctan_slope(monkeypatch)
+    monkeypatch.setattr(thermometry, "_MAX_NEWTON_STEPS", 5)
+    with pytest.raises(FitConvergenceError, match="did not converge in 5 steps"):
+        thermometry._minimize_nbar(None, None, start=0.0)
+
+
 class TestFitBackgroundGamma:
     """With drive.gamma == 0 the background e^{-Gamma T} is fitted with nbar."""
 
@@ -563,6 +593,14 @@ class TestObservedSpectrumValidation:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             ObservedSpectrum(mu_hz=np.array([1.0]), p_up=np.array([0.5]), sigma=np.array([0.0]))
+
+    @pytest.mark.parametrize("sigma", [[1e-160], [1e-200, 0.02], [1e-154, 1e-154]],
+                             ids=["weight_overflows", "tiny_beside_normal", "sum_overflows"])
+    def test_weights_must_be_finite(self, sigma):
+        # 1/sigma^2 overflows below about 7.5e-155, and two weights of 1e308 sum past the largest float
+        with pytest.raises(ValueError, match="weights 1/sigma"):
+            ObservedSpectrum(mu_hz=np.arange(len(sigma)), p_up=np.full(len(sigma), 0.5), sigma=np.array(sigma))
+        ObservedSpectrum(mu_hz=np.array([1.0]), p_up=np.array([0.5]), sigma=np.array([1e-154]))
 
     @pytest.mark.parametrize("field", ["mu_hz", "p_up", "sigma"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
