@@ -29,6 +29,8 @@ Every O(N^2) pass reads its pair geometry from `_pair_blocks`, 64 rows at a time
 one reused scratch. The energy-gradient kernel takes rows [a, a + 64) against columns
 [a, N), each pair once, as does `lattice_stats`; the Hessian and `z_stiffness` take whole
 rows, so each row sum keeps its order. The only (N, N) arrays are the Hessian and K returned.
+The kernel's Coulomb sum is the one coincident-ion test, so `require_consistent` judges a
+lattice file in one pair pass.
 """
 
 from __future__ import annotations
@@ -167,12 +169,6 @@ def _pair_blocks(pos: np.ndarray, upper: bool, spare: int = 0):
         yield a, diffs, d2, block[dim + 1 :]
 
 
-def require_distinct(points: np.ndarray, message: str) -> None:
-    """Raise CoincidentIonsError(message) when two of points (N, D) share a position."""
-    if any(np.min(d2) == 0.0 for _, _, d2, _ in _pair_blocks(points, upper=True)):
-        raise CoincidentIonsError(message)
-
-
 def z_stiffness(points: np.ndarray, coupling: float = 1.0, axial: float = 1.0) -> np.ndarray:
     """Out-of-plane stiffness of points (N, D) lying in the plane z = 0.
 
@@ -209,6 +205,8 @@ def _energy_gradient_scaled(coords: np.ndarray, trap: np.ndarray):
         np.multiply(diffs, np.divide(inv_d, d2, out=d2), out=diffs)
         force[:, a : a + m] += diffs.sum(axis=2)
         force[:, a + m :] -= diffs[..., m:].sum(axis=1)
+    if coulomb == math.inf:  # with finite coordinates, exactly when some d^2 is 0 (underflow included)
+        raise CoincidentIonsError("two ions coincide; Coulomb energy diverges")
     energy = 0.5 * sum(k * _dot(c, c) for k, c in zip(trap, pos.T)) + coulomb
     return energy, (pos * trap - force.T).ravel()
 
@@ -238,34 +236,47 @@ def _hessian_scaled(coords: np.ndarray, trap: np.ndarray, dtype=np.float64) -> n
 # SI-facing energy surface
 
 
-def _energy_gradient_si(positions: np.ndarray, params: TrapParams):
-    """Energy (J) and gradient (N, 3) (newtons) at positions (m); refuses coincident ions."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    require_distinct(pos, "two ions coincide; Coulomb energy diverges")
-    l0, m_w2 = length_scale(params), params.mass * params.omega_1**2
-    e, g = _energy_gradient_scaled((pos / l0).ravel(), _trap_stiffness(params))
-    return e * (m_w2 * l0**2), g.reshape(-1, 3) * (m_w2 * l0)
+def _outside_kernel(positions: np.ndarray, params: TrapParams, dim: int = 3):
+    """Scaled energy and gradient over the first `dim` axes at positions (m) from outside the solver:
+    coincident ions raise, and nothing warns (coordinates above about 1.5e303 m overflow to nan)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coords = np.asarray(positions, dtype=float).reshape(-1, 3)[:, :dim] / length_scale(params)
+        return _energy_gradient_scaled(coords.ravel(), _trap_stiffness(params)[:dim])
 
 
 def total_potential(positions: np.ndarray, params: TrapParams) -> float:
-    """Total rotating-frame potential energy (J) of an arbitrary configuration.
-
-    Raises CoincidentIonsError when any two ions share a position.
-    """
-    return _energy_gradient_si(positions, params)[0]
+    """Total rotating-frame potential energy (J) of an arbitrary configuration; raises
+    CoincidentIonsError when any two ions share a position."""
+    return _outside_kernel(positions, params)[0] * (params.mass * params.omega_1**2 * length_scale(params) ** 2)
 
 
 def potential_gradient(positions: np.ndarray, params: TrapParams) -> np.ndarray:
     """Gradient of total_potential, shape (N, 3), newtons; raises as total_potential does."""
-    return _energy_gradient_si(positions, params)[1]
+    force_unit = params.mass * params.omega_1**2 * length_scale(params)
+    return _outside_kernel(positions, params)[1].reshape(-1, 3) * force_unit
 
 
 def scaled_gradient_max(lattice: CrystalLattice) -> float:
     """max |g| (scaled units, in the plane if planar) at the lattice's positions under its params."""
-    dim = 2 if lattice.planar else 3
-    coords = lattice.positions[:, :dim] / length_scale(lattice.params)
-    grad = _energy_gradient_scaled(coords.ravel(), _trap_stiffness(lattice.params)[:dim])[1]
-    return float(np.max(np.abs(grad)))
+    return float(np.max(np.abs(_outside_kernel(lattice.positions, lattice.params, 2 if lattice.planar else 3)[1])))
+
+
+def require_consistent(lattice: CrystalLattice) -> None:
+    """Refuse a lattice read from a file that contradicts its flags or params: ValueError for `planar`
+    with an ion off z = 0, or `converged` with a stored residual above FORCE_TOL or a max |g| not
+    at most 1e-9 (nan included); CoincidentIonsError, converged or not, from the one force pass."""
+    if lattice.planar and np.any(lattice.positions[:, 2] != 0.0):
+        raise ValueError("lattice file: planar is true, but an ion lies off z = 0")
+    if lattice.converged and not lattice.residual_force_max <= FORCE_TOL:
+        raise ValueError(f"lattice file: converged is true, but residual_force_max_N "
+                         f"{lattice.residual_force_max!r} exceeds {FORCE_TOL!r} N")
+    try:
+        gmax = scaled_gradient_max(lattice)
+    except CoincidentIonsError:
+        raise CoincidentIonsError("lattice file: two ions share a position") from None
+    if lattice.converged and not gmax <= _SCALED_GTOL:
+        raise ValueError(f"lattice file: converged is true, but its positions carry max |g| {gmax:.3g} "
+                         f"(scaled units) under its params, above {_SCALED_GTOL!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ def validity_ratio(force: float, z0_com: float, nbar_com: float, t: float) -> Va
     ratio = (F^2 / 4 hbar^2) z0^2 t^2 / (2 nbar + 1); above 0.1 the
     neglected collective spin-spin terms start to matter.
     """
-    if force < 0.0 or z0_com <= 0.0 or nbar_com < 0.0 or t < 0.0:
+    if not (force >= 0.0 and z0_com > 0.0 and nbar_com >= 0.0 and t >= 0.0):
         raise ValueError("inputs must be non-negative (z0 positive)")
     ratio = (force**2 / (4.0 * HBAR**2)) * z0_com**2 * t**2 / (2.0 * nbar_com + 1.0)
     return ValidityRatio(ratio=ratio, spin_motion_dominant=ratio <= 0.1)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import _expect, _read_document, _reject_unknown
-from .crystal import _SCALED_GTOL, FORCE_TOL, MAX_IONS, CrystalLattice, require_distinct, scaled_gradient_max
+from .crystal import MAX_IONS, CrystalLattice, require_consistent
 from .dynamics import SpectrumTrace, Trajectory
 from .errors import ConfigError
 from .modes import ModeHistogram, ModeSpectrum
@@ -81,41 +81,26 @@ def save_lattice(lattice: CrystalLattice, path: str | Path) -> None:
 def load_lattice(path: str | Path) -> CrystalLattice:
     """Read a lattice file, refusing a malformed or inconsistent one.
 
-    Every key `save_lattice` writes is required and read by the config
-    reader (ConfigError), and `n_ions` must lie in [1, MAX_IONS], as for a
-    solve; other keys are ignored. `planar: true` with an ion
-    off z = 0, or `converged: true` with a residual above `FORCE_TOL`, raises
-    ValueError, as does `converged: true` with positions whose forces under the file's params,
-    recomputed, exceed the solver's bar (`crystal.scaled_gradient_max`); two ions at one
-    position raise CoincidentIonsError, converged or not.
+    Every key `save_lattice` writes is required and read by the config reader (ConfigError), and
+    `n_ions` must lie in [1, MAX_IONS], as for a solve; other keys are ignored. The lattice is then
+    judged against its own flags and params by `crystal.require_consistent`, in one force pass.
     """
     doc = _read_document(Path(path).read_text(encoding="utf-8"), "lattice")
     p = _expect(doc, "lattice", "params", dict)
     n_ions = _expect(doc, "lattice", "n_ions", int)
     if not 1 <= n_ions <= MAX_IONS:
         raise ConfigError("lattice.n_ions", f"must be between 1 and {MAX_IONS}, got {n_ions}")
-    positions = _expect(doc, "lattice", "positions_m", (n_ions, 3))
     lattice = CrystalLattice(
         params=TrapParams.from_hz(*(_expect(p, "lattice.params", key, float)
                                     for key in TrapParams._HZ_KEYS)),
-        positions=positions,
+        positions=_expect(doc, "lattice", "positions_m", (n_ions, 3)),
         converged=_expect(doc, "lattice", "converged", bool),
         residual_force_max=_expect(doc, "lattice", "residual_force_max_N", float),
         planar=_expect(doc, "lattice", "planar", bool),
         energy=_expect(doc, "lattice", "energy_J", float),
         seed=_expect(doc, "lattice", "seed", int),
     )
-    if lattice.planar and np.any(positions[:, 2] != 0.0):
-        raise ValueError("lattice file: planar is true, but an ion lies off z = 0")
-    if lattice.converged and lattice.residual_force_max > FORCE_TOL:
-        raise ValueError(
-            f"lattice file: converged is true, but residual_force_max_N "
-            f"{lattice.residual_force_max!r} exceeds {FORCE_TOL!r} N"
-        )
-    require_distinct(positions, "lattice file: two ions share a position")
-    if lattice.converged and (gmax := scaled_gradient_max(lattice)) > _SCALED_GTOL:
-        raise ValueError(f"lattice file: converged is true, but its positions carry max |g| {gmax:.3g} "
-                         f"(scaled units) under its params, above {_SCALED_GTOL!r}")
+    require_consistent(lattice)
     return lattice
 
 

@@ -101,14 +101,16 @@ def transverse_stiffness(lattice: CrystalLattice) -> StiffnessMatrix:
 
 
 def _require_symmetric(k: np.ndarray) -> None:
-    """Refuse k unless square with max |k - k^T| <= 1e-10 max |k|, checked a block of rows at a time."""
+    """Refuse k unless square and finite with max |k - k^T| <= 1e-10 max |k|, checked a block of rows at a time."""
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("stiffness must be a square matrix")
-    blocks = [slice(a, a + _ROW_BLOCK) for a in range(0, len(k), _ROW_BLOCK)]
     scratch, asym = np.empty_like(k[:_ROW_BLOCK]), 0.0
-    for rows in blocks:
-        diff = np.subtract(k[rows], k[:, rows].T, out=scratch[: len(k[rows])])
-        asym = max(asym, np.max(np.abs(diff, out=diff)))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for a in range(0, len(k), _ROW_BLOCK):
+            diff = np.subtract(k[a : a + _ROW_BLOCK], k[:, a : a + _ROW_BLOCK].T, out=scratch[: len(k) - a])
+            asym = np.maximum(asym, np.max(np.abs(diff, out=diff)))  # keeps a nan, as max() does not
+    if not math.isfinite(asym):  # a non-finite entry makes its own k - k^T entry nan or inf
+        raise ValueError("stiffness must be finite")
     scale = max(np.max(k), -np.min(k))
     if asym > 1e-10 * scale:
         raise ValueError(f"stiffness is not symmetric (relative deviation {asym / scale:.2e})")

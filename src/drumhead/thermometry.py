@@ -46,7 +46,7 @@ _MAX_NEWTON_STEPS = 100
 
 def occupation_to_temperature(nbar: float, omega_m: float) -> float:
     """T = nbar hbar omega / k_B (high-occupation convention, no +1/2)."""
-    if nbar < 0.0 or omega_m <= 0.0:
+    if not (nbar >= 0.0 and omega_m > 0.0):
         raise ValueError("nbar must be >= 0 and omega_m positive")
     return nbar * HBAR * omega_m / K_B
 

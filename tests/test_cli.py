@@ -241,11 +241,15 @@ class TestLatticeFile:
              f"lattice.n_ions: must be between 1 and {crystal.MAX_IONS}, got {crystal.MAX_IONS + 1}"),
             (lambda doc: {**doc, "n_ions": 0, "positions_m": []},
              f"lattice.n_ions: must be between 1 and {crystal.MAX_IONS}, got 0"),
+            # finite in meters, but above about 1.5e303 m the scaled coordinates overflow and max |g|
+            # is nan; nan > 1e-9 is False, so the bar must ask for max |g| <= 1e-9
+            (lambda doc: {**doc, "positions_m": [[1e305 * (i + 1), 0.0, 0.0] for i in range(19)]},
+             "converged is true, but its positions carry max |g| nan"),
         ],
         ids=["planar_string", "converged_string", "count_mismatch", "coincident", "no_params",
              "not_object", "nan_position", "planar_off_plane", "converged_large_residual",
              "nan_residual", "converged_other_params", "coincident_unconverged", "too_many_ions",
-             "no_ions"],
+             "no_ions", "overflowing_positions"],
     )
     def test_malformed_lattice_is_config_error(self, lattice_doc, tmp_path, capsys, edit, message):
         lattice_path = tmp_path / "lattice.json"

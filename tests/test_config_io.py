@@ -22,6 +22,7 @@ from drumhead import (
     load_config,
     sweep_spectrum,
 )
+from drumhead import crystal
 from drumhead import io_formats as iof
 from drumhead.config import MAX_IONS, MAX_SWEEP_CELLS
 from drumhead.crystal import length_scale, scaled_gradient_max
@@ -199,6 +200,22 @@ class TestLatticeFiles:
             iof.load_lattice(path)
         path.write_text(json.dumps({**doc, "converged": False}))
         assert not iof.load_lattice(path).converged
+
+    def test_load_makes_one_pair_pass(self, tmp_path, monkeypatch):
+        # coincidence and forces come from one force pass, for a converged file and an unconverged one
+        lattice, path, passes = solve_cached(150, 44.7e3), tmp_path / "lattice.json", []
+        pair_blocks = crystal._pair_blocks
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return pair_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(crystal, "_pair_blocks", counted)
+        for converged in (True, False):
+            iof.save_lattice(replace(lattice, converged=converged), path)
+            passes.clear()
+            assert iof.load_lattice(path).converged == converged
+            assert len(passes) == 1
 
     def test_schema_keys(self, tmp_path):
         path = tmp_path / "lattice.json"

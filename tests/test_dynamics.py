@@ -597,6 +597,14 @@ class TestValidityRatio:
     def test_warning_status(self):
         assert not validity_ratio(4e-23, 30e-9, 10.0, 1e-3).spin_motion_dominant
 
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_input_rejected(self, index):
+        # nan fails every comparison, so only a guard that asks for each input in range refuses it
+        args = [1e-23, 30e-9, 10.0, 1e-3]
+        args[index] = np.nan
+        with pytest.raises(ValueError):
+            validity_ratio(*args)
+
 
 class TestThermalState:
     def test_from_temperature_matches_conversion(self):
@@ -604,6 +612,11 @@ class TestThermalState:
         thermal = ThermalState.from_temperature(spectrum, 0.43e-3)
         kelvin = [occupation_to_temperature(nbar, om) for nbar, om in zip(thermal.nbar, spectrum.omega)]
         assert np.allclose(kelvin, 0.43e-3, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("nbar, omega", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_has_no_temperature(self, nbar, omega):
+        with pytest.raises(ValueError):
+            occupation_to_temperature(nbar, omega)
 
     def test_com_plus_bath(self):
         spectrum = spectrum_cached(5)

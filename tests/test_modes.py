@@ -261,6 +261,11 @@ class TestDiagonalize:
         bad = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValueError):
             diagonalize(StiffnessMatrix(entries=bad, omega_1=1.0, mass=BE9_ION_MASS))
+        # a non-finite entry: Python's max(0.0, nan) is 0.0, so a running max() of |K - K^T| would
+        # pass the first as symmetric (eigh gives it eigenvalues +-2.83, nan eigenvectors); inf - inf
+        for bad in ([[np.nan, 1.0], [2.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="stiffness must be finite"):
+                diagonalize(StiffnessMatrix(entries=bad, omega_1=1.0, mass=BE9_ION_MASS))
 
     def test_com_deviation_metric(self):
         assert com_mode_deviation(transverse_stiffness(solve_cached(26))) <= 1e-12

@@ -15,6 +15,9 @@
 # The fit with the rate given, run twice, must write the same file byte for byte,
 # and on the data with its rows reversed it must give the same nbar to 1e-9.
 # The noiseless Ramsey trace, read the same way, must fit to nbar = 60 as well.
+# The lattice with its ions moved to x = 1e305 (i + 1) m, still marked converged,
+# overflows in the solver's scaled units, so its max |g| is nan: `modes compute`
+# must refuse it with exit 2 and one line on stderr, no traceback or warning.
 #
 #     sh tools/cli_chain.sh OUTDIR [N]
 set -eu
@@ -34,6 +37,14 @@ JSON
 drumhead crystal solve --config "$out/run.json" --out "$out/lattice.json" --seed 1
 drumhead crystal solve --config "$out/run.json" --out "$out/lattice_seed0.json" --seed 0
 drumhead modes compute --lattice "$out/lattice.json" --out "$out/spectrum.json"
+python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["positions_m"] = [[1e305 * (i + 1), 0.0, 0.0] for i in range(doc["n_ions"])]; json.dump(doc, open(sys.argv[2], "w"))' \
+  "$out/lattice.json" "$out/lattice_far.json"
+status=0
+drumhead modes compute --lattice "$out/lattice_far.json" --out "$out/spectrum_far.json" 2> "$out/far.err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$out/far.err")" -eq 1
+grep -q 'converged is true, but its positions carry max |g| nan' "$out/far.err"
+test ! -e "$out/spectrum_far.json"
 python3 -c 'import sys; from drumhead import io_formats as f; f.save_spectrum(f.load_spectrum(sys.argv[1]), sys.argv[2])' \
   "$out/spectrum.json" "$out/again.json"
 cmp "$out/spectrum.json" "$out/again.json"
